@@ -127,28 +127,33 @@ def tessellate(f, subdiv, singular=()):
     nq_u, nq_v = grid.shape[0], grid.shape[1]
     block = (subdiv + 1) ** 2
     vertices = grid.reshape(-1, 3)
-    scale = max(1e-300, float(np.abs(vertices).max()))
-    area_floor = 1e-14 * scale * scale
 
-    triangles = []
-    tags = []
-    for qi in range(nq_u):
-        for qj in range(nq_v):
-            base = (qi * nq_v + qj) * block
-            tag = (qi + dom.u_min, qj + dom.v_min)
-            for si in range(subdiv):
-                for ti in range(subdiv):
-                    v00 = base + si * (subdiv + 1) + ti
-                    v10 = v00 + (subdiv + 1)
-                    v01 = v00 + 1
-                    v11 = v10 + 1
-                    for tri in ((v00, v10, v01), (v10, v11, v01)):
-                        p0, p1, p2 = vertices[list(tri)]
-                        area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
-                        if area <= area_floor:
-                            continue
-                        triangles.append(tri)
-                        tags.append(tag)
+    # Local triangles of one quad, row-major in (si, ti), each sub-quad
+    # giving (v00, v10, v01) then (v10, v11, v01).
+    row = np.arange(subdiv)
+    v00 = (row[:, None] * (subdiv + 1) + row).ravel()
+    v10 = v00 + (subdiv + 1)
+    local = np.stack([v00, v10, v00 + 1, v10, v10 + 1, v00 + 1],
+                     axis=1).reshape(-1, 3)
+    quads = np.arange(nq_u * nq_v, dtype=np.int64)
+    triangles = (quads[:, None, None] * block + local).reshape(-1, 3)
+
+    # The area filter runs on the vertices scaled by the power of two that
+    # puts the largest coordinate in [0.5, 1).  The scaling is exact, so it
+    # changes no decision where the unscaled arithmetic is in range, and
+    # the squared cross products no longer under- or overflow at extreme
+    # coordinate scales.  A zero, infinite or NaN scale has exponent 0.
+    mantissa, exponent = np.frexp(float(np.abs(vertices).max()))
+    unit = np.ldexp(vertices, -exponent)
+    area_floor = 1e-14 * mantissa * mantissa
+    p0 = unit[triangles[:, 0]]
+    normal = np.cross(unit[triangles[:, 1]] - p0, unit[triangles[:, 2]] - p0)
+    area = 0.5 * np.sqrt(np.einsum("ij,ij->i", normal, normal))
+    keep = ~(area <= area_floor)
+    triangles = triangles[keep]
+    quad = np.repeat(quads, 2 * subdiv * subdiv)[keep]
+    tags = tuple(zip((quad // nq_v + dom.u_min).tolist(),
+                     (quad % nq_v + dom.v_min).tolist()))
 
     def vertex_index(u, v):
         for qu, qv, si, ti in ((u, v, 0, 0), (u - 1, v, subdiv, 0),
@@ -165,14 +170,9 @@ def tessellate(f, subdiv, singular=()):
         polylines.append(MeshPolyline(
             tuple(vertex_index(u, v) for (u, v) in verts), chain.closed))
 
-    return TriangleMesh(vertices=vertices,
-                        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
-                        quad_tags=tuple(tags),
+    return TriangleMesh(vertices=vertices, triangles=triangles,
+                        quad_tags=tags,
                         polylines=tuple(polylines))
-
-
-def _fmt(x):
-    return "%.17g" % x
 
 
 def export_obj(mesh, path):
@@ -182,15 +182,14 @@ def export_obj(mesh, path):
     then one "l" record per singular chain (closed chains repeat their
     first index).  Output is byte-deterministic for a fixed mesh.
     """
-    lines = []
-    for p in mesh.vertices:
-        lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+    lines = ["v %.17g %.17g %.17g" % (x, y, z)
+             for x, y, z in mesh.vertices.tolist()]
     current_tag = object()
-    for tri, tag in zip(mesh.triangles, mesh.quad_tags):
+    for (a, b, c), tag in zip(mesh.triangles.tolist(), mesh.quad_tags):
         if tag != current_tag:
             lines.append(f"g quad_{tag[0]}_{tag[1]}")
             current_tag = tag
-        lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
     for pl in mesh.polylines:
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
         lines.append("l " + " ".join(str(i + 1) for i in idx))

@@ -3,13 +3,16 @@
 import numpy as np
 
 from diams import ConormalNet, PolyCurve, analyze_net
+from diams import _kernels
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
+                          ParameterOutOfRange,
                           ValidationError)
 from diams.io_cli import example_curve_pair
 from diams.net_core import validate_generic_position
 from diams.singularity import (Configuration, admissibility_check,
                                metric_field, singular_edges,
                                singular_vertices)
+from diams.surface_mesh import MeshPolyline, TriangleMesh
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -158,3 +161,78 @@ def parse_obj(path):
             elif parts[0] == "l":
                 lines.append([int(x) - 1 for x in parts[1:]])
     return np.array(vertices), faces, groups, lines
+
+
+def reference_tessellate(f, subdiv, singular=()):
+    """Per-triangle loop form of `tessellate`, kept as the reference that
+    the whole-array version must reproduce bit for bit (where neither
+    overflows nor underflows)."""
+    dom = f.domain
+    grid = _kernels.bilinear_sample(f.positions, subdiv)
+    nq_u, nq_v = grid.shape[0], grid.shape[1]
+    block = (subdiv + 1) ** 2
+    vertices = grid.reshape(-1, 3)
+    scale = max(1e-300, float(np.abs(vertices).max()))
+    area_floor = 1e-14 * scale * scale
+
+    triangles = []
+    tags = []
+    for qi in range(nq_u):
+        for qj in range(nq_v):
+            base = (qi * nq_v + qj) * block
+            tag = (qi + dom.u_min, qj + dom.v_min)
+            for si in range(subdiv):
+                for ti in range(subdiv):
+                    v00 = base + si * (subdiv + 1) + ti
+                    v10 = v00 + (subdiv + 1)
+                    v01 = v00 + 1
+                    v11 = v10 + 1
+                    for tri in ((v00, v10, v01), (v10, v11, v01)):
+                        p0, p1, p2 = vertices[list(tri)]
+                        area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
+                        if area <= area_floor:
+                            continue
+                        triangles.append(tri)
+                        tags.append(tag)
+
+    def vertex_index(u, v):
+        for qu, qv, si, ti in ((u, v, 0, 0), (u - 1, v, subdiv, 0),
+                               (u, v - 1, 0, subdiv),
+                               (u - 1, v - 1, subdiv, subdiv)):
+            if dom.contains_quad(qu, qv):
+                base = ((qu - dom.u_min) * nq_v + (qv - dom.v_min)) * block
+                return base + si * (subdiv + 1) + ti
+        raise ParameterOutOfRange(
+            f"vertex ({u}, {v}) outside the mesh domain")
+
+    polylines = []
+    for chain in singular:
+        verts = chain.vertices[:-1] if chain.closed else chain.vertices
+        polylines.append(MeshPolyline(
+            tuple(vertex_index(u, v) for (u, v) in verts), chain.closed))
+
+    return TriangleMesh(
+        vertices=vertices,
+        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        quad_tags=tuple(tags), polylines=tuple(polylines))
+
+
+def _fmt(x):
+    return "%.17g" % x
+
+
+def reference_obj_text(mesh):
+    """Per-row form of the OBJ text `export_obj` writes."""
+    lines = []
+    for p in mesh.vertices:
+        lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
+    current_tag = object()
+    for tri, tag in zip(mesh.triangles, mesh.quad_tags):
+        if tag != current_tag:
+            lines.append(f"g quad_{tag[0]}_{tag[1]}")
+            current_tag = tag
+        lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
+    for pl in mesh.polylines:
+        idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
+        lines.append("l " + " ".join(str(i + 1) for i in idx))
+    return "\n".join(lines) + "\n"

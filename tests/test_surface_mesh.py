@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from diams import (BilinearPatch, analyze_net, bilinear_point,
                    patch_for_quad, tessellate)
 from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch)
 
-from _helpers import example_net, parse_obj, random_net_candidate
+from _helpers import (example_net, parabolic_net, parse_obj,
+                      random_net_candidate, reference_obj_text,
+                      reference_tessellate)
 
 
 def unit_patch():
@@ -206,3 +210,80 @@ def test_export_obj_io_failure():
     mesh = tessellate(f, 1)
     with pytest.raises(IoFailure):
         export_obj(mesh, "/nonexistent-dir/foo.obj")
+
+
+def _assert_mesh_matches_reference(f, subdiv, tmp_path, singular=()):
+    mesh = tessellate(f, subdiv, singular)
+    ref = reference_tessellate(f, subdiv, singular)
+    assert np.array_equal(mesh.vertices, ref.vertices)
+    assert mesh.triangles.dtype == ref.triangles.dtype
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert mesh.quad_tags == ref.quad_tags
+    assert all(type(i) is int for tag in mesh.quad_tags for i in tag)
+    assert mesh.polylines == ref.polylines
+    path = tmp_path / "mesh.obj"
+    export_obj(mesh, path)
+    assert path.read_bytes() == reference_obj_text(ref).encode("ascii")
+    return mesh
+
+
+def test_tessellate_matches_per_triangle_reference(rng, tmp_path):
+    from dataclasses import replace
+    from diams import GridDomain
+    for subdiv in (1, 2, 3, 4):
+        for _ in range(4):
+            nu, nv = rng.integers(2, 7, size=2)
+            u0, v0 = rng.integers(-3, 3, size=2)
+            dom = GridDomain(int(u0), int(u0 + nu - 1),
+                             int(v0), int(v0 + nv - 1))
+            pos = rng.normal(size=(nu, nv, 3)) * 2.0 ** rng.integers(-60, 60)
+            f = replace(_one_quad_net(), domain=dom, positions=pos)
+            _assert_mesh_matches_reference(f, subdiv, tmp_path)
+
+
+def test_tessellate_matches_reference_on_collapsed_corners(rng, tmp_path):
+    # a corner collapsed onto its u-neighbour turns one edge of a quad
+    # into a point: the triangles along it are dropped, the others kept;
+    # corners moved to within 2^-44..2^-30 of their neighbour give areas
+    # on both sides of the relative floor
+    from dataclasses import replace
+    for subdiv in (1, 2, 3):
+        for _ in range(5):
+            f = integrate_net(random_net_candidate(rng, n=7))
+            pos = f.positions.copy()
+            for i, j in rng.integers(0, 6, size=(3, 2)):
+                pos[i + 1, j] = pos[i, j]
+            for i, j in rng.integers(0, 6, size=(3, 2)):
+                pos[i + 1, j] = pos[i, j] + (rng.normal(size=3)
+                                             * 2.0 ** -rng.integers(30, 45))
+            mesh = _assert_mesh_matches_reference(
+                replace(f, positions=pos), subdiv, tmp_path)
+            per_quad = Counter(mesh.quad_tags).values()
+            assert any(0 < n < 2 * subdiv * subdiv for n in per_quad)
+
+
+def test_tessellate_matches_reference_with_polylines(tmp_path):
+    for net in (example_net(1.0), parabolic_net(0.2)[0]):
+        analysis = analyze_net(net)
+        assert analysis.polylines
+        for subdiv in (1, 2, 3):
+            mesh = _assert_mesh_matches_reference(
+                analysis.f, subdiv, tmp_path, analysis.polylines)
+            assert len(mesh.polylines) == len(analysis.polylines)
+
+
+@pytest.mark.parametrize("k", [-250, -140, 0, 150, 300])
+def test_tessellate_is_scale_free(k):
+    # scaling both curves by 2^k scales the integrated net by 2^(2k)
+    # exactly; the degenerate-triangle filter must not notice
+    from diams import ConormalNet, PolyCurve
+    net, _ = parabolic_net(0.2)
+    base = tessellate(integrate_net(net), 2)
+    s = 2.0 ** k
+    scaled = ConormalNet(PolyCurve(net.alpha.points * s),
+                         PolyCurve(net.beta.points * s))
+    mesh = tessellate(integrate_net(scaled), 2)
+    assert len(base.triangles) == 800
+    assert np.array_equal(mesh.triangles, base.triangles)
+    assert mesh.quad_tags == base.quad_tags
+    assert np.array_equal(mesh.vertices, base.vertices * 2.0 ** (2 * k))
