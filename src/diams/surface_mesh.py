@@ -12,7 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import IoFailure, ParameterOutOfRange, SharedEdgeMismatch
+from .errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,12 @@ def tessellate(f, subdiv, singular=()):
     # puts the largest coordinate in [0.5, 1).  The scaling is exact, so it
     # changes no decision where the unscaled arithmetic is in range, and
     # the squared cross products no longer under- or overflow at extreme
-    # coordinate scales.  A zero, infinite or NaN scale has exponent 0.
-    mantissa, exponent = np.frexp(float(np.abs(vertices).max()))
+    # coordinate scales.
+    scale = float(np.abs(vertices).max())
+    if not np.isfinite(scale):
+        raise ValidationError("mesh positions are not finite (the net "
+                              "overflows at this coordinate scale)")
+    mantissa, exponent = np.frexp(scale)
     unit = np.ldexp(vertices, -exponent)
     area_floor = 1e-14 * mantissa * mantissa
     p0 = unit[triangles[:, 0]]

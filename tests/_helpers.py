@@ -5,14 +5,12 @@ import numpy as np
 from diams import ConormalNet, PolyCurve, analyze_net
 from diams import _kernels
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          ParameterOutOfRange,
                           ValidationError)
 from diams.io_cli import example_curve_pair
 from diams.net_core import validate_generic_position
 from diams.singularity import (Configuration, admissibility_check,
                                metric_field, singular_edges,
                                singular_vertices)
-from diams.surface_mesh import MeshPolyline, TriangleMesh
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -163,10 +161,11 @@ def parse_obj(path):
     return np.array(vertices), faces, groups, lines
 
 
-def reference_tessellate(f, subdiv, singular=()):
-    """Per-triangle loop form of `tessellate`, kept as the reference that
-    the whole-array version must reproduce bit for bit (where neither
-    overflows nor underflows)."""
+def reference_tessellate(f, subdiv):
+    """Per-triangle loop form of `tessellate`'s triangles and quad tags,
+    kept as the reference that the whole-array version must reproduce bit
+    for bit (where neither overflows nor underflows).  Returns
+    (vertices, triangles, quad_tags)."""
     dom = f.domain
     grid = _kernels.bilinear_sample(f.positions, subdiv)
     nq_u, nq_v = grid.shape[0], grid.shape[1]
@@ -194,27 +193,8 @@ def reference_tessellate(f, subdiv, singular=()):
                             continue
                         triangles.append(tri)
                         tags.append(tag)
-
-    def vertex_index(u, v):
-        for qu, qv, si, ti in ((u, v, 0, 0), (u - 1, v, subdiv, 0),
-                               (u, v - 1, 0, subdiv),
-                               (u - 1, v - 1, subdiv, subdiv)):
-            if dom.contains_quad(qu, qv):
-                base = ((qu - dom.u_min) * nq_v + (qv - dom.v_min)) * block
-                return base + si * (subdiv + 1) + ti
-        raise ParameterOutOfRange(
-            f"vertex ({u}, {v}) outside the mesh domain")
-
-    polylines = []
-    for chain in singular:
-        verts = chain.vertices[:-1] if chain.closed else chain.vertices
-        polylines.append(MeshPolyline(
-            tuple(vertex_index(u, v) for (u, v) in verts), chain.closed))
-
-    return TriangleMesh(
-        vertices=vertices,
-        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
-        quad_tags=tuple(tags), polylines=tuple(polylines))
+    return (vertices, np.array(triangles, dtype=np.int64).reshape(-1, 3),
+            tuple(tags))
 
 
 def _fmt(x):

@@ -9,7 +9,7 @@ from diams.io_cli import (CurvePairFile, example_curve_pair, parse_curves,
                           report_from_analysis, run_cli, write_curves,
                           write_report)
 
-from _helpers import example_net, parse_obj
+from _helpers import example_net, parabolic_points, parse_obj
 
 
 def test_parse_curves_example_with_offsets():
@@ -177,6 +177,21 @@ def test_cli_mesh(tmp_path):
     assert len(faces) == 4 * 128
     assert len(lines) == 1
     assert _run(["mesh", "--curves", curves, "--out", obj, "--subdiv", 0]) == 2
+
+
+def test_cli_mesh_overflowing_net_exits_1(tmp_path, capsys):
+    # curves at 2^512 are finite, but the integrated net overflows; the
+    # mesh must be refused instead of written with nan/inf vertices
+    a, b, _ = parabolic_points(0.2)
+    curves = tmp_path / "c.json"
+    obj = tmp_path / "m.obj"
+    curves.write_text(json.dumps({"alpha": (a * 2.0 ** 512).tolist(),
+                                  "beta": (b * 2.0 ** 512).tolist()}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _run(["mesh", "--curves", curves, "--out", obj,
+                     "--subdiv", 2, "--singular", "none"]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not obj.exists()
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):
