@@ -19,7 +19,8 @@ from .singularity import (Configuration, EdgeIndex, Kind, MetricField,
 from .smooth_oracle import (SmoothCurvePair, SmoothSingularPoint,
                             builtin_pair, check_regularity, curvature_gap,
                             find_swallowtails, lambda_along_curve,
-                            omega_smooth, sample_pair, trace_singular_curve)
+                            omega_smooth, omega_smooth_grid, sample_pair,
+                            trace_singular_curve)
 from .surface_mesh import (BilinearPatch, TriangleMesh, bilinear_point,
                            compatibility_residual, export_obj, patch_for_quad,
                            tessellate)
@@ -35,8 +36,8 @@ __all__ = [
     "extract_polylines", "find_swallowtails", "halfplane_edge_test",
     "integrate_net", "lambda_along_curve", "m_from_positions",
     "metric_field", "moutard_residual", "omega_quad", "omega_smooth",
-    "orient", "patch_for_quad", "ray_crossing_test", "sample_pair",
-    "singular_edges", "singular_vertices", "star_planarity_residual",
-    "star_sidedness_test", "tessellate", "trace_singular_curve",
-    "validate_generic_position",
+    "omega_smooth_grid", "orient", "patch_for_quad", "ray_crossing_test",
+    "sample_pair", "singular_edges", "singular_vertices",
+    "star_planarity_residual", "star_sidedness_test", "tessellate",
+    "trace_singular_curve", "validate_generic_position",
 ]

@@ -4,8 +4,10 @@ The JIT backend (numba @njit, disk-cached) is used when numba imports
 cleanly; setting the environment variable DIAMS_NUMBA=0 selects the pure
 numpy fallback instead.  Both backends evaluate the same floating-point
 expressions in the same order, so results are bit-identical and nothing
-downstream (reports, meshes) depends on the choice.  A benchmark comparing
-the two lives in benchmarks/bench_kernels.py.
+downstream (reports, meshes) depends on the choice.  The kernels' share
+of pipeline time shows in the per-layer output of
+``python3 perfbench/run.py --workload <name> --trace 1``;
+``python3 perfbench/selftest.py`` checks the benchmark itself.
 """
 
 import os

@@ -28,7 +28,7 @@ from .net_core import (ConormalNet, PolyCurve, integrate_net,
 from .singularity import (Configuration, admissibility_check, analyze_net,
                           metric_field, singular_edges, singular_vertices)
 from .smooth_oracle import (BUILTIN_PAIRS, builtin_pair, find_swallowtails,
-                            omega_smooth, trace_singular_curve)
+                            omega_smooth_grid, trace_singular_curve)
 from .surface_mesh import export_obj, tessellate
 
 DEFAULT_TOL = 1e-9
@@ -120,7 +120,8 @@ def parse_curves(data):
         if key not in doc:
             raise ValidationError(f"missing curve {key!r}")
     for key in ("alpha_offset", "beta_offset"):
-        if key in doc and not isinstance(doc[key], int):
+        if key in doc and (not isinstance(doc[key], int)
+                           or isinstance(doc[key], bool)):
             raise ValidationError(f"{key} must be an integer")
     return CurvePairFile(
         alpha_offset=int(doc.get("alpha_offset", 0)),
@@ -344,7 +345,7 @@ def _cmd_oracle(args):
     else:
         us = np.linspace(*pair.u_range, 17)
         vs = np.linspace(*pair.v_range, 17)
-        wmax = max(abs(omega_smooth(pair, u, v)) for u in us for v in vs)
+        wmax = float(np.abs(omega_smooth_grid(pair, us, vs)).max())
         tol = 1e-10 * max(1.0, wmax)
     chains = trace_singular_curve(pair, args.grid, tol)
     points = []

@@ -34,6 +34,20 @@ def _norm3(x):
     return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
 
 
+def require_finite(values, what):
+    """Raise ValidationError unless every entry of values is finite.
+
+    Finite curves can give overflowing derived quantities: a product of k
+    coordinates overflows once the coordinate scale passes about
+    2^(1024/k).  Stages compute such quantities under np.errstate and
+    check them here, so the net ends in a named error instead of inf/nan
+    results and numpy warnings.
+    """
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what}: not finite (the net overflows at "
+                              "this coordinate scale)")
+
+
 def half_index(x):
     """Validate a half-integer index k+1/2 and return the integer k."""
     k2 = 2.0 * float(x)
@@ -180,7 +194,10 @@ class ConormalNet:
         scale = characteristic_scale(self.alpha.points, self.beta.points)
         object.__setattr__(self, "scale", scale)
         grid = self.nu_grid()
-        norms = np.sqrt((grid ** 2).sum(axis=2))
+        # an overflowing |nu| is far from the intersection threshold, so
+        # the check below stays right and only the warning is dropped
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((grid ** 2).sum(axis=2))
         if norms.min() <= self.nu_eps * scale:
             i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
             raise ValidationError(
@@ -285,10 +302,12 @@ def integrate_net(net, base_vertex=None, base_point=(0.0, 0.0, 0.0)):
         base_vertex = (dom.u_min, dom.v_min)
     bu, bv = base_vertex
     dom.require_vertex(bu, bv)
-    positions = _kernels.integrate_positions(
-        net.alpha.points, net.beta.points,
-        bu - dom.u_min, bv - dom.v_min,
-        np.asarray(base_point, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = _kernels.integrate_positions(
+            net.alpha.points, net.beta.points,
+            bu - dom.u_min, bv - dom.v_min,
+            np.asarray(base_point, dtype=np.float64))
+    require_finite(positions, "integrated positions")
     return AsymptoticNet(domain=dom, positions=positions,
                          base_vertex=(bu, bv),
                          base_point=np.asarray(base_point, dtype=np.float64))
@@ -377,17 +396,22 @@ def validate_generic_position(net, tol=1e-9):
     spans[:, 1] = (a[:, :-2] - a[:, 1:-1])[:, :, None]   # alpha(u-1) - alpha(u)
     spans[:, 2] = b[:, None, 2:] - au                    # beta(v+1) - alpha(u)
     spans[:, 3] = b[:, None, :-2] - au                   # beta(v-1) - alpha(u)
-    normals = _cross3(d[:, None], spans)          # 3 x (4, U, V)
-    mags = _norm3(normals)
+    # both sides of the test grow like the 4th power of the coordinates
+    # (the squares inside the norms like the 8th) and must come out finite
     out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            lhs = _norm3(_cross3([c[i] for c in normals],
-                                 [c[j] for c in normals]))
-            bad = lhs <= tol * mags[i] * mags[j]
-            for ui, vi in np.argwhere(bad).tolist():
-                out.append(GenericPositionViolation(
-                    vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
-                    plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        normals = _cross3(d[:, None], spans)      # 3 x (4, U, V)
+        mags = _norm3(normals)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                lhs = _norm3(_cross3([c[i] for c in normals],
+                                     [c[j] for c in normals]))
+                bound = tol * mags[i] * mags[j]
+                require_finite(lhs, "generic-position test")
+                require_finite(bound, "generic-position test")
+                for ui, vi in np.argwhere(lhs <= bound).tolist():
+                    out.append(GenericPositionViolation(
+                        vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
+                        plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))
     out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     return out

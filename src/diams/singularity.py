@@ -15,6 +15,7 @@ orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,7 +26,8 @@ import numpy as np
 from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import integrate_net, validate_generic_position
+from .net_core import (integrate_net, require_finite,
+                       validate_generic_position)
 
 
 class Configuration(str, Enum):
@@ -163,8 +165,14 @@ def omega_quad(net, quad):
 def metric_field(net, eps_degenerate=1e-9):
     """Evaluate Omega on all quads; abort when any quad is too close to
     degenerate for sign tests to mean anything."""
-    values = _kernels.omega_grid(net.alpha.points, net.beta.points)
-    floor = eps_degenerate * net.scale ** 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _kernels.omega_grid(net.alpha.points, net.beta.points)
+    require_finite(values, "Omega")
+    try:
+        floor = eps_degenerate * net.scale ** 3
+    except OverflowError:
+        floor = math.inf
+    require_finite(floor, "degenerate-metric floor eps * scale^3")
     bad = np.abs(values) <= floor
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -133,6 +133,32 @@ def omega_smooth(pair, u, v):
                  + n[2] * (x[0] * y[1] - x[1] * y[0]))
 
 
+def omega_smooth_grid(pair, us, vs):
+    """omega_smooth at every (us[i], vs[j]) as a (len(us), len(vs)) array.
+
+    Each evaluator runs once per parameter value and Omega is filled one
+    u-row at a time with omega_smooth's expression, so every entry equals
+    the scalar value bit for bit.  The range is checked along the first
+    row and the first column, which meets the first out-of-range point of
+    a row-major scan of the product grid.
+    """
+    for v in vs:
+        pair.require(us[0], v)
+    for u in us:
+        pair.require(u, vs[0])
+    a = np.array([pair.alpha(u) for u in us])
+    x = np.array([pair.d_alpha(u) for u in us])
+    b0, b1, b2 = np.array([pair.beta(v) for v in vs]).T
+    y0, y1, y2 = np.array([pair.d_beta(v) for v in vs]).T
+    w = np.empty((len(us), len(vs)))
+    for i in range(len(us)):
+        x0, x1, x2 = x[i]
+        w[i] = ((a[i, 0] - b0) * (x1 * y2 - x2 * y1)
+                - (a[i, 1] - b1) * (x0 * y2 - x2 * y0)
+                + (a[i, 2] - b2) * (x0 * y1 - x1 * y0))
+    return w
+
+
 class SmoothChain(NamedTuple):
     points: np.ndarray     # (k, 2) parameter-domain points
     closed: bool
@@ -167,10 +193,7 @@ def trace_singular_curve(pair, grid_n, tol):
         raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
     us = np.linspace(*pair.u_range, grid_n + 1)
     vs = np.linspace(*pair.v_range, grid_n + 1)
-    w = np.empty((grid_n + 1, grid_n + 1))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            w[i, j] = omega_smooth(pair, u, v)
+    w = omega_smooth_grid(pair, us, vs)
     wmax = float(np.abs(w).max())
     corner_eps = 1e-12 * max(1.0, wmax)
     zero_corner = np.abs(w) <= corner_eps
@@ -205,39 +228,43 @@ def trace_singular_curve(pair, grid_n, tol):
             crossings[key] = _bisect_edge(pair, p0, p1, w0, tol)
         return key
 
+    # sign flips on the u-direction edges (i,j)-(i+1,j) and the
+    # v-direction edges (i,j)-(i,j+1); only cells touching one are
+    # visited, in row-major order
+    pos = w > 0
+    h_flip = pos[:-1] != pos[1:]
+    v_flip = pos[:, :-1] != pos[:, 1:]
+    active = h_flip[:, :-1] | h_flip[:, 1:] | v_flip[:-1] | v_flip[1:]
     segments = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            sides = []
-            if (w[i, j] > 0) != (w[i + 1, j] > 0):
-                sides.append(("h", i, j))
-            if (w[i, j + 1] > 0) != (w[i + 1, j + 1] > 0):
-                sides.append(("h", i, j + 1))
-            if (w[i, j] > 0) != (w[i, j + 1] > 0):
-                sides.append(("v", i, j))
-            if (w[i + 1, j] > 0) != (w[i + 1, j + 1] > 0):
-                sides.append(("v", i + 1, j))
-            if not sides:
-                continue
-            if len(sides) == 2:
-                segments.append((edge_point(*sides[0]), edge_point(*sides[1])))
-            elif len(sides) == 4:
-                # saddle: pair each corner with the centre-sign rule
-                centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
-                                      0.5 * (vs[j] + vs[j + 1]))
-                same = (centre > 0) == (w[i, j] > 0)
-                bottom, top = ("h", i, j), ("h", i, j + 1)
-                left, right = ("v", i, j), ("v", i + 1, j)
-                if same:
-                    pairs = ((bottom, right), (top, left))
-                else:
-                    pairs = ((bottom, left), (top, right))
-                for a, b in pairs:
-                    segments.append((edge_point(*a), edge_point(*b)))
+    for i, j in np.argwhere(active).tolist():
+        sides = [side for side, flip in ((("h", i, j), h_flip[i, j]),
+                                         (("h", i, j + 1), h_flip[i, j + 1]),
+                                         (("v", i, j), v_flip[i, j]),
+                                         (("v", i + 1, j), v_flip[i + 1, j]))
+                 if flip]
+        if len(sides) == 2:
+            segments.append((edge_point(*sides[0]), edge_point(*sides[1])))
+        else:
+            # saddle (the flips around a cell are even, so 4 sides):
+            # pair each corner with the centre-sign rule
+            centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
+                                  0.5 * (vs[j] + vs[j + 1]))
+            same = (centre > 0) == (w[i, j] > 0)
+            bottom, top = ("h", i, j), ("h", i, j + 1)
+            left, right = ("v", i, j), ("v", i + 1, j)
+            if same:
+                pairs = ((bottom, right), (top, left))
             else:
-                raise NonGenericCell(
-                    f"cell ({i}, {j}) has {len(sides)} edge crossings")
+                pairs = ((bottom, left), (top, right))
+            for a, b in pairs:
+                segments.append((edge_point(*a), edge_point(*b)))
+    return _link_chains(segments, crossings)
 
+
+def _link_chains(segments, crossings):
+    """Join segments between edge-crossing keys into chains: open chains
+    from their sorted end keys first, then closed loops, all sorted by
+    their first point."""
     link = defaultdict(list)
     for a, b in segments:
         link[a].append(b)

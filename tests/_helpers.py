@@ -5,12 +5,13 @@ import numpy as np
 from diams import ConormalNet, PolyCurve, analyze_net
 from diams import _kernels
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          ValidationError)
+                          NonGenericCell, ValidationError)
 from diams.io_cli import example_curve_pair
 from diams.net_core import validate_generic_position
 from diams.singularity import (Configuration, admissibility_check,
                                metric_field, singular_edges,
                                singular_vertices)
+from diams.smooth_oracle import _bisect_edge, _link_chains, omega_smooth
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -216,3 +217,81 @@ def reference_obj_text(mesh):
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
         lines.append("l " + " ".join(str(i + 1) for i in idx))
     return "\n".join(lines) + "\n"
+
+
+def reference_trace(pair, grid_n, tol):
+    """Per-point form of `trace_singular_curve`: Omega sampled by one
+    `omega_smooth` call per grid point and every cell of the grid
+    visited, kept as the reference that the row-wise sampling and the
+    sign-change cell scan must reproduce bit for bit.  Chain linking is
+    shared with the traced version."""
+    if grid_n < 16:
+        raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
+    us = np.linspace(*pair.u_range, grid_n + 1)
+    vs = np.linspace(*pair.v_range, grid_n + 1)
+    w = np.empty((grid_n + 1, grid_n + 1))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            w[i, j] = omega_smooth(pair, u, v)
+    wmax = float(np.abs(w).max())
+    corner_eps = 1e-12 * max(1.0, wmax)
+    zero_corner = np.abs(w) <= corner_eps
+    if zero_corner.any():
+        i, j = np.argwhere(zero_corner)[0]
+        raise NonGenericCell(
+            f"Omega vanishes at grid corner (u, v) = "
+            f"({us[i]:.9g}, {vs[j]:.9g}); perturb the grid")
+    crossings = {}
+
+    def edge_point(kind, i, j):
+        key = (kind, i, j)
+        if key in crossings:
+            return key
+        if kind == "h":
+            w0, w1 = w[i, j], w[i + 1, j]
+            p0 = (us[i], vs[j])
+            p1 = (us[i + 1], vs[j])
+        else:
+            w0, w1 = w[i, j], w[i, j + 1]
+            p0 = (us[i], vs[j])
+            p1 = (us[i], vs[j + 1])
+        s = w0 / (w0 - w1)
+        guess = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
+        if abs(omega_smooth(pair, *guess)) <= tol:
+            crossings[key] = np.array(guess)
+        else:
+            crossings[key] = _bisect_edge(pair, p0, p1, w0, tol)
+        return key
+
+    segments = []
+    for i in range(grid_n):
+        for j in range(grid_n):
+            sides = []
+            if (w[i, j] > 0) != (w[i + 1, j] > 0):
+                sides.append(("h", i, j))
+            if (w[i, j + 1] > 0) != (w[i + 1, j + 1] > 0):
+                sides.append(("h", i, j + 1))
+            if (w[i, j] > 0) != (w[i, j + 1] > 0):
+                sides.append(("v", i, j))
+            if (w[i + 1, j] > 0) != (w[i + 1, j + 1] > 0):
+                sides.append(("v", i + 1, j))
+            if not sides:
+                continue
+            if len(sides) == 2:
+                segments.append((edge_point(*sides[0]), edge_point(*sides[1])))
+            elif len(sides) == 4:
+                centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
+                                      0.5 * (vs[j] + vs[j + 1]))
+                same = (centre > 0) == (w[i, j] > 0)
+                bottom, top = ("h", i, j), ("h", i, j + 1)
+                left, right = ("v", i, j), ("v", i + 1, j)
+                if same:
+                    pairs = ((bottom, right), (top, left))
+                else:
+                    pairs = ((bottom, left), (top, right))
+                for a, b in pairs:
+                    segments.append((edge_point(*a), edge_point(*b)))
+            else:
+                raise NonGenericCell(
+                    f"cell ({i}, {j}) has {len(sides)} edge crossings")
+    return _link_chains(segments, crossings)

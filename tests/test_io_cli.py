@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ def test_parse_curves_defaults_offsets_to_zero():
            "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]]}
     cpf = parse_curves(json.dumps(doc))
     assert cpf.alpha_offset == 0 and cpf.beta_offset == 0
+
+
+@pytest.mark.parametrize("key", ["alpha_offset", "beta_offset"])
+def test_boolean_offsets_are_rejected(key, tmp_path, capsys):
+    # JSON true is a Python bool, which isinstance(..., int) accepts
+    doc = {"alpha": [[0, 0, 1], [1, 0, 1], [2, 1, 1]],
+           "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]], key: True}
+    with pytest.raises(ValidationError, match=key):
+        parse_curves(json.dumps(doc))
+    curves = tmp_path / "c.json"
+    curves.write_text(json.dumps(doc))
+    assert _run(["analyze", "--curves", curves,
+                 "--report", tmp_path / "r.json"]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_parse_curves_errors_name_the_index():
@@ -192,6 +207,34 @@ def test_cli_mesh_overflowing_net_exits_1(tmp_path, capsys):
                      "--subdiv", 2, "--singular", "none"]) == 1
     assert "not finite" in capsys.readouterr().err
     assert not obj.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate", "mesh"])
+@pytest.mark.parametrize(
+    "scale", [2.0 ** 340, 2.0 ** 400, 2.0 ** 512, 2.0 ** 1000, 1e110, 1e200],
+    ids=["2^340", "2^400", "2^512", "2^1000", "1e110", "1e200"])
+def test_cli_huge_coordinates_end_in_a_named_error(command, scale, tmp_path,
+                                                   capsys):
+    # finite curves whose derived quantities overflow: a named error, no
+    # traceback and no numpy warning (warnings are raised as errors here,
+    # so one would escape run_cli)
+    a, b, _ = parabolic_points(0.2)
+    curves = tmp_path / "c.json"
+    out = tmp_path / "out"
+    curves.write_text(json.dumps({"alpha": (a * scale).tolist(),
+                                  "beta": (b * scale).tolist()}))
+    args = {"analyze": ["--report", out], "validate": [],
+            "mesh": ["--out", out, "--subdiv", 2]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run([command, "--curves", curves] + args)
+    err = capsys.readouterr().err
+    assert code in (1, 3)
+    assert err.startswith("error: ")
+    if scale in (1e110, 1e200):
+        assert code == 1 and "not finite" in err
+    if command == "mesh":
+        assert not out.exists()
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from diams import (ConormalNet, GridDomain, PolyCurve, conormal,
-                   discrete_derivative, integrate_net, moutard_residual,
-                   star_planarity_residual, validate_generic_position)
+                   discrete_derivative, integrate_net, metric_field,
+                   moutard_residual, star_planarity_residual,
+                   validate_generic_position)
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid)
 
-from _helpers import example_net, random_net_candidate, transformed_net
+from _helpers import (example_net, parabolic_points, random_net_candidate,
+                      transformed_net)
 
 
 def test_polycurve_rejects_short_and_duplicate():
@@ -91,6 +95,33 @@ def test_moutard_residual_zero_and_constructed_violation(rng):
     assert np.linalg.norm(moutard_residual_grid(grid, 1, 1)) > 1e-6
     with pytest.raises(IndexOutOfDomain):
         moutard_residual_grid(grid, 3, 0)
+
+
+def test_overflowing_stages_raise_not_finite():
+    # each stage checks the quantities it forms: positions grow like the
+    # coordinates squared, Omega and its floor like the cube, the
+    # generic-position test like the 4th (and 8th) power
+    a, b, _ = parabolic_points(0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = ConormalNet(PolyCurve(a * 2.0 ** 512),
+                           PolyCurve(b * 2.0 ** 512))
+        with pytest.raises(ValidationError, match="positions: not finite"):
+            integrate_net(huge)
+        big = ConormalNet(PolyCurve(a * 2.0 ** 400), PolyCurve(b * 2.0 ** 400))
+        with pytest.raises(ValidationError, match="Omega: not finite"):
+            metric_field(big)
+        with pytest.raises(ValidationError, match="generic-position test"):
+            validate_generic_position(big)
+        # Omega stays finite when only alpha is scaled, its floor does not
+        lopsided = ConormalNet(PolyCurve(a * 2.0 ** 342), PolyCurve(b))
+        with pytest.raises(ValidationError, match="floor .*not finite"):
+            metric_field(lopsided)
+        # still finite at 2^400: the integrated net of the scaled curves
+        # is the unscaled one times 2^800, exactly
+        f = integrate_net(big)
+        base = integrate_net(ConormalNet(PolyCurve(a), PolyCurve(b)))
+        assert np.array_equal(f.positions, base.positions * 2.0 ** 800)
 
 
 def test_integrate_net_worked_example_edges():

@@ -3,12 +3,13 @@ import pytest
 
 from diams import (builtin_pair, check_regularity, curvature_gap,
                    find_swallowtails, lambda_along_curve, omega_smooth,
-                   sample_pair, trace_singular_curve)
-from diams.errors import (DegenerateDirection, NonGenericCell,
+                   omega_smooth_grid, sample_pair, trace_singular_curve)
+from diams.errors import (DegenerateDirection, DiamsError, NonGenericCell,
                           NonGenericChain, OutOfRange, ValidationError)
+from diams.io_cli import report_from_oracle, run_cli, write_report
 from diams.smooth_oracle import SmoothCurvePair
 
-from _helpers import densify, one_sided_hausdorff
+from _helpers import densify, one_sided_hausdorff, reference_trace
 
 
 def line_pair(**kw):
@@ -204,3 +205,179 @@ def test_sample_pair_indexing():
     assert alpha.points.shape == (9, 3)
     assert us[0] == -1.0 and us[-1] == 1.0
     assert np.allclose(alpha.points[4], [0, 0, 1])
+
+
+def _cubic(c):
+    """Evaluators of the cubic curve c0 + c1 t + c2 t^2 + c3 t^3 and its
+    first two derivatives."""
+    c0, c1, c2, c3 = c
+    d1, d2, e1 = 2.0 * c2, 3.0 * c3, 6.0 * c3
+    return (lambda t: ((c3 * t + c2) * t + c1) * t + c0,
+            lambda t: (d2 * t + d1) * t + c1,
+            lambda t: e1 * t + d1)
+
+
+def random_cubic_pair(rng):
+    """Cubic curves with z near 1 (alpha) and near 0 (beta), so they never
+    meet; the ranges are jittered so grid lines fall anywhere."""
+    ca = rng.uniform(-1.0, 1.0, size=(4, 3)) * [1.0, 1.0, 0.1]
+    cb = rng.uniform(-1.0, 1.0, size=(4, 3)) * [1.0, 1.0, 0.1]
+    ca[0, 2] += 1.0
+    alpha, d_alpha, dd_alpha = _cubic(ca)
+    beta, d_beta, dd_beta = _cubic(cb)
+    lo_u, lo_v = rng.uniform(-1.1, -0.9, size=2)
+    hi_u, hi_v = rng.uniform(0.9, 1.1, size=2)
+    return SmoothCurvePair(alpha=alpha, beta=beta, d_alpha=d_alpha,
+                           d_beta=d_beta, dd_alpha=dd_alpha, dd_beta=dd_beta,
+                           u_range=(lo_u, hi_u), v_range=(lo_v, hi_v))
+
+
+def saddle_pair(u_range, v_range, s=100.0):
+    """Omega = 1 - 4 s^2 u v: the zero set hugs both axes, so the cell
+    around the origin has four sign-change sides."""
+    return SmoothCurvePair(
+        alpha=lambda u: np.array([u, s * u * u, 1.0]),
+        beta=lambda v: np.array([s * v * v, v, 0.0]),
+        d_alpha=lambda u: np.array([1.0, 2.0 * s * u, 0.0]),
+        d_beta=lambda v: np.array([2.0 * s * v, 1.0, 0.0]),
+        dd_alpha=lambda u: np.array([0.0, 2.0 * s, 0.0]),
+        dd_beta=lambda v: np.array([2.0 * s, 0.0, 0.0]),
+        u_range=u_range, v_range=v_range)
+
+
+def circle_pair():
+    """Omega = 1/4 - u^2 - v^2: a closed chain, whose direction is set by
+    the order in which the cells are visited."""
+    return SmoothCurvePair(
+        alpha=lambda u: np.array([u, 0.0, u * u + 0.25]),
+        beta=lambda v: np.array([0.0, v, -v * v]),
+        d_alpha=lambda u: np.array([1.0, 0.0, 2.0 * u]),
+        d_beta=lambda v: np.array([0.0, 1.0, -2.0 * v]),
+        dd_alpha=lambda u: np.array([0.0, 0.0, 2.0]),
+        dd_beta=lambda v: np.array([0.0, 0.0, -2.0]),
+        u_range=(-1.0, 1.03), v_range=(-0.98, 1.0))
+
+
+# at grids 16 and 33 the centre of the saddle cell has the sign of its
+# lower-left corner in the first pair and the other sign in the second
+SADDLE_RANGES = (((-1.0, 1.03), (-1.0, 1.05)), ((-0.99, 1.0), (-1.02, 1.0)))
+
+
+def _pairs(rng):
+    pairs = [builtin_pair(name) for name in ("flat", "parabolic", "symmetric")]
+    pairs += [saddle_pair(*r) for r in SADDLE_RANGES] + [circle_pair()]
+    pairs += [random_cubic_pair(rng) for _ in range(10)]
+    return pairs
+
+
+def _grid(pair, n):
+    return (np.linspace(*pair.u_range, n + 1),
+            np.linspace(*pair.v_range, n + 1))
+
+
+def test_omega_smooth_grid_matches_scalar_bitwise(rng):
+    for pair in _pairs(rng):
+        for n in (16, 33, 101):
+            us, vs = _grid(pair, n)
+            w = omega_smooth_grid(pair, us, vs)
+            ref = np.array([[omega_smooth(pair, u, v) for v in vs]
+                            for u in us])
+            assert w.shape == (n + 1, n + 1) and w.dtype == np.float64
+            assert np.array_equal(w.view(np.int64), ref.view(np.int64))
+
+
+def test_omega_smooth_grid_range_error_matches_scalar():
+    pair = builtin_pair("parabolic")
+    for us, vs, bad in (([0.0, 1.5], [0.0, 0.5], (1.5, 0.0)),
+                        ([0.0, 0.5], [0.5, -2.0], (0.0, -2.0)),
+                        ([-3.0, 0.5], [0.5, -2.0], (-3.0, 0.5))):
+        with pytest.raises(OutOfRange) as grid_err:
+            omega_smooth_grid(pair, np.array(us), np.array(vs))
+        with pytest.raises(OutOfRange) as scalar_err:
+            omega_smooth(pair, *bad)
+        assert str(grid_err.value) == str(scalar_err.value)
+
+
+def _trace_outcome(trace, pair, n):
+    # a looser tolerance than the CLI's 1e-10 keeps the bisections short;
+    # both traces share it
+    us, vs = _grid(pair, 16)
+    tol = 1e-7 * max(1.0, float(np.abs(omega_smooth_grid(pair, us, vs)).max()))
+    try:
+        return trace(pair, n, tol)
+    except DiamsError as e:
+        return type(e), str(e)
+
+
+def _saddle_centre_signs(pair, n):
+    """For each cell with four sign-change sides: whether Omega at its
+    centre has the sign of its lower-left corner."""
+    us, vs = _grid(pair, n)
+    w = omega_smooth_grid(pair, us, vs)
+    pos = w > 0
+    h = pos[:-1] != pos[1:]
+    v = pos[:, :-1] != pos[:, 1:]
+    four = (h[:, :-1].astype(int) + h[:, 1:] + v[:-1] + v[1:]) == 4
+    return [(omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
+                          0.5 * (vs[j] + vs[j + 1])) > 0) == pos[i, j]
+            for i, j in np.argwhere(four)]
+
+
+def test_trace_matches_per_point_reference(rng):
+    outcomes = []
+    for pair in _pairs(rng):
+        for n in (16, 33, 101):
+            got = _trace_outcome(trace_singular_curve, pair, n)
+            ref = _trace_outcome(reference_trace, pair, n)
+            if isinstance(ref, tuple):
+                outcomes.append("error")
+                assert got == ref
+                continue
+            outcomes += ["closed" if c.closed else "open" for c in got]
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert a.closed == b.closed
+                assert a.points.shape == b.points.shape
+                assert np.array_equal(a.points.view(np.int64),
+                                      b.points.view(np.int64))
+    # open and closed chains occur, and the zero-corner error (parabolic
+    # at grid 16)
+    assert set(outcomes) == {"open", "closed", "error"}
+    # the saddle pairs reach the four-side branch with both centre signs
+    signs = [_saddle_centre_signs(saddle_pair(*r), n)
+             for r in SADDLE_RANGES for n in (16, 33)]
+    assert signs == [[True], [True], [False], [False]]
+
+
+def test_trace_zero_corner_error_matches_reference():
+    pair = SmoothCurvePair(
+        alpha=lambda u: np.array([u, 0.5 * u * u, 1.0]),
+        beta=lambda v: np.array([v, 0.0, 0.0]),
+        d_alpha=lambda u: np.array([1.0, u, 0.0]),
+        d_beta=lambda v: np.array([1.0, 0.0, 0.0]),
+        dd_alpha=lambda u: np.array([0.0, 1.0, 0.0]),
+        dd_beta=lambda v: np.zeros(3),
+        u_range=(-1, 1), v_range=(-1, 1))
+    # u = 0 is a grid line at these sizes
+    for n in (16, 32, 100):
+        got = _trace_outcome(trace_singular_curve, pair, n)
+        assert got == _trace_outcome(reference_trace, pair, n)
+        assert got[0] is NonGenericCell
+
+
+@pytest.mark.parametrize("name", ["parabolic", "flat"])
+def test_cli_oracle_report_matches_reference(name, tmp_path):
+    # the parent's CLI path: the tolerance scan by scalar omega_smooth
+    # calls, the per-point trace, then the same report assembly
+    pair = builtin_pair(name)
+    us, vs = _grid(pair, 16)
+    wmax = max(abs(omega_smooth(pair, u, v)) for u in us for v in vs)
+    tol = 1e-10 * max(1.0, wmax)
+    chains = reference_trace(pair, 101, tol)
+    points = [p for c in chains for p in find_swallowtails(pair, c)]
+    expected = write_report(report_from_oracle(name, 101, tol, chains,
+                                               points))
+    report = tmp_path / "o.json"
+    assert run_cli(["oracle", "--pair", name, "--grid", "101",
+                    "--report", str(report)]) == 0
+    assert report.read_bytes() == expected
