@@ -8,13 +8,16 @@ Curve pairs are JSON objects
 and reports are JSON with sorted keys and %.17g floats, so identical
 inputs produce byte-identical output.  Quads are keyed by doubled integers
 [2u+1, 2v+1] so vertices [2u, 2v], edges and quads share one integer key
-space.
+space.  The Omega section lists quads row-major (u, then v) and is
+formatted straight from the metric grid, one u-row at a time.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,25 +42,54 @@ DEFAULT_METRIC_EPS = 1e-9
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
+class _RawJson(str):
+    """JSON text serialized ahead of time; `_dump` writes it unchanged."""
+
+
+def _dump_float(x):
+    return "%.17g" % x if math.isfinite(x) else "null"
+
+
+def _dump_dict(obj):
+    return "{" + ",".join(f"{json.dumps(k)}:{_dump(v)}"
+                          for k, v in sorted(obj.items())) + "}"
+
+
+def _dump_seq(obj):
+    return "[" + ",".join(map(_dump, obj)) + "]"
+
+
+# serializers keyed by exact type: one lookup instead of an isinstance chain
+_DUMP_EXACT = {
+    float: _dump_float,
+    str: encode_basestring_ascii,       # what json.dumps does for a str
+    int: str,
+    dict: _dump_dict,
+    list: _dump_seq,
+    tuple: _dump_seq,
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    _RawJson: str,
+}
+
+
 def _dump(obj):
-    if obj is None:
-        return "null"
+    dump = _DUMP_EXACT.get(type(obj))
+    if dump is not None:
+        return dump(obj)
+    # numpy scalars and arrays, and subclasses of the built-in types
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if x != x or x in (float("inf"), float("-inf")):
-            return "null"
-        return "%.17g" % x
+        return _dump_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_dump(v)}" for k, v in items) + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        return "[" + ",".join(_dump(v) for v in obj) + "]"
+        return _dump_dict(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return _dump_seq(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -166,10 +198,32 @@ def _edge_dict(edge):
     return {"axis": edge.axis, "base_vertex": [edge.u, edge.v]}
 
 
+def _omega_json(metric):
+    """The report's "omega" list, {"quad": [2u+1, 2v+1], "value": w} per
+    quad in row-major order (u, then v) like `GridDomain.quads()`, as
+    JSON text.  Each u-row is one `%` format of a template with the quad
+    keys baked in."""
+    if metric is None:
+        return _RawJson("[]")
+    dom = metric.domain
+    tails = [f'{2 * v + 1}],"value":%.17g}}'
+             for v in range(dom.v_min, dom.v_max)]
+    values = np.asarray(metric.values, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1).tolist()
+    rows = []
+    for u, row, row_finite in zip(range(dom.u_min, dom.u_max),
+                                  values.tolist(), finite):
+        head = '{"quad":[%d,' % (2 * u + 1)
+        template = head + ("," + head).join(tails)
+        if row_finite:
+            rows.append(template % tuple(row))
+        else:
+            rows.append(template.replace("%.17g", "%s")
+                        % tuple(map(_dump_float, row)))
+    return _RawJson("[" + ",".join(rows) + "]")
+
+
 def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
-    metric = analysis.metric
-    omega = [{"quad": _quad_key(q), "value": w} for q, w in metric.items()] \
-        if metric is not None else []
     vertices = []
     for sv in analysis.vertices:
         vertices.append({
@@ -188,7 +242,7 @@ def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
         "smooth": False,
         "tolerances": {"sign_tol": tol, "degenerate_metric_eps": metric_eps,
                        "scale": analysis.net.scale},
-        "omega": omega,
+        "omega": _omega_json(analysis.metric),
         "singular_edges": [_edge_dict(se.edge) for se in analysis.edges],
         "vertices": vertices,
         "polylines": polylines,

@@ -193,16 +193,17 @@ class ConormalNet:
         object.__setattr__(self, "domain", dom)
         scale = characteristic_scale(self.alpha.points, self.beta.points)
         object.__setattr__(self, "scale", scale)
-        grid = self.nu_grid()
-        # an overflowing |nu| is far from the intersection threshold, so
-        # the check below stays right and only the warning is dropped
-        with np.errstate(over="ignore"):
-            norms = np.sqrt((grid ** 2).sum(axis=2))
-        if norms.min() <= self.nu_eps * scale:
+        # |nu| is taken of nu scaled by 2^-e, where scale = m * 2^e: the
+        # scaling is exact, and the squares neither overflow nor underflow
+        # anywhere near the threshold nu_eps * m
+        mantissa, exponent = np.frexp(scale)
+        norms = np.sqrt((np.ldexp(self.nu_grid(), -exponent) ** 2).sum(axis=2))
+        if norms.min() <= self.nu_eps * mantissa:
             i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
             raise ValidationError(
                 "curves intersect near vertex "
-                f"({i + dom.u_min}, {j + dom.v_min}): |nu| = {norms[i, j]:.3e}")
+                f"({i + dom.u_min}, {j + dom.v_min}): "
+                f"|nu| = {np.ldexp(norms[i, j], exponent):.3e}")
 
     def nu_grid(self):
         """Full (nu, nv, 3) array of co-normal vectors."""

@@ -218,15 +218,17 @@ def singular_edges(metric):
     """
     w = metric.values
     dom = metric.domain
+    # opposite signs by comparison: the product lo * hi under- and overflows
+    neg, pos = w < 0.0, w > 0.0
     out = set()
     # v-edges at interior u compare across u, u-edges at interior v across v
-    for axis, lo, hi, du, dv in (("v", w[:-1, :], w[1:, :], 1, 0),
-                                 ("u", w[:, :-1], w[:, 1:], 0, 1)):
-        flip = lo * hi < 0.0
+    for axis, lo, hi, du, dv in (("v", np.s_[:-1, :], np.s_[1:, :], 1, 0),
+                                 ("u", np.s_[:, :-1], np.s_[:, 1:], 0, 1)):
+        flip = (neg[lo] & pos[hi]) | (pos[lo] & neg[hi])
         ii, jj = np.nonzero(flip)
         for u, v, a, b in zip((ii + (du + dom.u_min)).tolist(),
                               (jj + (dv + dom.v_min)).tolist(),
-                              lo[flip].tolist(), hi[flip].tolist()):
+                              w[lo][flip].tolist(), w[hi][flip].tolist()):
             out.add(SingularEdge(EdgeIndex(axis, u, v), (a, b)))
     return out
 

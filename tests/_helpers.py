@@ -1,5 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
+import json
+
 import numpy as np
 
 from diams import ConormalNet, PolyCurve, analyze_net
@@ -295,3 +297,38 @@ def reference_trace(pair, grid_n, tol):
                 raise NonGenericCell(
                     f"cell ({i}, {j}) has {len(sides)} edge crossings")
     return _link_chains(segments, crossings)
+
+
+def reference_dump(obj):
+    """Per-value form of `io_cli._dump`: one isinstance chain per value,
+    kept as the reference that the report writer must reproduce byte for
+    byte."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if x != x or x in (float("inf"), float("-inf")):
+            return "null"
+        return "%.17g" % x
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(f"{json.dumps(k)}:{reference_dump(v)}"
+                              for k, v in items) + "}"
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        return "[" + ",".join(reference_dump(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_report_bytes(report, metric):
+    """`write_report` bytes of `report` with its Omega section rebuilt as
+    one {"quad", "value"} dict per quad and serialized by
+    `reference_dump`."""
+    omega = [{"quad": [2 * u + 1, 2 * v + 1], "value": w}
+             for (u, v), w in metric.items()] if metric is not None else []
+    return (reference_dump({**report, "omega": omega}) + "\n").encode("ascii")

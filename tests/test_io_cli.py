@@ -1,16 +1,22 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from diams import analyze_net
+from diams import ConormalNet, PolyCurve, analyze_net
 from diams.errors import ParseError, ValidationError
-from diams.io_cli import (CurvePairFile, example_curve_pair, parse_curves,
-                          report_from_analysis, run_cli, write_curves,
+from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
+                          parse_curves, report_from_analysis,
+                          report_from_oracle, run_cli, write_curves,
                           write_report)
+from diams.smooth_oracle import (builtin_pair, find_swallowtails,
+                                 trace_singular_curve)
 
-from _helpers import example_net, parabolic_points, parse_obj
+from _helpers import (example_net, parabolic_net, parabolic_points, parse_obj,
+                      random_admissible_net, reference_dump,
+                      reference_report_bytes)
 
 
 def test_parse_curves_example_with_offsets():
@@ -111,6 +117,89 @@ def test_report_non_finite_floats_become_null():
     from diams.io_cli import _dump
     assert _dump(float("nan")) == "null"
     assert _dump({"a": float("inf"), "b": 1.5}) == '{"a":null,"b":1.5}'
+
+
+def test_dump_values():
+    cases = [
+        (True, "true"), (False, "false"), (1, "1"), (0, "0"), (None, "null"),
+        (np.int64(-7), "-7"), (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.5), "0.5"), (float("-0.0"), "-0"), (-1e-300, "-1e-300"),
+        (float("-inf"), "null"), (np.float64("nan"), "null"),
+        (np.array([[1.0, np.nan], [2.5, -0.0]]), "[[1,null],[2.5,-0]]"),
+        (np.arange(3), "[0,1,2]"),
+        ((1, "a", (None,)), '[1,"a",[null]]'),
+        ("a\"b\\\n\u00e9\u2603", json.dumps("a\"b\\\n\u00e9\u2603")),
+        ({"\u00e9": {"b": True, "a": [1.5, None]}, "Z": 1},
+         '{"Z":1,"\\u00e9":{"a":[1.5,null],"b":true}}'),
+    ]
+    for value, text in cases:
+        assert _dump(value) == text, value
+        assert reference_dump(value) == text, value
+    # a bool is not serialized as the int it subclasses, nor 1 as true
+    assert _dump([True, 1, 1.0]) == "[true,1,1]"
+    with pytest.raises(TypeError):
+        _dump({1, 2})
+    with pytest.raises(TypeError):
+        _dump({"a": [object()]})
+
+
+def _offset_net(h, alpha_offset, beta_offset):
+    a, b, _ = parabolic_points(h)
+    return ConormalNet(PolyCurve(a, alpha_offset), PolyCurve(b, beta_offset))
+
+
+def _strip_net(n_alpha, n_beta):
+    # a 3-point curve against an N-point curve when one count is 3
+    a, b, _ = parabolic_points(0.1)
+    return ConormalNet(PolyCurve(a[8:8 + n_alpha], -1),
+                       PolyCurve(b[:n_beta], 2))
+
+
+def _with_values(analysis, values):
+    metric = dataclasses.replace(analysis.metric, values=values)
+    return dataclasses.replace(analysis, metric=metric)
+
+
+def test_report_bytes_match_reference(rng):
+    analyses = [analyze_net(example_net(y)) for y in (-0.5, -2.0, 1.0)]
+    analyses += [analyze_net(parabolic_net(h)[0]) for h in (0.2, 0.05)]
+    analyses += [analyze_net(_offset_net(0.2, ao, bo))
+                 for ao, bo in ((-7, -12), (-3, 4), (5, 9))]
+    analyses += [analyze_net(_strip_net(3, 17)), analyze_net(_strip_net(13, 3))]
+    analyses += [analyze_net(random_admissible_net(rng)) for _ in range(20)]
+    special = analyses[3]
+    values = special.metric.values.copy()
+    values[0, 0] = np.nan
+    values[1, 2] = np.inf
+    values[2, 1] = -np.inf
+    values[3, 3] = -0.0
+    values[4, :] = np.nan
+    analyses.append(_with_values(special, values))
+    analyses.append(dataclasses.replace(special, metric=None))
+    assert any(a.edges for a in analyses)
+    assert any(a.generic_violations for a in analyses)
+    assert {a.net.domain.u_min < 0 for a in analyses[:-2]} == {True, False}
+    for analysis in analyses:
+        for tol, eps in ((1e-9, 1e-9), (0.0, 1e-12)):
+            report = report_from_analysis(analysis, tol, eps)
+            expected = reference_report_bytes(report, analysis.metric)
+            assert write_report(report) == expected
+    text = write_report(report_from_analysis(analyses[-2], 1e-9, 1e-9))
+    omega = json.loads(text)["omega"]
+    assert sum(e["value"] is None for e in omega) == 3 + values.shape[1]
+    assert '"value":-0}' in text.decode()
+    assert json.loads(write_report(
+        report_from_analysis(analyses[-1], 1e-9, 1e-9)))["omega"] == []
+
+
+@pytest.mark.parametrize("name", ["flat", "parabolic"])
+def test_oracle_report_bytes_match_reference(name):
+    pair = builtin_pair(name)
+    chains = trace_singular_curve(pair, 101, 1e-10)
+    points = [p for c in chains for p in find_swallowtails(pair, c)]
+    report = report_from_oracle(name, 101, 1e-10, chains, points)
+    assert bool(points) == (name == "parabolic")
+    assert write_report(report) == reference_report_bytes(report, None)
 
 
 def _run(args):

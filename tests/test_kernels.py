@@ -5,9 +5,18 @@ import sys
 import numpy as np
 import pytest
 
+import diams
 from diams import _kernels
 
 from _helpers import example_net, random_net_candidate
+
+
+def _child_env(**extra):
+    # a child interpreter imports diams from where this one did, also when
+    # pytest put src/ on the path and PYTHONPATH is unset
+    src = os.path.dirname(os.path.dirname(diams.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def test_active_backend_reported():
@@ -37,7 +46,7 @@ def test_backends_bit_identical(rng):
 
 
 def test_env_flag_selects_numpy_backend(tmp_path):
-    env = dict(os.environ, DIAMS_NUMBA="0")
+    env = _child_env(DIAMS_NUMBA="0")
     out = subprocess.run(
         [sys.executable, "-c",
          "from diams import _kernels; print(_kernels.ACTIVE_BACKEND)"],
@@ -53,11 +62,11 @@ def test_reports_identical_across_backends(tmp_path):
         "import sys; from diams.io_cli import run_cli; "
         "sys.exit(run_cli(sys.argv[1:]))")
     subprocess.run([sys.executable, "-c", script, "example", "--y", "1",
-                    "--out", str(curves)], check=True)
+                    "--out", str(curves)], check=True, env=_child_env())
     reports = []
     for flag in ("1", "0"):
         rp = tmp_path / f"r{flag}.json"
-        env = dict(os.environ, DIAMS_NUMBA=flag)
+        env = _child_env(DIAMS_NUMBA=flag)
         subprocess.run([sys.executable, "-c", script, "analyze",
                         "--curves", str(curves), "--report", str(rp)],
                        check=True, env=env)

@@ -81,6 +81,28 @@ def test_conormal_net_rejects_intersecting_curves():
         ConormalNet(a, b)
 
 
+@pytest.mark.parametrize("k", [-700, -600, 0, 500])
+def test_conormal_net_intersection_check_is_scale_free(k):
+    # disjoint curves (|nu| >= 1 unscaled) build at every scale.  Lifting
+    # beta to z = 1 + d makes |nu(5, 5)| = d the smallest |nu|, against the
+    # threshold nu_eps * scale = 2e-12: the verdict is the same at every scale
+    a, b, _ = parabolic_points(0.2)
+    s = 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = ConormalNet(PolyCurve(a * s), PolyCurve(b * s))
+        assert net.scale == 2 * s
+        for d, meets in ((1e-13, True), (1.9e-12, True), (2.1e-12, False)):
+            near = b.copy()
+            near[:, 2] = 1.0 + d
+            if meets:
+                with pytest.raises(ValidationError,
+                                   match=r"intersect near vertex \(5, 5\)"):
+                    ConormalNet(PolyCurve(a * s), PolyCurve(near * s))
+            else:
+                ConormalNet(PolyCurve(a * s), PolyCurve(near * s))
+
+
 def test_moutard_residual_zero_and_constructed_violation(rng):
     net = example_net(-0.5)
     for quad in net.domain.quads():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from diams.errors import (DegenerateMetric, DegenerateOrientation,
 from diams.singularity import (SingularVertex, _quadrant_signature,
                                halfplane_grid, triple_product)
 
-from _helpers import (example_net, random_admissible_net, random_net_candidate,
-                      random_unimodular, transformed_net)
+from _helpers import (example_net, parabolic_points, random_admissible_net,
+                      random_net_candidate, random_unimodular, transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -77,6 +79,25 @@ def test_singular_edges_worked_example():
         for se in edges:
             a, b = se.omega_pair
             assert a * b < 0
+
+
+def _scaled_edges(k):
+    a, b, _ = parabolic_points(0.2)
+    s = 2.0 ** k
+    net = ConormalNet(PolyCurve(a * s), PolyCurve(b * s))
+    return {se.edge: se.omega_pair for se in singular_edges(metric_field(net))}
+
+
+@pytest.mark.parametrize("k", [-300, -250, -200, -180, 0, 180, 200])
+def test_singular_edges_are_scale_free(k):
+    base = _scaled_edges(0)
+    assert len(base) == 17
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = _scaled_edges(k)
+    assert edges.keys() == base.keys()
+    for edge, (lo, hi) in base.items():
+        assert edges[edge] == (np.ldexp(lo, 3 * k), np.ldexp(hi, 3 * k))
 
 
 def test_halfplane_edge_test_examples():
