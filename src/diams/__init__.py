@@ -4,7 +4,6 @@ bilinear-patch meshing, and a smooth-theory oracle."""
 
 __version__ = "0.1.0"
 
-from ._kernels import ACTIVE_BACKEND
 from .net_core import (AsymptoticNet, ConormalNet, GridDomain, PolyCurve,
                        conormal, discrete_derivative, integrate_net,
                        moutard_residual, star_planarity_residual,
@@ -26,10 +25,10 @@ from .surface_mesh import (BilinearPatch, TriangleMesh, bilinear_point,
                            tessellate)
 
 __all__ = [
-    "ACTIVE_BACKEND", "AsymptoticNet", "BilinearPatch", "Configuration",
-    "ConormalNet", "EdgeIndex", "GridDomain", "Kind", "MetricField",
-    "PolyCurve", "SingularEdge", "SingularPolyline", "SingularVertex",
-    "SmoothCurvePair", "SmoothSingularPoint", "TriangleMesh",
+    "AsymptoticNet", "BilinearPatch", "Configuration", "ConormalNet",
+    "EdgeIndex", "GridDomain", "Kind", "MetricField", "PolyCurve",
+    "SingularEdge", "SingularPolyline", "SingularVertex", "SmoothCurvePair",
+    "SmoothSingularPoint", "TriangleMesh",
     "admissibility_check", "analyze_net", "bilinear_point", "builtin_pair",
     "check_regularity", "classify_vertex", "compatibility_residual",
     "conormal", "curvature_gap", "discrete_derivative", "export_obj",

@@ -115,6 +115,14 @@ class CurvePairFile:
                            nu_eps=nu_eps)
 
 
+def _fits_float(c):
+    try:
+        float(c)
+    except OverflowError:
+        return False
+    return True
+
+
 def _check_points(name, raw):
     if not isinstance(raw, list):
         raise ValidationError(f"{name} must be a list of [x, y, z] triples")
@@ -126,7 +134,13 @@ def _check_points(name, raw):
         for c in p:
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise ValidationError(f"{name}[{i}] has a non-numeric entry")
-    pts = np.asarray(raw, dtype=np.float64)
+    try:
+        pts = np.asarray(raw, dtype=np.float64)
+    except OverflowError:
+        bad = next(i for i, p in enumerate(raw)
+                   if not all(map(_fits_float, p)))
+        raise ValidationError(
+            f"{name}[{bad}] has a coordinate too large for a float") from None
     if not np.all(np.isfinite(pts)):
         bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0, 0])
         raise ValidationError(f"{name}[{bad}] has a non-finite coordinate")
@@ -144,7 +158,8 @@ def parse_curves(data):
         data = data.decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise ParseError(f"malformed JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -410,6 +425,18 @@ def _cmd_oracle(args):
     return 0
 
 
+def _finite_float(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diams",
@@ -421,8 +448,9 @@ def build_parser():
     p = sub.add_parser("analyze", help="detect and classify singularities")
     p.add_argument("--curves", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=float, default=DEFAULT_METRIC_EPS)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_finite_float,
+                   default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("mesh", help="tessellate the bilinear patches to OBJ")
@@ -430,20 +458,22 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--subdiv", type=int, required=True)
     p.add_argument("--singular", choices=("auto", "none"), default="auto")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=float, default=DEFAULT_METRIC_EPS)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_finite_float,
+                   default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_mesh)
 
     p = sub.add_parser("validate", help="check a curve pair without analyzing")
     p.add_argument("--curves", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=float, default=DEFAULT_METRIC_EPS)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_finite_float,
+                   default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("example", help="emit the three-point worked curve pair")
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--du", type=float, default=0.1)
-    p.add_argument("--dv", type=float, default=0.1)
+    p.add_argument("--y", type=_finite_float, required=True)
+    p.add_argument("--du", type=_finite_float, default=0.1)
+    p.add_argument("--dv", type=_finite_float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_example)
 
@@ -451,7 +481,7 @@ def build_parser():
     p.add_argument("--pair", choices=BUILTIN_PAIRS, required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

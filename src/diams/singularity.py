@@ -13,6 +13,9 @@ through the single predicate
 with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
+The determinant is ``_kernels.det3``, the one that fills the metric grid;
+``_orient_terms`` holds orient's determinant and dead zone once, for the
+scalar predicate and the batched ``halfplane_grid`` alike.
 """
 
 import math
@@ -80,24 +83,12 @@ class EdgeIndex(NamedTuple):
 
 def triple_product(n, x, y):
     """Determinant of the rows (n, x, y)."""
-    n0, n1, n2 = float(n[0]), float(n[1]), float(n[2])
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    y0, y1, y2 = float(y[0]), float(y[1]), float(y[2])
-    return (n0 * (x1 * y2 - x2 * y1)
-            - n1 * (x0 * y2 - x2 * y0)
-            + n2 * (x0 * y1 - x1 * y0))
+    return _kernels.det3(_t3(n), _t3(x), _t3(y))
 
 
-def orient(n, x, y, tol=1e-9):
-    """Sign of [n, x, y] with a relative dead zone.
-
-    Returns +1, -1, or 0 when |det| <= tol times the sum of the absolute
-    values of the determinant's six products (so the dead zone scales with
-    the inputs and the predicate is homogeneous in each argument).
-    """
-    n0, n1, n2 = float(n[0]), float(n[1]), float(n[2])
-    x0, x1, x2 = float(x[0]), float(x[1]), float(x[2])
-    y0, y1, y2 = float(y[0]), float(y[1]), float(y[2])
+def _orient_terms(n0, n1, n2, x0, x1, x2, y0, y1, y2):
+    """[n, x, y] and the sum of the absolute values of its six products,
+    for floats or broadcasting component arrays alike."""
     p0 = x1 * y2
     p1 = x2 * y1
     p2 = x0 * y2
@@ -107,6 +98,19 @@ def orient(n, x, y, tol=1e-9):
     d = n0 * (p0 - p1) - n1 * (p2 - p3) + n2 * (p4 - p5)
     mag = (abs(n0) * (abs(p0) + abs(p1)) + abs(n1) * (abs(p2) + abs(p3))
            + abs(n2) * (abs(p4) + abs(p5)))
+    return d, mag
+
+
+def orient(n, x, y, tol=1e-9):
+    """Sign of [n, x, y] with a relative dead zone.
+
+    Returns +1, -1, or 0 when |det| <= tol times the sum of the absolute
+    values of the determinant's six products (so the dead zone scales with
+    the inputs and the predicate is homogeneous in each argument).
+    """
+    d, mag = _orient_terms(float(n[0]), float(n[1]), float(n[2]),
+                           float(x[0]), float(x[1]), float(x[2]),
+                           float(y[0]), float(y[1]), float(y[2]))
     if abs(d) <= tol * mag:
         return 0
     return 1 if d > 0.0 else -1
@@ -157,9 +161,9 @@ def omega_quad(net, quad):
     j = v - net.beta.offset
     a0, a1 = net.alpha.points[i:i + 2].tolist()
     b0, b1 = net.beta.points[j:j + 2].tolist()
-    return triple_product((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
-                          (a1[0] - a0[0], a1[1] - a0[1], a1[2] - a0[2]),
-                          (b1[0] - b0[0], b1[1] - b0[1], b1[2] - b0[2]))
+    return _kernels.det3((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
+                         (a1[0] - a0[0], a1[1] - a0[1], a1[2] - a0[2]),
+                         (b1[0] - b0[0], b1[1] - b0[1], b1[2] - b0[2]))
 
 
 def metric_field(net, eps_degenerate=1e-9):
@@ -271,39 +275,25 @@ def halfplane_grid(net, tol=1e-9):
     (u_min+i, v_min+1+j); the zero masks mark edges where a sign fell in
     the predicate's dead zone.
     """
-    a = net.alpha.points
-    b = net.beta.points
-    da = a[1:] - a[:-1]
-    db = b[1:] - b[:-1]
+    a = net.alpha.points.T
+    b = net.beta.points.T
+    da = a[:, 1:] - a[:, :-1]
+    db = b[:, 1:] - b[:, :-1]
 
-    def signed(n, x, y):
-        # orient's determinant and dead zone, evaluated in its order
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-        n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
-        p0 = x1 * y2
-        p1 = x2 * y1
-        p2 = x0 * y2
-        p3 = x2 * y0
-        p4 = x0 * y1
-        p5 = x1 * y0
-        d = n0 * (p0 - p1) - n1 * (p2 - p3) + n2 * (p4 - p5)
-        m = (np.abs(n0) * (np.abs(p0) + np.abs(p1))
-             + np.abs(n1) * (np.abs(p2) + np.abs(p3))
-             + np.abs(n2) * (np.abs(p4) + np.abs(p5)))
-        zero = np.abs(d) <= tol * m
-        return np.sign(d), zero
+    def signs(n, x, y):
+        d, mag = _orient_terms(*n, *x, *y)
+        return np.sign(d), np.abs(d) <= tol * mag
 
     # v-edges: bases (u0, v0) with u0 interior, v0 <= v_max-1
-    n0 = a[1:-1, None, :] - b[None, :-1, :]
-    sp, zp = signed(n0, da[1:, None, :], db[None, :, :])
-    sm, zm = signed(n0, da[:-1, None, :], db[None, :, :])
+    n0 = a[:, 1:-1, None] - b[:, None, :-1]
+    sp, zp = signs(n0, da[:, 1:, None], db[:, None, :])
+    sm, zm = signs(n0, da[:, :-1, None], db[:, None, :])
     v_result = sp != sm
     v_zero = zp | zm
     # u-edges: bases (u0, v0) with v0 interior, u0 <= u_max-1
-    n0 = a[:-1, None, :] - b[None, 1:-1, :]
-    sp, zp = signed(n0, da[:, None, :], db[None, 1:, :])
-    sm, zm = signed(n0, da[:, None, :], db[None, :-1, :])
+    n0 = a[:, :-1, None] - b[:, None, 1:-1]
+    sp, zp = signs(n0, da[:, :, None], db[:, None, 1:])
+    sm, zm = signs(n0, da[:, :, None], db[:, None, :-1])
     u_result = sp != sm
     u_zero = zp | zm
     return v_result, u_result, v_zero, u_zero

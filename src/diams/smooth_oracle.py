@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import det3
 from .errors import (DegenerateDirection, NonGenericCell, NonGenericChain,
                      OutOfRange, ValidationError)
 from .net_core import PolyCurve
@@ -126,21 +127,18 @@ def omega_smooth(pair, u, v):
     """[alpha(u) - beta(v), alpha'(u), beta'(v)]."""
     pair.require(u, v)
     n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
-    x = np.asarray(pair.d_alpha(u))
-    y = np.asarray(pair.d_beta(v))
-    return float(n[0] * (x[1] * y[2] - x[2] * y[1])
-                 - n[1] * (x[0] * y[2] - x[2] * y[0])
-                 + n[2] * (x[0] * y[1] - x[1] * y[0]))
+    return float(det3(n, np.asarray(pair.d_alpha(u)),
+                      np.asarray(pair.d_beta(v))))
 
 
 def omega_smooth_grid(pair, us, vs):
     """omega_smooth at every (us[i], vs[j]) as a (len(us), len(vs)) array.
 
     Each evaluator runs once per parameter value and Omega is filled one
-    u-row at a time with omega_smooth's expression, so every entry equals
-    the scalar value bit for bit.  The range is checked along the first
-    row and the first column, which meets the first out-of-range point of
-    a row-major scan of the product grid.
+    u-row at a time with omega_smooth's det3, so every entry equals the
+    scalar value bit for bit.  The range is checked along the first row
+    and the first column, which meets the first out-of-range point of a
+    row-major scan of the product grid.
     """
     for v in vs:
         pair.require(us[0], v)
@@ -148,14 +146,11 @@ def omega_smooth_grid(pair, us, vs):
         pair.require(u, vs[0])
     a = np.array([pair.alpha(u) for u in us])
     x = np.array([pair.d_alpha(u) for u in us])
-    b0, b1, b2 = np.array([pair.beta(v) for v in vs]).T
-    y0, y1, y2 = np.array([pair.d_beta(v) for v in vs]).T
+    b = np.array([pair.beta(v) for v in vs]).T
+    y = np.array([pair.d_beta(v) for v in vs]).T
     w = np.empty((len(us), len(vs)))
     for i in range(len(us)):
-        x0, x1, x2 = x[i]
-        w[i] = ((a[i, 0] - b0) * (x1 * y2 - x2 * y1)
-                - (a[i, 1] - b1) * (x0 * y2 - x2 * y0)
-                + (a[i, 2] - b2) * (x0 * y1 - x1 * y0))
+        w[i] = det3(a[i, :, None] - b, x[i], y)
     return w
 
 

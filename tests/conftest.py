@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from diams import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation happens here, not inside timed tests
-    _kernels.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -326,6 +326,57 @@ def test_cli_huge_coordinates_end_in_a_named_error(command, scale, tmp_path,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate", "mesh"])
+def test_cli_oversized_integer_coordinate_exits_1(command, tmp_path, capsys):
+    # a JSON integer past the float range fails the conversion itself; the
+    # error names the point instead of escaping as OverflowError
+    doc = {"alpha": [[0, 0, 1], [1, 0, 1], [10 ** 400, 0, 1]],
+           "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]]}
+    with pytest.raises(ValidationError, match=r"alpha\[2\]"):
+        parse_curves(json.dumps(doc))
+    curves = tmp_path / "c.json"
+    out = tmp_path / "out"
+    curves.write_text(json.dumps(doc))
+    args = {"analyze": ["--report", out], "validate": [],
+            "mesh": ["--out", out, "--subdiv", 2]}[command]
+    assert _run([command, "--curves", curves] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha[2] ")
+    assert not out.exists()
+
+
+def test_cli_deeply_nested_json_exits_2(tmp_path, capsys):
+    curves = tmp_path / "c.json"
+    curves.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match="malformed JSON"):
+        parse_curves(curves.read_bytes())
+    assert _run(["validate", "--curves", curves]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,option", [
+    ("analyze", "--tol"), ("analyze", "--metric-eps"),
+    ("mesh", "--tol"), ("mesh", "--metric-eps"),
+    ("validate", "--tol"), ("validate", "--metric-eps"),
+    ("oracle", "--tol"),
+    ("example", "--y"), ("example", "--du"), ("example", "--dv")])
+def test_cli_non_finite_options_are_usage_errors(command, option, value,
+                                                 tmp_path, capsys):
+    curves = tmp_path / "c.json"
+    curves.write_bytes(write_curves(example_curve_pair(1.0)))
+    out = tmp_path / "out"
+    args = {"analyze": ["--curves", curves, "--report", out],
+            "mesh": ["--curves", curves, "--out", out, "--subdiv", 2],
+            "validate": ["--curves", curves],
+            "oracle": ["--pair", "parabolic", "--report", out],
+            "example": ["--y", 1, "--out", out]}[command]
+    assert _run([command] + args + [f"{option}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: '{value}' is not a finite number" in err
+    assert not out.exists()
+
+
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert _run(["analyze", "--curves", tmp_path / "none.json",
                  "--report", tmp_path / "r.json"]) == 2

@@ -135,6 +135,55 @@ def test_halfplane_equivalence_on_examples_and_random_nets(rng):
                 assert u_res[i, j] == (edge in singular)
 
 
+def _near_parallel_net(rng, n=9):
+    # both curves run along one direction, each point lifted off its line
+    # by 1e-13 ... 1e-7, so alpha' and beta' are nearly collinear and the
+    # triples [nu0, alpha', beta'] land in and next to orient's dead zone
+    d = rng.normal(size=3)
+
+    def curve(start):
+        steps = np.cumsum(rng.uniform(0.5, 1.5, n))
+        lift = (10.0 ** rng.uniform(-13.0, -7.0, (n, 1))
+                * rng.normal(size=(n, 3)))
+        return start + steps[:, None] * d + lift
+    return ConormalNet(PolyCurve(curve(rng.normal(size=3))),
+                       PolyCurve(curve(rng.normal(size=3))))
+
+
+def test_halfplane_grid_matches_scalar_orient(rng):
+    zeros = signs = 0
+    for _ in range(20):
+        net = _near_parallel_net(rng)
+        v_res, u_res, v_zero, u_zero = halfplane_grid(net)
+        dom = net.domain
+        for axis, res, zero in (("v", v_res, v_zero), ("u", u_res, u_zero)):
+            for (i, j), got in np.ndenumerate(res):
+                if axis == "v":
+                    u0, v0 = dom.u_min + 1 + i, dom.v_min + j
+                    y = net.beta.derivative(v0 + 0.5)
+                    sides = [(net.alpha.derivative(u0 + s), y)
+                             for s in (0.5, -0.5)]
+                else:
+                    u0, v0 = dom.u_min + i, dom.v_min + 1 + j
+                    x = net.alpha.derivative(u0 + 0.5)
+                    sides = [(x, net.beta.derivative(v0 + s))
+                             for s in (0.5, -0.5)]
+                n0 = net.conormal(u0, v0)
+                sp, sm = (orient(n0, x, y) for x, y in sides)
+                assert zero[i, j] == (sp == 0 or sm == 0)
+                if sp and sm:
+                    assert got == (sp != sm)
+                else:
+                    # in the dead zone the result still reads the signs of
+                    # the same determinants
+                    tp, tm = (np.sign(triple_product(n0, x, y))
+                              for x, y in sides)
+                    assert got == (tp != tm)
+                zeros += bool(zero[i, j])
+                signs += not zero[i, j]
+    assert zeros > 50 and signs > 50
+
+
 # ---------------------------------------------------------------------------
 # vertices
 # ---------------------------------------------------------------------------
