@@ -84,22 +84,19 @@ def integrate_positions(alpha, beta, iu, iv, base_point):
 
 
 def bilinear_sample(positions, subdiv):
-    """Sample each quad's bilinear patch on a (subdiv+1)^2 parameter grid."""
+    """Sample the bilinear patches on one welded grid of shape
+    (subdiv*(nu-1)+1, subdiv*(nv-1)+1, 3).  Sample (I, J) is evaluated in
+    quad (min(I // subdiv, nu-2), min(J // subdiv, nv-2)) at its local
+    parameters, c00*w00 + c10*w10 + c01*w01 + c11*w11 in that order."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     subdiv = int(subdiv)
-    s = np.arange(subdiv + 1) / subdiv
-    w = s[:, None]                      # s down, t across
-    t = s[None, :]
-    w00 = (1.0 - w) * (1.0 - t)
-    w10 = w * (1.0 - t)
-    w01 = (1.0 - w) * t
-    w11 = w * t
-    c00 = positions[:-1, :-1][:, :, None, None, :]
-    c10 = positions[1:, :-1][:, :, None, None, :]
-    c01 = positions[:-1, 1:][:, :, None, None, :]
-    c11 = positions[1:, 1:][:, :, None, None, :]
-    out = c00 * w00[None, None, :, :, None]
-    out = out + c10 * w10[None, None, :, :, None]
-    out = out + c01 * w01[None, None, :, :, None]
-    out = out + c11 * w11[None, None, :, :, None]
-    return out
+    i = np.arange(subdiv * (positions.shape[0] - 1) + 1)
+    j = np.arange(subdiv * (positions.shape[1] - 1) + 1)
+    qi = np.minimum(i // subdiv, positions.shape[0] - 2)[:, None]
+    qj = np.minimum(j // subdiv, positions.shape[1] - 2)[None, :]
+    w = ((i[:, None] - subdiv * qi) / subdiv)[:, :, None]   # s down
+    t = ((j[None, :] - subdiv * qj) / subdiv)[:, :, None]   # t across
+    out = positions[qi, qj] * ((1.0 - w) * (1.0 - t))
+    out = out + positions[qi + 1, qj] * (w * (1.0 - t))
+    out = out + positions[qi, qj + 1] * ((1.0 - w) * t)
+    return out + positions[qi + 1, qj + 1] * (w * t)

@@ -189,16 +189,19 @@ def write_curves(cpf):
 
 def example_curve_pair(y, du=0.1, dv=0.1):
     """The worked three-point curve pair with one singular vertex at the
-    origin; y selects the configuration (-1/2: A, -2: B, 1: C)."""
+    origin; y selects the configuration (-1/2: A, -2: B, 1: C).  Options
+    that overflow a coordinate or repeat a point raise ValidationError."""
     a0 = np.array([0.0, 0.0, 1.0])
-    alpha = np.stack([a0 + np.array([-1.0, -1.0, 1.0]) * du,
-                      a0,
-                      a0 + np.array([1.0, 0.0, 0.0]) * du])
-    beta = np.stack([np.array([-1.0, y, 0.0]) * dv,
-                     np.array([0.0, 0.0, 0.0]),
-                     np.array([2.0, 1.0, 0.0]) * dv])
+    with np.errstate(over="ignore"):
+        alpha = np.stack([a0 + np.array([-1.0, -1.0, 1.0]) * du,
+                          a0,
+                          a0 + np.array([1.0, 0.0, 0.0]) * du])
+        beta = np.stack([np.array([-1.0, y, 0.0]) * dv,
+                         np.array([0.0, 0.0, 0.0]),
+                         np.array([2.0, 1.0, 0.0]) * dv])
     return CurvePairFile(alpha_offset=-1, beta_offset=-1,
-                         alpha=alpha, beta=beta)
+                         alpha=PolyCurve(alpha, offset=-1).points,
+                         beta=PolyCurve(beta, offset=-1).points)
 
 
 # ---------------------------------------------------------------------------

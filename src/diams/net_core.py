@@ -61,7 +61,8 @@ class PolyCurve:
     """Integer-indexed polygonal line in R^3.
 
     Point i is ``points[i - offset]``; indices run over
-    offset, offset+1, ..., offset+len(points)-1.
+    offset, offset+1, ..., offset+len(points)-1, all below 2^52 in
+    absolute value.
     """
 
     points: np.ndarray
@@ -75,6 +76,12 @@ class PolyCurve:
         if pts.shape[0] < 3:
             raise ValidationError(
                 f"curve needs at least 3 points, got {pts.shape[0]}")
+        # below 2^52 every half index i + 1/2 is an exact float and index
+        # arithmetic in int64 cannot overflow
+        if not -2 ** 52 < self.offset <= 2 ** 52 - pts.shape[0]:
+            raise ValidationError(
+                f"curve offset {self.offset} puts indices outside "
+                "|i| < 2^52")
         if not np.all(np.isfinite(pts)):
             bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0, 0])
             raise ValidationError(

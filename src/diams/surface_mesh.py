@@ -113,31 +113,32 @@ class TriangleMesh:
 
 
 def tessellate(f, subdiv, singular=()):
-    """Sample every quad's bilinear patch on a (subdiv+1)^2 grid and
-    triangulate.
+    """Sample the bilinear patches on one welded (subdiv*Qu+1) x
+    (subdiv*Qv+1) parameter grid, Qu x Qv quads, and triangulate.
 
-    Sub-quads are split along their (s+t) anti-diagonal; boundary samples
-    of adjacent patches evaluate from the same corner data with the same
-    weights, so shared edges match bit-for-bit.  Singular polylines are
-    carried through as index chains over the mesh vertices.
+    Vertices are the grid samples, row-major.  Triangles run quad by
+    quad, then over sub-quads row-major in (si, ti), each split along its
+    (s+t) anti-diagonal into (v00, v10, v01) and (v10, v11, v01).
+    Singular polylines are carried through as index chains over the
+    vertices: net vertex (u, v) is sample (subdiv*(u-u_min),
+    subdiv*(v-v_min)).
     """
-    if subdiv < 1:
-        raise ParameterOutOfRange(f"subdiv must be >= 1, got {subdiv}")
+    if (not isinstance(subdiv, (int, np.integer)) or isinstance(subdiv, bool)
+            or subdiv < 1):
+        raise ParameterOutOfRange(
+            f"subdiv must be an integer >= 1, got {subdiv!r}")
     dom = f.domain
     grid = _kernels.bilinear_sample(f.positions, subdiv)
-    nq_u, nq_v = grid.shape[0], grid.shape[1]
-    block = (subdiv + 1) ** 2
+    n_j = grid.shape[1]
+    nq_u, nq_v = (grid.shape[0] - 1) // subdiv, (n_j - 1) // subdiv
     vertices = grid.reshape(-1, 3)
 
-    # Local triangles of one quad, row-major in (si, ti), each sub-quad
-    # giving (v00, v10, v01) then (v10, v11, v01).
-    row = np.arange(subdiv)
-    v00 = (row[:, None] * (subdiv + 1) + row).ravel()
-    v10 = v00 + (subdiv + 1)
-    local = np.stack([v00, v10, v00 + 1, v10, v10 + 1, v00 + 1],
-                     axis=1).reshape(-1, 3)
-    quads = np.arange(nq_u * nq_v, dtype=np.int64)
-    triangles = (quads[:, None, None] * block + local).reshape(-1, 3)
+    rows = subdiv * np.arange(nq_u, dtype=np.int64)[:, None] + np.arange(subdiv)
+    cols = subdiv * np.arange(nq_v, dtype=np.int64)[:, None] + np.arange(subdiv)
+    v00 = (rows[:, None, :, None] * n_j + cols[None, :, None, :]).ravel()
+    v10 = v00 + n_j
+    triangles = np.stack([v00, v10, v00 + 1, v10, v10 + 1, v00 + 1],
+                         axis=1).reshape(-1, 3)
 
     # The area filter runs on the vertices scaled by the power of two that
     # puts the largest coordinate in [0.5, 1).  The scaling is exact, so it
@@ -156,24 +157,20 @@ def tessellate(f, subdiv, singular=()):
     area = 0.5 * np.sqrt(np.einsum("ij,ij->i", normal, normal))
     keep = ~(area <= area_floor)
     triangles = triangles[keep]
-    quad = np.repeat(quads, 2 * subdiv * subdiv)[keep]
+    quad = np.repeat(np.arange(nq_u * nq_v), 2 * subdiv * subdiv)[keep]
     tags = tuple(zip((quad // nq_v + dom.u_min).tolist(),
                      (quad % nq_v + dom.v_min).tolist()))
-
-    def vertex_index(u, v):
-        for qu, qv, si, ti in ((u, v, 0, 0), (u - 1, v, subdiv, 0),
-                               (u, v - 1, 0, subdiv),
-                               (u - 1, v - 1, subdiv, subdiv)):
-            if dom.contains_quad(qu, qv):
-                base = ((qu - dom.u_min) * nq_v + (qv - dom.v_min)) * block
-                return base + si * (subdiv + 1) + ti
-        raise ParameterOutOfRange(f"vertex ({u}, {v}) outside the mesh domain")
 
     polylines = []
     for chain in singular:
         verts = chain.vertices[:-1] if chain.closed else chain.vertices
+        for u, v in verts:
+            if not dom.contains_vertex(u, v):
+                raise ParameterOutOfRange(
+                    f"vertex ({u}, {v}) outside the mesh domain")
         polylines.append(MeshPolyline(
-            tuple(vertex_index(u, v) for (u, v) in verts), chain.closed))
+            tuple(subdiv * ((u - dom.u_min) * n_j + v - dom.v_min)
+                  for u, v in verts), chain.closed))
 
     return TriangleMesh(vertices=vertices, triangles=triangles,
                         quad_tags=tags,

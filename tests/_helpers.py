@@ -4,8 +4,8 @@ import json
 
 import numpy as np
 
-from diams import ConormalNet, PolyCurve, analyze_net
-from diams import _kernels
+from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
+                   patch_for_quad)
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
                           NonGenericCell, ValidationError)
 from diams.io_cli import example_curve_pair
@@ -165,39 +165,34 @@ def parse_obj(path):
 
 
 def reference_tessellate(f, subdiv):
-    """Per-triangle loop form of `tessellate`'s triangles and quad tags,
-    kept as the reference that the whole-array version must reproduce bit
-    for bit (where neither overflows nor underflows).  Returns
-    (vertices, triangles, quad_tags)."""
-    dom = f.domain
-    grid = _kernels.bilinear_sample(f.positions, subdiv)
-    nq_u, nq_v = grid.shape[0], grid.shape[1]
-    block = (subdiv + 1) ** 2
-    vertices = grid.reshape(-1, 3)
-    scale = max(1e-300, float(np.abs(vertices).max()))
+    """Per-quad loop form of `tessellate`: every quad's patch sampled on
+    its own (subdiv+1)^2 grid by `bilinear_point`, then split and filtered
+    triangle by triangle.  Kept as the reference that the welded
+    whole-array version must reproduce bit for bit (where neither
+    overflows nor underflows).  Returns (corners, quad_tags): the
+    (M, 3, 3) corner coordinates of the kept triangles and their quads."""
+    r = [k / subdiv for k in range(subdiv + 1)]
+    blocks = {}
+    for quad in f.domain.quads():
+        patch = patch_for_quad(f, quad)
+        blocks[quad] = [[bilinear_point(patch, s, t) for t in r] for s in r]
+    scale = max(1e-300, max(float(np.abs(b).max()) for b in blocks.values()))
     area_floor = 1e-14 * scale * scale
 
-    triangles = []
+    corners = []
     tags = []
-    for qi in range(nq_u):
-        for qj in range(nq_v):
-            base = (qi * nq_v + qj) * block
-            tag = (qi + dom.u_min, qj + dom.v_min)
-            for si in range(subdiv):
-                for ti in range(subdiv):
-                    v00 = base + si * (subdiv + 1) + ti
-                    v10 = v00 + (subdiv + 1)
-                    v01 = v00 + 1
-                    v11 = v10 + 1
-                    for tri in ((v00, v10, v01), (v10, v11, v01)):
-                        p0, p1, p2 = vertices[list(tri)]
-                        area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
-                        if area <= area_floor:
-                            continue
-                        triangles.append(tri)
-                        tags.append(tag)
-    return (vertices, np.array(triangles, dtype=np.int64).reshape(-1, 3),
-            tuple(tags))
+    for quad, b in blocks.items():
+        for si in range(subdiv):
+            for ti in range(subdiv):
+                v00, v10 = b[si][ti], b[si + 1][ti]
+                v01, v11 = b[si][ti + 1], b[si + 1][ti + 1]
+                for p0, p1, p2 in ((v00, v10, v01), (v10, v11, v01)):
+                    area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
+                    if area <= area_floor:
+                        continue
+                    corners.append((p0, p1, p2))
+                    tags.append(quad)
+    return np.array(corners).reshape(-1, 3, 3), tuple(tags)
 
 
 def _fmt(x):

@@ -33,12 +33,18 @@ def curve_docs(draw):
     at height 1, beta along y at height 0, each point moved by up to 0.4
     per coordinate.  Half of them carry one coordinate that is an integer
     past the float range or a boolean, which JSON readers confuse with
-    numbers."""
+    numbers.  Each curve offset is absent, small, near the 2^52 index
+    limit or past the int64 range."""
     scale = 10.0 ** draw(st.floats(-300.0, 300.0))
     doc = {"alpha": [[(k + x) * scale, y * scale, (1.0 + z) * scale]
                      for k, (x, y, z) in enumerate(draw(offsets))],
            "beta": [[x * scale, (k + y) * scale, z * scale]
                     for k, (x, y, z) in enumerate(draw(offsets))]}
+    for key in ("alpha_offset", "beta_offset"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.integers(-5, 5)
+                            | st.integers(-2 ** 53, 2 ** 53)
+                            | st.integers(-10 ** 400, 10 ** 400))
     if draw(st.booleans()):
         points = doc[draw(st.sampled_from(["alpha", "beta"]))]
         point = points[draw(st.integers(0, len(points) - 1))]

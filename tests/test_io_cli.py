@@ -49,6 +49,30 @@ def test_boolean_offsets_are_rejected(key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+def test_poly_curve_indices_stay_below_2_pow_52():
+    pts = np.array([[0.0, 0, 1], [1, 0, 1], [2, 1, 1]])
+    for offset in (2 ** 52 - 3, -2 ** 52 + 1):
+        assert PolyCurve(pts, offset).offset == offset
+    for offset in (2 ** 52 - 2, -2 ** 52, 2 ** 60, -10 ** 400):
+        with pytest.raises(ValidationError, match=f"offset {offset} "):
+            PolyCurve(pts, offset)
+
+
+@pytest.mark.parametrize("offset", [10 ** 400, 2 ** 60])
+@pytest.mark.parametrize("command", ["validate", "analyze", "mesh"])
+def test_cli_offsets_past_2_pow_52_exit_1(command, offset, tmp_path, capsys):
+    doc = json.loads(write_curves(example_curve_pair(1.0)))
+    doc["alpha_offset"] = offset
+    curves = tmp_path / "c.json"
+    curves.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {"analyze": ["--report", out], "validate": [],
+            "mesh": ["--out", out, "--subdiv", 2]}[command]
+    assert _run([command, "--curves", curves] + args) == 1
+    assert capsys.readouterr().err.startswith(f"error: curve offset {offset} ")
+    assert not out.exists()
+
+
 def test_parse_curves_errors_name_the_index():
     with pytest.raises(ParseError):
         parse_curves(b"{ not json")
@@ -220,6 +244,19 @@ def test_cli_example_analyze_swallowtail(tmp_path, capsys):
     report2 = tmp_path / "r2.json"
     assert _run(["analyze", "--curves", curves, "--report", report2]) == 0
     assert report.read_bytes() == report2.read_bytes()
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--dv", 1e308], "non-finite coordinate"),
+    (["--du", 0], "consecutive duplicate points")])
+def test_cli_example_refuses_curves_it_cannot_write(options, message,
+                                                    tmp_path, capsys):
+    out = tmp_path / "c.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["example", "--y", 1, "--out", out] + options) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message} ")
+    assert not out.exists()
 
 
 def test_cli_analyze_reports_generic_position_violation(tmp_path, capsys):

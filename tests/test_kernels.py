@@ -34,3 +34,39 @@ def test_omega_grid_matches_scalar_determinant_bitwise(rng):
                                      (a[i + 1] - a[i]).tolist(),
                                      (b[j + 1] - b[j]).tolist())
                 assert got[i, j] == want
+
+
+def test_bilinear_sample_matches_every_owning_quad_bitwise(rng):
+    # the welded grid evaluates sample (I, J) in quad
+    # (min(I // s, nu-2), min(J // s, nv-2)); it must equal that quad's
+    # own bilinear_point, and a seam sample must equal the evaluation of
+    # every other quad it lies on
+    from diams import GridDomain, bilinear_point, patch_for_quad
+    from diams.net_core import AsymptoticNet
+    for subdiv in (1, 2, 3, 4):
+        for _ in range(3):
+            nu, nv = (int(n) for n in rng.integers(2, 6, size=2))
+            u0, v0 = (int(n) for n in rng.integers(-3, 3, size=2))
+            pos = rng.normal(size=(nu, nv, 3)) * 2.0 ** rng.integers(-60, 61)
+            f = AsymptoticNet(GridDomain(u0, u0 + nu - 1, v0, v0 + nv - 1),
+                              pos, (u0, v0), pos[0, 0])
+            grid = _kernels.bilinear_sample(pos, subdiv)
+            assert grid.shape == (subdiv * (nu - 1) + 1,
+                                  subdiv * (nv - 1) + 1, 3)
+            patches = {q: patch_for_quad(f, q) for q in f.domain.quads()}
+            seams = 0
+            for i, j in np.ndindex(grid.shape[:2]):
+                qi = min(i // subdiv, nu - 2)
+                qj = min(j // subdiv, nv - 2)
+                owners = [(a, b) for a in {qi, (i - 1) // subdiv}
+                          for b in {qj, (j - 1) // subdiv}
+                          if 0 <= a <= nu - 2 and 0 <= b <= nv - 2]
+                seams += len(owners) > 1
+                for a, b in owners:
+                    want = bilinear_point(patches[(u0 + a, v0 + b)],
+                                          (i - subdiv * a) / subdiv,
+                                          (j - subdiv * b) / subdiv)
+                    assert grid[i, j].tobytes() == want.tobytes()
+            assert seams == ((nu - 2) * (subdiv * (nv - 1) + 1)
+                             + (nv - 2) * (subdiv * (nu - 1) + 1)
+                             - (nu - 2) * (nv - 2))

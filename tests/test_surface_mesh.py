@@ -106,15 +106,20 @@ def _one_quad_net():
     return integrate_net(net)
 
 
-def test_tessellate_counts():
-    net = example_net(1.0)
-    f2 = integrate_net(net)
-    mesh = tessellate(f2, 8)
+def test_tessellate_welded_counts_and_subdiv_type():
+    f = integrate_net(example_net(1.0))
+    mesh = tessellate(f, 8)
+    assert len(mesh.vertices) == 17 * 17
     assert len(mesh.triangles) == 4 * 128
-    assert len(mesh.vertices) == 4 * 81
     assert len(set(mesh.quad_tags)) == 4
-    with pytest.raises(ParameterOutOfRange):
-        tessellate(f2, 0)
+    for subdiv in (np.int64(8), np.int32(8)):
+        other = tessellate(f, subdiv)
+        assert np.array_equal(other.vertices, mesh.vertices)
+        assert np.array_equal(other.triangles, mesh.triangles)
+    for subdiv in (0, -1, 1.5, 2.0, np.float64(2.0), True, np.bool_(True),
+                   "2", None):
+        with pytest.raises(ParameterOutOfRange):
+            tessellate(f, subdiv)
 
 
 def test_tessellate_single_quad_minimal():
@@ -130,20 +135,39 @@ def test_tessellate_single_quad_minimal():
     assert mesh.quad_tags == ((0, 0), (0, 0))
 
 
-def test_tessellation_watertight():
-    net = example_net(1.0)
-    f = integrate_net(net)
-    mesh = tessellate(f, 4)
-    block = 25
-    # shared edge of quads (-1, 0) and (0, 0): s=1 samples of the left
-    # block equal s=0 samples of the right block exactly
+def test_tessellation_is_a_welded_disc(rng):
+    # with no triangle filtered, the mesh is one disc: every interior edge
+    # lies in exactly two triangles, every edge along the grid's border in
+    # one, and V - E + F = 1
+    for subdiv in (1, 2, 3, 4):
+        for _ in range(3):
+            f = integrate_net(random_net_candidate(rng, n=int(rng.integers(3, 8))))
+            mesh = tessellate(f, subdiv)
+            qu, qv = f.positions.shape[0] - 1, f.positions.shape[1] - 1
+            ni, nj = subdiv * qu + 1, subdiv * qv + 1
+            assert len(mesh.vertices) == ni * nj
+            assert len(mesh.triangles) == 2 * subdiv * subdiv * qu * qv
+            tri = mesh.triangles
+            edges = Counter(map(tuple, np.sort(np.concatenate(
+                [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+                .tolist()))
+            idx = np.arange(ni * nj).reshape(ni, nj)
+            border = {(a, b) for side in (idx[0], idx[-1], idx[:, 0], idx[:, -1])
+                      for a, b in zip(side[:-1].tolist(), side[1:].tolist())}
+            assert {e for e, n in edges.items() if n == 1} == border
+            assert set(edges.values()) == {1, 2}
+            assert len(mesh.vertices) - len(edges) + len(tri) == 1
+            assert np.array_equal(np.unique(tri), np.arange(ni * nj))
+
+
+def test_tessellate_refuses_polyline_vertex_outside_domain():
+    from diams.singularity import SingularPolyline
+    f = integrate_net(example_net(1.0))
     dom = f.domain
-    bl = ((-1 - dom.u_min) * 2 + (0 - dom.v_min)) * block
-    br = ((0 - dom.u_min) * 2 + (0 - dom.v_min)) * block
-    for t in range(5):
-        left = mesh.vertices[bl + 4 * 5 + t]
-        right = mesh.vertices[br + 0 * 5 + t]
-        assert np.array_equal(left, right)
+    for vertex in ((dom.u_max + 1, 0), (0, dom.v_min - 1)):
+        chain = SingularPolyline(((0, 0), vertex), (), closed=False)
+        with pytest.raises(ParameterOutOfRange):
+            tessellate(f, 2, (chain,))
 
 
 def test_tessellate_carries_polylines():
@@ -214,12 +238,17 @@ def test_export_obj_io_failure():
 
 def _assert_mesh_matches_reference(f, subdiv, tmp_path, singular=()):
     mesh = tessellate(f, subdiv, singular)
-    vertices, triangles, tags = reference_tessellate(f, subdiv)
-    assert np.array_equal(mesh.vertices, vertices)
-    assert mesh.triangles.dtype == triangles.dtype
-    assert np.array_equal(mesh.triangles, triangles)
+    corners, tags = reference_tessellate(f, subdiv)
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.vertices[mesh.triangles].tobytes() == corners.tobytes()
     assert mesh.quad_tags == tags
     assert all(type(i) is int for tag in mesh.quad_tags for i in tag)
+    assert len(mesh.polylines) == len(singular)
+    for pl, chain in zip(mesh.polylines, singular):
+        verts = chain.vertices[:-1] if chain.closed else chain.vertices
+        want = np.array([f.position(u, v) for u, v in verts])
+        assert pl.closed == chain.closed
+        assert mesh.vertices[list(pl.indices)].tobytes() == want.tobytes()
     path = tmp_path / "mesh.obj"
     export_obj(mesh, path)
     assert path.read_bytes() == reference_obj_text(mesh).encode("ascii")
