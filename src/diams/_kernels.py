@@ -1,9 +1,10 @@
 """Hot numeric kernels, written as whole-array numpy expressions.
 
 Every discrete decision of the pipeline is the sign of one determinant,
-[n, x, y]; ``det3`` is its only written-out form, shared by the metric
-grid here, the scalar predicates in ``singularity`` and the smooth oracle,
-so batched and scalar evaluations agree bit for bit.  The kernels' share
+[n, x, y].  ``det3`` writes it out for the metric grid and the scalar
+values; ``orient_terms`` writes the same expression, bit for bit, with the
+six products that set orient's dead zone, for ``orient``,
+``halfplane_grid`` and the generic-position check.  The kernels' share
 of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
@@ -18,6 +19,21 @@ def det3(n, x, y):
     return (n[0] * (x[1] * y[2] - x[2] * y[1])
             - n[1] * (x[0] * y[2] - x[2] * y[0])
             + n[2] * (x[0] * y[1] - x[1] * y[0]))
+
+
+def orient_terms(n0, n1, n2, x0, x1, x2, y0, y1, y2):
+    """[n, x, y] and the sum of the absolute values of its six products,
+    for floats or broadcasting component arrays alike."""
+    p0 = x1 * y2
+    p1 = x2 * y1
+    p2 = x0 * y2
+    p3 = x2 * y0
+    p4 = x0 * y1
+    p5 = x1 * y0
+    d = n0 * (p0 - p1) - n1 * (p2 - p3) + n2 * (p4 - p5)
+    mag = (abs(n0) * (abs(p0) + abs(p1)) + abs(n1) * (abs(p2) + abs(p3))
+           + abs(n2) * (abs(p4) + abs(p5)))
+    return d, mag
 
 
 def _as_points(arr):

@@ -29,11 +29,6 @@ def _cross3(x, y):
             x[0] * y[1] - x[1] * y[0]]
 
 
-def _norm3(x):
-    """Euclidean norm, summed in the order of np.linalg.norm."""
-    return np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
-
-
 def require_finite(values, what):
     """Raise ValidationError unless every entry of values is finite.
 
@@ -384,40 +379,36 @@ def validate_generic_position(net, tol=1e-9):
     planes through the line alpha(u) beta(v) and the neighbouring curve
     points are pairwise distinct.
 
-    Two planes count as coincident when their normals are parallel within
-    tol (relative to the normal magnitudes).  Returns the list of
-    violations; an empty list means the net is in generic position.
+    The planes through alpha(u +- 1) and beta(v +- 1) are span(nu, x) for
+    the frame directions x = alpha'(u +- 1/2), beta'(v +- 1/2), with
+    nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
+    at tol: |[nu, x, y]| is not above tol times the sum of the absolute
+    values of its six products.  Returns the list of violations; an empty
+    list means the net is in generic position.
     """
-    a = net.alpha.points
-    b = net.beta.points
     dom = net.domain
     if dom.nu < 3 or dom.nv < 3:
         return []
-    # vectors as [x, y, z] component arrays over the (U, V) vertices with
-    # both neighbours on each curve; the four spans stack on a leading axis
-    a = a.T
-    b = b.T
-    au = a[:, 1:-1, None]                         # alpha(u)
-    d = b[:, None, 1:-1] - au                     # beta(v) - alpha(u)
-    spans = np.empty((3, 4) + d.shape[1:])
-    spans[:, 0] = (a[:, 2:] - a[:, 1:-1])[:, :, None]    # alpha(u+1) - alpha(u)
-    spans[:, 1] = (a[:, :-2] - a[:, 1:-1])[:, :, None]   # alpha(u-1) - alpha(u)
-    spans[:, 2] = b[:, None, 2:] - au                    # beta(v+1) - alpha(u)
-    spans[:, 3] = b[:, None, :-2] - au                   # beta(v-1) - alpha(u)
-    # both sides of the test grow like the 4th power of the coordinates
-    # (the squares inside the norms like the 8th) and must come out finite
+    # [x, y, z] component arrays over the (U, V) vertices with both
+    # neighbours on each curve, formed by the vertex frame's subtractions
+    a = net.alpha.points.T
+    b = net.beta.points.T
+    a0 = a[:, 1:-1, None]
+    b0 = b[:, None, 1:-1]
+    n = a0 - b0
+    dirs = (a[:, 2:, None] - a0, a0 - a[:, :-2, None],
+            b[:, None, 2:] - b0, b0 - b[:, None, :-2])
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        normals = _cross3(d[:, None], spans)      # 3 x (4, U, V)
-        mags = _norm3(normals)
         for i in range(4):
             for j in range(i + 1, 4):
-                lhs = _norm3(_cross3([c[i] for c in normals],
-                                     [c[j] for c in normals]))
-                bound = tol * mags[i] * mags[j]
-                require_finite(lhs, "generic-position test")
-                require_finite(bound, "generic-position test")
-                for ui, vi in np.argwhere(lhs <= bound).tolist():
+                d, mag = _kernels.orient_terms(*n, *dirs[i], *dirs[j])
+                undecided = ~(np.abs(d) > tol * mag)
+                if not undecided.any():
+                    continue
+                # mag (3rd powers) overflowing to inf or nan reads undecided
+                require_finite(mag, "generic-position test")
+                for ui, vi in np.argwhere(undecided).tolist():
                     out.append(GenericPositionViolation(
                         vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
                         plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))

@@ -14,8 +14,9 @@ with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
 The determinant is ``_kernels.det3``, the one that fills the metric grid;
-``_orient_terms`` holds orient's determinant and dead zone once, for the
-scalar predicate and the batched ``halfplane_grid`` alike.
+``_kernels.orient_terms`` holds orient's determinant and dead zone once,
+for the scalar predicate, the batched ``halfplane_grid`` and the
+generic-position check alike.
 """
 
 import math
@@ -86,34 +87,21 @@ def triple_product(n, x, y):
     return _kernels.det3(_t3(n), _t3(x), _t3(y))
 
 
-def _orient_terms(n0, n1, n2, x0, x1, x2, y0, y1, y2):
-    """[n, x, y] and the sum of the absolute values of its six products,
-    for floats or broadcasting component arrays alike."""
-    p0 = x1 * y2
-    p1 = x2 * y1
-    p2 = x0 * y2
-    p3 = x2 * y0
-    p4 = x0 * y1
-    p5 = x1 * y0
-    d = n0 * (p0 - p1) - n1 * (p2 - p3) + n2 * (p4 - p5)
-    mag = (abs(n0) * (abs(p0) + abs(p1)) + abs(n1) * (abs(p2) + abs(p3))
-           + abs(n2) * (abs(p4) + abs(p5)))
-    return d, mag
-
-
 def orient(n, x, y, tol=1e-9):
     """Sign of [n, x, y] with a relative dead zone.
 
     Returns +1, -1, or 0 when |det| <= tol times the sum of the absolute
     values of the determinant's six products (so the dead zone scales with
-    the inputs and the predicate is homogeneous in each argument).
+    the inputs and the predicate is homogeneous in each argument).  A
+    product that overflows raises ValidationError instead of reading as 0.
     """
-    d, mag = _orient_terms(float(n[0]), float(n[1]), float(n[2]),
-                           float(x[0]), float(x[1]), float(x[2]),
-                           float(y[0]), float(y[1]), float(y[2]))
-    if abs(d) <= tol * mag:
-        return 0
-    return 1 if d > 0.0 else -1
+    d, mag = _kernels.orient_terms(float(n[0]), float(n[1]), float(n[2]),
+                                   float(x[0]), float(x[1]), float(x[2]),
+                                   float(y[0]), float(y[1]), float(y[2]))
+    if abs(d) > tol * mag:
+        return 1 if d > 0.0 else -1
+    require_finite(mag, "orientation test")
+    return 0
 
 
 def _t3(v):
@@ -281,7 +269,7 @@ def halfplane_grid(net, tol=1e-9):
     db = b[:, 1:] - b[:, :-1]
 
     def signs(n, x, y):
-        d, mag = _orient_terms(*n, *x, *y)
+        d, mag = _kernels.orient_terms(*n, *x, *y)
         return np.sign(d), np.abs(d) <= tol * mag
 
     # v-edges: bases (u0, v0) with u0 interior, v0 <= v_max-1

@@ -354,13 +354,55 @@ def test_cli_huge_coordinates_end_in_a_named_error(command, scale, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = _run([command, "--curves", curves] + args)
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
+    if (command, scale) == ("validate", 2.0 ** 340):
+        # validate forms at most 3rd powers of the coordinates: 2^1020
+        assert code == 0
+        assert out_text.startswith("ok: 11x11 vertices, 17 singular edges")
+        return
     assert code in (1, 3)
     assert err.startswith("error: ")
     if scale in (1e110, 1e200):
         assert code == 1 and "not finite" in err
     if command == "mesh":
         assert not out.exists()
+
+
+def _analyze_scaled(h, k, tmp_path):
+    a, b, _ = parabolic_points(h)
+    curves = tmp_path / f"c_{h}_{k}.json"
+    report = tmp_path / f"r_{h}_{k}.json"
+    curves.write_text(json.dumps({"alpha": (a * 2.0 ** k).tolist(),
+                                  "beta": (b * 2.0 ** k).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["analyze", "--curves", curves, "--report", report])
+    return code, report
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_cli_analyze_is_invariant_under_power_of_two_scaling(h, tmp_path):
+    # every decision is a sign of a homogeneous expression, so scaling the
+    # curves by 2^k changes no edge, vertex, polyline or validation while
+    # the arithmetic stays in range
+    code, report = _analyze_scaled(h, 0, tmp_path)
+    assert code == 0
+    base = json.loads(report.read_bytes())
+    for k in (-200, -140, 140, 200):
+        code, report = _analyze_scaled(h, k, tmp_path)
+        assert code == 0
+        doc = json.loads(report.read_bytes())
+        for key in ("singular_edges", "vertices", "polylines", "validations"):
+            assert doc[key] == base[key], (k, key)
+
+
+def test_cli_analyze_overflowing_sidedness_exits_1(tmp_path, capsys):
+    # at 2^250 the net passes every curve-level check, but the sidedness
+    # signs (5th powers of the coordinates) overflow
+    code, _ = _analyze_scaled(0.2, 250, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate", "mesh"])

@@ -36,6 +36,24 @@ def test_omega_grid_matches_scalar_determinant_bitwise(rng):
                 assert got[i, j] == want
 
 
+def test_orient_terms_matches_det3_bitwise(rng):
+    # orient's determinant (its six products named for the dead zone) and
+    # det3 are two writings of one expression: equal bits for floats and
+    # component arrays, random and nearly degenerate, at any scale
+    for scale in (1e-50, 1.0, 1e50):
+        n, x, z = scale * rng.standard_normal((3, 3, 40))
+        y = x + 10.0 ** rng.uniform(-15.0, -6.0, size=40) * z
+        for rows in ((n, x, z), (n, x, y), (n, y, x)):
+            d, mag = _kernels.orient_terms(*rows[0], *rows[1], *rows[2])
+            assert d.tobytes() == _kernels.det3(*rows).tobytes()
+            assert np.all(np.abs(d) <= mag)
+            for k in range(40):
+                fl = [float(c) for r in rows for c in r[:, k]]
+                dk, mk = _kernels.orient_terms(*fl)
+                assert dk == d[k] and mk == mag[k]
+                assert dk == _kernels.det3(fl[0:3], fl[3:6], fl[6:9])
+
+
 def test_bilinear_sample_matches_every_owning_quad_bitwise(rng):
     # the welded grid evaluates sample (I, J) in quad
     # (min(I // s, nu-2), min(J // s, nv-2)); it must equal that quad's

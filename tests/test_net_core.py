@@ -8,9 +8,11 @@ from diams import (ConormalNet, GridDomain, PolyCurve, conormal,
                    moutard_residual, star_planarity_residual,
                    validate_generic_position)
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
-from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
-                            moutard_residual_grid, quad_closure_residual,
+from diams.net_core import (_PLANE_LABELS, lelieuvre_u_edge,
+                            lelieuvre_v_edge, moutard_residual_grid,
+                            quad_closure_residual,
                             star_planarity_residual_grid)
+from diams.singularity import _vertex_frame, orient
 
 from _helpers import (example_net, parabolic_points, random_net_candidate,
                       transformed_net)
@@ -122,7 +124,7 @@ def test_moutard_residual_zero_and_constructed_violation(rng):
 def test_overflowing_stages_raise_not_finite():
     # each stage checks the quantities it forms: positions grow like the
     # coordinates squared, Omega and its floor like the cube, the
-    # generic-position test like the 4th (and 8th) power
+    # generic-position test like the 3rd power
     a, b, _ = parabolic_points(0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -288,3 +290,56 @@ def test_generic_position_reports_are_sorted_and_described():
     hits = validate_generic_position(net, tol=1e-10)
     assert hits == sorted(hits, key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     assert "coincide" in hits[0].describe()
+
+
+def _scalar_generic_violations(net, tol):
+    """(vertex, plane, plane) wherever the scalar orient on the vertex
+    frame's directions reads 0."""
+    out = set()
+    for u in range(net.domain.u_min + 1, net.domain.u_max):
+        for v in range(net.domain.v_min + 1, net.domain.v_max):
+            n, *dirs = _vertex_frame(net, u, v)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    if orient(n, dirs[i], dirs[j], tol) == 0:
+                        out.add(((u, v), _PLANE_LABELS[i], _PLANE_LABELS[j]))
+    return out
+
+
+def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):
+    # plant one curve point so that its frame direction at a vertex lies
+    # in span(nu, y) for another frame direction y, up to a relative
+    # offset swept across the dead-zone band; the batched check must flag
+    # exactly the pairs on which the scalar orient reads 0
+    flagged = decided = 0
+    for _ in range(120):
+        net = random_net_candidate(rng, n=6)
+        a, b = net.alpha.points.copy(), net.beta.points.copy()
+        i, j = (int(k) for k in rng.integers(1, 5, size=2))
+        n, ap, am, bp, bm = (np.array(x) for x in _vertex_frame(net, i, j))
+        moved = int(rng.integers(4))
+        y = (ap, am, bp, bm)[int(rng.choice([k for k in range(4)
+                                             if k != moved]))]
+        x = rng.uniform(0.2, 1.0) * n + rng.uniform(0.2, 1.0) * y
+        x += 10.0 ** rng.uniform(-12.0, -6.0) * np.linalg.norm(x) \
+            * rng.standard_normal(3)
+        if moved == 0:
+            a[i + 1] = a[i] + x
+        elif moved == 1:
+            a[i - 1] = a[i] - x
+        elif moved == 2:
+            b[j + 1] = b[j] + x
+        else:
+            b[j - 1] = b[j] - x
+        try:
+            net = ConormalNet(PolyCurve(a), PolyCurve(b))
+        except ValidationError:
+            continue
+        for tol in (1e-9, 1e-8):
+            want = _scalar_generic_violations(net, tol)
+            got = {(g.vertex, g.plane_a, g.plane_b)
+                   for g in validate_generic_position(net, tol)}
+            assert got == want
+        flagged += bool(want)
+        decided += not want
+    assert flagged > 20 and decided > 20

@@ -10,7 +10,7 @@ from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    ray_crossing_test, singular_edges, singular_vertices,
                    star_sidedness_test)
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          InadmissibleVertex)
+                          InadmissibleVertex, ValidationError)
 from diams.singularity import (SingularVertex, _quadrant_signature,
                                halfplane_grid, triple_product)
 
@@ -98,6 +98,21 @@ def test_singular_edges_are_scale_free(k):
     assert edges.keys() == base.keys()
     for edge, (lo, hi) in base.items():
         assert edges[edge] == (np.ldexp(lo, 3 * k), np.ldexp(hi, 3 * k))
+
+
+def test_star_sidedness_overflow_is_a_named_error():
+    # star edges are products of two coordinates, so sidedness signs are
+    # products of five: at 2^250 they overflow, which must not read as a
+    # zero orientation sign
+    a, b, _ = parabolic_points(0.2)
+    s = 2.0 ** 250
+    net = ConormalNet(PolyCurve(a * s), PolyCurve(b * s))
+    f = integrate_net(net)
+    verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
+    sv = next(sv for sv in verts if net.domain.is_interior_vertex(*sv.vertex)
+              and len(sv.incident_singular_edges) == 2)
+    with pytest.raises(ValidationError, match="orientation test: not finite"):
+        star_sidedness_test(f, net, sv)
 
 
 def test_halfplane_edge_test_examples():
