@@ -1,10 +1,10 @@
 """Hot numeric kernels, written as whole-array numpy expressions.
 
 Every discrete decision of the pipeline is the sign of one determinant,
-[n, x, y].  ``det3`` writes it out for the metric grid and the scalar
-values; ``orient_terms`` writes the same expression, bit for bit, with the
-six products that set orient's dead zone, for ``orient``,
-``halfplane_grid`` and the generic-position check.  The kernels' share
+[n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
+writes the same expression, bit for bit, with the six products that set
+orient's dead zone, for ``orient``, ``halfplane_grid``, the
+generic-position check and the metric grid.  The kernels' share
 of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
@@ -44,13 +44,14 @@ def _as_points(arr):
 
 
 def omega_grid(alpha, beta):
-    """Triple product [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
-    for every quadrangle, indexed by lower-left corner."""
+    """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
+    for every quadrangle, indexed by lower-left corner: the grid of
+    Omega and the grid of its dead-zone magnitudes."""
     a = _as_points(alpha).T
     b = _as_points(beta).T
     x = (a[:, 1:] - a[:, :-1])[:, :, None]
     y = (b[:, 1:] - b[:, :-1])[:, None, :]
-    return det3(a[:, :-1, None] - b[:, None, :-1], x, y)
+    return orient_terms(*(a[:, :-1, None] - b[:, None, :-1]), *x, *y)
 
 
 def integrate_positions(alpha, beta, iu, iv, base_point):

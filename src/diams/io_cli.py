@@ -13,6 +13,7 @@ formatted straight from the metric grid, one u-row at a time.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -104,15 +105,19 @@ def write_report(report):
 
 @dataclass(frozen=True)
 class CurvePairFile:
-    alpha_offset: int
-    beta_offset: int
-    alpha: np.ndarray
-    beta: np.ndarray
+    alpha: PolyCurve
+    beta: PolyCurve
 
-    def to_net(self, nu_eps=1e-12):
-        return ConormalNet(PolyCurve(self.alpha, offset=self.alpha_offset),
-                           PolyCurve(self.beta, offset=self.beta_offset),
-                           nu_eps=nu_eps)
+    def to_net(self):
+        return ConormalNet(self.alpha, self.beta)
+
+
+def _named_curve(name, points, offset):
+    """PolyCurve whose validation errors name the curve."""
+    try:
+        return PolyCurve(points, offset)
+    except ValidationError as e:
+        raise ValidationError(f"{name}: {e}") from None
 
 
 def _fits_float(c):
@@ -124,10 +129,10 @@ def _fits_float(c):
 
 
 def _check_points(name, raw):
+    """The JSON list of numeric triples as an (n, 3) float array; the
+    curve checks themselves are PolyCurve's."""
     if not isinstance(raw, list):
         raise ValidationError(f"{name} must be a list of [x, y, z] triples")
-    if len(raw) < 3:
-        raise ValidationError(f"{name} needs at least 3 points, got {len(raw)}")
     for i, p in enumerate(raw):
         if (not isinstance(p, list)) or len(p) != 3:
             raise ValidationError(f"{name}[{i}] is not an [x, y, z] triple")
@@ -135,21 +140,12 @@ def _check_points(name, raw):
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise ValidationError(f"{name}[{i}] has a non-numeric entry")
     try:
-        pts = np.asarray(raw, dtype=np.float64)
+        return np.asarray(raw, dtype=np.float64).reshape(-1, 3)
     except OverflowError:
         bad = next(i for i, p in enumerate(raw)
                    if not all(map(_fits_float, p)))
         raise ValidationError(
             f"{name}[{bad}] has a coordinate too large for a float") from None
-    if not np.all(np.isfinite(pts)):
-        bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0, 0])
-        raise ValidationError(f"{name}[{bad}] has a non-finite coordinate")
-    same = np.all(pts[1:] == pts[:-1], axis=1)
-    if same.any():
-        bad = int(np.argmax(same))
-        raise ValidationError(
-            f"{name}[{bad}] and {name}[{bad + 1}] are duplicate consecutive points")
-    return pts
 
 
 def parse_curves(data):
@@ -170,19 +166,18 @@ def parse_curves(data):
         if key in doc and (not isinstance(doc[key], int)
                            or isinstance(doc[key], bool)):
             raise ValidationError(f"{key} must be an integer")
-    return CurvePairFile(
-        alpha_offset=int(doc.get("alpha_offset", 0)),
-        beta_offset=int(doc.get("beta_offset", 0)),
-        alpha=_check_points("alpha", doc["alpha"]),
-        beta=_check_points("beta", doc["beta"]))
+    return CurvePairFile(*(
+        _named_curve(key, _check_points(key, doc[key]),
+                     doc.get(key + "_offset", 0))
+        for key in ("alpha", "beta")))
 
 
 def write_curves(cpf):
     doc = {
-        "alpha_offset": cpf.alpha_offset,
-        "alpha": [[float(c) for c in p] for p in cpf.alpha],
-        "beta_offset": cpf.beta_offset,
-        "beta": [[float(c) for c in p] for p in cpf.beta],
+        "alpha_offset": cpf.alpha.offset,
+        "alpha": [[float(c) for c in p] for p in cpf.alpha.points],
+        "beta_offset": cpf.beta.offset,
+        "beta": [[float(c) for c in p] for p in cpf.beta.points],
     }
     return (_dump(doc) + "\n").encode("ascii")
 
@@ -199,9 +194,8 @@ def example_curve_pair(y, du=0.1, dv=0.1):
         beta = np.stack([np.array([-1.0, y, 0.0]) * dv,
                          np.array([0.0, 0.0, 0.0]),
                          np.array([2.0, 1.0, 0.0]) * dv])
-    return CurvePairFile(alpha_offset=-1, beta_offset=-1,
-                         alpha=PolyCurve(alpha, offset=-1).points,
-                         beta=PolyCurve(beta, offset=-1).points)
+    return CurvePairFile(_named_curve("alpha", alpha, -1),
+                         _named_curve("beta", beta, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +483,13 @@ def build_parser():
     return parser
 
 
+# parse_args leaves the parser as it was, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def run_cli(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
     try:

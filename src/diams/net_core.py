@@ -75,8 +75,7 @@ class PolyCurve:
         # arithmetic in int64 cannot overflow
         if not -2 ** 52 < self.offset <= 2 ** 52 - pts.shape[0]:
             raise ValidationError(
-                f"curve offset {self.offset} puts indices outside "
-                "|i| < 2^52")
+                "curve offset puts indices outside |i| < 2^52")
         if not np.all(np.isfinite(pts)):
             bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0, 0])
             raise ValidationError(
@@ -187,7 +186,6 @@ class ConormalNet:
     beta: PolyCurve
     domain: GridDomain = field(init=False)
     scale: float = field(init=False)
-    nu_eps: float = 1e-12
 
     def __post_init__(self):
         dom = GridDomain(self.alpha.index_min, self.alpha.index_max,
@@ -197,10 +195,10 @@ class ConormalNet:
         object.__setattr__(self, "scale", scale)
         # |nu| is taken of nu scaled by 2^-e, where scale = m * 2^e: the
         # scaling is exact, and the squares neither overflow nor underflow
-        # anywhere near the threshold nu_eps * m
+        # anywhere near the threshold 1e-12 * m
         mantissa, exponent = np.frexp(scale)
         norms = np.sqrt((np.ldexp(self.nu_grid(), -exponent) ** 2).sum(axis=2))
-        if norms.min() <= self.nu_eps * mantissa:
+        if norms.min() <= 1e-12 * mantissa:
             i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
             raise ValidationError(
                 "curves intersect near vertex "

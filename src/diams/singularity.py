@@ -13,13 +13,12 @@ through the single predicate
 with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
-The determinant is ``_kernels.det3``, the one that fills the metric grid;
 ``_kernels.orient_terms`` holds orient's determinant and dead zone once,
-for the scalar predicate, the batched ``halfplane_grid`` and the
-generic-position check alike.
+for the scalar predicate, the batched ``halfplane_grid``, the
+generic-position check and the metric grid alike, so Omega is judged by
+the same relative dead zone as every other sign.
 """
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -127,7 +126,6 @@ class MetricField:
 
     domain: object
     values: np.ndarray
-    scale: float
 
     def omega(self, quad):
         u, v = quad
@@ -155,26 +153,24 @@ def omega_quad(net, quad):
 
 
 def metric_field(net, eps_degenerate=1e-9):
-    """Evaluate Omega on all quads; abort when any quad is too close to
-    degenerate for sign tests to mean anything."""
+    """Evaluate Omega on all quads; abort when any quad's Omega falls in
+    orient's dead zone at eps_degenerate, where its sign means nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _kernels.omega_grid(net.alpha.points, net.beta.points)
-    require_finite(values, "Omega")
-    try:
-        floor = eps_degenerate * net.scale ** 3
-    except OverflowError:
-        floor = math.inf
-    require_finite(floor, "degenerate-metric floor eps * scale^3")
-    bad = np.abs(values) <= floor
+        values, mag = _kernels.omega_grid(net.alpha.points, net.beta.points)
+    bad = ~(np.abs(values) > eps_degenerate * mag)
     if bad.any():
+        # an Omega or a magnitude overflowing to inf or nan reads undecided;
+        # the magnitude overflows whenever Omega does
+        require_finite(mag, "Omega")
         i, j = np.argwhere(bad)[0]
         quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
         err = DegenerateMetric(
-            f"|Omega| = {abs(values[i, j]):.3e} <= {floor:.3e} at quad {quad}")
+            f"|Omega| = {abs(values[i, j]):.3e} <= "
+            f"{eps_degenerate * mag[i, j]:.3e} at quad {quad}")
         err.quad = quad
         err.value = float(values[i, j])
         raise err
-    return MetricField(domain=net.domain, values=values, scale=net.scale)
+    return MetricField(domain=net.domain, values=values)
 
 
 def m_from_positions(f, quad):
@@ -556,14 +552,10 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
 # vertex classification
 # ---------------------------------------------------------------------------
 
-def _edge_contrast(net, edge, singular_edge_set):
-    """|Omega difference| across a singular edge of the set, else 0.0."""
-    pair = tuple(omega_quad(net, q) for q in edge.adjacent_quads())
-    try:
-        se = SingularEdge(edge, pair)
-    except ValueError:
-        return 0.0
-    return abs(pair[0] - pair[1]) if se in singular_edge_set else 0.0
+def _edge_contrast(net, edge):
+    """|Omega difference| across an edge."""
+    lo, hi = edge.adjacent_quads()
+    return abs(omega_quad(net, lo) - omega_quad(net, hi))
 
 
 def _pick_base_edge(net, vertex, singular_edge_set=None):
@@ -575,8 +567,7 @@ def _pick_base_edge(net, vertex, singular_edge_set=None):
     if v_edges:
         return v_edges[0]
     if singular_edge_set:
-        return max(edges, key=lambda e: (
-            _edge_contrast(net, e, singular_edge_set), tuple(e)))
+        return max(edges, key=lambda e: (_edge_contrast(net, e), tuple(e)))
     return edges[0]
 
 
@@ -597,8 +588,8 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     Every orientation among the frame directions is read from one table of
     six signs; since orient flips exactly under swapping or negating an
     argument, this gives the same signs as evaluating each test on its own.
-    singular_edge_set, when given, holds the net's singular edges; it
-    decides the base edge between two u-edges by metric contrast.
+    singular_edge_set, when given, holds the net's singular edges; then
+    the base edge between two u-edges is the one of larger metric contrast.
     """
     u0, v0 = vertex.vertex
     dom = net.domain
@@ -788,10 +779,6 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
                 (sv.vertex, f"{len(sv.incident_singular_edges)} incident "
                             "singular edges at an interior vertex"))
             classified.append(sv)
-            continue
-        if not net.domain.is_interior_vertex(*sv.vertex):
-            classified.append(replace(sv, configuration=Configuration.BOUNDARY,
-                                      kind=Kind.UNCLASSIFIED))
             continue
         try:
             classified.append(classify_vertex(net, f, sv, tol,

@@ -20,6 +20,31 @@ def example_net(y, du=0.1, dv=0.1):
     return example_curve_pair(y, du, dv).to_net()
 
 
+def four_edge_net():
+    """Three-point curves whose central vertex (0, 0) carries four singular
+    edges; its beta points are collinear."""
+    return ConormalNet(
+        PolyCurve(np.array([[-0.1, -0.1, 1.1], [0.0, 0.0, 1.0],
+                            [0.1, 0.0, 1.0]]), -1),
+        PolyCurve(np.array([[0.1, 0.05, 0.0], [0.0, 0.0, 0.0],
+                            [0.2, 0.1, 0.0]]), -1))
+
+
+def round_off_forbidden_net():
+    """Three-point curves whose central vertex (0, 0) carries two singular
+    edges at zero dead zones (tol = metric eps = 0) and still fails the
+    quadrant test.  alpha'+ and beta'- project parallel along nu(0, 0), so
+    Omega of quad (0, -1) is 0 up to round-off: its own frame rounds it to
+    -4.7e-18, while orient(nu(0, 0), alpha'+, beta'-) in the vertex frame
+    rounds to the other sign, and the vertex's four cross signs form the
+    checkerboard that the quadrant test forbids."""
+    return ConormalNet(
+        PolyCurve(np.array([[0.45, 0.06, 1.28], [0.0, 0.0, 1.0],
+                            [-0.09, 0.35, 0.65]]), -1),
+        PolyCurve(np.array([[0.1386, -0.5389999999999999, -0.32],
+                            [0.0, 0.0, 0.0], [0.39, -0.41, -0.24]]), -1))
+
+
 def parabolic_points(h):
     """Sample alpha(u) = (u, u^2, 1), beta(v) = (v, -v^2+v^3, 0) on [-1, 1]."""
     t = np.arange(-1.0, 1.0 + h / 2, h)

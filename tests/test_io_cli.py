@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -14,16 +15,20 @@ from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
 from diams.smooth_oracle import (builtin_pair, find_swallowtails,
                                  trace_singular_curve)
 
-from _helpers import (example_net, parabolic_net, parabolic_points, parse_obj,
-                      random_admissible_net, reference_dump,
-                      reference_report_bytes)
+from diams.net_core import integrate_net
+from diams.surface_mesh import export_obj, tessellate
+
+from _helpers import (example_net, four_edge_net, parabolic_net,
+                      parabolic_points, parse_obj, random_admissible_net,
+                      reference_dump, reference_report_bytes,
+                      round_off_forbidden_net)
 
 
 def test_parse_curves_example_with_offsets():
     cpf = example_curve_pair(1.0)
     parsed = parse_curves(write_curves(cpf))
-    assert parsed.alpha_offset == -1 and parsed.beta_offset == -1
-    assert parsed.alpha.shape == (3, 3)
+    assert parsed.alpha.offset == -1 and parsed.beta.offset == -1
+    assert parsed.alpha.points.shape == (3, 3)
     net = parsed.to_net()
     assert net.domain.u_min == -1 and net.domain.v_max == 1
 
@@ -32,7 +37,7 @@ def test_parse_curves_defaults_offsets_to_zero():
     doc = {"alpha": [[0, 0, 1], [1, 0, 1], [2, 1, 1]],
            "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]]}
     cpf = parse_curves(json.dumps(doc))
-    assert cpf.alpha_offset == 0 and cpf.beta_offset == 0
+    assert cpf.alpha.offset == 0 and cpf.beta.offset == 0
 
 
 @pytest.mark.parametrize("key", ["alpha_offset", "beta_offset"])
@@ -54,7 +59,9 @@ def test_poly_curve_indices_stay_below_2_pow_52():
     for offset in (2 ** 52 - 3, -2 ** 52 + 1):
         assert PolyCurve(pts, offset).offset == offset
     for offset in (2 ** 52 - 2, -2 ** 52, 2 ** 60, -10 ** 400):
-        with pytest.raises(ValidationError, match=f"offset {offset} "):
+        with pytest.raises(ValidationError, match="^curve offset puts "
+                                                  r"indices outside \|i\| "
+                                                  r"< 2\^52$"):
             PolyCurve(pts, offset)
 
 
@@ -69,7 +76,8 @@ def test_cli_offsets_past_2_pow_52_exit_1(command, offset, tmp_path, capsys):
     args = {"analyze": ["--report", out], "validate": [],
             "mesh": ["--out", out, "--subdiv", 2]}[command]
     assert _run([command, "--curves", curves] + args) == 1
-    assert capsys.readouterr().err.startswith(f"error: curve offset {offset} ")
+    assert capsys.readouterr().err == (
+        "error: alpha: curve offset puts indices outside |i| < 2^52\n")
     assert not out.exists()
 
 
@@ -84,24 +92,26 @@ def test_parse_curves_errors_name_the_index():
         parse_curves(json.dumps(doc))
     doc = {"alpha": [[0, 0, 1], [1, 0, 1], [1, 0, 1], [2, 0, 1]],
            "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]]}
-    with pytest.raises(ValidationError, match=r"alpha\[1\] and alpha\[2\]"):
+    with pytest.raises(ValidationError, match="^alpha: consecutive duplicate "
+                                              "points at curve indices 1 and 2"):
         parse_curves(json.dumps(doc))
     doc = {"alpha": [[0, 0, 1], [1, 0, 1], [2, 0, 1]],
            "beta": [[0, 0, 0], [1, "x", 0], [2, 0, 0]]}
     with pytest.raises(ValidationError, match=r"beta\[1\]"):
         parse_curves(json.dumps(doc))
-    with pytest.raises(ValidationError, match=r"beta\[1\]"):
+    with pytest.raises(ValidationError, match="^beta: non-finite coordinate "
+                                              "at curve index 1$"):
         parse_curves(json.dumps(doc).replace('"x"', "Infinity"))
 
 
 def test_curve_roundtrip_identity(rng):
     pts = rng.normal(size=(5, 3))
     pts2 = rng.normal(size=(4, 3))
-    cpf = CurvePairFile(alpha_offset=-2, beta_offset=3, alpha=pts, beta=pts2)
+    cpf = CurvePairFile(PolyCurve(pts, -2), PolyCurve(pts2, 3))
     back = parse_curves(write_curves(cpf))
-    assert back.alpha_offset == -2 and back.beta_offset == 3
-    assert np.array_equal(back.alpha, pts)
-    assert np.array_equal(back.beta, pts2)
+    assert back.alpha.offset == -2 and back.beta.offset == 3
+    assert np.array_equal(back.alpha.points, pts)
+    assert np.array_equal(back.beta.points, pts2)
     assert write_curves(back) == write_curves(cpf)
 
 
@@ -255,7 +265,8 @@ def test_cli_example_refuses_curves_it_cannot_write(options, message,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run(["example", "--y", 1, "--out", out] + options) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message} ")
+    assert re.match(f"error: (alpha|beta): {message} at curve ind",
+                    capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -274,13 +285,14 @@ def test_cli_analyze_reports_generic_position_violation(tmp_path, capsys):
     assert centre["kind"] == "CuspidalEdge"
 
 
-def test_cli_analyze_forbidden_configuration_exits_1(tmp_path, capsys):
+def _curves_file(net, tmp_path):
     curves = tmp_path / "c.json"
-    cpf = CurvePairFile(
-        alpha_offset=-1, beta_offset=-1,
-        alpha=np.array([[-0.1, -0.1, 1.1], [0.0, 0.0, 1.0], [0.1, 0.0, 1.0]]),
-        beta=np.array([[0.1, 0.05, 0.0], [0.0, 0.0, 0.0], [0.2, 0.1, 0.0]]))
-    curves.write_bytes(write_curves(cpf))
+    curves.write_bytes(write_curves(CurvePairFile(net.alpha, net.beta)))
+    return curves
+
+
+def test_cli_analyze_forbidden_configuration_exits_1(tmp_path, capsys):
+    curves = _curves_file(four_edge_net(), tmp_path)
     report = tmp_path / "r.json"
     assert _run(["analyze", "--curves", curves, "--report", report]) == 1
     doc = json.loads(report.read_bytes())
@@ -301,12 +313,57 @@ def test_cli_analyze_degenerate_metric_exits_3(tmp_path, capsys):
     assert doc["validations"]["degenerate_quads"][0]["quad"] == [-1, -1]
 
 
+@pytest.mark.parametrize("h", [0.005, 0.0025])
+def test_cli_analyze_fine_parabolic_grids_at_default_tolerances(h, tmp_path,
+                                                                capsys):
+    # Omega shrinks like h^2 on the 401^2 and 801^2 nets, and so does its
+    # dead zone: refining the grid leaves no quad degenerate
+    a, b, _ = parabolic_points(h)
+    curves = _curves_file(ConormalNet(PolyCurve(a), PolyCurve(b)), tmp_path)
+    assert _run(["analyze", "--curves", curves,
+                 "--report", tmp_path / "r.json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_validate(tmp_path, capsys):
     curves = tmp_path / "c.json"
     assert _run(["example", "--y", 1, "--out", curves]) == 0
     assert _run(["validate", "--curves", curves]) == 0
     out = capsys.readouterr().out
     assert "ok:" in out and "2 singular edges" in out
+
+
+def test_cli_validate_reports_admissibility(tmp_path, capsys):
+    curves = _curves_file(four_edge_net(), tmp_path)
+    assert _run(["validate", "--curves", curves]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "generic position: planes beta+ and beta- coincide at vertex (0, 0)",
+        "admissibility: vertex (0, 0): 4 incident singular edges"]
+    curves = _curves_file(round_off_forbidden_net(), tmp_path)
+    assert _run(["validate", "--curves", curves,
+                 "--tol", 0, "--metric-eps", 0]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "admissibility: vertex (0, 0): forbidden quadrant configuration"]
+
+
+def test_cli_mesh_inadmissible_net(tmp_path, capsys):
+    # --singular auto refuses the net; --singular none meshes it without
+    # analysis or singular chains
+    net = four_edge_net()
+    curves = _curves_file(net, tmp_path)
+    obj = tmp_path / "m.obj"
+    assert _run(["mesh", "--curves", curves, "--out", obj,
+                 "--subdiv", 2]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "admissibility: vertex (0, 0): 4 incident singular edges at an "
+        "interior vertex",
+        "generic position: planes beta+ and beta- coincide at vertex (0, 0)"]
+    assert not obj.exists()
+    assert _run(["mesh", "--curves", curves, "--out", obj, "--subdiv", 2,
+                 "--singular", "none"]) == 0
+    want = tmp_path / "want.obj"
+    export_obj(tessellate(integrate_net(net), 2, []), want)
+    assert obj.read_bytes() == want.read_bytes()
 
 
 def test_cli_mesh(tmp_path):
@@ -498,6 +555,18 @@ def test_cli_oracle_parabolic(tmp_path):
     assert _run(["oracle", "--pair", "parabolic", "--grid", 101,
                  "--report", report2]) == 0
     assert report.read_bytes() == report2.read_bytes()
+
+
+def test_cli_oracle_tol_option(tmp_path):
+    report = tmp_path / "o.json"
+    assert _run(["oracle", "--pair", "parabolic", "--grid", 41,
+                 "--tol", 1e-6, "--report", report]) == 0
+    pair = builtin_pair("parabolic")
+    chains = trace_singular_curve(pair, 41, 1e-6)
+    points = [p for c in chains for p in find_swallowtails(pair, c)]
+    assert report.read_bytes() == write_report(
+        report_from_oracle("parabolic", 41, 1e-6, chains, points))
+    assert json.loads(report.read_bytes())["tolerances"] == {"trace_tol": 1e-6}
 
 
 def test_cli_oracle_symmetric_pair_exits_3(tmp_path, capsys):

@@ -15,7 +15,8 @@ from diams.singularity import (SingularVertex, _quadrant_signature,
                                halfplane_grid, triple_product)
 
 from _helpers import (example_net, parabolic_points, random_admissible_net,
-                      random_net_candidate, random_unimodular, transformed_net)
+                      random_net_candidate, random_unimodular,
+                      round_off_forbidden_net, transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -148,6 +149,7 @@ def test_halfplane_equivalence_on_examples_and_random_nets(rng):
             for j in range(u_res.shape[1]):
                 edge = EdgeIndex("u", dom.u_min + i, dom.v_min + 1 + j)
                 assert u_res[i, j] == (edge in singular)
+                assert halfplane_edge_test(net, edge) == bool(u_res[i, j])
 
 
 def _near_parallel_net(rng, n=9):
@@ -332,6 +334,23 @@ def test_classify_boundary_vertices_unclassified():
         if sv.vertex != (0, 0):
             assert sv.configuration == Configuration.BOUNDARY
             assert sv.kind == Kind.UNCLASSIFIED
+
+
+def test_analyze_records_forbidden_quadrant_configuration():
+    net = round_off_forbidden_net()
+    analysis = analyze_net(net, tol=0.0, eps_degenerate=0.0)
+    assert analysis.metric.omega((0, -1)) == pytest.approx(-4.7e-18, rel=0.01)
+    assert analysis.admissibility_violations == [
+        ((0, 0), "forbidden quadrant configuration")]
+    centre = next(sv for sv in analysis.vertices if sv.vertex == (0, 0))
+    assert centre.incident_singular_edges == {EdgeIndex("u", -1, 0),
+                                              EdgeIndex("v", 0, 0)}
+    assert centre.configuration == Configuration.INADMISSIBLE
+    assert centre.kind == Kind.UNCLASSIFIED
+    assert analysis.polylines == [] and not analysis.clean
+    # at the default dead zones the round-off quad is degenerate instead
+    with pytest.raises(DegenerateMetric, match=r"quad \(0, -1\)"):
+        analyze_net(net)
 
 
 def test_star_sidedness_examples():
