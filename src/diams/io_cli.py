@@ -29,7 +29,7 @@ from .errors import (DegenerateDirection, DegenerateMetric,
                      ValidationError)
 from .net_core import (ConormalNet, PolyCurve, integrate_net,
                        validate_generic_position)
-from .singularity import (Configuration, admissibility_check, analyze_net,
+from .singularity import (Configuration, NetAnalysis, analyze_net,
                           metric_field, singular_edges, singular_vertices)
 from .smooth_oracle import (BUILTIN_PAIRS, builtin_pair, find_swallowtails,
                             omega_smooth_grid, trace_singular_curve)
@@ -52,7 +52,7 @@ def _dump_float(x):
 
 
 def _dump_dict(obj):
-    return "{" + ",".join(f"{json.dumps(k)}:{_dump(v)}"
+    return "{" + ",".join(f"{encode_basestring_ascii(k)}:{_dump(v)}"
                           for k, v in sorted(obj.items())) + "}"
 
 
@@ -322,28 +322,27 @@ def _cmd_analyze(args):
         analysis = analyze_net(net, tol=args.tol, eps_degenerate=args.metric_eps)
     except DegenerateMetric as e:
         quad = getattr(e, "quad", None)
-        report = {
-            "smooth": False,
-            "tolerances": {"sign_tol": args.tol,
-                           "degenerate_metric_eps": args.metric_eps,
-                           "scale": net.scale},
-            "omega": [], "singular_edges": [], "vertices": [], "polylines": [],
-            "validations": {"generic_position": [], "admissibility": [],
-                            "degenerate_quads": [{
-                                "quad": _quad_key(quad) if quad else None,
-                                "detail": str(e)}]},
-        }
-        _write(args.report, write_report(report))
+        empty = NetAnalysis(net=net, f=None, metric=None, edges=[],
+                            vertices=[], polylines=[], generic_violations=[],
+                            admissibility_violations=[])
+        _write(args.report, write_report(report_from_analysis(
+            empty, args.tol, args.metric_eps, degenerate_quads=[{
+                "quad": _quad_key(quad) if quad else None,
+                "detail": str(e)}])))
         raise
     _write(args.report, write_report(
         report_from_analysis(analysis, args.tol, args.metric_eps)))
-    if not analysis.clean:
-        for g in analysis.generic_violations:
-            print(f"generic position: {g.describe()}", file=sys.stderr)
-        for v, reason in analysis.admissibility_violations:
-            print(f"admissibility: vertex {v}: {reason}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_violations(analysis)
+
+
+def _print_violations(analysis):
+    """Print an analysis' violations to stderr in the report's order,
+    generic position first; the exit code, 1 if there are any."""
+    for g in analysis.generic_violations:
+        print(f"generic position: {g.describe()}", file=sys.stderr)
+    for v, reason in analysis.admissibility_violations:
+        print(f"admissibility: vertex {v}: {reason}", file=sys.stderr)
+    return 0 if analysis.clean else 1
 
 
 def _cmd_validate(args):
@@ -361,11 +360,6 @@ def _cmd_validate(args):
                   f"{len(sv.incident_singular_edges)} incident singular edges",
                   file=sys.stderr)
             failures += 1
-        elif (net.domain.is_interior_vertex(*sv.vertex)
-              and not admissibility_check(net, sv, args.tol)):
-            print(f"admissibility: vertex {sv.vertex}: forbidden quadrant "
-                  "configuration", file=sys.stderr)
-            failures += 1
     if failures:
         return 1
     print(f"ok: {net.domain.nu}x{net.domain.nv} vertices, "
@@ -382,11 +376,7 @@ def _cmd_mesh(args):
     if args.singular == "auto":
         analysis = analyze_net(net, tol=args.tol,
                                eps_degenerate=args.metric_eps)
-        if not analysis.clean:
-            for v, reason in analysis.admissibility_violations:
-                print(f"admissibility: vertex {v}: {reason}", file=sys.stderr)
-            for g in analysis.generic_violations:
-                print(f"generic position: {g.describe()}", file=sys.stderr)
+        if _print_violations(analysis):
             return 1
         f = analysis.f
         chains = analysis.polylines

@@ -171,6 +171,43 @@ class GridDomain:
                 yield (u, v)
 
 
+def walk_chains(links):
+    """Maximal chains of a graph whose nodes have at most two links.
+
+    links maps every node to its (neighbour, link key) pairs, each link
+    listed at both ends under one hashable key.  Open chains start at the
+    degree-1 nodes in sorted order, then each loop at the smallest node
+    that still has an unused link; every step takes the first neighbour
+    over an unused link.  Returns (nodes, link keys, closed) per chain in
+    that order; a closed chain repeats its start node at the end.
+    """
+    used = set()
+
+    def walk(start):
+        nodes, keys = [start], []
+        current = start
+        while True:
+            step = next(((nb, key) for nb, key in links[current]
+                         if key not in used), None)
+            if step is None:
+                return nodes, keys, False
+            current, key = step
+            used.add(key)
+            nodes.append(current)
+            keys.append(key)
+            if current == start:
+                return nodes, keys, True
+
+    chains = []
+    for node in sorted(node for node, nbs in links.items() if len(nbs) == 1):
+        if links[node][0][1] not in used:   # else the end of a walked chain
+            chains.append(walk(node))
+    for node in sorted(links):
+        while any(key not in used for _, key in links[node]):
+            chains.append(walk(node))
+    return chains
+
+
 def characteristic_scale(alpha_points, beta_points):
     """Largest absolute coordinate over both curves; weights tolerances."""
     return max(float(np.abs(alpha_points).max()),

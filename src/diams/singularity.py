@@ -13,6 +13,9 @@ through the single predicate
 with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
+The four cross signs [n, alpha'+-, beta'+-] at a vertex are read as
+Omega's signs on its four quads, so the signs that classify a vertex are
+the ones that made its edges singular.
 ``_kernels.orient_terms`` holds orient's determinant and dead zone once,
 for the scalar predicate, the batched ``halfplane_grid``, the
 generic-position check and the metric grid alike, so Omega is judged by
@@ -30,7 +33,7 @@ from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
 from .net_core import (integrate_net, require_finite,
-                       validate_generic_position)
+                       validate_generic_position, walk_chains)
 
 
 class Configuration(str, Enum):
@@ -97,6 +100,11 @@ def orient(n, x, y, tol=1e-9):
     d, mag = _kernels.orient_terms(float(n[0]), float(n[1]), float(n[2]),
                                    float(x[0]), float(x[1]), float(x[2]),
                                    float(y[0]), float(y[1]), float(y[2]))
+    return _decided_sign(d, mag, tol)
+
+
+def _decided_sign(d, mag, tol):
+    """orient's sign of one (det, magnitude) pair from orient_terms."""
     if abs(d) > tol * mag:
         return 1 if d > 0.0 else -1
     require_finite(mag, "orientation test")
@@ -301,7 +309,10 @@ def singular_vertices(edges, domain):
 
     Interior vertices with other than two incident singular edges are
     flagged Inadmissible immediately; everything else is left for
-    classify_vertex.
+    classify_vertex.  This two-edge rule is the pipeline's whole
+    admissibility test: the quadrant test reads the signs of Omega on the
+    four quads around the vertex, and with two singular edges it cannot
+    fail.
     """
     incident = defaultdict(set)
     for se in edges:
@@ -328,9 +339,9 @@ def _quadrant_signature(n0, line_a, line_b, w, tol, what):
             _orient_strict(n0, line_b, w, tol, f"{what} vs second line"))
 
 
-def _vertex_frame(net, u0, v0):
-    """Co-normal and the four incident curve derivatives as float triples:
-    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
+def _curve_points(net, u0, v0):
+    """[alpha(u0-1), alpha(u0), alpha(u0+1)] and [beta(v0-1), beta(v0),
+    beta(v0+1)] as float triples."""
     alpha, beta = net.alpha, net.beta
     i = u0 - alpha.offset
     j = v0 - beta.offset
@@ -338,8 +349,14 @@ def _vertex_frame(net, u0, v0):
             and 0 < j < beta.points.shape[0] - 1):
         raise IndexOutOfDomain(
             f"vertex ({u0}, {v0}) lacks a curve neighbour on some side")
-    am, a0, ap = alpha.points[i - 1:i + 2].tolist()
-    bm, b0, bp = beta.points[j - 1:j + 2].tolist()
+    return (alpha.points[i - 1:i + 2].tolist(),
+            beta.points[j - 1:j + 2].tolist())
+
+
+def _vertex_frame(net, u0, v0):
+    """Co-normal and the four incident curve derivatives as float triples:
+    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
+    (am, a0, ap), (bm, b0, bp) = _curve_points(net, u0, v0)
     return ((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
             (ap[0] - a0[0], ap[1] - a0[1], ap[2] - a0[2]),
             (a0[0] - am[0], a0[1] - am[1], a0[2] - am[2]),
@@ -347,15 +364,30 @@ def _vertex_frame(net, u0, v0):
             (b0[0] - bm[0], b0[1] - bm[1], b0[2] - bm[2]))
 
 
-def _cross_signs(n0, a_plus, a_minus, b_plus, b_minus, tol):
-    """orient(n0, a, b) for a in (alpha'+, alpha'-), b in (beta'+, beta'-),
-    in the order ++, +-, -+, --.  Zeros are kept; every other orientation
-    among these four directions (swapped or negated arguments) is one of
-    these values up to an exact sign flip."""
-    return (orient(n0, a_plus, b_plus, tol),
-            orient(n0, a_plus, b_minus, tol),
-            orient(n0, a_minus, b_plus, tol),
-            orient(n0, a_minus, b_minus, tol))
+def _cross_signs(net, u0, v0, tol):
+    """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),
+    b in (beta'+, beta'-), in the order ++, +-, -+, --, and the four
+    Omega they are read from.
+
+    By column reduction each cross sign is the sign of Omega on the quad
+    on the sides of a and b: (u0, v0), (u0, v0-1), (u0-1, v0),
+    (u0-1, v0-1).  Each is evaluated in that quad's own frame, with
+    omega_grid's subtractions, so Omega and its dead zone are bit for bit
+    those of the metric grid and the signs are the ones singular_edges
+    compared.  Zeros are kept; every other orientation among the four
+    directions (swapped or negated arguments) is one of these values up
+    to an exact sign flip."""
+    (am, a0, ap), (bm, b0, bp) = _curve_points(net, u0, v0)
+    signs, omegas = [], []
+    for a, a1 in ((a0, ap), (am, a0)):
+        for b, b1 in ((b0, bp), (bm, b0)):
+            d, mag = _kernels.orient_terms(
+                a[0] - b[0], a[1] - b[1], a[2] - b[2],
+                a1[0] - a[0], a1[1] - a[1], a1[2] - a[2],
+                b1[0] - b[0], b1[1] - b[1], b1[2] - b[2])
+            signs.append(_decided_sign(d, mag, tol))
+            omegas.append(d)
+    return tuple(signs), omegas
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -396,18 +428,23 @@ def _admissible_signatures(cross, axes, where):
 
 
 def admissibility_check(net, vertex, tol=1e-9):
-    """Reject the forbidden quadrant configuration at a singular vertex.
+    """False when a singular vertex's incoming and outgoing directions
+    share a quadrant (the forbidden configuration).
 
     With a singular v-edge present, the projected directions towards
     beta(v0-1) and beta(v0+1), namely -beta'(v0-1/2) and +beta'(v0+1/2),
     must not share a quadrant of the lines spanned by alpha'(u0 +- 1/2);
     with a singular u-edge the roles of the curves are exchanged.  Both
-    tests are applied when edges of both axes are present.
+    tests are applied when edges of both axes are present.  The quadrant
+    signatures are the signs of Omega on the four quads around the
+    vertex, so on the net's own singular edges the test fails only where
+    both u-edges (with a v-edge) or both v-edges (with a u-edge) are
+    singular, which singular_vertices already flags.
     """
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
-    cross = _cross_signs(*_vertex_frame(net, u0, v0), tol)
+    cross, _ = _cross_signs(net, u0, v0, tol)
     axes = {e.axis for e in vertex.incident_singular_edges}
     return _admissible_signatures(cross, axes, vertex.vertex) is not None
 
@@ -552,22 +589,22 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
 # vertex classification
 # ---------------------------------------------------------------------------
 
-def _edge_contrast(net, edge):
-    """|Omega difference| across an edge."""
-    lo, hi = edge.adjacent_quads()
-    return abs(omega_quad(net, lo) - omega_quad(net, hi))
-
-
-def _pick_base_edge(net, vertex, singular_edge_set=None):
+def _pick_base_edge(vertex, omegas, by_contrast):
     """Singular v-edge when present, otherwise the u-edge with the larger
-    metric contrast; ties broken by edge key for determinism.  The A/B/C
-    outcome must not depend on this choice (property-tested)."""
+    metric contrast |Omega difference| across it (when by_contrast), read
+    from the four quad metrics of _cross_signs; ties broken by edge key
+    for determinism.  The A/B/C outcome must not depend on this choice
+    (property-tested)."""
     edges = sorted(vertex.incident_singular_edges)
     v_edges = [e for e in edges if e.axis == "v"]
     if v_edges:
         return v_edges[0]
-    if singular_edge_set:
-        return max(edges, key=lambda e: (_edge_contrast(net, e), tuple(e)))
+    if by_contrast:
+        def contrast(e):
+            # the u+ edge separates quads ++ and +-, the u- edge -+ and --
+            k = 0 if e.u == vertex.vertex[0] else 2
+            return abs(omegas[k] - omegas[k + 1]), tuple(e)
+        return max(edges, key=contrast)
     return edges[0]
 
 
@@ -588,6 +625,9 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     Every orientation among the frame directions is read from one table of
     six signs; since orient flips exactly under swapping or negating an
     argument, this gives the same signs as evaluating each test on its own.
+    The four cross signs of the table are Omega's signs on the four quads
+    around the vertex (_cross_signs); the two others, alpha'+ against
+    alpha'- and beta'+ against beta'-, are read in the vertex frame.
     singular_edge_set, when given, holds the net's singular edges; then
     the base edge between two u-edges is the one of larger metric contrast.
     """
@@ -600,16 +640,15 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} incident singular edges")
-    frame = _vertex_frame(net, u0, v0)
-    n0, a_plus, a_minus, b_plus, b_minus = frame
-    cross = _cross_signs(*frame, tol)
+    n0, a_plus, a_minus, b_plus, b_minus = _vertex_frame(net, u0, v0)
+    cross, omegas = _cross_signs(net, u0, v0, tol)
     axes = {e.axis for e in vertex.incident_singular_edges}
     sigs = _admissible_signatures(cross, axes, vertex.vertex)
     if sigs is None:
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) is in the forbidden configuration")
 
-    base = _pick_base_edge(net, vertex, singular_edge_set)
+    base = _pick_base_edge(vertex, omegas, bool(singular_edge_set))
     sig_out, sig_in = sigs[base.axis]
     antipodal = sig_in == (-sig_out[0], -sig_out[1])
 
@@ -696,50 +735,17 @@ def extract_polylines(vertices, edges, domain):
         if sv.configuration == Configuration.INADMISSIBLE:
             raise InadmissibleVertex(
                 f"vertex {sv.vertex} is inadmissible; no polyline structure")
-    incident = defaultdict(list)
-    for se in edges:
-        for vert in se.edge.endpoints():
-            incident[vert].append(se.edge)
-    for vert, inc in incident.items():
+    links = defaultdict(list)
+    for e in sorted(se.edge for se in edges):
+        a, b = e.endpoints()
+        links[a].append((b, e))
+        links[b].append((a, e))
+    for vert, inc in links.items():
         if domain.is_interior_vertex(*vert) and len(inc) != 2:
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {len(inc)} singular edges")
-    for inc in incident.values():
-        inc.sort()
-    visited = set()
-
-    def walk(start):
-        verts = [start]
-        chain = []
-        current = start
-        while True:
-            nxt = [e for e in incident[current] if e not in visited]
-            if not nxt:
-                break
-            e = nxt[0]
-            visited.add(e)
-            chain.append(e)
-            a, b = e.endpoints()
-            current = b if current == a else a
-            verts.append(current)
-            if current == start:
-                break
-        return verts, chain
-
-    chains = []
-    for vert in sorted(v for v, inc in incident.items() if len(inc) == 1):
-        if all(e in visited for e in incident[vert]):
-            continue
-        verts, chain = walk(vert)
-        chains.append(_canonical_open(verts, chain))
-    remaining = sorted({e.edge for e in edges} - visited)
-    while remaining:
-        start = min(remaining[0].endpoints())
-        verts, chain = walk(start)
-        if not chain:
-            break
-        chains.append(_canonical_loop(verts, chain))
-        remaining = sorted({e.edge for e in edges} - visited)
+    chains = [(_canonical_loop if closed else _canonical_open)(verts, chain)
+              for verts, chain, closed in walk_chains(links)]
     chains.sort(key=lambda c: c.vertices)
     return chains
 
@@ -780,18 +786,10 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
                             "singular edges at an interior vertex"))
             classified.append(sv)
             continue
-        try:
-            classified.append(classify_vertex(net, f, sv, tol,
-                                              singular_edge_set=edges))
-        except InadmissibleVertex:
-            admissibility.append((sv.vertex, "forbidden quadrant configuration"))
-            classified.append(replace(
-                sv, configuration=Configuration.INADMISSIBLE,
-                kind=Kind.UNCLASSIFIED))
-    if any(sv.configuration == Configuration.INADMISSIBLE for sv in classified):
-        polylines = []
-    else:
-        polylines = extract_polylines(classified, edges, net.domain)
+        classified.append(classify_vertex(net, f, sv, tol,
+                                          singular_edge_set=edges))
+    polylines = ([] if admissibility
+                 else extract_polylines(classified, edges, net.domain))
     return NetAnalysis(net=net, f=f, metric=metric,
                        edges=sorted(edges, key=lambda se: tuple(se.edge)),
                        vertices=classified, polylines=polylines,

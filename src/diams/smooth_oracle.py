@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import det3
 from .errors import (DegenerateDirection, NonGenericCell, NonGenericChain,
                      OutOfRange, ValidationError)
-from .net_core import PolyCurve
+from .net_core import PolyCurve, walk_chains
 
 
 @dataclass(frozen=True)
@@ -260,47 +260,12 @@ def _link_chains(segments, crossings):
     """Join segments between edge-crossing keys into chains: open chains
     from their sorted end keys first, then closed loops, all sorted by
     their first point."""
-    link = defaultdict(list)
-    for a, b in segments:
-        link[a].append(b)
-        link[b].append(a)
-
-    used = set()
-
-    def follow(start):
-        keys = [start]
-        prev = None
-        current = start
-        while True:
-            nxt = [k for k in link[current] if k != prev]
-            nxt = [k for k in nxt
-                   if (current, k) not in used and (k, current) not in used]
-            if not nxt:
-                return keys, False
-            used.add((current, nxt[0]))
-            prev, current = current, nxt[0]
-            keys.append(current)
-            if current == start:
-                return keys, True
-
-    chains = []
-    endpoints = sorted(k for k, nb in link.items() if len(nb) == 1)
-    for start in endpoints:
-        if any((start, k) in used or (k, start) in used for k in link[start]):
-            continue
-        keys, closed = follow(start)
-        chains.append(SmoothChain(np.array([crossings[k] for k in keys]),
-                                  closed))
-    leftover = sorted(k for k in link
-                      if any((k, n) not in used and (n, k) not in used
-                             for n in link[k]))
-    while leftover:
-        keys, closed = follow(leftover[0])
-        chains.append(SmoothChain(np.array([crossings[k] for k in keys]),
-                                  closed))
-        leftover = sorted(k for k in link
-                          if any((k, n) not in used and (n, k) not in used
-                                 for n in link[k]))
+    links = defaultdict(list)
+    for k, (a, b) in enumerate(segments):
+        links[a].append((b, k))
+        links[b].append((a, k))
+    chains = [SmoothChain(np.array([crossings[key] for key in keys]), closed)
+              for keys, _, closed in walk_chains(links)]
     chains.sort(key=lambda c: (c.points[0, 0], c.points[0, 1]))
     return chains
 

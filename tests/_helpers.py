@@ -30,14 +30,15 @@ def four_edge_net():
                             [0.2, 0.1, 0.0]]), -1))
 
 
-def round_off_forbidden_net():
+def round_off_net():
     """Three-point curves whose central vertex (0, 0) carries two singular
-    edges at zero dead zones (tol = metric eps = 0) and still fails the
-    quadrant test.  alpha'+ and beta'- project parallel along nu(0, 0), so
-    Omega of quad (0, -1) is 0 up to round-off: its own frame rounds it to
-    -4.7e-18, while orient(nu(0, 0), alpha'+, beta'-) in the vertex frame
-    rounds to the other sign, and the vertex's four cross signs form the
-    checkerboard that the quadrant test forbids."""
+    edges at zero dead zones (tol = metric eps = 0).  alpha'+ and beta'-
+    project parallel along nu(0, 0), so Omega of quad (0, -1) is 0 up to
+    round-off: its own frame rounds it to -4.7e-18, while
+    orient(nu(0, 0), alpha'+, beta'-) in the vertex frame rounds to the
+    other sign.  Read in the vertex frame, the four cross signs form the
+    checkerboard that the quadrant test forbids; read from the quads'
+    Omega, they cannot."""
     return ConormalNet(
         PolyCurve(np.array([[0.45, 0.06, 1.28], [0.0, 0.0, 1.0],
                             [-0.09, 0.35, 0.65]]), -1),
@@ -110,6 +111,33 @@ def is_admissible(net, tol=1e-9):
     except (DegenerateMetric, DegenerateOrientation):
         return False
     return True
+
+
+def generate_admissible(rng, n=21, omega_floor=None):
+    """Criterion 3's nets: random perturbed smooth samplings,
+    rejection-sampled on generic position, metric non-degeneracy and the
+    quadrant hypothesis; with omega_floor also on
+    |Omega| > omega_floor * scale^3 on every quad."""
+    while True:
+        try:
+            net = random_net_candidate(rng, n)
+        except ValidationError:
+            continue
+        if validate_generic_position(net):
+            continue
+        try:
+            metric = metric_field(net)
+            if omega_floor is not None and not (
+                    np.abs(metric.values) > omega_floor * net.scale ** 3).all():
+                continue
+            edges = singular_edges(metric)
+            verts = singular_vertices(edges, net.domain)
+            if all(admissibility_check(net, sv)
+                   for sv in verts
+                   if net.domain.is_interior_vertex(*sv.vertex)):
+                return net, metric, edges, verts
+        except (DegenerateMetric, DegenerateOrientation):
+            continue
 
 
 def random_admissible_net(rng, n=21, max_tries=50):

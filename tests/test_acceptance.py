@@ -8,22 +8,19 @@ import pytest
 
 from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    analyze_net, integrate_net, omega_quad)
-from diams.errors import DegenerateMetric, DegenerateOrientation, ValidationError
 from diams.io_cli import (example_curve_pair, parse_curves,
                           report_from_analysis, run_cli, write_curves,
                           write_report)
 from diams.net_core import (quad_closure_residual,
-                            star_planarity_residual_grid,
-                            validate_generic_position)
-from diams.singularity import (admissibility_check, halfplane_grid,
-                               metric_field, singular_edges,
-                               singular_vertices)
+                            star_planarity_residual_grid)
+from diams.singularity import halfplane_grid
 from diams.surface_mesh import (compatibility_residual, patch_for_quad,
                                 export_obj, tessellate)
 
-from _helpers import (densify, example_net, one_sided_hausdorff,
-                      parabolic_points, parse_obj, random_net_candidate,
-                      random_unimodular, transformed_net)
+from _helpers import (densify, example_net, generate_admissible,
+                      one_sided_hausdorff, parabolic_points, parse_obj,
+                      random_net_candidate, random_unimodular,
+                      transformed_net)
 
 EXPECTED = {
     -0.5: (Configuration.A, Kind.CUSPIDAL_EDGE,
@@ -44,32 +41,6 @@ def _centered_analysis(net):
     dom = net.domain
     centre = (dom.u_min + dom.nu // 2, dom.v_min + dom.nv // 2)
     return analyze_net(net, base_vertex=centre)
-
-
-def _generate_admissible(rng, n=21, omega_floor=None):
-    """Random perturbed smooth sampling, rejection-sampled on generic
-    position, metric non-degeneracy and the quadrant hypothesis; with
-    omega_floor also on |Omega| > omega_floor * scale^3 on every quad."""
-    while True:
-        try:
-            net = random_net_candidate(rng, n)
-        except ValidationError:
-            continue
-        if validate_generic_position(net):
-            continue
-        try:
-            metric = metric_field(net)
-            if omega_floor is not None and not (
-                    np.abs(metric.values) > omega_floor * net.scale ** 3).all():
-                continue
-            edges = singular_edges(metric)
-            verts = singular_vertices(edges, net.domain)
-            if all(admissibility_check(net, sv)
-                   for sv in verts
-                   if net.domain.is_interior_vertex(*sv.vertex)):
-                return net, metric, edges, verts
-        except (DegenerateMetric, DegenerateOrientation):
-            continue
 
 
 def test_criterion_1_worked_example_reproduction():
@@ -113,7 +84,7 @@ def test_criterion_3_proposition_suites_on_random_nets(rng):
     t0 = time.perf_counter()
     n_edges = n_vertices = n_classified = 0
     for _ in range(1000):
-        net, metric, edges, verts = _generate_admissible(rng)
+        net, metric, edges, verts = generate_admissible(rng)
         dom = net.domain
         # Prop: halfplane orientation test == metric sign flip, every edge
         v_res, u_res, v_zero, u_zero = halfplane_grid(net)
@@ -204,7 +175,7 @@ def test_criterion_5_structural_residuals(rng):
              for a, b, _ in map(parabolic_points, (0.2, 0.1, 0.05, 0.025))]
     # random test nets: reject metrics within 1e-5 scale^3 of zero, where
     # float64 cannot resolve Omega^2 to 1e-10 relative
-    nets += [_generate_admissible(rng, omega_floor=1e-5)[0]
+    nets += [generate_admissible(rng, omega_floor=1e-5)[0]
              for _ in range(100)]
     worst = {"moutard": 0.0, "closure": 0.0, "star": 0.0, "m": 0.0,
              "patch": 0.0}
@@ -272,7 +243,7 @@ def _signature(analysis):
 
 def test_criterion_6_invariance(rng):
     nets = [example_net(y) for y in (-0.5, -2.0, 1.0)]
-    nets.append(_generate_admissible(rng)[0])
+    nets.append(generate_admissible(rng)[0])
     maps_per_net = 25
     for net in nets:
         base = analyze_net(net)

@@ -21,7 +21,7 @@ from diams.surface_mesh import export_obj, tessellate
 from _helpers import (example_net, four_edge_net, parabolic_net,
                       parabolic_points, parse_obj, random_admissible_net,
                       reference_dump, reference_report_bytes,
-                      round_off_forbidden_net)
+                      round_off_net)
 
 
 def test_parse_curves_example_with_offsets():
@@ -339,11 +339,16 @@ def test_cli_validate_reports_admissibility(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "generic position: planes beta+ and beta- coincide at vertex (0, 0)",
         "admissibility: vertex (0, 0): 4 incident singular edges"]
-    curves = _curves_file(round_off_forbidden_net(), tmp_path)
+    # the round-off net passes at zero dead zones, where Omega of quad
+    # (0, -1) is -4.7e-18, and is degenerate at the defaults
+    curves = _curves_file(round_off_net(), tmp_path)
     assert _run(["validate", "--curves", curves,
-                 "--tol", 0, "--metric-eps", 0]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "admissibility: vertex (0, 0): forbidden quadrant configuration"]
+                 "--tol", 0, "--metric-eps", 0]) == 0
+    out, err = capsys.readouterr()
+    assert out == "ok: 3x3 vertices, 2 singular edges\n" and err == ""
+    assert _run(["validate", "--curves", curves]) == 3
+    assert _run(["analyze", "--curves", curves, "--report",
+                 tmp_path / "r.json", "--tol", 0, "--metric-eps", 0]) == 0
 
 
 def test_cli_mesh_inadmissible_net(tmp_path, capsys):
@@ -355,9 +360,9 @@ def test_cli_mesh_inadmissible_net(tmp_path, capsys):
     assert _run(["mesh", "--curves", curves, "--out", obj,
                  "--subdiv", 2]) == 1
     assert capsys.readouterr().err.splitlines() == [
+        "generic position: planes beta+ and beta- coincide at vertex (0, 0)",
         "admissibility: vertex (0, 0): 4 incident singular edges at an "
-        "interior vertex",
-        "generic position: planes beta+ and beta- coincide at vertex (0, 0)"]
+        "interior vertex"]
     assert not obj.exists()
     assert _run(["mesh", "--curves", curves, "--out", obj, "--subdiv", 2,
                  "--singular", "none"]) == 0

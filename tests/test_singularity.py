@@ -14,9 +14,9 @@ from diams.errors import (DegenerateMetric, DegenerateOrientation,
 from diams.singularity import (SingularVertex, _quadrant_signature,
                                halfplane_grid, triple_product)
 
-from _helpers import (example_net, parabolic_points, random_admissible_net,
-                      random_net_candidate, random_unimodular,
-                      round_off_forbidden_net, transformed_net)
+from _helpers import (example_net, generate_admissible, parabolic_points,
+                      random_admissible_net, random_net_candidate,
+                      random_unimodular, round_off_net, transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -336,21 +336,54 @@ def test_classify_boundary_vertices_unclassified():
             assert sv.kind == Kind.UNCLASSIFIED
 
 
-def test_analyze_records_forbidden_quadrant_configuration():
-    net = round_off_forbidden_net()
-    analysis = analyze_net(net, tol=0.0, eps_degenerate=0.0)
+def test_round_off_net_classifies_at_zero_dead_zones():
+    # the cross signs are Omega's own signs, so the vertex frame's
+    # round-off checkerboard no longer reaches the quadrant test
+    analysis = analyze_net(round_off_net(), tol=0.0, eps_degenerate=0.0)
     assert analysis.metric.omega((0, -1)) == pytest.approx(-4.7e-18, rel=0.01)
-    assert analysis.admissibility_violations == [
-        ((0, 0), "forbidden quadrant configuration")]
+    assert analysis.clean and analysis.admissibility_violations == []
     centre = next(sv for sv in analysis.vertices if sv.vertex == (0, 0))
     assert centre.incident_singular_edges == {EdgeIndex("u", -1, 0),
                                               EdgeIndex("v", 0, 0)}
-    assert centre.configuration == Configuration.INADMISSIBLE
-    assert centre.kind == Kind.UNCLASSIFIED
-    assert analysis.polylines == [] and not analysis.clean
-    # at the default dead zones the round-off quad is degenerate instead
-    with pytest.raises(DegenerateMetric, match=r"quad \(0, -1\)"):
-        analyze_net(net)
+    assert centre.configuration == Configuration.C
+    assert centre.kind == Kind.SWALLOWTAIL
+    assert len(analysis.polylines) == 1
+
+
+def _cross_from_diagnostics(diag):
+    """The cross signs ++, +-, -+, -- that classify_vertex read, recovered
+    from its quadrant signatures for the base edge's axis."""
+    sig_out = [1 if c == "+" else -1 for c in diag["sig_out"]]
+    sig_in = [1 if c == "+" else -1 for c in diag["sig_in"]]
+    if diag["base_edge"][0] == "v":     # out (++, -+), in -(+-, --)
+        return (sig_out[0], -sig_in[0], sig_out[1], -sig_in[1])
+    return (-sig_out[0], -sig_out[1], sig_in[0], sig_in[1])   # out -(++, +-)
+
+
+def test_cross_signs_are_the_quad_metric_signs(rng):
+    # at every interior pipeline vertex with two singular edges, the four
+    # cross signs are the signs of Omega on the quads (u0, v0), (u0, v0-1),
+    # (u0-1, v0), (u0-1, v0-1), so the quadrant test passes
+    cases = [(generate_admissible(rng)[0], 1e-9, 1e-9) for _ in range(25)]
+    cases.append((round_off_net(), 0.0, 0.0))
+    seen = 0
+    for net, tol, eps in cases:
+        metric = metric_field(net, eps)
+        edges = singular_edges(metric)
+        f = integrate_net(net)
+        for sv in singular_vertices(edges, net.domain):
+            if (not net.domain.is_interior_vertex(*sv.vertex)
+                    or len(sv.incident_singular_edges) != 2):
+                continue
+            u0, v0 = sv.vertex
+            assert admissibility_check(net, sv, tol) is True
+            out = classify_vertex(net, f, sv, tol, singular_edge_set=edges)
+            want = tuple(int(np.sign(metric.omega(q)))
+                         for q in ((u0, v0), (u0, v0 - 1),
+                                   (u0 - 1, v0), (u0 - 1, v0 - 1)))
+            assert _cross_from_diagnostics(out.diagnostics) == want
+            seen += 1
+    assert seen > 50
 
 
 def test_star_sidedness_examples():
