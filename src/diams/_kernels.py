@@ -3,9 +3,11 @@
 Every discrete decision of the pipeline is the sign of one determinant,
 [n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
 writes the same expression, bit for bit, with the six products that set
-orient's dead zone, for ``orient``, ``halfplane_grid``, the
-generic-position check and the metric grid.  The kernels' share
-of pipeline time shows in the per-layer output of
+orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
+``omega_grid`` and the two vertex-frame pairs of the generic-position
+check; its four cross pairs, and the cross signs of classification, read
+the metric grid that ``ConormalNet.omega_terms`` computes once per net.
+The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
 """

@@ -424,6 +424,14 @@ def _finite_float(text):
     return x
 
 
+def _tolerance(text):
+    """argparse type: a finite float >= 0; below 0 no dead zone is left."""
+    if (x := _finite_float(text)) < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is negative; a tolerance must be >= 0")
+    return x
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="diams",
@@ -435,8 +443,8 @@ def build_parser():
     p = sub.add_parser("analyze", help="detect and classify singularities")
     p.add_argument("--curves", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=_finite_float,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_tolerance,
                    default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_analyze)
 
@@ -445,15 +453,15 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--subdiv", type=int, required=True)
     p.add_argument("--singular", choices=("auto", "none"), default="auto")
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=_finite_float,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_tolerance,
                    default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_mesh)
 
     p = sub.add_parser("validate", help="check a curve pair without analyzing")
     p.add_argument("--curves", required=True)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
-    p.add_argument("--metric-eps", type=_finite_float,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--metric-eps", type=_tolerance,
                    default=DEFAULT_METRIC_EPS)
     p.set_defaults(func=_cmd_validate)
 
@@ -468,7 +476,7 @@ def build_parser():
     p.add_argument("--pair", choices=BUILTIN_PAIRS, required=True)
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--report", required=True)
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -13,6 +13,7 @@ which makes the integration path independent.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,16 +56,17 @@ def half_index(x):
 class PolyCurve:
     """Integer-indexed polygonal line in R^3.
 
-    Point i is ``points[i - offset]``; indices run over
-    offset, offset+1, ..., offset+len(points)-1, all below 2^52 in
-    absolute value.
+    Point i is ``points[i - offset]``, a read-only copy (nets cache grids
+    computed from the points); indices run over offset, offset+1, ...,
+    offset+len(points)-1, all below 2^52 in absolute value.
     """
 
     points: np.ndarray
     offset: int = 0
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64, order="C")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValidationError("curve points must form an (n, 3) array")
@@ -242,6 +244,16 @@ class ConormalNet:
                 f"({i + dom.u_min}, {j + dom.v_min}): "
                 f"|nu| = {np.ldexp(norms[i, j], exponent):.3e}")
 
+    @cached_property
+    def omega_terms(self):
+        """Read-only grids of Omega and its dead-zone magnitudes over the
+        quads, from the lower-left one; computed once per net."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _kernels.omega_grid(self.alpha.points, self.beta.points)
+        for grid in terms:
+            grid.flags.writeable = False
+        return terms
+
     def nu_grid(self):
         """Full (nu, nv, 3) array of co-normal vectors."""
         return (self.alpha.points[:, None, :]
@@ -417,9 +429,11 @@ def validate_generic_position(net, tol=1e-9):
     The planes through alpha(u +- 1) and beta(v +- 1) are span(nu, x) for
     the frame directions x = alpha'(u +- 1/2), beta'(v +- 1/2), with
     nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
-    at tol: |[nu, x, y]| is not above tol times the sum of the absolute
-    values of its six products.  Returns the list of violations; an empty
-    list means the net is in generic position.
+    at tol >= 0: |[nu, x, y]| is not above tol times the sum of the absolute
+    values of its six products.  Only (alpha+, alpha-) and (beta+, beta-)
+    are evaluated in the vertex frame; by column reduction each cross pair
+    is Omega on one of the vertex's quads, read from net.omega_terms.
+    Returns the list of violations, empty when the net is generic.
     """
     dom = net.domain
     if dom.nu < 3 or dom.nv < 3:
@@ -431,21 +445,26 @@ def validate_generic_position(net, tol=1e-9):
     a0 = a[:, 1:-1, None]
     b0 = b[:, None, 1:-1]
     n = a0 - b0
-    dirs = (a[:, 2:, None] - a0, a0 - a[:, :-2, None],
-            b[:, None, 2:] - b0, b0 - b[:, None, :-2])
+    w, w_mag = net.omega_terms
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d, mag = _kernels.orient_terms(*n, *dirs[i], *dirs[j])
-                undecided = ~(np.abs(d) > tol * mag)
-                if not undecided.any():
-                    continue
-                # mag (3rd powers) overflowing to inf or nan reads undecided
-                require_finite(mag, "generic-position test")
-                for ui, vi in np.argwhere(undecided).tolist():
-                    out.append(GenericPositionViolation(
-                        vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
-                        plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))
+        tests = [((0, 1), *_kernels.orient_terms(
+                     *n, *(a[:, 2:, None] - a0), *(a0 - a[:, :-2, None]))),
+                 ((2, 3), *_kernels.orient_terms(
+                     *n, *(b[:, None, 2:] - b0), *(b0 - b[:, None, :-2])))]
+        # a cross pair is Omega on the quad on the sides of its two planes
+        for i, rows in ((0, np.s_[1:]), (1, np.s_[:-1])):
+            for j, cols in ((2, np.s_[1:]), (3, np.s_[:-1])):
+                tests.append(((i, j), w[rows, cols], w_mag[rows, cols]))
+        for (i, j), d, mag in tests:
+            undecided = ~(np.abs(d) > tol * mag)
+            if not undecided.any():
+                continue
+            # mag (3rd powers) overflowing to inf or nan reads undecided
+            require_finite(mag, "generic-position test")
+            for ui, vi in np.argwhere(undecided).tolist():
+                out.append(GenericPositionViolation(
+                    vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
+                    plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))
     out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     return out

@@ -13,13 +13,15 @@ through the single predicate
 with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
-The four cross signs [n, alpha'+-, beta'+-] at a vertex are read as
-Omega's signs on its four quads, so the signs that classify a vertex are
-the ones that made its edges singular.
+The four cross signs [n, alpha'+-, beta'+-] at a vertex are Omega's signs
+on its four quads, read from the grid that ``ConormalNet.omega_terms``
+computes once per net.  The metric field and the four cross pairs of the
+generic-position check read that grid too, so the signs that classify a
+vertex are the ones that made its edges singular; only alpha'+ against
+alpha'- and beta'+ against beta'- are evaluated in the vertex frame.
 ``_kernels.orient_terms`` holds orient's determinant and dead zone once,
-for the scalar predicate, the batched ``halfplane_grid``, the
-generic-position check and the metric grid alike, so Omega is judged by
-the same relative dead zone as every other sign.
+so Omega is judged by the same relative dead zone as every other sign.
+Tolerances must be >= 0: a negative one leaves no dead zone.
 """
 
 from collections import defaultdict
@@ -141,9 +143,8 @@ class MetricField:
         return float(self.values[u - self.domain.u_min, v - self.domain.v_min])
 
     def items(self):
-        for (u, v) in self.domain.quads():
-            yield (u, v), float(self.values[u - self.domain.u_min,
-                                            v - self.domain.v_min])
+        for quad in self.domain.quads():
+            yield quad, self.omega(quad)
 
 
 def omega_quad(net, quad):
@@ -161,10 +162,10 @@ def omega_quad(net, quad):
 
 
 def metric_field(net, eps_degenerate=1e-9):
-    """Evaluate Omega on all quads; abort when any quad's Omega falls in
-    orient's dead zone at eps_degenerate, where its sign means nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, mag = _kernels.omega_grid(net.alpha.points, net.beta.points)
+    """Omega on all quads, read from the net's one read-only grid
+    (net.omega_terms); abort when any quad's Omega falls in orient's dead
+    zone at eps_degenerate >= 0, where its sign means nothing."""
+    values, mag = net.omega_terms
     bad = ~(np.abs(values) > eps_degenerate * mag)
     if bad.any():
         # an Omega or a magnitude overflowing to inf or nan reads undecided;
@@ -241,20 +242,13 @@ def halfplane_edge_test(net, edge, tol=1e-9):
     """
     u0, v0 = edge.u, edge.v
     n0 = net.conormal(u0, v0)
+    a, b = net.alpha.derivative(u0 + 0.5), net.beta.derivative(v0 + 0.5)
+    sp = _orient_strict(n0, a, b, tol, f"edge {edge} (+ side)")
     if edge.axis == "v":
-        sp = _orient_strict(n0, net.alpha.derivative(u0 + 0.5),
-                            net.beta.derivative(v0 + 0.5), tol,
-                            f"edge {edge} (+ side)")
-        sm = _orient_strict(n0, net.alpha.derivative(u0 - 0.5),
-                            net.beta.derivative(v0 + 0.5), tol,
-                            f"edge {edge} (- side)")
+        a = net.alpha.derivative(u0 - 0.5)
     else:
-        sp = _orient_strict(n0, net.alpha.derivative(u0 + 0.5),
-                            net.beta.derivative(v0 + 0.5), tol,
-                            f"edge {edge} (+ side)")
-        sm = _orient_strict(n0, net.alpha.derivative(u0 + 0.5),
-                            net.beta.derivative(v0 - 0.5), tol,
-                            f"edge {edge} (- side)")
+        b = net.beta.derivative(v0 - 0.5)
+    sm = _orient_strict(n0, a, b, tol, f"edge {edge} (- side)")
     return sp != sm
 
 
@@ -330,18 +324,9 @@ def singular_vertices(edges, domain):
     return out
 
 
-def _quadrant_signature(n0, line_a, line_b, w, tol, what):
-    """Pair of orientation signs of w against the two quadrant lines.
-
-    Scalar reference for the signatures that classification reads from
-    the vertex sign table."""
-    return (_orient_strict(n0, line_a, w, tol, f"{what} vs first line"),
-            _orient_strict(n0, line_b, w, tol, f"{what} vs second line"))
-
-
-def _curve_points(net, u0, v0):
-    """[alpha(u0-1), alpha(u0), alpha(u0+1)] and [beta(v0-1), beta(v0),
-    beta(v0+1)] as float triples."""
+def _vertex_frame(net, u0, v0):
+    """Co-normal and the four incident curve derivatives as float triples:
+    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
     alpha, beta = net.alpha, net.beta
     i = u0 - alpha.offset
     j = v0 - beta.offset
@@ -349,14 +334,8 @@ def _curve_points(net, u0, v0):
             and 0 < j < beta.points.shape[0] - 1):
         raise IndexOutOfDomain(
             f"vertex ({u0}, {v0}) lacks a curve neighbour on some side")
-    return (alpha.points[i - 1:i + 2].tolist(),
-            beta.points[j - 1:j + 2].tolist())
-
-
-def _vertex_frame(net, u0, v0):
-    """Co-normal and the four incident curve derivatives as float triples:
-    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
-    (am, a0, ap), (bm, b0, bp) = _curve_points(net, u0, v0)
+    am, a0, ap = alpha.points[i - 1:i + 2].tolist()
+    bm, b0, bp = beta.points[j - 1:j + 2].tolist()
     return ((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
             (ap[0] - a0[0], ap[1] - a0[1], ap[2] - a0[2]),
             (a0[0] - am[0], a0[1] - am[1], a0[2] - am[2]),
@@ -367,27 +346,20 @@ def _vertex_frame(net, u0, v0):
 def _cross_signs(net, u0, v0, tol):
     """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),
     b in (beta'+, beta'-), in the order ++, +-, -+, --, and the four
-    Omega they are read from.
+    Omega they are read from, at an interior vertex and tol >= 0.
 
     By column reduction each cross sign is the sign of Omega on the quad
     on the sides of a and b: (u0, v0), (u0, v0-1), (u0-1, v0),
-    (u0-1, v0-1).  Each is evaluated in that quad's own frame, with
-    omega_grid's subtractions, so Omega and its dead zone are bit for bit
-    those of the metric grid and the signs are the ones singular_edges
-    compared.  Zeros are kept; every other orientation among the four
-    directions (swapped or negated arguments) is one of these values up
-    to an exact sign flip."""
-    (am, a0, ap), (bm, b0, bp) = _curve_points(net, u0, v0)
-    signs, omegas = [], []
-    for a, a1 in ((a0, ap), (am, a0)):
-        for b, b1 in ((b0, bp), (bm, b0)):
-            d, mag = _kernels.orient_terms(
-                a[0] - b[0], a[1] - b[1], a[2] - b[2],
-                a1[0] - a[0], a1[1] - a[1], a1[2] - a[2],
-                b1[0] - b[0], b1[1] - b[1], b1[2] - b[2])
-            signs.append(_decided_sign(d, mag, tol))
-            omegas.append(d)
-    return tuple(signs), omegas
+    (u0-1, v0-1).  Omega and its dead zone are read from net.omega_terms,
+    so the signs are the ones singular_edges compared.  Zeros are kept;
+    every other orientation among the four directions (swapped or negated
+    arguments) is one of these values up to an exact sign flip."""
+    i = u0 - net.domain.u_min
+    j = v0 - net.domain.v_min
+    # the 2x2 block of quads around the vertex, read backwards: ++ first
+    w, w_mag = (g[i - 1:i + 1, j - 1:j + 1].ravel()[::-1].tolist()
+                for g in net.omega_terms)
+    return tuple(_decided_sign(d, m, tol) for d, m in zip(w, w_mag)), w
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -398,8 +370,9 @@ def _axis_signatures(cross, axis, where):
 
     For a v-edge these are the signatures of beta'+ and -beta'- against
     the lines alpha'+, alpha'-; for a u-edge those of alpha'+ and -alpha'-
-    against beta'+, beta'-.  Equal to _quadrant_signature on the frame,
-    read from the cross signs and raising on the same first zero."""
+    against beta'+, beta'-.  Equal to (orient(nu0, first line, w),
+    orient(nu0, second line, w)) for each direction w, read from the cross
+    signs and raising on the same first zero."""
     cpp, cpm, cmp_, cmm = cross
     if axis == "v":
         sigs = ((cpp, cmp_), (-cpm, -cmm))
@@ -542,8 +515,6 @@ def _star_sides_agree(f, u0, v0, n0, edge_pattern, tol):
     """Sidedness test on the integrated star at an interior vertex, with
     its four edge vectors read straight from f.positions; edge_pattern
     joins the sorted direction tags of the two singular star edges."""
-    if not f.domain.is_interior_vertex(u0, v0):
-        raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
     i = u0 - f.domain.u_min
     j = v0 - f.domain.v_min
     (_, pum, _), (pvm, p, pvp), (_, pup, _) = \

@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 
@@ -9,10 +10,10 @@ from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
                           NonGenericCell, ValidationError)
 from diams.io_cli import example_curve_pair
-from diams.net_core import validate_generic_position
-from diams.singularity import (Configuration, admissibility_check,
-                               metric_field, singular_edges,
-                               singular_vertices)
+from diams.net_core import _PLANE_LABELS, validate_generic_position
+from diams.singularity import (Configuration, _orient_strict, _vertex_frame,
+                               admissibility_check, metric_field, orient,
+                               singular_edges, singular_vertices)
 from diams.smooth_oracle import _bisect_edge, _link_chains, omega_smooth
 
 
@@ -149,6 +150,46 @@ def random_admissible_net(rng, n=21, max_tries=50):
         if is_admissible(net):
             return net
     raise RuntimeError("no admissible net found; generator needs retuning")
+
+
+def quadrant_signature(n0, line_a, line_b, w, tol, what):
+    """Pair of orientation signs of w against the two quadrant lines.
+
+    Scalar reference for the signatures that classification reads from
+    the vertex sign table."""
+    return (_orient_strict(n0, line_a, w, tol, f"{what} vs first line"),
+            _orient_strict(n0, line_b, w, tol, f"{what} vs second line"))
+
+
+def generic_position_frames(net, u, v, cross_on_quads):
+    """{(plane, plane): (nu, x, y)} over the six pairs of frame directions
+    x, y at the vertex (u, v), as float triples.  Without cross_on_quads
+    all six use the vertex's co-normal nu = alpha(u) - beta(v): that is
+    how the generic-position test was decided before its four cross pairs
+    were read from the metric grid, kept as the reference for that move.
+    With cross_on_quads each cross pair (alpha+-, beta+-) uses the
+    co-normal at the lower-left vertex of the quad on the sides of its
+    two planes, which is the metric grid's frame for that quad."""
+    n, *dirs = _vertex_frame(net, u, v)
+    frames = {}
+    for i, j in combinations(range(4), 2):
+        nu = n
+        if cross_on_quads and i < 2 <= j:
+            nu = tuple(net.conormal(u - i, v - (j - 2)).tolist())
+        frames[_PLANE_LABELS[i], _PLANE_LABELS[j]] = (nu, dirs[i], dirs[j])
+    return frames
+
+
+def scalar_generic_violations(net, tol, cross_on_quads):
+    """(vertex, plane, plane) wherever the scalar orient reads 0 on
+    generic_position_frames at a vertex with all four curve neighbours."""
+    dom = net.domain
+    return {((u, v), *planes)
+            for u in range(dom.u_min + 1, dom.u_max)
+            for v in range(dom.v_min + 1, dom.v_max)
+            for planes, frame in generic_position_frames(
+                net, u, v, cross_on_quads).items()
+            if orient(*frame, tol) == 0}
 
 
 def analyzed(net, **kw):

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, one printed line each."""
 
+import itertools
 import json
 import time
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
-                   analyze_net, integrate_net, omega_quad)
+                   analyze_net, integrate_net, omega_quad, orient)
 from diams.io_cli import (example_curve_pair, parse_curves,
                           report_from_analysis, run_cli, write_curves,
                           write_report)
@@ -118,6 +119,55 @@ def test_criterion_3_proposition_suites_on_random_nets(rng):
                    f"{n_edges} edges, two-edge property on {n_vertices} "
                    f"vertices, criteria agreement on {n_classified} "
                    f"classified vertices in {elapsed:.1f} s")
+
+
+def test_criterion_3_exhaustive_sign_tables():
+    # every frame alpha'+-, beta'+- on four distinct lines through the
+    # origin of the plane normal to nu = (0, 0, 1): the lines at angles 0,
+    # pi/4, pi/2, 3pi/4 in every order and orientation, 4! * 2^4 frames.
+    # The centre's outcome depends only on its six frame signs.
+    lines = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0)]
+    outcomes = {}
+    frames = 0
+    for order in itertools.permutations(lines):
+        for signs in itertools.product((1, -1), repeat=4):
+            ap, am, bp, bm = (s * np.array(x, dtype=float)
+                              for s, x in zip(signs, order))
+            a = np.array([-am, [0.0, 0.0, 0.0], ap]) + [0.0, 0.0, 1.0]
+            b = np.array([-bm, [0.0, 0.0, 0.0], bp])
+            analysis = analyze_net(ConormalNet(PolyCurve(a, -1),
+                                               PolyCurve(b, -1)))
+            assert not analysis.generic_violations
+            table = tuple(orient((0, 0, 1), x, y) for x, y in (
+                (ap, am), (bp, bm), (ap, bp), (ap, bm), (am, bp), (am, bm)))
+            centre = [sv for sv in analysis.vertices if sv.vertex == (0, 0)]
+            out = None
+            if centre:
+                sv, = centre
+                out = (len(sv.incident_singular_edges), sv.configuration,
+                       sv.kind, sv.diagnostics.get("edge_pattern"),
+                       sv.diagnostics.get("star_sidedness"))
+            assert outcomes.setdefault(table, out) == out
+            frames += 1
+    assert frames == 384 and len(outcomes) == 48
+    two = [o for o in outcomes.values() if o is not None and o[0] == 2]
+    counts = {c: sum(o[1] == c for o in two) for c in Configuration}
+    assert len(two) == 32
+    assert (counts[Configuration.A], counts[Configuration.B],
+            counts[Configuration.C]) == (16, 8, 8)
+    for _, config, kind, pattern, sidedness in two:
+        assert (config == Configuration.A) == (pattern in ("u+u-", "v+v-"))
+        assert (config == Configuration.C) == (kind == Kind.SWALLOWTAIL) \
+            == sidedness
+    assert sum(o is None for o in outcomes.values()) == 8
+    four = [o for o in outcomes.values() if o is not None and o[0] == 4]
+    assert len(four) == 8
+    assert all(o[1] == Configuration.INADMISSIBLE for o in four)
+    _line(3, True, f"{frames} exact frames: {len(outcomes)} sign tables, "
+                   f"{len(two)} two-edge centres (A/B/C "
+                   f"{counts[Configuration.A]}/{counts[Configuration.B]}/"
+                   f"{counts[Configuration.C]}), {len(four)} four-edge, "
+                   f"8 without a singular centre")
 
 
 def test_criterion_4_convergence_to_smooth_oracle():

@@ -518,6 +518,31 @@ def test_cli_non_finite_options_are_usage_errors(command, option, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-300"])
+@pytest.mark.parametrize("command,option", [
+    ("analyze", "--tol"), ("analyze", "--metric-eps"),
+    ("mesh", "--tol"), ("mesh", "--metric-eps"),
+    ("validate", "--tol"), ("validate", "--metric-eps"),
+    ("oracle", "--tol")])
+def test_cli_negative_tolerances_are_usage_errors(command, option, value,
+                                                  tmp_path, capsys):
+    # a negative tolerance leaves no dead zone, so Omega = 0 would pass
+    # the metric check; 0 itself stays a valid tolerance
+    curves = tmp_path / "c.json"
+    curves.write_bytes(write_curves(example_curve_pair(1.0)))
+    out = tmp_path / "out"
+    args = {"analyze": ["--curves", curves, "--report", out],
+            "mesh": ["--curves", curves, "--out", out, "--subdiv", 2],
+            "validate": ["--curves", curves],
+            "oracle": ["--pair", "parabolic", "--report", out]}[command]
+    assert _run([command] + args + [f"{option}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: '{value}' is negative; a tolerance must " \
+        "be >= 0" in err
+    assert not out.exists()
+    assert _run([command] + args + [f"{option}=0"]) == 0
+
+
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert _run(["analyze", "--curves", tmp_path / "none.json",
                  "--report", tmp_path / "r.json"]) == 2

@@ -7,14 +7,15 @@ from diams import (ConormalNet, GridDomain, PolyCurve, conormal,
                    discrete_derivative, integrate_net, metric_field,
                    moutard_residual, star_planarity_residual,
                    validate_generic_position)
+from diams._kernels import orient_terms
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
-from diams.net_core import (_PLANE_LABELS, lelieuvre_u_edge,
-                            lelieuvre_v_edge, moutard_residual_grid,
-                            quad_closure_residual,
+from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
+                            moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid)
-from diams.singularity import _vertex_frame, orient
+from diams.singularity import _vertex_frame
 
-from _helpers import (example_net, parabolic_points, random_net_candidate,
+from _helpers import (example_net, generic_position_frames, parabolic_points,
+                      random_net_candidate, scalar_generic_violations,
                       transformed_net)
 
 
@@ -288,27 +289,11 @@ def test_generic_position_reports_are_sorted_and_described():
     assert "coincide" in hits[0].describe()
 
 
-def _scalar_generic_violations(net, tol):
-    """(vertex, plane, plane) wherever the scalar orient on the vertex
-    frame's directions reads 0."""
-    out = set()
-    for u in range(net.domain.u_min + 1, net.domain.u_max):
-        for v in range(net.domain.v_min + 1, net.domain.v_max):
-            n, *dirs = _vertex_frame(net, u, v)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if orient(n, dirs[i], dirs[j], tol) == 0:
-                        out.add(((u, v), _PLANE_LABELS[i], _PLANE_LABELS[j]))
-    return out
-
-
-def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):
-    # plant one curve point so that its frame direction at a vertex lies
-    # in span(nu, y) for another frame direction y, up to a relative
-    # offset swept across the dead-zone band; the batched check must flag
-    # exactly the pairs on which the scalar orient reads 0
-    flagged = decided = 0
-    for _ in range(120):
+def _planted_nets(rng, count=120):
+    """Random 6x6 nets with one curve point planted so that its frame
+    direction at a vertex lies in span(nu, y) for another frame direction
+    y, up to a relative offset swept across the dead-zone band."""
+    for _ in range(count):
         net = random_net_candidate(rng, n=6)
         a, b = net.alpha.points.copy(), net.beta.points.copy()
         i, j = (int(k) for k in rng.integers(1, 5, size=2))
@@ -331,11 +316,43 @@ def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):
             net = ConormalNet(PolyCurve(a), PolyCurve(b))
         except ValidationError:
             continue
+        yield net
+
+
+def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):
+    # the batched check must flag exactly the pairs on which the scalar
+    # orient reads 0, each cross pair in its quad's frame
+    flagged = decided = 0
+    for net in _planted_nets(rng):
         for tol in (1e-9, 1e-8):
-            want = _scalar_generic_violations(net, tol)
+            want = scalar_generic_violations(net, tol, cross_on_quads=True)
             got = {(g.vertex, g.plane_a, g.plane_b)
                    for g in validate_generic_position(net, tol)}
             assert got == want
         flagged += bool(want)
         decided += not want
     assert flagged > 20 and decided > 20
+
+
+def test_generic_position_moves_only_between_the_frames_dead_zones(rng):
+    # reading a cross pair on its quad instead of the vertex frame keeps
+    # [nu, x, y] in exact arithmetic and changes only the six products of
+    # the dead zone, so a verdict may move only where |d| lies between the
+    # two frames' thresholds
+    moved = 0
+    for net in _planted_nets(rng):
+        for tol in (1e-9, 1e-8):
+            new = {(g.vertex, g.plane_a, g.plane_b)
+                   for g in validate_generic_position(net, tol)}
+            old = scalar_generic_violations(net, tol, cross_on_quads=False)
+            for vertex, *planes in new ^ old:
+                terms = []
+                for on_quads in (False, True):
+                    nu, x, y = generic_position_frames(
+                        net, *vertex, on_quads)[tuple(planes)]
+                    terms.append(orient_terms(*nu, *x, *y))
+                low, high = sorted(tol * mag for _, mag in terms)
+                for d, _ in terms:
+                    assert low <= abs(d) <= high
+                moved += 1
+    assert moved > 0

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
-                   admissibility_check, analyze_net, classify_vertex,
-                   extract_polylines, halfplane_edge_test, integrate_net,
-                   m_from_positions, metric_field, omega_quad, orient,
-                   ray_crossing_test, singular_edges, singular_vertices,
-                   star_sidedness_test)
+                   _kernels, admissibility_check, analyze_net,
+                   classify_vertex, extract_polylines, halfplane_edge_test,
+                   integrate_net, m_from_positions, metric_field, omega_quad,
+                   orient, ray_crossing_test, singular_edges,
+                   singular_vertices, star_sidedness_test,
+                   validate_generic_position)
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
                           InadmissibleVertex, ValidationError)
-from diams.singularity import (SingularVertex, _quadrant_signature,
-                               halfplane_grid, triple_product)
+from diams.singularity import SingularVertex, halfplane_grid, triple_product
 
 from _helpers import (example_net, generate_admissible, parabolic_points,
-                      random_admissible_net, random_net_candidate,
-                      random_unimodular, round_off_net, transformed_net)
+                      quadrant_signature, random_admissible_net,
+                      random_net_candidate, random_unimodular, round_off_net,
+                      transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -386,6 +387,31 @@ def test_cross_signs_are_the_quad_metric_signs(rng):
     assert seen > 50
 
 
+def test_omega_grid_runs_once_per_net(monkeypatch):
+    # generic position, the metric, the cross signs and the whole pipeline
+    # all read the one (Omega, mag) grid of the net
+    calls = []
+    kernel = _kernels.omega_grid
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return kernel(alpha, beta)
+
+    monkeypatch.setattr(_kernels, "omega_grid", counted)
+    net = example_net(1.0)
+    assert validate_generic_position(net) == []
+    metric = metric_field(net)
+    centre, = [sv for sv in singular_vertices(singular_edges(metric),
+                                              net.domain)
+               if sv.vertex == (0, 0)]
+    assert admissibility_check(net, centre) is True
+    assert analyze_net(net).clean
+    assert len(calls) == 1
+    assert not metric.values.flags.writeable
+    with pytest.raises(ValueError):
+        metric.values[0, 0] = 1.0
+
+
 def test_star_sidedness_examples():
     for y, expected in ((-0.5, False), (-2.0, False), (1.0, True)):
         net = example_net(y)
@@ -555,7 +581,6 @@ def test_classification_projection_independent(rng):
 def test_base_edge_choice_does_not_change_configuration(rng):
     # for mixed-axis vertices both quadrant tests must reject A, so the
     # configuration is decided by the base-independent crossing test
-    from diams.singularity import _quadrant_signature
     seen = 0
     for _ in range(40):
         net = random_admissible_net(rng, n=13)
@@ -571,10 +596,10 @@ def test_base_edge_choice_does_not_change_configuration(rng):
             bm = net.beta.derivative(v0 - 0.5)
             for lines, w_out, w_in in (((ap, am), bp, -bm),
                                        ((bp, bm), ap, -am)):
-                sig_out = _quadrant_signature(n0, lines[0], lines[1], w_out,
-                                              1e-9, "test")
-                sig_in = _quadrant_signature(n0, lines[0], lines[1], w_in,
+                sig_out = quadrant_signature(n0, lines[0], lines[1], w_out,
                                              1e-9, "test")
+                sig_in = quadrant_signature(n0, lines[0], lines[1], w_in,
+                                            1e-9, "test")
                 assert sig_in != (-sig_out[0], -sig_out[1])
             seen += 1
     assert seen > 20
@@ -641,17 +666,17 @@ def _sig(sig):
 
 
 def _admissible_reference(net, u0, v0, axes):
-    """The quadrant rule of admissibility_check, by _quadrant_signature."""
+    """The quadrant rule of admissibility_check, by quadrant_signature."""
     n0, ap, am, bp, bm = _frame_vectors(net, u0, v0)
     at = f"at {(u0, v0)}"
     for axis, lines, w_out, w_in, names in (
             ("v", (ap, am), bp, -bm, ("beta'+", "-beta'-")),
             ("u", (bp, bm), ap, -am, ("alpha'+", "-alpha'-"))):
         if axis in axes:
-            if (_quadrant_signature(n0, *lines, w_out, 1e-9,
-                                    f"{names[0]} {at}")
-                    == _quadrant_signature(n0, *lines, w_in, 1e-9,
-                                           f"{names[1]} {at}")):
+            if (quadrant_signature(n0, *lines, w_out, 1e-9,
+                                   f"{names[0]} {at}")
+                    == quadrant_signature(n0, *lines, w_in, 1e-9,
+                                          f"{names[1]} {at}")):
                 return False
     return True
 
@@ -702,9 +727,9 @@ def test_classify_matches_scalar_predicates(rng):
                 lines, w_out, w_in = (ap, am), bp, -bm
             else:
                 lines, w_out, w_in = (bp, bm), ap, -am
-            assert diag["sig_out"] == _sig(_quadrant_signature(
+            assert diag["sig_out"] == _sig(quadrant_signature(
                 n0, *lines, w_out, 1e-9, "test"))
-            assert diag["sig_in"] == _sig(_quadrant_signature(
+            assert diag["sig_in"] == _sig(quadrant_signature(
                 n0, *lines, w_in, 1e-9, "test"))
             assert diag["crossing_ab"] == ray_crossing_test(n0, -am, ap,
                                                             -bm, bp)
