@@ -4,9 +4,10 @@ Every discrete decision of the pipeline is the sign of one determinant,
 [n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
 writes the same expression, bit for bit, with the six products that set
 orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
-``omega_grid`` and the two vertex-frame pairs of the generic-position
-check; its four cross pairs, and the cross signs of classification, read
-the metric grid that ``ConormalNet.omega_terms`` computes once per net.
+``omega_grid``, the vertex-frame grids ``frame_pair_grids`` and the star
+sidedness signs.  ``ConormalNet`` computes the two grids once per net
+(``omega_terms``, ``frame_terms``); generic position and classification
+read all six signs of every vertex from them.
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
@@ -47,13 +48,39 @@ def _as_points(arr):
 
 def omega_grid(alpha, beta):
     """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
-    for every quadrangle, indexed by lower-left corner: the grid of
-    Omega and the grid of its dead-zone magnitudes."""
+    for every quadrangle, indexed by lower-left corner: one array holding
+    the grid of Omega and the grid of its dead-zone magnitudes.
+
+    Nets keep the result, so it is allocated before the temporaries: a
+    long-lived grid placed between them keeps the freed heap from being
+    reused and raises the peak RSS of repeated runs by several MB."""
     a = _as_points(alpha).T
     b = _as_points(beta).T
+    out = np.empty((2, a.shape[1] - 1, b.shape[1] - 1))
     x = (a[:, 1:] - a[:, :-1])[:, :, None]
     y = (b[:, 1:] - b[:, :-1])[:, None, :]
-    return orient_terms(*(a[:, :-1, None] - b[:, None, :-1]), *x, *y)
+    out[0], out[1] = orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
+                                  *x, *y)
+    return out
+
+
+def frame_pair_grids(alpha, beta):
+    """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), alpha'(u-1/2)] and
+    of [alpha(u)-beta(v), beta'(v+1/2), beta'(v-1/2)] at every vertex with
+    both neighbours on each curve, indexed from the vertex (1, 1) of the
+    grid: one array of two (det, mag) pairs, allocated first as in
+    omega_grid."""
+    a = _as_points(alpha).T
+    b = _as_points(beta).T
+    a0 = a[:, 1:-1, None]
+    b0 = b[:, None, 1:-1]
+    out = np.empty((2, 2, a0.shape[1], b0.shape[2]))
+    n = a0 - b0
+    out[0, 0], out[0, 1] = orient_terms(*n, *(a[:, 2:, None] - a0),
+                                        *(a0 - a[:, :-2, None]))
+    out[1, 0], out[1, 1] = orient_terms(*n, *(b[:, None, 2:] - b0),
+                                        *(b0 - b[:, None, :-2]))
+    return out
 
 
 def integrate_positions(alpha, beta, iu, iv, base_point):

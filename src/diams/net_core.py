@@ -247,11 +247,23 @@ class ConormalNet:
     @cached_property
     def omega_terms(self):
         """Read-only grids of Omega and its dead-zone magnitudes over the
-        quads, from the lower-left one; computed once per net."""
+        quads, from the lower-left one, stacked in one array; computed once
+        per net."""
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _kernels.omega_grid(self.alpha.points, self.beta.points)
-        for grid in terms:
-            grid.flags.writeable = False
+        terms.flags.writeable = False
+        return terms
+
+    @cached_property
+    def frame_terms(self):
+        """Read-only (det, mag) grids of [nu, alpha'+, alpha'-] and
+        [nu, beta'+, beta'-] over the vertices with both neighbours on each
+        curve, from (u_min+1, v_min+1), stacked in one array; computed once
+        per net."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _kernels.frame_pair_grids(self.alpha.points,
+                                              self.beta.points)
+        terms.flags.writeable = False
         return terms
 
     def nu_grid(self):
@@ -431,31 +443,21 @@ def validate_generic_position(net, tol=1e-9):
     nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
     at tol >= 0: |[nu, x, y]| is not above tol times the sum of the absolute
     values of its six products.  Only (alpha+, alpha-) and (beta+, beta-)
-    are evaluated in the vertex frame; by column reduction each cross pair
-    is Omega on one of the vertex's quads, read from net.omega_terms.
-    Returns the list of violations, empty when the net is generic.
+    are evaluated in the vertex frame, read from net.frame_terms; by
+    column reduction each cross pair is Omega on one of the vertex's quads,
+    read from net.omega_terms.  Returns the list of violations, empty when
+    the net is generic.
     """
     dom = net.domain
-    if dom.nu < 3 or dom.nv < 3:
-        return []
-    # [x, y, z] component arrays over the (U, V) vertices with both
-    # neighbours on each curve, formed by the vertex frame's subtractions
-    a = net.alpha.points.T
-    b = net.beta.points.T
-    a0 = a[:, 1:-1, None]
-    b0 = b[:, None, 1:-1]
-    n = a0 - b0
+    (aa, aa_mag), (bb, bb_mag) = net.frame_terms
     w, w_mag = net.omega_terms
+    tests = [((0, 1), aa, aa_mag), ((2, 3), bb, bb_mag)]
+    # a cross pair is Omega on the quad on the sides of its two planes
+    for i, rows in ((0, np.s_[1:]), (1, np.s_[:-1])):
+        for j, cols in ((2, np.s_[1:]), (3, np.s_[:-1])):
+            tests.append(((i, j), w[rows, cols], w_mag[rows, cols]))
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        tests = [((0, 1), *_kernels.orient_terms(
-                     *n, *(a[:, 2:, None] - a0), *(a0 - a[:, :-2, None]))),
-                 ((2, 3), *_kernels.orient_terms(
-                     *n, *(b[:, None, 2:] - b0), *(b0 - b[:, None, :-2])))]
-        # a cross pair is Omega on the quad on the sides of its two planes
-        for i, rows in ((0, np.s_[1:]), (1, np.s_[:-1])):
-            for j, cols in ((2, np.s_[1:]), (3, np.s_[:-1])):
-                tests.append(((i, j), w[rows, cols], w_mag[rows, cols]))
         for (i, j), d, mag in tests:
             undecided = ~(np.abs(d) > tol * mag)
             if not undecided.any():

@@ -17,11 +17,23 @@ The four cross signs [n, alpha'+-, beta'+-] at a vertex are Omega's signs
 on its four quads, read from the grid that ``ConormalNet.omega_terms``
 computes once per net.  The metric field and the four cross pairs of the
 generic-position check read that grid too, so the signs that classify a
-vertex are the ones that made its edges singular; only alpha'+ against
-alpha'- and beta'+ against beta'- are evaluated in the vertex frame.
+vertex are the ones that made its edges singular.  The two others,
+alpha'+ against alpha'- and beta'+ against beta'-, are evaluated in the
+vertex frame, once per net as well (``ConormalNet.frame_terms``), and
+generic position reads the same grids.
 ``_kernels.orient_terms`` holds orient's determinant and dead zone once,
 so Omega is judged by the same relative dead zone as every other sign.
 Tolerances must be >= 0: a negative one leaves no dead zone.
+
+A two-edge vertex's configuration, kind and sign diagnostics depend only
+on these six signs, so they are read from a 64-entry table
+(``_SIGN_TABLE``) that the scalar branch logic (``_sign_outcome``) fills
+at import.  ``analyze_net`` gathers the six signs of all two-edge
+vertices from the two grids and classifies them in one batched pass;
+``classify_vertex`` computes them for one vertex and reads the same
+table.  Star sidedness is evaluated on its own, from the star edges that
+the Lelieuvre equations give, so no positions are integrated:
+``NetAnalysis.f`` integrates on first read.
 """
 
 from collections import defaultdict
@@ -34,7 +46,7 @@ import numpy as np
 from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import (integrate_net, require_finite,
+from .net_core import (_cross3, integrate_net, require_finite,
                        validate_generic_position, walk_chains)
 
 
@@ -99,10 +111,12 @@ def orient(n, x, y, tol=1e-9):
     the inputs and the predicate is homogeneous in each argument).  A
     product that overflows raises ValidationError instead of reading as 0.
     """
-    d, mag = _kernels.orient_terms(float(n[0]), float(n[1]), float(n[2]),
-                                   float(x[0]), float(x[1]), float(x[2]),
-                                   float(y[0]), float(y[1]), float(y[2]))
-    return _decided_sign(d, mag, tol)
+    return _float_orient(_t3(n), _t3(x), _t3(y), tol)
+
+
+def _float_orient(n, x, y, tol):
+    """orient on float triples."""
+    return _decided_sign(*_kernels.orient_terms(*n, *x, *y), tol)
 
 
 def _decided_sign(d, mag, tol):
@@ -289,13 +303,28 @@ def halfplane_grid(net, tol=1e-9):
 # singular vertices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class SingularVertex:
+    """A vertex on a singular edge.  Not frozen: its diagnostics dict is
+    mutable in any case, and a frozen __init__ (one object.__setattr__ per
+    field) costs about a microsecond per vertex."""
+
     vertex: tuple
     incident_singular_edges: frozenset
     configuration: Configuration = None
     kind: Kind = Kind.UNCLASSIFIED
     diagnostics: dict = field(default_factory=dict)
+
+
+def _incident_edges(edges, domain):
+    """(vertex, frozenset of its singular edges) for every domain vertex
+    on a singular edge, in vertex order."""
+    incident = defaultdict(set)
+    for se in edges:
+        for vert in se.edge.endpoints():
+            if domain.contains_vertex(*vert):
+                incident[vert].add(se.edge)
+    return [(vert, frozenset(incident[vert])) for vert in sorted(incident)]
 
 
 def singular_vertices(edges, domain):
@@ -308,20 +337,10 @@ def singular_vertices(edges, domain):
     four quads around the vertex, and with two singular edges it cannot
     fail.
     """
-    incident = defaultdict(set)
-    for se in edges:
-        for vert in se.edge.endpoints():
-            if domain.contains_vertex(*vert):
-                incident[vert].add(se.edge)
-    out = []
-    for vert in sorted(incident):
-        config = None
-        if domain.is_interior_vertex(*vert) and len(incident[vert]) != 2:
-            config = Configuration.INADMISSIBLE
-        out.append(SingularVertex(vertex=vert,
-                                  incident_singular_edges=frozenset(incident[vert]),
-                                  configuration=config))
-    return out
+    return [SingularVertex(vert, inc, Configuration.INADMISSIBLE
+                           if domain.is_interior_vertex(*vert)
+                           and len(inc) != 2 else None)
+            for vert, inc in _incident_edges(edges, domain)]
 
 
 def _vertex_frame(net, u0, v0):
@@ -357,9 +376,9 @@ def _cross_signs(net, u0, v0, tol):
     i = u0 - net.domain.u_min
     j = v0 - net.domain.v_min
     # the 2x2 block of quads around the vertex, read backwards: ++ first
-    w, w_mag = (g[i - 1:i + 1, j - 1:j + 1].ravel()[::-1].tolist()
-                for g in net.omega_terms)
-    return tuple(_decided_sign(d, m, tol) for d, m in zip(w, w_mag)), w
+    w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
+        2, 4)[:, ::-1].tolist()
+    return tuple([_decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -511,25 +530,18 @@ _STAR_SPLIT = {
     for i in range(4) for j in range(i + 1, 4)}
 
 
-def _star_sides_agree(f, u0, v0, n0, edge_pattern, tol):
-    """Sidedness test on the integrated star at an interior vertex, with
-    its four edge vectors read straight from f.positions; edge_pattern
-    joins the sorted direction tags of the two singular star edges."""
-    i = u0 - f.domain.u_min
-    j = v0 - f.domain.v_min
-    (_, pum, _), (pvm, p, pvp), (_, pup, _) = \
-        f.positions[i - 1:i + 2, j - 1:j + 2].tolist()
-    stars = ((pup[0] - p[0], pup[1] - p[1], pup[2] - p[2]),    # u+
-             (pum[0] - p[0], pum[1] - p[1], pum[2] - p[2]),    # u-
-             (pvp[0] - p[0], pvp[1] - p[1], pvp[2] - p[2]),    # v+
-             (pvm[0] - p[0], pvm[1] - p[1], pvm[2] - p[2]))    # v-
+def _star_sides_agree(n0, stars, edge_pattern, tol, where):
+    """Sidedness test on the star edge vectors (u+, u-, v+, v-) at the
+    vertex `where`, all in the plane normal to n0; edge_pattern joins the
+    sorted direction tags of the two singular star edges."""
     (i0, i1), plain = _STAR_SPLIT[edge_pattern]
     for k in plain:
-        s1 = orient(n0, stars[k], stars[i0], tol)
-        s2 = orient(n0, stars[k], stars[i1], tol)
+        s1 = _float_orient(n0, stars[k], stars[i0], tol)
+        s2 = _float_orient(n0, stars[k], stars[i1], tol)
         if s1 == 0 or s2 == 0:
             raise DegenerateOrientation(
-                f"zero orientation sign for sidedness at ({u0}, {v0})")
+                "zero orientation sign for sidedness at "
+                f"({where[0]}, {where[1]})")
         if s1 != s2:
             return False
     return True
@@ -539,9 +551,9 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     """Are both singular star edges on the same side of each line spanned
     by the two non-singular star edges?
 
-    All four star edge vectors lie in the plane normal to nu(u0, v0), so
-    sides are orientation signs against that normal.  True characterizes
-    the swallowtail star shape.
+    All four star edge vectors, read here from the integrated positions,
+    lie in the plane normal to nu(u0, v0), so sides are orientation signs
+    against that normal.  True characterizes the swallowtail star shape.
     """
     u0, v0 = vertex.vertex
     if not f.domain.is_interior_vertex(u0, v0):
@@ -550,37 +562,141 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} singular edges")
-    pattern = "".join(sorted(e.direction_at((u0, v0))
-                             for e in vertex.incident_singular_edges))
-    n0 = _t3(net.conormal(u0, v0))
-    return _star_sides_agree(f, u0, v0, n0, pattern, tol)
+    i = u0 - f.domain.u_min
+    j = v0 - f.domain.v_min
+    (_, pum, _), (pvm, p, pvp), (_, pup, _) = \
+        f.positions[i - 1:i + 2, j - 1:j + 2].tolist()
+    stars = [[q[0] - p[0], q[1] - p[1], q[2] - p[2]]
+             for q in (pup, pum, pvp, pvm)]
+    return _star_sides_agree(_t3(net.conormal(u0, v0)), stars,
+                             _edge_pattern(vertex), tol, (u0, v0))
 
 
 # ---------------------------------------------------------------------------
 # vertex classification
 # ---------------------------------------------------------------------------
 
-def _pick_base_edge(vertex, omegas, by_contrast):
-    """Singular v-edge when present, otherwise the u-edge with the larger
-    metric contrast |Omega difference| across it (when by_contrast), read
-    from the four quad metrics of _cross_signs; ties broken by edge key
-    for determinism.  The A/B/C outcome must not depend on this choice
-    (property-tested)."""
-    edges = sorted(vertex.incident_singular_edges)
-    v_edges = [e for e in edges if e.axis == "v"]
-    if v_edges:
-        return v_edges[0]
-    if by_contrast:
-        def contrast(e):
-            # the u+ edge separates quads ++ and +-, the u- edge -+ and --
-            k = 0 if e.u == vertex.vertex[0] else 2
-            return abs(omegas[k] - omegas[k + 1]), tuple(e)
-        return max(edges, key=contrast)
-    return edges[0]
+def _edge_pattern(vertex):
+    u0, v0 = vertex.vertex
+    return "".join(sorted(e.direction_at((u0, v0))
+                          for e in vertex.incident_singular_edges))
+
+
+def _base_edge(pattern, u0, v0, omegas):
+    """Key of the base edge: the singular v-edge (the v- one when both
+    are), otherwise the u-edge of larger metric contrast |Omega
+    difference| across it, from the four quad metrics of _cross_signs; a
+    tie picks u+, the larger key.  The A/B/C outcome does not depend on
+    this choice (property-tested)."""
+    if "v-" in pattern:
+        return ("v", u0, v0 - 1)
+    if "v+" in pattern:
+        return ("v", u0, v0)
+    # the u+ edge separates quads ++ and +-, the u- edge -+ and --
+    w_pp, w_pm, w_mp, w_mm = omegas
+    if abs(w_pp - w_pm) >= abs(w_mp - w_mm):
+        return ("u", u0, v0)
+    return ("u", u0 - 1, v0)
 
 
 def _sig_str(sig):
     return "".join("+" if s > 0 else "-" for s in sig)
+
+
+class _Outcome(NamedTuple):
+    """What a two-edge vertex's six signs decide: its configuration, its
+    kind and the sign diagnostics, edge_pattern first."""
+
+    configuration: Configuration
+    kind: Kind
+    diagnostics: dict
+
+
+def _sign_outcome(signs, pattern, where):
+    """Classify a two-edge vertex from its six signs (alpha'+ vs alpha'-,
+    beta'+ vs beta'-, then the cross signs ++, +-, -+, --) and its edge
+    pattern.  Raises DegenerateOrientation on the first zero sign a test
+    reads, InadmissibleVertex in the forbidden configuration."""
+    saa, sbb, cpp, cpm, cmp_, cmm = signs
+    cross = signs[2:]
+    axes = {pattern[0], pattern[2]}
+    sigs = _admissible_signatures(cross, axes, where)
+    if sigs is None:
+        raise InadmissibleVertex(f"vertex ({where[0]}, {where[1]}) is in "
+                                 "the forbidden configuration")
+    sig_out, sig_in = sigs["v" if "v" in axes else "u"]
+    antipodal = sig_in == (-sig_out[0], -sig_out[1])
+
+    # orient among the frame directions alpha'+, alpha'-, beta'+, beta'-
+    # numbered 0..3; it flips exactly under swapping or negating an argument
+    table = ((0, saa, cpp, cpm),
+             (-saa, 0, cmp_, cmm),
+             (-cpp, -cmp_, 0, sbb),
+             (-cpm, -cmm, -sbb, 0))
+
+    def s(x, y):
+        return x[1] * y[1] * table[x[0]][y[0]]
+
+    # rays as (frame direction, sign), so -alpha'- is (1, -1)
+    crossing_ab = _rays_cross(s, (1, -1), (0, 1), (3, -1), (2, 1))
+    crossing_sw = _rays_cross(s, (1, -1), (0, 1), (3, 1), (2, -1))
+    if antipodal:
+        config = Configuration.A
+    elif crossing_ab:
+        config = Configuration.B
+    else:
+        config = Configuration.C
+    kind = Kind.SWALLOWTAIL if crossing_sw else Kind.CUSPIDAL_EDGE
+    return _Outcome(config, kind, {"edge_pattern": pattern,
+                                   "sig_out": _sig_str(sig_out),
+                                   "sig_in": _sig_str(sig_in),
+                                   "crossing_ab": crossing_ab,
+                                   "crossing_swallowtail": crossing_sw})
+
+
+def _cross_pattern(cross):
+    """Edge pattern of the star edges across which the cross signs
+    (++, +-, -+, --) flip, or None unless exactly two do."""
+    cpp, cpm, cmp_, cmm = cross
+    # u+ separates quads ++ and +-, u- -+ and --, v+ -+ and ++, v- -- and +-
+    flips = (cpp != cpm, cmp_ != cmm, cpp != cmp_, cpm != cmm)
+    tags = [t for t, flip in zip(_STAR_TAGS, flips) if flip]
+    return "".join(tags) if len(tags) == 2 else None
+
+
+def _sign_key(signs):
+    """Table index of six nonzero signs: bit 5 - k is set when sign k is +."""
+    return sum(1 << (5 - k) for k, s in enumerate(signs) if s > 0)
+
+
+def _table_entry(key):
+    signs = tuple(1 if key >> (5 - k) & 1 else -1 for k in range(6))
+    pattern = _cross_pattern(signs[2:])
+    return None if pattern is None else _sign_outcome(signs, pattern, None)
+
+
+# the outcome of every nonzero sign key whose cross signs make exactly two
+# star edges singular, keyed by the pattern they make (None otherwise)
+_SIGN_TABLE = tuple(_table_entry(key) for key in range(64))
+_KEY_BITS = 1 << np.arange(5, -1, -1)
+
+
+def _side_pairs(entry):
+    """The (plain, singular) star edges of the four sidedness signs of
+    _star_sides_agree, in its order."""
+    if entry is None:
+        return (0, 0, 0, 0), (0, 0, 0, 0)
+    (i0, i1), (k0, k1) = _STAR_SPLIT[entry.diagnostics["edge_pattern"]]
+    return (k0, k0, k1, k1), (i0, i1, i0, i1)
+
+
+_SIDE_PAIRS = np.array([_side_pairs(entry) for entry in _SIGN_TABLE])
+
+
+def _classified(vertex, edges, outcome, sided, base):
+    return SingularVertex(vertex, edges, outcome.configuration, outcome.kind,
+                          {"base_edge": base, **outcome.diagnostics,
+                           "star_sidedness": sided})
 
 
 def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
@@ -593,74 +709,94 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     Kind: a swallowtail exactly when the projected alpha polyline crosses
     the origin-reflected beta polyline.
 
-    Every orientation among the frame directions is read from one table of
-    six signs; since orient flips exactly under swapping or negating an
-    argument, this gives the same signs as evaluating each test on its own.
-    The four cross signs of the table are Omega's signs on the four quads
-    around the vertex (_cross_signs); the two others, alpha'+ against
-    alpha'- and beta'+ against beta'-, are read in the vertex frame.
-    singular_edge_set, when given, holds the net's singular edges; then
-    the base edge between two u-edges is the one of larger metric contrast.
+    All of this depends only on six signs: alpha'+ against alpha'- and
+    beta'+ against beta'-, in the vertex frame, and the four cross signs,
+    Omega's signs on the four quads around the vertex (_cross_signs).
+    The outcome is read from a 64-entry table that _sign_outcome fills at
+    import; a zero sign, or an edge set other than the one the cross signs
+    make singular, runs _sign_outcome on the vertex itself.  The
+    star_sidedness diagnostic is evaluated on its own, on the star edges
+    nu0 x (alpha'+, -alpha'-, beta'+, -beta'-) of the integrated net, so
+    no positions are read: f and singular_edge_set are ignored.
     """
     u0, v0 = vertex.vertex
-    dom = net.domain
-    if not dom.is_interior_vertex(u0, v0):
+    if not net.domain.is_interior_vertex(u0, v0):
         return replace(vertex, configuration=Configuration.BOUNDARY,
                        kind=Kind.UNCLASSIFIED)
     if len(vertex.incident_singular_edges) != 2:
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} incident singular edges")
-    n0, a_plus, a_minus, b_plus, b_minus = _vertex_frame(net, u0, v0)
+    n0, ap, am, bp, bm = _vertex_frame(net, u0, v0)
     cross, omegas = _cross_signs(net, u0, v0, tol)
-    axes = {e.axis for e in vertex.incident_singular_edges}
-    sigs = _admissible_signatures(cross, axes, vertex.vertex)
-    if sigs is None:
-        raise InadmissibleVertex(
-            f"vertex ({u0}, {v0}) is in the forbidden configuration")
+    signs = (_float_orient(n0, ap, am, tol), _float_orient(n0, bp, bm, tol),
+             *cross)
+    pattern = _edge_pattern(vertex)
+    outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
+    if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
+        outcome = _sign_outcome(signs, pattern, vertex.vertex)
+    # the star edges u+, u-, v+, v- by the Lelieuvre equations
+    stars = [_cross3(n0, x) for x in (ap, [-c for c in am],
+                                      bp, [-c for c in bm])]
+    sided = _star_sides_agree(n0, stars, pattern, tol, vertex.vertex)
+    return _classified(vertex.vertex, vertex.incident_singular_edges,
+                       outcome, sided, _base_edge(pattern, u0, v0, omegas))
 
-    base = _pick_base_edge(vertex, omegas, bool(singular_edge_set))
-    sig_out, sig_in = sigs[base.axis]
-    antipodal = sig_in == (-sig_out[0], -sig_out[1])
 
-    cpp, cpm, cmp_, cmm = cross
-    saa = orient(n0, a_plus, a_minus, tol)
-    sbb = orient(n0, b_plus, b_minus, tol)
-    table = ((0, saa, cpp, cpm),
-             (-saa, 0, cmp_, cmm),
-             (-cpp, -cmp_, 0, sbb),
-             (-cpm, -cmm, -sbb, 0))
-
-    def s(x, y):
-        return x[1] * y[1] * table[x[0]][y[0]]
-
-    # rays as (frame direction, sign) over alpha'+, alpha'-, beta'+, beta'-
-    # numbered 0..3, so -alpha'- is (1, -1)
-    crossing_ab = _rays_cross(s, (1, -1), (0, 1), (3, -1), (2, 1))
-    crossing_sw = _rays_cross(s, (1, -1), (0, 1), (3, 1), (2, -1))
-
-    if antipodal:
-        config = Configuration.A
-    elif crossing_ab:
-        config = Configuration.B
-    else:
-        config = Configuration.C
-    kind = Kind.SWALLOWTAIL if crossing_sw else Kind.CUSPIDAL_EDGE
-
-    pattern = "".join(sorted(e.direction_at((u0, v0))
-                             for e in vertex.incident_singular_edges))
-    diagnostics = {
-        "base_edge": tuple(base),
-        "edge_pattern": pattern,
-        "sig_out": _sig_str(sig_out),
-        "sig_in": _sig_str(sig_in),
-        "crossing_ab": crossing_ab,
-        "crossing_swallowtail": crossing_sw,
-        "star_sidedness": _star_sides_agree(f, u0, v0, n0, pattern, tol),
-    }
-    return SingularVertex(vertex.vertex, vertex.incident_singular_edges,
-                          configuration=config, kind=kind,
-                          diagnostics=diagnostics)
+def _classify_rows(net, rows, tol):
+    """classify_vertex for the two-edge interior vertices `rows`, each a
+    (vertex, incident edges) pair, in one batched pass: the six signs come
+    from the net's grids, the outcome from the sign table, and star
+    sidedness from one orient_terms call.  A row with a sign in orient's
+    dead zone comes back None, for classify_vertex to decide."""
+    if not rows:
+        return []
+    dom = net.domain
+    nv = dom.nv
+    # flat indices: vertex (i, j) of the (nu, nv) grid, quad (i, j) of the
+    # (nu-1, nv-1) Omega grids, vertex (i-1, j-1) of the frame grids
+    flat = np.array([(u - dom.u_min) * nv + v - dom.v_min
+                     for (u, v), _ in rows])
+    i, j = np.divmod(flat, nv)
+    quad = flat - i
+    frame = quad[None] - i - (nv - 1)
+    # quads ++, +-, -+, -- around each vertex, as _cross_signs reads them
+    quads = quad - np.array([[0], [1], [nv - 1], [nv]])
+    w, w_mag = net.omega_terms
+    (aa, aa_mag), (bb, bb_mag) = net.frame_terms
+    omegas = w.take(quads)
+    d = np.concatenate([aa.take(frame), bb.take(frame), omegas])
+    mag = np.concatenate([aa_mag.take(frame), bb_mag.take(frame),
+                          w_mag.take(quads)])
+    key = _KEY_BITS @ (d > 0)
+    # alpha'+, -alpha'-, beta'+, -beta'- by the vertex frame's subtractions
+    # (x - y == -(y - x) exactly), as [x, y, z] component arrays
+    a, b = net.alpha.points, net.beta.points
+    a0, b0 = a.take(i, axis=0), b.take(j, axis=0)
+    n0 = (a0 - b0).T[:, None, :]
+    step = np.array([[1], [-1]])
+    dirs = np.concatenate([a.take(i + step, axis=0) - a0,
+                           b.take(j + step, axis=0) - b0]).transpose(2, 0, 1)
+    # component c of star edge k (u+, u-, v+, v-) of row r at [c, k * V + r]
+    stars = np.array(_cross3(n0, dirs)).reshape(3, -1)
+    pairs = _SIDE_PAIRS.take(key, axis=0).transpose(1, 2, 0)
+    px, py = pairs * len(rows) + np.arange(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd, sd_mag = _kernels.orient_terms(*n0, *stars.take(px, axis=1),
+                                           *stars.take(py, axis=1))
+        decided = ((np.abs(d) > tol * mag).all(axis=0)
+                   & (np.abs(sd) > tol * sd_mag).all(axis=0))
+    up = sd > 0
+    sided = (up[0] == up[1]) & (up[2] == up[3])
+    out = []
+    for (vert, edges), k, ok, side, quad_w in zip(
+            rows, key.tolist(), decided.tolist(), sided.tolist(),
+            omegas.T.tolist()):
+        outcome = _SIGN_TABLE[k]
+        out.append(None if not ok or outcome is None else _classified(
+            vert, edges, outcome, side, _base_edge(
+                outcome.diagnostics["edge_pattern"], *vert, quad_w)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -725,16 +861,37 @@ def extract_polylines(vertices, edges, domain):
 # whole-net orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass
+class _LazyPositions:
+    """NetAnalysis.f: the AsymptoticNet passed in, else
+    integrate_net(net, base_vertex) on first read, kept for later reads.
+    A data descriptor, so the dataclass field keeps its keyword."""
+
+    def __get__(self, analysis, owner=None):
+        if analysis is None:
+            return None                 # the field's default
+        if analysis.__dict__.get("_f") is None:
+            analysis.__dict__["_f"] = integrate_net(
+                analysis.net, base_vertex=analysis.base_vertex)
+        return analysis.__dict__["_f"]
+
+    def __set__(self, analysis, f):
+        analysis.__dict__["_f"] = f
+
+
+@dataclass(kw_only=True)
 class NetAnalysis:
+    """What analyze_net found on one net.  f, the integrated net, is
+    computed from base_vertex on first read unless it is passed in."""
+
     net: object
-    f: object
+    f: object = _LazyPositions()
     metric: MetricField
     edges: list
     vertices: list
     polylines: list
     generic_violations: list
     admissibility_violations: list
+    base_vertex: tuple = None
 
     @property
     def clean(self):
@@ -742,27 +899,44 @@ class NetAnalysis:
 
 
 def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
-    """Run the full singularity pipeline on one co-normal net."""
+    """Run the full singularity pipeline on one co-normal net.
+
+    Every two-edge interior vertex is classified in one batched pass
+    (_classify_rows).  Positions are not integrated here: the result's f
+    integrates from base_vertex on first read.
+    """
+    dom = net.domain
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
     edges = singular_edges(metric)
-    verts = singular_vertices(edges, net.domain)
-    f = integrate_net(net, base_vertex=base_vertex)
     admissibility = []
     classified = []
-    for sv in verts:
-        if sv.configuration == Configuration.INADMISSIBLE:
+    rows = []           # the two-edge interior vertices
+    slots = []          # their places in classified
+    for vert, inc in _incident_edges(edges, dom):
+        if not dom.is_interior_vertex(*vert):
+            classified.append(SingularVertex(vert, inc, Configuration.BOUNDARY,
+                                             Kind.UNCLASSIFIED))
+        elif len(inc) != 2:
             admissibility.append(
-                (sv.vertex, f"{len(sv.incident_singular_edges)} incident "
-                            "singular edges at an interior vertex"))
-            classified.append(sv)
-            continue
-        classified.append(classify_vertex(net, f, sv, tol,
-                                          singular_edge_set=edges))
+                (vert, f"{len(inc)} incident singular edges at an interior "
+                       "vertex"))
+            classified.append(SingularVertex(vert, inc,
+                                             Configuration.INADMISSIBLE))
+        else:
+            rows.append((vert, inc))
+            slots.append(len(classified))
+            classified.append(None)
+    for slot, (vert, inc), sv in zip(slots, rows,
+                                     _classify_rows(net, rows, tol)):
+        # None: a sign in the dead zone, decided (or raised) one by one
+        classified[slot] = sv or classify_vertex(
+            net, None, SingularVertex(vert, inc), tol)
     polylines = ([] if admissibility
-                 else extract_polylines(classified, edges, net.domain))
-    return NetAnalysis(net=net, f=f, metric=metric,
+                 else extract_polylines(classified, edges, dom))
+    return NetAnalysis(net=net, metric=metric,
                        edges=sorted(edges, key=lambda se: tuple(se.edge)),
                        vertices=classified, polylines=polylines,
                        generic_violations=generic,
-                       admissibility_violations=admissibility)
+                       admissibility_violations=admissibility,
+                       base_vertex=base_vertex)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diams import ConormalNet, PolyCurve, analyze_net
+from diams import ConormalNet, PolyCurve, _kernels, analyze_net
 from diams.errors import ParseError, ValidationError
 from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
                           parse_curves, report_from_analysis,
@@ -380,6 +380,25 @@ def test_cli_mesh(tmp_path):
     assert len(faces) == 4 * 128
     assert len(lines) == 1
     assert _run(["mesh", "--curves", curves, "--out", obj, "--subdiv", 0]) == 2
+
+
+def test_cli_integrates_positions_only_for_the_mesh(tmp_path, monkeypatch):
+    calls = []
+    kernel = _kernels.integrate_positions
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "integrate_positions", counted)
+    curves = tmp_path / "c.json"
+    assert _run(["example", "--y", 1, "--out", curves]) == 0
+    assert _run(["analyze", "--curves", curves,
+                 "--report", tmp_path / "r.json"]) == 0
+    assert calls == []
+    assert _run(["mesh", "--curves", curves, "--out", tmp_path / "m.obj",
+                 "--subdiv", 2, "--singular", "auto"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_mesh_overflowing_net_exits_1(tmp_path, capsys):

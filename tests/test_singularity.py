@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -10,11 +11,13 @@ from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    orient, ray_crossing_test, singular_edges,
                    singular_vertices, star_sidedness_test,
                    validate_generic_position)
+from diams import singularity
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          InadmissibleVertex, ValidationError)
+                          DiamsError, InadmissibleVertex, ValidationError)
 from diams.singularity import SingularVertex, halfplane_grid, triple_product
 
-from _helpers import (example_net, generate_admissible, parabolic_points,
+from _helpers import (example_net, generate_admissible, parabolic_net,
+                      parabolic_points,
                       quadrant_signature, random_admissible_net,
                       random_net_candidate, random_unimodular, round_off_net,
                       transformed_net)
@@ -412,6 +415,28 @@ def test_omega_grid_runs_once_per_net(monkeypatch):
         metric.values[0, 0] = 1.0
 
 
+def test_frame_grids_run_once_per_net(monkeypatch):
+    # generic position and the batched classification read the one pair
+    # of vertex-frame grids of the net
+    calls = []
+    kernel = _kernels.frame_pair_grids
+
+    def counted(alpha, beta):
+        calls.append(1)
+        return kernel(alpha, beta)
+
+    monkeypatch.setattr(_kernels, "frame_pair_grids", counted)
+    net = example_net(1.0)
+    assert validate_generic_position(net) == []
+    analysis = analyze_net(net)
+    centre, = [sv for sv in analysis.vertices if sv.vertex == (0, 0)]
+    assert centre.configuration == Configuration.C
+    assert len(calls) == 1
+    for pair in net.frame_terms:
+        for grid in pair:
+            assert not grid.flags.writeable
+
+
 def test_star_sidedness_examples():
     for y, expected in ((-0.5, False), (-2.0, False), (1.0, True)):
         net = example_net(y)
@@ -773,14 +798,11 @@ def _scalar_classify(net, f, sv):
             _sidedness_reference(f, net, sv))
 
 
-def test_classify_raises_where_scalar_predicates_raise():
-    # integer frames at the vertex (0, 0) with nu = (0, 0, 1), where one
-    # pair of the four curve directions is exactly parallel or antiparallel
-    # in projection, so exactly one of the six frame signs is zero
+def _zero_sign_frames():
+    """Integer frames at the vertex (0, 0) with nu = (0, 0, 1), where one
+    pair of the four curve directions is exactly parallel or antiparallel
+    in projection, so exactly one of the six frame signs is zero."""
     dirs = [(1, 0, 0), (0, 1, 0), (1, 2, 0), (-2, 1, 0)]   # ap, am, bp, bm
-    star = [EdgeIndex("u", 0, 0), EdgeIndex("u", -1, 0),
-            EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)]
-    raised = passed = 0
     for i in range(4):
         for j in range(i + 1, 4):
             for sign in (2, -3):
@@ -789,25 +811,219 @@ def test_classify_raises_where_scalar_predicates_raise():
                 ap, am, bp, bm = d
                 a = np.array([-am, [0.0, 0.0, 0.0], ap]) + [0.0, 0.0, 1.0]
                 b = np.array([-bm, [0.0, 0.0, 0.0], bp])
-                net = ConormalNet(PolyCurve(a, -1), PolyCurve(b, -1))
-                f = integrate_net(net)
-                for k in range(4):
-                    for m in range(k + 1, 4):
-                        sv = SingularVertex((0, 0), frozenset((star[k],
-                                                               star[m])))
-                        try:
-                            want = _scalar_classify(net, f, sv)
-                        except (DegenerateOrientation,
-                                InadmissibleVertex) as exc:
-                            with pytest.raises(type(exc)) as got:
-                                classify_vertex(net, f, sv)
-                            if isinstance(exc, DegenerateOrientation):
-                                assert str(got.value) == str(exc)
-                                raised += 1
-                            continue
-                        diag = classify_vertex(net, f, sv).diagnostics
-                        assert (diag["crossing_ab"],
-                                diag["crossing_swallowtail"],
-                                diag["star_sidedness"]) == want
-                        passed += 1
+                yield ConormalNet(PolyCurve(a, -1), PolyCurve(b, -1))
+
+
+def test_classify_raises_where_scalar_predicates_raise():
+    star = [EdgeIndex("u", 0, 0), EdgeIndex("u", -1, 0),
+            EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)]
+    raised = passed = 0
+    for net in _zero_sign_frames():
+        f = integrate_net(net)
+        for k in range(4):
+            for m in range(k + 1, 4):
+                sv = SingularVertex((0, 0), frozenset((star[k], star[m])))
+                try:
+                    want = _scalar_classify(net, f, sv)
+                except (DegenerateOrientation, InadmissibleVertex) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        classify_vertex(net, f, sv)
+                    if isinstance(exc, DegenerateOrientation):
+                        assert str(got.value) == str(exc)
+                        raised += 1
+                    continue
+                diag = classify_vertex(net, f, sv).diagnostics
+                assert (diag["crossing_ab"], diag["crossing_swallowtail"],
+                        diag["star_sidedness"]) == want
+                passed += 1
     assert raised > 0 and passed > 0
+
+
+# ---------------------------------------------------------------------------
+# the sign table and the batched pass
+# ---------------------------------------------------------------------------
+
+# direction at slot s of eight rays spaced by a quarter of a half-turn
+_SLOT_DIRS = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0),
+              (-1, 0, 0), (-1, -1, 0), (0, -1, 0), (1, -1, 0)]
+# the frame pairs of a sign key, in key order: (alpha'+, alpha'-),
+# (beta'+, beta'-), then the cross pairs ++, +-, -+, --
+_KEY_PAIRS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def _realized_keys():
+    """Sign key -> slots of (alpha'+, alpha'-, beta'+, beta'-) for every
+    realizable key, enumerated exactly.  Four directions on distinct lines
+    through the origin of the plane normal to nu = (0, 0, 1) are fixed, up
+    to rotation, by the cyclic order of the eight rays +-x: alpha'+ at slot
+    0, the other three lines at slots 1, 2, 3 in some order, each direction
+    on its ray in the upper half-turn (slot s) or the lower one (s + 4).
+    orient(x, y) is + exactly when y lies less than a half-turn
+    counterclockwise of x."""
+    keys = {}
+    for order in itertools.permutations((1, 2, 3)):
+        for flips in itertools.product((0, 4), repeat=3):
+            slots = (0, *(s + f for s, f in zip(order, flips)))
+            signs = [1 if (slots[y] - slots[x]) % 8 < 4 else -1
+                     for x, y in _KEY_PAIRS]
+            key = sum(1 << (5 - k) for k, s in enumerate(signs) if s > 0)
+            assert keys.setdefault(key, slots) is not None
+    return keys
+
+
+def _key_signs(key):
+    return tuple(1 if key >> (5 - k) & 1 else -1 for k in range(6))
+
+
+def test_sign_table_matches_scalar_functions_on_all_64_keys():
+    # the table against _axis_signatures, _admissible_signatures and
+    # _rays_cross wired up here, and on realizable keys against the public
+    # predicates on an exact frame
+    realized = _realized_keys()
+    assert len(realized) == 48
+    quad_of = {(0, 0): 0, (0, -1): 1, (-1, 0): 2, (-1, -1): 3}
+    star = {EdgeIndex("u", 0, 0): "u+", EdgeIndex("u", -1, 0): "u-",
+            EdgeIndex("v", 0, 0): "v+", EdgeIndex("v", 0, -1): "v-"}
+    n = np.array([0.0, 0.0, 1.0])
+    two_edge = []
+    for key in range(64):
+        signs = _key_signs(key)
+        cross = signs[2:]
+        # a star edge is singular where the cross signs of its two quads,
+        # Omega's signs, differ
+        singular = sorted(tag for e, tag in star.items()
+                          if len({cross[quad_of[q]]
+                                  for q in e.adjacent_quads()}) == 2)
+        entry = singularity._SIGN_TABLE[key]
+        if len(singular) != 2:
+            assert entry is None
+            continue
+        axes = {tag[0] for tag in singular}
+        base_axis = "v" if "v" in axes else "u"
+        sigs = singularity._admissible_signatures(cross, axes, (0, 0))
+        assert sigs is not None                     # never forbidden
+        sig_out, sig_in = singularity._axis_signatures(cross, base_axis,
+                                                       (0, 0))
+        assert sigs[base_axis] == (sig_out, sig_in)
+        m = np.zeros((4, 4), dtype=int)
+        for k, (x, y) in enumerate(_KEY_PAIRS):
+            m[x, y], m[y, x] = signs[k], -signs[k]
+
+        def s(x, y):
+            return x[1] * y[1] * int(m[x[0], y[0]])
+
+        crossing_ab = singularity._rays_cross(s, (1, -1), (0, 1), (3, -1),
+                                              (2, 1))
+        crossing_sw = singularity._rays_cross(s, (1, -1), (0, 1), (3, 1),
+                                              (2, -1))
+        if sig_in == (-sig_out[0], -sig_out[1]):
+            config = Configuration.A
+        else:
+            config = Configuration.B if crossing_ab else Configuration.C
+        assert entry.configuration == config
+        assert entry.kind == (Kind.SWALLOWTAIL if crossing_sw
+                              else Kind.CUSPIDAL_EDGE)
+        assert entry.diagnostics == {
+            "edge_pattern": "".join(singular), "sig_out": _sig(sig_out),
+            "sig_in": _sig(sig_in), "crossing_ab": crossing_ab,
+            "crossing_swallowtail": crossing_sw}
+        if key not in realized:
+            continue
+        ap, am, bp, bm = (np.array(_SLOT_DIRS[slot], dtype=float)
+                          for slot in realized[key])
+        assert tuple(orient(n, *((ap, am, bp, bm)[i] for i in pair))
+                     for pair in _KEY_PAIRS) == signs
+        assert crossing_ab == ray_crossing_test(n, -am, ap, -bm, bp)
+        assert crossing_sw == ray_crossing_test(n, -am, ap, bm, -bp)
+        lines, w_out, w_in = (((ap, am), bp, -bm) if base_axis == "v"
+                              else ((bp, bm), ap, -am))
+        assert sig_out == quadrant_signature(n, *lines, w_out, 0.0, "out")
+        assert sig_in == quadrant_signature(n, *lines, w_in, 0.0, "in")
+        two_edge.append(entry)
+    assert len(two_edge) == 32
+    counts = {c: sum(e.configuration == c for e in two_edge)
+              for c in Configuration}
+    assert (counts[Configuration.A], counts[Configuration.B],
+            counts[Configuration.C]) == (16, 8, 8)
+    for e in two_edge:
+        assert ((e.configuration == Configuration.C)
+                == (e.kind == Kind.SWALLOWTAIL))
+
+
+def _per_vertex_vertices(net, tol, eps):
+    """analyze_net's vertices classified one at a time by classify_vertex,
+    in vertex order, or the exception that stops it."""
+    try:
+        validate_generic_position(net, tol)
+        edges = singular_edges(metric_field(net, eps))
+        return [sv if sv.configuration == Configuration.INADMISSIBLE
+                else classify_vertex(net, None, sv, tol)
+                for sv in singular_vertices(edges, net.domain)]
+    except DiamsError as exc:
+        return type(exc), str(exc)
+
+
+def _batched_vertices(net, tol, eps):
+    try:
+        return analyze_net(net, tol, eps).vertices
+    except DiamsError as exc:
+        return type(exc), str(exc)
+
+
+def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
+    # every field and diagnostic of every vertex, and the first exception
+    # with its message, on random nets, at zero dead zones and on frames
+    # with a zero sign, where the batched pass hands rows to classify_vertex
+    scalar = singularity.classify_vertex
+    handed = []
+
+    def counted(net, f, vertex, tol=1e-9, singular_edge_set=None):
+        handed.append(vertex.vertex)
+        return scalar(net, f, vertex, tol)
+
+    cases = [(random_admissible_net(rng, n=13), 1e-9, 1e-9)
+             for _ in range(100)]
+    # wide sign dead zones over a decided metric put rows in the dead zone
+    cases += [(net, tol, eps) for net, _, _ in cases[:10]
+              for tol, eps in ((0.0, 0.0), (1e-2, 1e-9), (1e-1, 1e-9))]
+    # a tol that decides every frame sign of these nets but leaves a star
+    # sidedness sign of one vertex in the dead zone
+    cases += [(cases[k][0], tol, 1e-9)
+              for k, tol in ((3, 0.0016), (43, 0.00955), (70, 0.0162))]
+    cases.append((round_off_net(), 0.0, 0.0))
+    cases += [(net, 1e-9, 1e-9) for net in _zero_sign_frames()]
+    compared = raised = sidedness = 0
+    for net, tol, eps in cases:
+        monkeypatch.setattr(singularity, "classify_vertex", counted)
+        got = _batched_vertices(net, tol, eps)
+        monkeypatch.setattr(singularity, "classify_vertex", scalar)
+        want = _per_vertex_vertices(net, tol, eps)
+        assert got == want
+        if isinstance(got, tuple):
+            raised += got[0] is DegenerateOrientation
+            sidedness += "sidedness" in got[1]
+        else:
+            compared += sum(sv.configuration in (Configuration.A,
+                                                 Configuration.B,
+                                                 Configuration.C)
+                            for sv in got)
+    assert compared > 3000 and raised > sidedness >= 3 and handed
+
+
+def test_analysis_integrates_on_first_read(monkeypatch):
+    calls = []
+    kernel = _kernels.integrate_positions
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "integrate_positions", counted)
+    net = parabolic_net(0.2)[0]
+    analysis = analyze_net(net, base_vertex=(2, 3))
+    assert calls == []
+    f = analysis.f
+    assert analysis.f is f and len(calls) == 1
+    want = integrate_net(net, base_vertex=(2, 3))
+    assert f.base_vertex == want.base_vertex == (2, 3)
+    assert f.positions.tobytes() == want.positions.tobytes()
