@@ -12,6 +12,8 @@ Because nu is a difference of one-variable curves, nu_uv = 0 identically,
 which makes the integration path independent.
 """
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +44,26 @@ def require_finite(values, what):
     if not np.isfinite(values).all():
         raise ValidationError(f"{what}: not finite (the net overflows at "
                               "this coordinate scale)")
+
+
+@contextmanager
+def float_grid_allocation(shape, what):
+    """Guard the allocation of a float64 array of the given shape.
+
+    A shape whose byte count overflows np.intp raises ValidationError
+    before anything is allocated, and a MemoryError raised inside the
+    block becomes the same named error; both messages give the size.
+    """
+    shape = tuple(int(n) for n in shape)
+    nbytes = 8 * math.prod(shape)
+    size = (f"{what} of {' x '.join(map(str, shape))} float64 values "
+            f"({nbytes} bytes)")
+    if nbytes > np.iinfo(np.intp).max:
+        raise ValidationError(f"{size} exceeds the largest array size")
+    try:
+        yield
+    except MemoryError:
+        raise ValidationError(f"cannot allocate {size}") from None
 
 
 def half_index(x):

@@ -8,13 +8,18 @@ its zero set is the singular curve, and along that curve the kernel ratio
 lambda solves P alpha'(u) + lambda P beta'(v) = 0 in any plane transversal
 to alpha(u) - beta(v).  Swallowtail points are where lambda equals the
 slope dv/du of the singular curve; everywhere else the singular point is a
-cuspidal edge.  The zero set is traced by marching squares; tangency
-points are bracketed along the traced chain and refined by interpolation.
+cuspidal edge.  The zero set is traced by marching squares on a grid
+sampled with one evaluation of each curve per grid line; the crossing
+points on all sign-change edges are refined together, by linear
+interpolation and then lockstep bisection, evaluating only the curve whose
+parameter moves along the edge.  Tangency points are bracketed along the
+traced chain and refined by interpolation.
 """
 
 import math
+import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +27,7 @@ import numpy as np
 from ._kernels import det3
 from .errors import (DegenerateDirection, NonGenericCell, NonGenericChain,
                      OutOfRange, ValidationError)
-from .net_core import PolyCurve, walk_chains
+from .net_core import PolyCurve, float_grid_allocation, walk_chains
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,9 @@ def omega_smooth(pair, u, v):
                       np.asarray(pair.d_beta(v))))
 
 
-def omega_smooth_grid(pair, us, vs):
-    """omega_smooth at every (us[i], vs[j]) as a (len(us), len(vs)) array.
+def _sample_grid(pair, us, vs, w):
+    """Fill w[i, j] with Omega(us[i], vs[j]) and return the samples
+    (alpha, alpha', beta, beta') as (len, 3) arrays.
 
     Each evaluator runs once per parameter value and Omega is filled one
     u-row at a time with omega_smooth's det3, so every entry equals the
@@ -146,11 +152,20 @@ def omega_smooth_grid(pair, us, vs):
         pair.require(u, vs[0])
     a = np.array([pair.alpha(u) for u in us])
     x = np.array([pair.d_alpha(u) for u in us])
-    b = np.array([pair.beta(v) for v in vs]).T
-    y = np.array([pair.d_beta(v) for v in vs]).T
-    w = np.empty((len(us), len(vs)))
+    b = np.array([pair.beta(v) for v in vs])
+    y = np.array([pair.d_beta(v) for v in vs])
+    bt, yt = b.T, y.T
     for i in range(len(us)):
-        w[i] = det3(a[i, :, None] - b, x[i], y)
+        w[i] = det3(a[i, :, None] - bt, x[i], yt)
+    return a, x, b, y
+
+
+def omega_smooth_grid(pair, us, vs):
+    """omega_smooth at every (us[i], vs[j]) as a (len(us), len(vs)) array,
+    equal to the scalar values bit for bit; the sampling is shared with
+    trace_singular_curve."""
+    w = np.empty((len(us), len(vs)))
+    _sample_grid(pair, us, vs, w)
     return w
 
 
@@ -159,36 +174,74 @@ class SmoothChain(NamedTuple):
     closed: bool
 
 
-def _bisect_edge(pair, p_lo, p_hi, w_lo, tol, maxiter=200):
-    """Bisection along a grid edge bracketing a sign change of Omega."""
-    lo = np.asarray(p_lo, dtype=float)
-    hi = np.asarray(p_hi, dtype=float)
+def _omega_moving(pair, moving_u, t, fixed, fixed_d):
+    """Omega at points whose moving parameter (u if moving_u, else v)
+    takes the values t while the other one stays at grid samples, where
+    fixed and fixed_d hold the other curve and its derivative as (m, 3)
+    rows.  Only the moving curve's two evaluators run, once per point;
+    det3 works entry by entry, so each value equals omega_smooth's."""
+    if moving_u:
+        n = np.array([pair.alpha(u) for u in t]) - fixed
+        return det3(n.T, np.array([pair.d_alpha(u) for u in t]).T, fixed_d.T)
+    n = fixed - np.array([pair.beta(v) for v in t])
+    return det3(n.T, fixed_d.T, np.array([pair.d_beta(v) for v in t]).T)
+
+
+def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol,
+            maxiter=200):
+    """Crossing points on grid edges along the moving parameter, one
+    (m, 2) row each: the linear guess where |Omega| <= tol there, else
+    bisection of the edge from lo to hi (w_lo is Omega at lo).  All edges
+    bisect in lockstep with the per-edge rules: stop at |Omega| <= tol,
+    keep the half whose ends differ in sign, and after maxiter rounds
+    take the midpoint of the bracket.  Midpoints of in-range ends stay in
+    range, so they need no range check."""
+    if not len(guess):
+        return guess
+    k = 0 if moving_u else 1
+    out = guess.copy()
+    w = _omega_moving(pair, moving_u, guess[:, k], fixed, fixed_d)
+    todo = np.flatnonzero(~(np.abs(w) <= tol))
+    lo, hi, w_lo = lo[todo], hi[todo], w_lo[todo]
     for _ in range(maxiter):
+        if not todo.size:
+            break
         mid = 0.5 * (lo + hi)
-        w = omega_smooth(pair, mid[0], mid[1])
-        if abs(w) <= tol:
-            return mid
-        if (w > 0) == (w_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        w = _omega_moving(pair, moving_u, mid[:, k], fixed[todo],
+                          fixed_d[todo])
+        done = np.abs(w) <= tol
+        out[todo[done]] = mid[done]
+        same = ((w > 0) == (w_lo > 0))[:, None]
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+        left = ~done
+        todo, lo, hi, w_lo = todo[left], lo[left], hi[left], w_lo[left]
+    out[todo] = 0.5 * (lo + hi)
+    return out
 
 
 def trace_singular_curve(pair, grid_n, tol):
     """Marching-squares extraction of the zero set of Omega.
 
-    Omega is sampled on a (grid_n+1)^2 grid; cells with sign changes
-    contribute segments whose endpoints are linearly interpolated along
-    cell edges and then bisected until |Omega| <= tol.  Saddle cells are
-    disambiguated by the sign at the cell centre.  Returns a list of
-    SmoothChain polylines in the (u, v) parameter domain.
+    Omega is sampled on a (grid_n+1)^2 grid with omega_smooth_grid's
+    sampling: alpha, alpha' once per u sample, beta, beta' once per v
+    sample.  Cells with sign changes contribute segments between crossing
+    points on their edges; saddle cells are disambiguated by the sign at
+    the cell centre.  All sign-change edges are then refined in one batch:
+    the linear guess, and where |Omega| > tol there, lockstep bisection
+    until |Omega| <= tol (or 200 rounds), evaluating only the curve whose
+    parameter moves along the edge.  The points equal per-edge scalar
+    refinement bit for bit.  Returns a list of SmoothChain polylines in
+    the (u, v) parameter domain.
     """
     if grid_n < 16:
         raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
-    us = np.linspace(*pair.u_range, grid_n + 1)
-    vs = np.linspace(*pair.v_range, grid_n + 1)
-    w = omega_smooth_grid(pair, us, vs)
+    size = operator.index(grid_n) + 1
+    with float_grid_allocation((size, size), f"grid_n = {grid_n}: a grid"):
+        w = np.empty((size, size))
+    us = np.linspace(*pair.u_range, size)
+    vs = np.linspace(*pair.v_range, size)
+    a, x, b, y = _sample_grid(pair, us, vs, w)
     wmax = float(np.abs(w).max())
     corner_eps = 1e-12 * max(1.0, wmax)
     zero_corner = np.abs(w) <= corner_eps
@@ -198,62 +251,60 @@ def trace_singular_curve(pair, grid_n, tol):
             f"Omega vanishes at grid corner (u, v) = "
             f"({us[i]:.9g}, {vs[j]:.9g}); perturb the grid")
 
-    # crossing point on each grid edge with a sign change, keyed by
-    # ("h", i, j) for the u-direction edge (i,j)-(i+1,j) and ("v", i, j)
-    # for (i,j)-(i,j+1)
-    crossings = {}
-
-    def edge_point(kind, i, j):
-        key = (kind, i, j)
-        if key in crossings:
-            return key
-        if kind == "h":
-            w0, w1 = w[i, j], w[i + 1, j]
-            p0 = (us[i], vs[j])
-            p1 = (us[i + 1], vs[j])
-        else:
-            w0, w1 = w[i, j], w[i, j + 1]
-            p0 = (us[i], vs[j])
-            p1 = (us[i], vs[j + 1])
-        s = w0 / (w0 - w1)
-        guess = (p0[0] + s * (p1[0] - p0[0]), p0[1] + s * (p1[1] - p0[1]))
-        if abs(omega_smooth(pair, *guess)) <= tol:
-            crossings[key] = np.array(guess)
-        else:
-            crossings[key] = _bisect_edge(pair, p0, p1, w0, tol)
-        return key
-
-    # sign flips on the u-direction edges (i,j)-(i+1,j) and the
-    # v-direction edges (i,j)-(i,j+1); only cells touching one are
-    # visited, in row-major order
+    # sign flips on the u-direction edges ("h", i, j) = (i,j)-(i+1,j) and
+    # the v-direction edges ("v", i, j) = (i,j)-(i,j+1); only cells
+    # touching one are visited, in row-major order
     pos = w > 0
     h_flip = pos[:-1] != pos[1:]
     v_flip = pos[:, :-1] != pos[:, 1:]
     active = h_flip[:, :-1] | h_flip[:, 1:] | v_flip[:-1] | v_flip[1:]
     segments = []
     for i, j in np.argwhere(active).tolist():
-        sides = [side for side, flip in ((("h", i, j), h_flip[i, j]),
-                                         (("h", i, j + 1), h_flip[i, j + 1]),
-                                         (("v", i, j), v_flip[i, j]),
-                                         (("v", i + 1, j), v_flip[i + 1, j]))
+        bottom, top = ("h", i, j), ("h", i, j + 1)
+        left, right = ("v", i, j), ("v", i + 1, j)
+        sides = [side for side, flip in ((bottom, h_flip[i, j]),
+                                         (top, h_flip[i, j + 1]),
+                                         (left, v_flip[i, j]),
+                                         (right, v_flip[i + 1, j]))
                  if flip]
         if len(sides) == 2:
-            segments.append((edge_point(*sides[0]), edge_point(*sides[1])))
+            segments.append(tuple(sides))
         else:
             # saddle (the flips around a cell are even, so 4 sides):
             # pair each corner with the centre-sign rule
             centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
                                   0.5 * (vs[j] + vs[j + 1]))
-            same = (centre > 0) == (w[i, j] > 0)
-            bottom, top = ("h", i, j), ("h", i, j + 1)
-            left, right = ("v", i, j), ("v", i + 1, j)
-            if same:
-                pairs = ((bottom, right), (top, left))
+            if (centre > 0) == (w[i, j] > 0):
+                segments += [(bottom, right), (top, left)]
             else:
-                pairs = ((bottom, left), (top, right))
-            for a, b in pairs:
-                segments.append((edge_point(*a), edge_point(*b)))
-    return _link_chains(segments, crossings)
+                segments += [(bottom, left), (top, right)]
+
+    # every flipped edge borders an active cell, so the segments name
+    # exactly the flipped edges: the u-edges first, then the v-edges
+    ih, jh = np.nonzero(h_flip)
+    iv, jv = np.nonzero(v_flip)
+    keys = ([("h", i, j) for i, j in zip(ih.tolist(), jh.tolist())]
+            + [("v", i, j) for i, j in zip(iv.tolist(), jv.tolist())])
+    i0, j0 = np.concatenate([ih, iv]), np.concatenate([jh, jv])
+    i1, j1 = np.concatenate([ih + 1, iv]), np.concatenate([jh, jv + 1])
+    p0 = np.stack([us[i0], vs[j0]], axis=1)
+    p1 = np.stack([us[i1], vs[j1]], axis=1)
+    w0 = w[i0, j0]
+    s = w0 / (w0 - w[i1, j1])
+    guess = p0 + s[:, None] * (p1 - p0)
+    (u_lo, u_hi), (v_lo, v_hi) = pair.u_range, pair.v_range
+    inside = ((u_lo <= guess[:, 0]) & (guess[:, 0] <= u_hi)
+              & (v_lo <= guess[:, 1]) & (guess[:, 1] <= v_hi))
+    if not inside.all():
+        # an evaluator's nan at a grid line gives (nan, nan) guesses
+        pair.require(*guess[np.argmin(inside)])
+    m = ih.size
+    points = np.concatenate([
+        _refine(pair, True, guess[:m], p0[:m], p1[:m], w0[:m],
+                b[jh], y[jh], tol),
+        _refine(pair, False, guess[m:], p0[m:], p1[m:], w0[m:],
+                a[iv], x[iv], tol)])
+    return _link_chains(segments, dict(zip(keys, points)))
 
 
 def _link_chains(segments, crossings):

@@ -14,6 +14,7 @@ import numpy as np
 from . import _kernels
 from .errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch,
                      ValidationError)
+from .net_core import float_grid_allocation
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,19 @@ def tessellate(f, subdiv, singular=()):
     (s+t) anti-diagonal into (v00, v10, v01) and (v10, v11, v01).
     Singular polylines are carried through as index chains over the
     vertices: net vertex (u, v) is sample (subdiv*(u-u_min),
-    subdiv*(v-v_min)).
+    subdiv*(v-v_min)).  A sample grid too large to allocate raises
+    ValidationError with its size.
     """
     if (not isinstance(subdiv, (int, np.integer)) or isinstance(subdiv, bool)
             or subdiv < 1):
         raise ParameterOutOfRange(
             f"subdiv must be an integer >= 1, got {subdiv!r}")
+    subdiv = int(subdiv)
     dom = f.domain
-    grid = _kernels.bilinear_sample(f.positions, subdiv)
+    nu, nv = f.positions.shape[:2]
+    shape = (subdiv * (nu - 1) + 1, subdiv * (nv - 1) + 1, 3)
+    with float_grid_allocation(shape, f"subdiv = {subdiv}: a sample grid"):
+        grid = _kernels.bilinear_sample(f.positions, subdiv)
     n_j = grid.shape[1]
     nq_u, nq_v = (grid.shape[0] - 1) // subdiv, (n_j - 1) // subdiv
     vertices = grid.reshape(-1, 3)

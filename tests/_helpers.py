@@ -14,7 +14,7 @@ from diams.net_core import _PLANE_LABELS, validate_generic_position
 from diams.singularity import (Configuration, _orient_strict, _vertex_frame,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
-from diams.smooth_oracle import _bisect_edge, _link_chains, omega_smooth
+from diams.smooth_oracle import _link_chains, omega_smooth
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -310,12 +310,30 @@ def reference_obj_text(mesh):
     return "\n".join(lines) + "\n"
 
 
+def _bisect_edge(pair, p_lo, p_hi, w_lo, tol, maxiter=200):
+    """Bisection along a grid edge bracketing a sign change of Omega."""
+    lo = np.asarray(p_lo, dtype=float)
+    hi = np.asarray(p_hi, dtype=float)
+    for _ in range(maxiter):
+        mid = 0.5 * (lo + hi)
+        w = omega_smooth(pair, mid[0], mid[1])
+        if abs(w) <= tol:
+            return mid
+        if (w > 0) == (w_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_trace(pair, grid_n, tol):
     """Per-point form of `trace_singular_curve`: Omega sampled by one
     `omega_smooth` call per grid point and every cell of the grid
-    visited, kept as the reference that the row-wise sampling and the
-    sign-change cell scan must reproduce bit for bit.  Chain linking is
-    shared with the traced version."""
+    visited, each crossing refined on its own by scalar `omega_smooth`
+    calls as its cell first names it, kept as the reference that the
+    row-wise sampling, the sign-change cell scan and the batched
+    refinement must reproduce bit for bit.  Chain linking is shared with
+    the traced version."""
     if grid_n < 16:
         raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
     us = np.linspace(*pair.u_range, grid_n + 1)

@@ -582,6 +582,38 @@ def test_cli_short_curve_exits_1(tmp_path, capsys):
                  tmp_path / "r.json"]) == 1
 
 
+@pytest.mark.parametrize("command", ["oracle", "mesh"])
+@pytest.mark.parametrize("size", [10 ** 30, 2 ** 63], ids=["10^30", "2^63"])
+def test_cli_unallocatable_grid_sizes_exit_1(command, size, tmp_path, capsys):
+    # the float64 sample grid's byte count overflows np.intp, so the size
+    # is rejected before anything is allocated (only such sizes are safe
+    # to test: one that could be allocated may reach the OOM killer on a
+    # machine that overcommits memory instead of raising MemoryError)
+    out = tmp_path / "out"
+    if command == "oracle":
+        args = ["oracle", "--pair", "parabolic", "--grid", size,
+                "--report", out]
+    else:
+        curves = tmp_path / "c.json"
+        assert _run(["example", "--y", 1, "--out", curves]) == 0
+        args = ["mesh", "--curves", curves, "--out", out, "--subdiv", size]
+    assert _run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(size) in err
+    assert "exceeds the largest array size" in err
+    assert not out.exists()
+
+
+def test_unallocatable_grid_sizes_raise_validation_error():
+    with pytest.raises(ValidationError, match="grid_n = 1000000000000"):
+        trace_singular_curve(builtin_pair("parabolic"), 10 ** 30, 1e-10)
+    f = integrate_net(example_net(1.0))
+    with pytest.raises(ValidationError, match="subdiv = 9223372036854775808"):
+        tessellate(f, 2 ** 63)
+    with pytest.raises(ValidationError, match="subdiv = 4611686018427387904"):
+        tessellate(f, np.int64(2 ** 62))
+
+
 def test_cli_usage_error_exits_2(capsys):
     assert _run(["analyze"]) == 2
     assert _run(["frobnicate"]) == 2

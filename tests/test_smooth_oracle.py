@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -298,11 +301,12 @@ def test_omega_smooth_grid_range_error_matches_scalar():
         assert str(grid_err.value) == str(scalar_err.value)
 
 
-def _trace_outcome(trace, pair, n):
-    # a looser tolerance than the CLI's 1e-10 keeps the bisections short;
-    # both traces share it
+def _trace_outcome(trace, pair, n, rel_tol=1e-7):
+    # by default a looser tolerance than the CLI's 1e-10 keeps the
+    # bisections short; both traces share it
     us, vs = _grid(pair, 16)
-    tol = 1e-7 * max(1.0, float(np.abs(omega_smooth_grid(pair, us, vs)).max()))
+    tol = rel_tol * max(1.0,
+                        float(np.abs(omega_smooth_grid(pair, us, vs)).max()))
     try:
         return trace(pair, n, tol)
     except DiamsError as e:
@@ -381,3 +385,84 @@ def test_cli_oracle_report_matches_reference(name, tmp_path):
     assert run_cli(["oracle", "--pair", name, "--grid", "101",
                     "--report", str(report)]) == 0
     assert report.read_bytes() == expected
+
+
+def _assert_same_chains(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.closed == b.closed
+        assert np.array_equal(a.points.view(np.int64), b.points.view(np.int64))
+
+
+def test_trace_matches_reference_at_cli_tolerance(rng):
+    # the CLI's own tolerance, 1e-10 * max(1, wmax), needs longer
+    # bisections than the 1e-7 of test_trace_matches_per_point_reference
+    for pair in _pairs(rng):
+        for n in (16, 33, 101):
+            got = _trace_outcome(trace_singular_curve, pair, n, 1e-10)
+            ref = _trace_outcome(reference_trace, pair, n, 1e-10)
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:
+                _assert_same_chains(got, ref)
+
+
+@pytest.mark.parametrize("n", [33, 101])
+def test_trace_at_zero_tolerance_matches_reference(n):
+    # at tol = 0 a bisection ends only on an exact zero of Omega or at the
+    # 200-round cap; both exits occur and give the reference's points
+    pair = builtin_pair("parabolic")
+    got = trace_singular_curve(pair, n, 0.0)
+    _assert_same_chains(got, reference_trace(pair, n, 0.0))
+    w = np.array([omega_smooth(pair, u, v) for c in got for u, v in c.points])
+    assert (w == 0.0).any() and (w != 0.0).any()
+
+
+def counting_pair(name):
+    """The builtin pair with each of alpha, alpha', beta, beta' counting
+    its calls (from after construction) in the returned Counter."""
+    calls = Counter()
+    base = builtin_pair(name)
+
+    def counted(tag):
+        f = getattr(base, tag)
+
+        def g(t):
+            calls[tag] += 1
+            return f(t)
+        return g
+
+    pair = dataclasses.replace(base, **{tag: counted(tag) for tag in
+                                        ("alpha", "d_alpha", "beta",
+                                         "d_beta")})
+    calls.clear()
+    return pair, calls
+
+
+def test_trace_evaluates_only_the_moving_curve():
+    # grid sampling runs each evaluator once per grid line (34 times);
+    # every refinement point on an edge then evaluates only the curve
+    # whose parameter moves along it, 2 calls instead of omega_smooth's 4
+    # at the CLI's tolerance for this pair, 1e-10 * max|Omega| = 7e-10
+    pair, calls = counting_pair("parabolic")
+    chains = trace_singular_curve(pair, 33, 7e-10)
+    assert dict(calls) == {"alpha": 60, "d_alpha": 60,
+                           "beta": 874, "d_beta": 874}
+    _assert_same_chains(chains,
+                        reference_trace(builtin_pair("parabolic"), 33, 7e-10))
+
+
+def test_trace_nan_samples_match_reference():
+    # alpha is nan on a band of u that the construction checks miss but
+    # the grid line u = 1/3 of grid 33 hits: the linear guesses on the
+    # edges into that line are (nan, nan), and both traces reject the
+    # first of them as out of range
+    def band(f):
+        return lambda u: np.full(3, np.nan) if 0.3 < u < 0.36 else f(u)
+
+    base = builtin_pair("parabolic")
+    pair = dataclasses.replace(base, alpha=band(base.alpha),
+                               d_alpha=band(base.d_alpha))
+    got = _trace_outcome(trace_singular_curve, pair, 33)
+    assert got[0] is OutOfRange and "(nan, nan)" in got[1]
+    assert got == _trace_outcome(reference_trace, pair, 33)
