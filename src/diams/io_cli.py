@@ -29,8 +29,7 @@ from .errors import (DegenerateDirection, DegenerateMetric,
                      ValidationError)
 from .net_core import (ConormalNet, PolyCurve, integrate_net,
                        validate_generic_position)
-from .singularity import (Configuration, NetAnalysis, analyze_net,
-                          metric_field, singular_edges, singular_vertices)
+from .singularity import NetAnalysis, SingularSet, analyze_net, metric_field
 from .smooth_oracle import (BUILTIN_PAIRS, builtin_pair, find_swallowtails,
                             omega_smooth_grid, trace_singular_curve)
 from .surface_mesh import export_obj, tessellate
@@ -207,7 +206,7 @@ def _quad_key(quad):
 
 
 def _edge_dict(edge):
-    return {"axis": edge.axis, "base_vertex": [edge.u, edge.v]}
+    return {"axis": edge.axis, "base_vertex": edge[1:]}
 
 
 def _omega_json(metric):
@@ -235,38 +234,46 @@ def _omega_json(metric):
     return _RawJson("[" + ",".join(rows) + "]")
 
 
+# json's C encoder, for the report sections that hold only ints, strs,
+# bools and None: it writes those as _dump does and raises on numpy
+# scalars.  Floats never go through it, because it would print them in
+# repr digits where _dump prints %.17g.  The sections are built fresh for
+# each report and hold no cycles, so no cycle check is needed.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
+
+
 def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
-    vertices = []
-    for sv in analysis.vertices:
-        vertices.append({
-            "vertex": list(sv.vertex),
-            "configuration": (sv.configuration.value
-                              if sv.configuration is not None else None),
-            "kind": sv.kind.value,
-            "diagnostics": dict(sv.diagnostics),
-        })
+    vertices = [{
+        "vertex": sv.vertex,
+        "configuration": (sv.configuration.value
+                          if sv.configuration is not None else None),
+        "kind": sv.kind.value,
+        "diagnostics": sv.diagnostics,
+    } for sv in analysis.vertices]
     polylines = [{
         "closed": pl.closed,
-        "vertices": [list(v) for v in pl.vertices],
-        "edges": [_edge_dict(e) for e in pl.edges],
+        "vertices": pl.vertices,
+        "edges": list(map(_edge_dict, pl.edges)),
     } for pl in analysis.polylines]
     return {
         "smooth": False,
         "tolerances": {"sign_tol": tol, "degenerate_metric_eps": metric_eps,
                        "scale": analysis.net.scale},
         "omega": _omega_json(analysis.metric),
-        "singular_edges": [_edge_dict(se.edge) for se in analysis.edges],
-        "vertices": vertices,
-        "polylines": polylines,
-        "validations": {
+        "singular_edges": _RawJson(_encode(
+            [_edge_dict(se.edge) for se in analysis.edges])),
+        "vertices": _RawJson(_encode(vertices)),
+        "polylines": _RawJson(_encode(polylines)),
+        "validations": _RawJson(_encode({
             "generic_position": [
-                {"vertex": list(g.vertex), "planes": [g.plane_a, g.plane_b]}
+                {"vertex": g.vertex, "planes": [g.plane_a, g.plane_b]}
                 for g in analysis.generic_violations],
             "admissibility": [
-                {"vertex": list(v), "reason": reason}
+                {"vertex": v, "reason": reason}
                 for v, reason in analysis.admissibility_violations],
             "degenerate_quads": list(degenerate_quads),
-        },
+        })),
     }
 
 
@@ -353,17 +360,15 @@ def _cmd_validate(args):
         print(f"generic position: {g.describe()}", file=sys.stderr)
         failures += 1
     metric = metric_field(net, args.metric_eps)   # raises DegenerateMetric
-    edges = singular_edges(metric)
-    for sv in singular_vertices(edges, net.domain):
-        if sv.configuration == Configuration.INADMISSIBLE:
-            print(f"admissibility: vertex {sv.vertex}: "
-                  f"{len(sv.incident_singular_edges)} incident singular edges",
-                  file=sys.stderr)
-            failures += 1
+    sset = SingularSet.from_omega(metric)
+    for vertex, degree in sset.inadmissible():
+        print(f"admissibility: vertex {vertex}: {degree} incident singular "
+              "edges", file=sys.stderr)
+        failures += 1
     if failures:
         return 1
     print(f"ok: {net.domain.nu}x{net.domain.nv} vertices, "
-          f"{len(edges)} singular edges")
+          f"{sset.edge_count} singular edges")
     return 0
 
 

@@ -4,9 +4,11 @@ The per-quad metric
 
     Omega(u+1/2, v+1/2) = [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
 
-changes sign across singular edges.  Every test on projected directions
-(quadrant membership, polyline crossing, star sidedness) is implemented
-through the single predicate
+changes sign across singular edges.  The singular edges, each vertex's
+incident edges and the singular polylines are read from Omega's sign
+flips in one array pass (``SingularSet``).  Every test on projected
+directions (quadrant membership, polyline crossing, star sidedness) is
+implemented through the single predicate
 
     orient(n, x, y) = sign [n, x, y]
 
@@ -36,9 +38,10 @@ the Lelieuvre equations give, so no positions are integrated:
 ``NetAnalysis.f`` integrates on first read.
 """
 
-from collections import defaultdict
+import functools
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +50,7 @@ from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
 from .net_core import (_cross3, integrate_net, require_finite,
-                       validate_generic_position, walk_chains)
+                       validate_generic_position)
 
 
 class Configuration(str, Enum):
@@ -222,26 +225,13 @@ class SingularEdge:
 
 
 def singular_edges(metric):
-    """Interior edges whose two adjacent quads carry opposite-sign Omega.
+    """Interior edges whose two adjacent quads carry opposite-sign Omega,
+    as SingularEdge records in key order: u-edges by (u, v), then v-edges.
 
     A v-edge (u, v+1/2) compares the quads on either side in u; a u-edge
     (u+1/2, v) compares across v.
     """
-    w = metric.values
-    dom = metric.domain
-    # opposite signs by comparison: the product lo * hi under- and overflows
-    neg, pos = w < 0.0, w > 0.0
-    out = set()
-    # v-edges at interior u compare across u, u-edges at interior v across v
-    for axis, lo, hi, du, dv in (("v", np.s_[:-1, :], np.s_[1:, :], 1, 0),
-                                 ("u", np.s_[:, :-1], np.s_[:, 1:], 0, 1)):
-        flip = (neg[lo] & pos[hi]) | (pos[lo] & neg[hi])
-        ii, jj = np.nonzero(flip)
-        for u, v, a, b in zip((ii + (du + dom.u_min)).tolist(),
-                              (jj + (dv + dom.v_min)).tolist(),
-                              w[lo][flip].tolist(), w[hi][flip].tolist()):
-            out.add(SingularEdge(EdgeIndex(axis, u, v), (a, b)))
-    return out
+    return SingularSet.from_omega(metric).singular_edges(metric.values)
 
 
 def halfplane_edge_test(net, edge, tol=1e-9):
@@ -316,19 +306,191 @@ class SingularVertex:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _incident_edges(edges, domain):
-    """(vertex, frozenset of its singular edges) for every domain vertex
-    on a singular edge, in vertex order."""
-    incident = defaultdict(set)
-    for se in edges:
-        for vert in se.edge.endpoints():
-            if domain.contains_vertex(*vert):
-                incident[vert].add(se.edge)
-    return [(vert, frozenset(incident[vert])) for vert in sorted(incident)]
+# a vertex's star bits, one per singular star edge, in the order of the
+# edges' keys, which is the order a chain leaves the vertex by:
+# u- 1, u+ 2, v- 4, v+ 8
+_STAR_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
+_POPCOUNT = np.array([bin(m).count("1") for m in range(16)])
+
+
+class SingularSet:
+    """The singular edges of a domain and their endpoints, in one pass.
+
+    The edges are two boolean grids on the domain's (nu, nv) vertices:
+    grids[0][i, j] marks the u-edge from vertex (i, j) to (i+1, j),
+    grids[1][i, j] the v-edge from (i, j) to (i, j+1).  Every vertex gets
+    a 4-bit star mask (_STAR_BITS) by shifted stores of the two grids;
+    its popcount is the vertex's degree.  Vertex (i, j) has the flat id
+    i * nv + j, so flat ids sort like vertex keys, and the edge ids number
+    the edges in key order.  Per singular vertex, in vertex order: flat
+    (ids), star (masks), degree, interior, flagged (interior with other
+    than two edges), vertices (keys).
+    """
+
+    def __init__(self, grids, domain):
+        self.grids = grids
+        self.domain = domain
+        nu, nv = domain.nu, domain.nv
+        u, v = grids.view(np.uint8)
+        mask = (u << 1) | (v << 3)
+        mask[1:] |= u[:-1]
+        mask[:, 1:] |= v[:, :-1] << 2
+        self.flat = np.flatnonzero(mask)
+        self.star = mask.ravel().take(self.flat)
+        self.degree = _POPCOUNT.take(self.star)
+        i, j = np.divmod(self.flat, nv)
+        self.interior = (i > 0) & (i < nu - 1) & (j > 0) & (j < nv - 1)
+        self.flagged = self.interior & (self.degree != 2)
+        self.vertices = list(zip((i + domain.u_min).tolist(),
+                                 (j + domain.v_min).tolist()))
+
+    @classmethod
+    def from_omega(cls, metric):
+        """The interior edges across which the metric's Omega changes
+        sign: u-edges at interior v compare the quads across v, v-edges at
+        interior u the quads across u."""
+        w = metric.values
+        dom = metric.domain
+        # opposite signs by comparison: the product lo * hi under- and
+        # overflows
+        neg, pos = w < 0.0, w > 0.0
+        grids = np.zeros((2, dom.nu, dom.nv), dtype=bool)
+        grids[0, :-1, 1:-1] = ((neg[:, :-1] & pos[:, 1:])
+                               | (pos[:, :-1] & neg[:, 1:]))
+        grids[1, 1:-1, :-1] = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+        return cls(grids, dom)
+
+    @classmethod
+    def from_edges(cls, edges, domain):
+        """The set of the SingularEdge records `edges`; each must join two
+        domain vertices."""
+        keys = np.array([(se.edge.axis == "v", se.edge.u - domain.u_min,
+                          se.edge.v - domain.v_min) for se in edges],
+                        dtype=np.int64).reshape(-1, 3)
+        a, i, j = keys.T
+        inside = ((i >= 0) & (j >= 0) & (i < domain.nu - 1 + a)
+                  & (j < domain.nv - a))
+        if not inside.all():
+            bad = next(se.edge for se, ok in zip(edges, inside) if not ok)
+            raise IndexOutOfDomain(f"edge {bad} leaves the domain")
+        grids = np.zeros((2, domain.nu, domain.nv), dtype=bool)
+        grids[a, i, j] = True
+        return cls(grids, domain)
+
+    @property
+    def edge_count(self):
+        """The number of singular edges."""
+        return int(np.count_nonzero(self.grids))
+
+    @functools.cached_property
+    def _edge_keys(self):
+        """(axis, i, j) arrays of the edges in key order."""
+        return np.nonzero(self.grids)
+
+    @functools.cached_property
+    def edges(self):
+        """EdgeIndex of every edge, indexed by edge id."""
+        a, i, j = self._edge_keys
+        axes = ("u", "v")
+        return list(map(EdgeIndex._make, zip(
+            map(axes.__getitem__, a.tolist()),
+            (i + self.domain.u_min).tolist(),
+            (j + self.domain.v_min).tolist())))
+
+    def singular_edges(self, w):
+        """SingularEdge per edge in key order, with the Omega grid w's
+        values on the quads below and above it: (i, j-1) and (i, j) for a
+        u-edge, (i-1, j) and (i, j) for a v-edge."""
+        a, i, j = self._edge_keys
+        return list(map(SingularEdge, self.edges, zip(
+            w[i - a, j - 1 + a].tolist(), w[i, j].tolist())))
+
+    @functools.cached_property
+    def _star_edges(self):
+        """Edge id of each vertex's u-, u+, v-, v+ star edge, -1 where the
+        star edge is not singular: a (vertices, 4) array."""
+        n = self.grids[0].size
+        ids = np.full(2 * n, -1)
+        ids[self.grids.ravel()] = np.arange(self.edge_count)
+        nv = self.domain.nv
+        out = ids.take(self.flat[:, None] + np.array([-nv, 0, n - 1, n]),
+                       mode="clip")
+        out[(self.star[:, None] & _STAR_BITS) == 0] = -1
+        return out
+
+    def incident(self):
+        """Frozenset of its singular edges per vertex, in vertex order."""
+        star = self._star_edges
+        # row-major: each vertex's edges, vertex after vertex
+        edges = list(map(self.edges.__getitem__, star[star >= 0].tolist()))
+        ends = np.cumsum(self.degree).tolist()
+        return [frozenset(edges[a:b]) for a, b in zip([0] + ends, ends)]
+
+    def inadmissible(self):
+        """(vertex, degree) of the interior vertices with other than two
+        singular edges, in vertex order."""
+        degree = self.degree.tolist()
+        return [(self.vertices[k], degree[k])
+                for k in np.flatnonzero(self.flagged).tolist()]
+
+    def _chains(self):
+        """Maximal chains as (flat vertex ids, edge ids, closed).  Open
+        chains start at the degree-1 vertices in vertex order, then each
+        loop at the smallest vertex that still has an unused edge; every
+        step takes the vertex's first unused star edge in bit order."""
+        flat = self.flat.tolist()
+        left = dict(zip(flat, self.star.tolist()))
+        star_edges = dict(zip(flat, self._star_edges.tolist()))
+        nv = self.domain.nv
+        # star bit -> (star slot, step of the flat id, the edge's bit at
+        # the far end)
+        moves = {1: (0, -nv, 2), 2: (1, nv, 1), 4: (2, -1, 8), 8: (3, 1, 4)}
+
+        def walk(start):
+            verts, edges = [start], []
+            current = start
+            while m := left[current]:
+                bit = m & -m
+                slot, step, far = moves[bit]
+                left[current] = m ^ bit
+                edges.append(star_edges[current][slot])
+                current += step
+                left[current] ^= far
+                verts.append(current)
+                if current == start:
+                    return verts, edges, True
+            return verts, edges, False
+
+        chains = [walk(k) for k in compress(flat, (self.degree == 1).tolist())
+                  if left[k]]           # else the end of a walked chain
+        for k in flat:
+            while left[k]:
+                chains.append(walk(k))
+        return chains
+
+    def polylines(self):
+        """The edges partitioned into maximal chains, each oriented by
+        _canonical_open or _canonical_loop, sorted by their vertices.
+        Raises InadmissibleVertex at an interior vertex with other than
+        two singular edges."""
+        bad = self.inadmissible()
+        if bad:
+            vert, degree = bad[0]
+            raise InadmissibleVertex(
+                f"interior vertex {vert} has {degree} singular edges")
+        chains = sorted(((_canonical_loop if closed else _canonical_open)(
+            verts, edges) + (closed,) for verts, edges, closed
+            in self._chains()), key=lambda c: c[0])
+        vertex_at = dict(zip(self.flat.tolist(), self.vertices)).__getitem__
+        edge_at = self.edges.__getitem__
+        return [SingularPolyline(tuple(map(vertex_at, verts)),
+                                 tuple(map(edge_at, edges)), closed)
+                for verts, edges, closed in chains]
 
 
 def singular_vertices(edges, domain):
-    """One record per vertex incident to at least one singular edge.
+    """One record per vertex incident to at least one singular edge, in
+    vertex order.
 
     Interior vertices with other than two incident singular edges are
     flagged Inadmissible immediately; everything else is left for
@@ -337,10 +499,11 @@ def singular_vertices(edges, domain):
     four quads around the vertex, and with two singular edges it cannot
     fail.
     """
+    sset = SingularSet.from_edges(edges, domain)
     return [SingularVertex(vert, inc, Configuration.INADMISSIBLE
-                           if domain.is_interior_vertex(*vert)
-                           and len(inc) != 2 else None)
-            for vert, inc in _incident_edges(edges, domain)]
+                           if flagged else None)
+            for vert, inc, flagged in zip(sset.vertices, sset.incident(),
+                                          sset.flagged.tolist())]
 
 
 def _vertex_frame(net, u0, v0):
@@ -743,20 +906,18 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
                        outcome, sided, _base_edge(pattern, u0, v0, omegas))
 
 
-def _classify_rows(net, rows, tol):
-    """classify_vertex for the two-edge interior vertices `rows`, each a
-    (vertex, incident edges) pair, in one batched pass: the six signs come
-    from the net's grids, the outcome from the sign table, and star
-    sidedness from one orient_terms call.  A row with a sign in orient's
-    dead zone comes back None, for classify_vertex to decide."""
-    if not rows:
+def _classify_rows(net, flat, verts, incident, tol):
+    """classify_vertex for two-edge interior vertices in one batched pass:
+    flat holds their flat ids (SingularSet), verts and incident their keys
+    and edge sets.  The six signs come from the net's grids, the outcome
+    from the sign table, and star sidedness from one orient_terms call.  A
+    row with a sign in orient's dead zone comes back None, for
+    classify_vertex to decide."""
+    if not verts:
         return []
-    dom = net.domain
-    nv = dom.nv
+    nv = net.domain.nv
     # flat indices: vertex (i, j) of the (nu, nv) grid, quad (i, j) of the
     # (nu-1, nv-1) Omega grids, vertex (i-1, j-1) of the frame grids
-    flat = np.array([(u - dom.u_min) * nv + v - dom.v_min
-                     for (u, v), _ in rows])
     i, j = np.divmod(flat, nv)
     quad = flat - i
     frame = quad[None] - i - (nv - 1)
@@ -780,7 +941,7 @@ def _classify_rows(net, rows, tol):
     # component c of star edge k (u+, u-, v+, v-) of row r at [c, k * V + r]
     stars = np.array(_cross3(n0, dirs)).reshape(3, -1)
     pairs = _SIDE_PAIRS.take(key, axis=0).transpose(1, 2, 0)
-    px, py = pairs * len(rows) + np.arange(len(rows))
+    px, py = pairs * len(verts) + np.arange(len(verts))
     with np.errstate(over="ignore", invalid="ignore"):
         sd, sd_mag = _kernels.orient_terms(*n0, *stars.take(px, axis=1),
                                            *stars.take(py, axis=1))
@@ -789,8 +950,8 @@ def _classify_rows(net, rows, tol):
     up = sd > 0
     sided = (up[0] == up[1]) & (up[2] == up[3])
     out = []
-    for (vert, edges), k, ok, side, quad_w in zip(
-            rows, key.tolist(), decided.tolist(), sided.tolist(),
+    for vert, edges, k, ok, side, quad_w in zip(
+            verts, incident, key.tolist(), decided.tolist(), sided.tolist(),
             omegas.T.tolist()):
         outcome = _SIGN_TABLE[k]
         out.append(None if not ok or outcome is None else _classified(
@@ -811,15 +972,15 @@ class SingularPolyline:
 
 
 def _canonical_open(verts, edges):
+    """An open chain's orientation: from its smaller end vertex."""
     if verts[0] > verts[-1]:
-        verts = verts[::-1]
-        edges = edges[::-1]
-    return SingularPolyline(tuple(verts), tuple(edges), closed=False)
+        return verts[::-1], edges[::-1]
+    return verts, edges
 
 
 def _canonical_loop(verts, edges):
-    # verts has the start repeated at the end; rotate so the minimum vertex
-    # leads and the smaller neighbour follows.
+    """A loop's orientation: verts has the start repeated at the end;
+    rotate so the minimum vertex leads and the smaller neighbour follows."""
     cyc_v = verts[:-1]
     k = cyc_v.index(min(cyc_v))
     cyc_v = cyc_v[k:] + cyc_v[:k]
@@ -827,8 +988,7 @@ def _canonical_loop(verts, edges):
     if len(cyc_v) > 2 and cyc_v[-1] < cyc_v[1]:
         cyc_v = [cyc_v[0]] + cyc_v[1:][::-1]
         cyc_e = cyc_e[::-1]
-    return SingularPolyline(tuple(cyc_v + [cyc_v[0]]), tuple(cyc_e),
-                            closed=True)
+    return cyc_v + [cyc_v[0]], cyc_e
 
 
 def extract_polylines(vertices, edges, domain):
@@ -842,19 +1002,7 @@ def extract_polylines(vertices, edges, domain):
         if sv.configuration == Configuration.INADMISSIBLE:
             raise InadmissibleVertex(
                 f"vertex {sv.vertex} is inadmissible; no polyline structure")
-    links = defaultdict(list)
-    for e in sorted(se.edge for se in edges):
-        a, b = e.endpoints()
-        links[a].append((b, e))
-        links[b].append((a, e))
-    for vert, inc in links.items():
-        if domain.is_interior_vertex(*vert) and len(inc) != 2:
-            raise InadmissibleVertex(
-                f"interior vertex {vert} has {len(inc)} singular edges")
-    chains = [(_canonical_loop if closed else _canonical_open)(verts, chain)
-              for verts, chain, closed in walk_chains(links)]
-    chains.sort(key=lambda c: c.vertices)
-    return chains
+    return SingularSet.from_edges(edges, domain).polylines()
 
 
 # ---------------------------------------------------------------------------
@@ -905,37 +1053,34 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
     (_classify_rows).  Positions are not integrated here: the result's f
     integrates from base_vertex on first read.
     """
-    dom = net.domain
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
-    edges = singular_edges(metric)
-    admissibility = []
+    sset = SingularSet.from_omega(metric)
+    incident = sset.incident()
+    two_edge = sset.interior & ~sset.flagged
+    picked = two_edge.tolist()
+    rows = iter(_classify_rows(net, sset.flat[two_edge],
+                               list(compress(sset.vertices, picked)),
+                               list(compress(incident, picked)), tol))
+    admissibility = [(vert, f"{degree} incident singular edges at an "
+                            "interior vertex")
+                     for vert, degree in sset.inadmissible()]
     classified = []
-    rows = []           # the two-edge interior vertices
-    slots = []          # their places in classified
-    for vert, inc in _incident_edges(edges, dom):
-        if not dom.is_interior_vertex(*vert):
-            classified.append(SingularVertex(vert, inc, Configuration.BOUNDARY,
-                                             Kind.UNCLASSIFIED))
-        elif len(inc) != 2:
-            admissibility.append(
-                (vert, f"{len(inc)} incident singular edges at an interior "
-                       "vertex"))
+    for vert, inc, two, flagged in zip(sset.vertices, incident, picked,
+                                       sset.flagged.tolist()):
+        if two:
+            # None: a sign in the dead zone, decided (or raised) one by one
+            classified.append(next(rows) or classify_vertex(
+                net, None, SingularVertex(vert, inc), tol))
+        elif flagged:
             classified.append(SingularVertex(vert, inc,
                                              Configuration.INADMISSIBLE))
         else:
-            rows.append((vert, inc))
-            slots.append(len(classified))
-            classified.append(None)
-    for slot, (vert, inc), sv in zip(slots, rows,
-                                     _classify_rows(net, rows, tol)):
-        # None: a sign in the dead zone, decided (or raised) one by one
-        classified[slot] = sv or classify_vertex(
-            net, None, SingularVertex(vert, inc), tol)
-    polylines = ([] if admissibility
-                 else extract_polylines(classified, edges, dom))
+            classified.append(SingularVertex(vert, inc, Configuration.BOUNDARY,
+                                             Kind.UNCLASSIFIED))
+    polylines = [] if admissibility else sset.polylines()
     return NetAnalysis(net=net, metric=metric,
-                       edges=sorted(edges, key=lambda se: tuple(se.edge)),
+                       edges=sset.singular_edges(metric.values),
                        vertices=classified, polylines=polylines,
                        generic_violations=generic,
                        admissibility_violations=admissibility,

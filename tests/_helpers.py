@@ -1,6 +1,7 @@
 """Shared builders and oracles for the test suite."""
 
 import json
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -8,10 +9,13 @@ import numpy as np
 from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
                    patch_for_quad)
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          NonGenericCell, ValidationError)
-from diams.io_cli import example_curve_pair
-from diams.net_core import _PLANE_LABELS, validate_generic_position
-from diams.singularity import (Configuration, _orient_strict, _vertex_frame,
+                          InadmissibleVertex, NonGenericCell, ValidationError)
+from diams.io_cli import _RawJson, example_curve_pair
+from diams.net_core import (_PLANE_LABELS, validate_generic_position,
+                            walk_chains)
+from diams.singularity import (Configuration, EdgeIndex, SingularEdge,
+                               SingularPolyline, SingularVertex,
+                               _orient_strict, _vertex_frame,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
 from diams.smooth_oracle import _link_chains, omega_smooth
@@ -29,6 +33,17 @@ def four_edge_net():
                             [0.1, 0.0, 1.0]]), -1),
         PolyCurve(np.array([[0.1, 0.05, 0.0], [0.0, 0.0, 0.0],
                             [0.2, 0.1, 0.0]]), -1))
+
+
+def island_net():
+    """4x4 curves whose metric is negative on the interior quad (1, 1)
+    only, so its four edges form one closed singular loop."""
+    h = 0.1
+    xs = np.arange(4) * h
+    ay = np.concatenate([[0.0], np.cumsum([0.0, 5.0, 0.0]) * h])
+    by = np.concatenate([[0.0], np.cumsum([10.0, 3.0, 10.0]) * h])
+    return ConormalNet(PolyCurve(np.stack([xs, ay, np.ones(4)], axis=1)),
+                       PolyCurve(np.stack([xs, by, np.zeros(4)], axis=1)))
 
 
 def round_off_net():
@@ -434,8 +449,94 @@ def reference_dump(obj):
 
 def reference_report_bytes(report, metric):
     """`write_report` bytes of `report` with its Omega section rebuilt as
-    one {"quad", "value"} dict per quad and serialized by
-    `reference_dump`."""
+    one {"quad", "value"} dict per quad, its other pre-serialized sections
+    parsed back into objects, and all of it serialized by
+    `reference_dump`.  A float that reached the C encoder would come back
+    in %.17g digits here, not in the encoder's repr digits."""
     omega = [{"quad": [2 * u + 1, 2 * v + 1], "value": w}
              for (u, v), w in metric.items()] if metric is not None else []
+    report = {key: json.loads(value) if isinstance(value, _RawJson) else value
+              for key, value in report.items()}
     return (reference_dump({**report, "omega": omega}) + "\n").encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# per-edge reference of the singular set
+# ---------------------------------------------------------------------------
+
+def reference_singular_edges(metric):
+    """Per-edge form of `singular_edges`: one SingularEdge per sign flip of
+    Omega, collected in a set.  Kept as the reference that the one array
+    pass (`SingularSet`) must reproduce."""
+    w = metric.values
+    dom = metric.domain
+    neg, pos = w < 0.0, w > 0.0
+    out = set()
+    for axis, lo, hi, du, dv in (("v", np.s_[:-1, :], np.s_[1:, :], 1, 0),
+                                 ("u", np.s_[:, :-1], np.s_[:, 1:], 0, 1)):
+        flip = (neg[lo] & pos[hi]) | (pos[lo] & neg[hi])
+        ii, jj = np.nonzero(flip)
+        for u, v, a, b in zip((ii + (du + dom.u_min)).tolist(),
+                              (jj + (dv + dom.v_min)).tolist(),
+                              w[lo][flip].tolist(), w[hi][flip].tolist()):
+            out.add(SingularEdge(EdgeIndex(axis, u, v), (a, b)))
+    return out
+
+
+def reference_incident_edges(edges, domain):
+    """(vertex, frozenset of its singular edges) for every domain vertex
+    on a singular edge, in vertex order, one edge end at a time."""
+    incident = defaultdict(set)
+    for se in edges:
+        for vert in se.edge.endpoints():
+            if domain.contains_vertex(*vert):
+                incident[vert].add(se.edge)
+    return [(vert, frozenset(incident[vert])) for vert in sorted(incident)]
+
+
+def reference_singular_vertices(edges, domain):
+    return [SingularVertex(vert, inc, Configuration.INADMISSIBLE
+                           if domain.is_interior_vertex(*vert)
+                           and len(inc) != 2 else None)
+            for vert, inc in reference_incident_edges(edges, domain)]
+
+
+def _reference_open(verts, edges):
+    if verts[0] > verts[-1]:
+        verts = verts[::-1]
+        edges = edges[::-1]
+    return SingularPolyline(tuple(verts), tuple(edges), closed=False)
+
+
+def _reference_loop(verts, edges):
+    cyc_v = verts[:-1]
+    k = cyc_v.index(min(cyc_v))
+    cyc_v = cyc_v[k:] + cyc_v[:k]
+    cyc_e = edges[k:] + edges[:k]
+    if len(cyc_v) > 2 and cyc_v[-1] < cyc_v[1]:
+        cyc_v = [cyc_v[0]] + cyc_v[1:][::-1]
+        cyc_e = cyc_e[::-1]
+    return SingularPolyline(tuple(cyc_v + [cyc_v[0]]), tuple(cyc_e),
+                            closed=True)
+
+
+def reference_extract_polylines(vertices, edges, domain):
+    """Per-edge form of `extract_polylines`: a tuple-keyed link dict walked
+    by `net_core.walk_chains`."""
+    for sv in vertices:
+        if sv.configuration == Configuration.INADMISSIBLE:
+            raise InadmissibleVertex(
+                f"vertex {sv.vertex} is inadmissible; no polyline structure")
+    links = defaultdict(list)
+    for e in sorted(se.edge for se in edges):
+        a, b = e.endpoints()
+        links[a].append((b, e))
+        links[b].append((a, e))
+    for vert, inc in links.items():
+        if domain.is_interior_vertex(*vert) and len(inc) != 2:
+            raise InadmissibleVertex(
+                f"interior vertex {vert} has {len(inc)} singular edges")
+    chains = [(_reference_loop if closed else _reference_open)(verts, chain)
+              for verts, chain, closed in walk_chains(links)]
+    chains.sort(key=lambda c: c.vertices)
+    return chains

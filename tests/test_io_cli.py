@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diams import ConormalNet, PolyCurve, _kernels, analyze_net
+from diams import ConormalNet, PolyCurve, _kernels, analyze_net, io_cli
 from diams.errors import ParseError, ValidationError
 from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
                           parse_curves, report_from_analysis,
@@ -194,13 +194,34 @@ def _with_values(analysis, values):
     return dataclasses.replace(analysis, metric=metric)
 
 
-def test_report_bytes_match_reference(rng):
+def _float_leaves(obj):
+    """The float leaves (numpy floats included) of a JSON-like object."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _float_leaves(v)]
+    if isinstance(obj, (list, tuple)):
+        return [x for v in obj for x in _float_leaves(v)]
+    return [obj] if isinstance(obj, (float, np.floating)) else []
+
+
+def test_report_bytes_match_reference(rng, monkeypatch, tmp_path):
+    # every section handed to json's C encoder is float-free: the encoder
+    # would print a float in repr digits, not %.17g
+    encode = io_cli._encode
+    encoded = []
+
+    def float_free_encode(obj):
+        assert _float_leaves(obj) == []
+        encoded.append(obj)
+        return encode(obj)
+
+    monkeypatch.setattr(io_cli, "_encode", float_free_encode)
     analyses = [analyze_net(example_net(y)) for y in (-0.5, -2.0, 1.0)]
     analyses += [analyze_net(parabolic_net(h)[0]) for h in (0.2, 0.05)]
     analyses += [analyze_net(_offset_net(0.2, ao, bo))
                  for ao, bo in ((-7, -12), (-3, 4), (5, 9))]
     analyses += [analyze_net(_strip_net(3, 17)), analyze_net(_strip_net(13, 3))]
     analyses += [analyze_net(random_admissible_net(rng)) for _ in range(20)]
+    analyses += [analyze_net(four_edge_net())]
     special = analyses[3]
     values = special.metric.values.copy()
     values[0, 0] = np.nan
@@ -224,6 +245,21 @@ def test_report_bytes_match_reference(rng):
     assert '"value":-0}' in text.decode()
     assert json.loads(write_report(
         report_from_analysis(analyses[-1], 1e-9, 1e-9)))["omega"] == []
+    assert any(a.admissibility_violations for a in analyses)
+    # the empty report analyze writes before it exits 3 on a degenerate
+    # metric
+    written = []
+    monkeypatch.setattr(io_cli, "write_report",
+                        lambda report: written.append(report)
+                        or write_report(report))
+    curves = tmp_path / "c.json"
+    report = tmp_path / "r.json"
+    assert _run(["example", "--y", -1.0, "--out", curves]) == 0
+    assert _run(["analyze", "--curves", curves, "--report", report]) == 3
+    degenerate, = written
+    assert report.read_bytes() == reference_report_bytes(degenerate, None)
+    # four encoded sections in each of the reports written above
+    assert len(encoded) == 4 * (2 * len(analyses) + 3)
 
 
 @pytest.mark.parametrize("name", ["flat", "parabolic"])

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,14 +14,18 @@ from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    validate_generic_position)
 from diams import singularity
 from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          DiamsError, InadmissibleVertex, ValidationError)
-from diams.singularity import SingularVertex, halfplane_grid, triple_product
+                          DiamsError, InadmissibleVertex, IndexOutOfDomain,
+                          ValidationError)
+from diams.singularity import (MetricField, SingularEdge, SingularSet,
+                               SingularVertex, halfplane_grid, triple_product)
 
-from _helpers import (example_net, generate_admissible, parabolic_net,
-                      parabolic_points,
+from _helpers import (example_net, four_edge_net, generate_admissible,
+                      island_net, parabolic_net, parabolic_points,
                       quadrant_signature, random_admissible_net,
-                      random_net_candidate, random_unimodular, round_off_net,
-                      transformed_net)
+                      random_net_candidate, random_unimodular,
+                      reference_extract_polylines, reference_incident_edges,
+                      reference_singular_edges, reference_singular_vertices,
+                      round_off_net, transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -495,15 +500,7 @@ def test_polylines_empty_without_singular_edges():
 
 def test_polyline_closed_loop():
     # metric sign island on one interior quad yields a 4-edge loop
-    h = 0.1
-    xs = np.arange(4) * h
-    a_slopes = [0.0, 5.0, 0.0]
-    b_slopes = [10.0, 3.0, 10.0]
-    ay = np.concatenate([[0.0], np.cumsum(a_slopes) * h])
-    by = np.concatenate([[0.0], np.cumsum(b_slopes) * h])
-    a = np.stack([xs, ay, np.ones(4)], axis=1)
-    b = np.stack([xs, by, np.zeros(4)], axis=1)
-    net = ConormalNet(PolyCurve(a), PolyCurve(b))
+    net = island_net()
     metric = metric_field(net)
     values = {q: w for q, w in metric.items()}
     assert values[(1, 1)] < 0
@@ -515,6 +512,134 @@ def test_polyline_closed_loop():
     assert chains[0].closed
     assert len(chains[0].edges) == 4
     assert chains[0].vertices[0] == chains[0].vertices[-1] == (1, 1)
+
+
+def _plain_net():
+    """7x7 curves whose metric is positive on every quad."""
+    t = np.linspace(-1.0, 1.0, 7)
+    a = np.stack([t, 0.1 * t ** 3 + 0.05 * t ** 2, 1 + 0.2 * t ** 2], axis=1)
+    b = np.stack([0.1 * t ** 2, t, 0.3 * t ** 2], axis=1)
+    return ConormalNet(PolyCurve(a), PolyCurve(b))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the DiamsError it raises."""
+    try:
+        return fn(*args)
+    except DiamsError as e:
+        return type(e)
+
+
+def _chain_end_sides(polylines, dom):
+    ends = [v for pl in polylines if not pl.closed
+            for v in (pl.vertices[0], pl.vertices[-1])]
+    return ({"u_min" for u, _ in ends if u == dom.u_min}
+            | {"u_max" for u, _ in ends if u == dom.u_max}
+            | {"v_min" for _, v in ends if v == dom.v_min}
+            | {"v_max" for _, v in ends if v == dom.v_max})
+
+
+def test_singular_set_matches_per_edge_reference(rng):
+    nets = [generate_admissible(rng)[0] for _ in range(12)]
+    nets += [random_net_candidate(rng) for _ in range(12)]
+    nets += [four_edge_net(), island_net(), _plain_net(),
+             parabolic_net(0.2)[0], example_net(1.0)]
+    sides = set()
+    kinds = set()
+    for net in nets:
+        dom = net.domain
+        try:
+            metric = metric_field(net)
+        except DegenerateMetric:
+            continue
+        ref_edges = reference_singular_edges(metric)
+        ref_sorted = sorted(ref_edges, key=lambda se: tuple(se.edge))
+        assert singular_edges(metric) == ref_sorted
+        ref_incident = reference_incident_edges(ref_edges, dom)
+        sset = SingularSet.from_omega(metric)
+        assert list(zip(sset.vertices, sset.incident())) == ref_incident
+        assert sset.inadmissible() == [
+            (vert, len(inc)) for vert, inc in ref_incident
+            if dom.is_interior_vertex(*vert) and len(inc) != 2]
+        # the record path, from the reference's edge set
+        ref_verts = reference_singular_vertices(ref_edges, dom)
+        assert singular_vertices(ref_edges, dom) == ref_verts
+        ref_polylines = _outcome(reference_extract_polylines, ref_verts,
+                                 ref_edges, dom)
+        assert _outcome(extract_polylines, ref_verts, ref_edges,
+                        dom) == ref_polylines
+        assert _outcome(extract_polylines, [], ref_edges,
+                        dom) == _outcome(reference_extract_polylines, [],
+                                         ref_edges, dom)
+        # analyze_net: the same edges, incidence and chains; every vertex
+        # configured by the two-edge rule or by classify_vertex
+        analysis = _outcome(analyze_net, net)
+        if isinstance(analysis, type):
+            continue
+        assert analysis.edges == ref_sorted
+        assert [(sv.vertex, sv.incident_singular_edges)
+                for sv in analysis.vertices] == ref_incident
+        expected = []
+        for sv, ref in zip(analysis.vertices, ref_verts):
+            if not dom.is_interior_vertex(*ref.vertex):
+                expected.append(replace(ref,
+                                        configuration=Configuration.BOUNDARY,
+                                        kind=Kind.UNCLASSIFIED))
+            elif ref.configuration == Configuration.INADMISSIBLE:
+                expected.append(ref)
+            else:
+                expected.append(classify_vertex(net, None, ref))
+            kinds.add(expected[-1].configuration)
+        assert analysis.vertices == expected
+        assert analysis.admissibility_violations == [
+            (sv.vertex, f"{len(sv.incident_singular_edges)} incident "
+                        "singular edges at an interior vertex")
+            for sv in ref_verts
+            if sv.configuration == Configuration.INADMISSIBLE]
+        if analysis.admissibility_violations:
+            assert analysis.polylines == []
+            assert ref_polylines is InadmissibleVertex
+        else:
+            assert analysis.polylines == ref_polylines
+            sides |= _chain_end_sides(ref_polylines, dom)
+    assert sides == {"u_min", "u_max", "v_min", "v_max"}
+    assert Configuration.INADMISSIBLE in kinds
+    # the degree-4 vertex, the loop and the empty set reached the checks
+    analysis = analyze_net(four_edge_net())
+    assert analysis.admissibility_violations == [
+        ((0, 0), "4 incident singular edges at an interior vertex")]
+    assert analysis.polylines == []
+    loop, = analyze_net(island_net()).polylines
+    assert loop.closed
+    assert analyze_net(_plain_net()).edges == []
+
+
+def test_singular_set_walks_edge_sets_like_the_reference(rng):
+    # edge records the pass does not make from Omega: random sign grids'
+    # flips plus boundary edges, so boundary vertices reach degree 2 and
+    # 3, and random edge subsets
+    dom = parabolic_net(0.5)[0].domain
+    boundary = [EdgeIndex("u", u, v) for u in range(dom.u_min, dom.u_max)
+                for v in (dom.v_min, dom.v_max)]
+    boundary += [EdgeIndex("v", u, v) for u in (dom.u_min, dom.u_max)
+                 for v in range(dom.v_min, dom.v_max)]
+    walked = 0
+    for trial in range(300):
+        signs = rng.choice([-1.0, 1.0], size=(dom.nu - 1, dom.nv - 1))
+        edges = reference_singular_edges(MetricField(dom, signs))
+        if trial % 3 == 0:
+            edges = {se for se in edges if rng.random() < 0.5}
+        edges |= {SingularEdge(k, (-1.0, 1.0)) for k in boundary
+                  if rng.random() < 0.3}
+        ref_verts = reference_singular_vertices(edges, dom)
+        assert singular_vertices(edges, dom) == ref_verts
+        ref = _outcome(reference_extract_polylines, [], edges, dom)
+        assert _outcome(extract_polylines, [], edges, dom) == ref
+        walked += ref is not InadmissibleVertex
+    assert walked > 50
+    with pytest.raises(IndexOutOfDomain):
+        singular_vertices({SingularEdge(EdgeIndex("u", dom.u_max, 0),
+                                        (-1.0, 1.0))}, dom)
 
 
 # ---------------------------------------------------------------------------
