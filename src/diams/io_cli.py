@@ -209,6 +209,16 @@ def _edge_dict(edge):
     return {"axis": edge.axis, "base_vertex": edge[1:]}
 
 
+def _fill(template, values, finite):
+    """template % values, where each float is written by a %.17g slot;
+    unless finite, every non-str value goes through _dump_float instead,
+    so nan and +-inf become null."""
+    if finite:
+        return template % values
+    return template.replace("%.17g", "%s") % tuple(
+        x if isinstance(x, str) else _dump_float(x) for x in values)
+
+
 def _omega_json(metric):
     """The report's "omega" list, {"quad": [2u+1, 2v+1], "value": w} per
     quad in row-major order (u, then v) like `GridDomain.quads()`, as
@@ -225,13 +235,39 @@ def _omega_json(metric):
     for u, row, row_finite in zip(range(dom.u_min, dom.u_max),
                                   values.tolist(), finite):
         head = '{"quad":[%d,' % (2 * u + 1)
-        template = head + ("," + head).join(tails)
-        if row_finite:
-            rows.append(template % tuple(row))
-        else:
-            rows.append(template.replace("%.17g", "%s")
-                        % tuple(map(_dump_float, row)))
+        rows.append(_fill(head + ("," + head).join(tails), tuple(row),
+                          row_finite))
     return _RawJson("[" + ",".join(rows) + "]")
+
+
+_ORACLE_POINT = ('{"configuration":null,"dvdu":%.17g,"kind":%s,'
+                 '"lambda":%.17g,"vertex":[%.17g,%.17g]}')
+
+
+def _oracle_points_json(points):
+    """The oracle report's "vertices" list as JSON text, one `%` format
+    of _ORACLE_POINT per point."""
+    rows = []
+    for p in points:
+        floats = (p.dvdu, p.lam, p.u, p.v)
+        rows.append(_fill(_ORACLE_POINT,
+                          (p.dvdu, encode_basestring_ascii(p.kind), p.lam,
+                           p.u, p.v),
+                          all(map(math.isfinite, floats))))
+    return _RawJson("[" + ",".join(rows) + "]")
+
+
+def _oracle_chains_json(chains):
+    """The oracle report's "polylines" list as JSON text; each chain's
+    points are one `%` format of [%.17g,%.17g] rows."""
+    out = []
+    for c in chains:
+        pts = np.asarray(c.points, dtype=np.float64)
+        rows = _fill(",".join(["[%.17g,%.17g]"] * len(pts)),
+                     tuple(pts.ravel().tolist()), np.isfinite(pts).all())
+        out.append('{"closed":%s,"edges":[],"vertices":[%s]}'
+                   % ("true" if c.closed else "false", rows))
+    return _RawJson("[" + ",".join(out) + "]")
 
 
 # json's C encoder, for the report sections that hold only ints, strs,
@@ -285,18 +321,8 @@ def report_from_oracle(pair_name, grid_n, tol, chains, points):
         "tolerances": {"trace_tol": tol},
         "omega": [],
         "singular_edges": [],
-        "vertices": [{
-            "vertex": [p.u, p.v],
-            "configuration": None,
-            "kind": p.kind,
-            "lambda": p.lam,
-            "dvdu": p.dvdu,
-        } for p in points],
-        "polylines": [{
-            "closed": bool(c.closed),
-            "vertices": [[float(u), float(v)] for u, v in c.points],
-            "edges": [],
-        } for c in chains],
+        "vertices": _oracle_points_json(points),
+        "polylines": _oracle_chains_json(chains),
         "validations": {"generic_position": [], "admissibility": [],
                         "degenerate_quads": []},
     }

@@ -9,11 +9,15 @@ lambda solves P alpha'(u) + lambda P beta'(v) = 0 in any plane transversal
 to alpha(u) - beta(v).  Swallowtail points are where lambda equals the
 slope dv/du of the singular curve; everywhere else the singular point is a
 cuspidal edge.  The zero set is traced by marching squares on a grid
-sampled with one evaluation of each curve per grid line; the crossing
-points on all sign-change edges are refined together, by linear
-interpolation and then lockstep bisection, evaluating only the curve whose
-parameter moves along the edge.  Tangency points are bracketed along the
-traced chain and refined by interpolation.
+sampled with one evaluation of each curve per grid line, Omega filled in
+blocks of u-rows; the crossing points on all sign-change edges are refined
+together, by linear interpolation and then lockstep bisection, evaluating
+only the curve whose parameter moves along the edge.  Tangency points are
+bracketed along the traced chain and refined by interpolation.  lambda is
+computed in batches, one row per point, by `_kernel_ratio`, whose row dot
+products equal np.dot's bit for bit; `lambda_along_curve` is its one-point
+case.  Curve evaluators stay scalar: numpy's array power rounds
+differently from the scalar pow of a Python float.
 """
 
 import math
@@ -128,6 +132,11 @@ def builtin_pair(name):
 BUILTIN_PAIRS = ("flat", "parabolic", "symmetric")
 
 
+# u-rows of Omega per det3 call: enough rows to amortise the call, few
+# enough that the block temporaries stay far below the grid itself
+_SAMPLE_ROWS = 32
+
+
 def omega_smooth(pair, u, v):
     """[alpha(u) - beta(v), alpha'(u), beta'(v)]."""
     pair.require(u, v)
@@ -141,10 +150,11 @@ def _sample_grid(pair, us, vs, w):
     (alpha, alpha', beta, beta') as (len, 3) arrays.
 
     Each evaluator runs once per parameter value and Omega is filled one
-    u-row at a time with omega_smooth's det3, so every entry equals the
-    scalar value bit for bit.  The range is checked along the first row
-    and the first column, which meets the first out-of-range point of a
-    row-major scan of the product grid.
+    block of _SAMPLE_ROWS u-rows at a time with omega_smooth's det3, which
+    works entry by entry, so every entry equals the scalar value bit for
+    bit.  The range is checked along the first row and the first column,
+    which meets the first out-of-range point of a row-major scan of the
+    product grid.
     """
     for v in vs:
         pair.require(us[0], v)
@@ -154,9 +164,11 @@ def _sample_grid(pair, us, vs, w):
     x = np.array([pair.d_alpha(u) for u in us])
     b = np.array([pair.beta(v) for v in vs])
     y = np.array([pair.d_beta(v) for v in vs])
-    bt, yt = b.T, y.T
-    for i in range(len(us)):
-        w[i] = det3(a[i, :, None] - bt, x[i], yt)
+    at, xt = a.T[:, :, None], x.T[:, :, None]
+    bt, yt = b.T[:, None, :], y.T[:, None, :]
+    for i in range(0, len(us), _SAMPLE_ROWS):
+        rows = slice(i, i + _SAMPLE_ROWS)
+        w[rows] = det3(at[:, rows] - bt, xt[:, rows], yt)
     return a, x, b, y
 
 
@@ -242,9 +254,10 @@ def trace_singular_curve(pair, grid_n, tol):
     us = np.linspace(*pair.u_range, size)
     vs = np.linspace(*pair.v_range, size)
     a, x, b, y = _sample_grid(pair, us, vs, w)
-    wmax = float(np.abs(w).max())
+    # max |Omega| and the |Omega| <= corner_eps test without a grid of |w|
+    wmax = max(float(w.max()), -float(w.min()))
     corner_eps = 1e-12 * max(1.0, wmax)
-    zero_corner = np.abs(w) <= corner_eps
+    zero_corner = (-corner_eps <= w) & (w <= corner_eps)
     if zero_corner.any():
         i, j = np.argwhere(zero_corner)[0]
         raise NonGenericCell(
@@ -292,9 +305,7 @@ def trace_singular_curve(pair, grid_n, tol):
     w0 = w[i0, j0]
     s = w0 / (w0 - w[i1, j1])
     guess = p0 + s[:, None] * (p1 - p0)
-    (u_lo, u_hi), (v_lo, v_hi) = pair.u_range, pair.v_range
-    inside = ((u_lo <= guess[:, 0]) & (guess[:, 0] <= u_hi)
-              & (v_lo <= guess[:, 1]) & (guess[:, 1] <= v_hi))
+    inside = _in_range(pair, guess)
     if not inside.all():
         # an evaluator's nan at a grid line gives (nan, nan) guesses
         pair.require(*guess[np.argmin(inside)])
@@ -326,27 +337,65 @@ class LambdaFit(NamedTuple):
     residual: float
 
 
+def _row_dot(p, q):
+    """Dot products of matching rows of two (k, 3) arrays.  Stacked
+    (1, 3) @ (3, 1) products go through the same BLAS ddot as np.dot and
+    np.linalg.norm, so each entry equals np.dot(p[i], q[i]) bit for bit;
+    (p * q).sum(1) and einsum round differently."""
+    return np.matmul(p[:, None, :], q[:, :, None])[:, 0, 0]
+
+
+def _in_range(pair, points):
+    """Which rows of a (k, 2) array pass pair.require (nan fails)."""
+    (u_lo, u_hi), (v_lo, v_hi) = pair.u_range, pair.v_range
+    u, v = points[:, 0], points[:, 1]
+    return (u_lo <= u) & (u <= u_hi) & (v_lo <= v) & (v <= v_hi)
+
+
+def _kernel_ratio(pair, points):
+    """Least-squares kernel ratio at every row of a (k, 2) array of
+    (u, v) points: (lambda, residual, n, da, db) as arrays, where n is
+    the unit co-normal alpha(u) - beta(v) and da, db are alpha'(u) and
+    beta'(v) as (k, 3) rows.
+
+    Each curve is evaluated once per point, and every dot product and
+    norm is a _row_dot, so each row equals the per-point computation bit
+    for bit.  The first point in row order that fails raises what a
+    per-point loop would: OutOfRange from pair.require, or
+    DegenerateDirection where P beta' vanishes.
+    """
+    inside = _in_range(pair, points)
+    k = len(points) if inside.all() else int(np.argmin(inside))
+    us, vs = points[:k, 0].tolist(), points[:k, 1].tolist()
+    a, b, da, db = (np.array([curve(t) for t in ts], dtype=float).reshape(k, 3)
+                    for curve, ts in ((pair.alpha, us), (pair.beta, vs),
+                                      (pair.d_alpha, us), (pair.d_beta, vs)))
+    n = a - b
+    n = n / np.sqrt(_row_dot(n, n))[:, None]
+    pa = da - n * _row_dot(n, da)[:, None]
+    pb = db - n * _row_dot(n, db)[:, None]
+    pb_norm = np.sqrt(_row_dot(pb, pb))
+    flat = pb_norm <= 1e-12 * np.fmax(1.0, np.sqrt(_row_dot(db, db)))
+    if flat.any():
+        i = int(np.argmax(flat))
+        raise DegenerateDirection(f"projected beta' vanishes at (u, v) = "
+                                  f"({us[i]:.6g}, {vs[i]:.6g})")
+    if k < len(points):
+        pair.require(*points[k].tolist())
+    lam = -_row_dot(pa, pb) / (pb_norm * pb_norm)
+    res = pa + lam[:, None] * pb
+    return lam, np.sqrt(_row_dot(res, res)), n, da, db
+
+
 def lambda_along_curve(pair, point):
     """Least-squares lambda with P alpha' + lambda P beta' minimal.
 
     P is the orthogonal projection along alpha(u) - beta(v); on the
     singular curve the residual vanishes and lambda is the kernel ratio.
     """
-    u, v = float(point[0]), float(point[1])
-    pair.require(u, v)
-    n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
-    n = n / np.linalg.norm(n)
-    da = np.asarray(pair.d_alpha(u))
-    db = np.asarray(pair.d_beta(v))
-    pa = da - n * float(np.dot(n, da))
-    pb = db - n * float(np.dot(n, db))
-    pb_norm = float(np.linalg.norm(pb))
-    if pb_norm <= 1e-12 * max(1.0, float(np.linalg.norm(db))):
-        raise DegenerateDirection(
-            f"projected beta' vanishes at (u, v) = ({u:.6g}, {v:.6g})")
-    lam = -float(np.dot(pa, pb)) / (pb_norm * pb_norm)
-    residual = float(np.linalg.norm(pa + lam * pb))
-    return LambdaFit(lam, residual)
+    lam, res, *_ = _kernel_ratio(
+        pair, np.array([[float(point[0]), float(point[1])]]))
+    return LambdaFit(float(lam[0]), float(res[0]))
 
 
 @dataclass(frozen=True)
@@ -374,13 +423,15 @@ def find_swallowtails(pair, chain):
     parallel to the v axis, so sign changes are detected on the
     pole-free form H = lambda * du - dv (du, dv from chain tangents),
     whose roots are exactly the roots of g.  Chains with H vanishing
-    identically (tangency everywhere) raise NonGenericChain.
+    identically (tangency everywhere) raise NonGenericChain.  lambda is
+    computed for all chain points in one batch, then for all
+    interpolated candidates in a second.
     """
     points = np.asarray(chain.points if isinstance(chain, SmoothChain)
                         else chain, dtype=float)
     if points.shape[0] < 3:
         raise ValidationError("chain needs at least 3 points")
-    lams = np.array([lambda_along_curve(pair, p).value for p in points])
+    lams = _kernel_ratio(pair, points)[0]
     tang = _chain_tangents(points)
     hh = lams * tang[:, 0] - tang[:, 1]
     hscale = float(np.max(np.abs(lams * tang[:, 0]) + np.abs(tang[:, 1])))
@@ -389,27 +440,24 @@ def find_swallowtails(pair, chain):
         raise NonGenericChain(
             "lambda matches the chain slope along the whole chain")
 
-    def dvdu(t):
-        if t[0] == 0.0:
-            return math.inf if t[1] > 0 else -math.inf
-        return t[1] / t[0]
+    # consecutive entries of H outside the zero band that differ in sign
+    live = np.flatnonzero(~(np.abs(hh) <= zero_tol))
+    flip = (hh[live[1:]] > 0) != (hh[live[:-1]] > 0)
+    i0, i1 = live[:-1][flip], live[1:][flip]
+    s = (hh[i0] / (hh[i0] - hh[i1]))[:, None]
+    loc = points[i0] + s * (points[i1] - points[i0])
+    loc_tang = tang[i0] + s * (tang[i1] - tang[i0])
+    loc_lams = _kernel_ratio(pair, loc)[0]
 
-    out = [SmoothSingularPoint(float(p[0]), float(p[1]), float(lam),
-                               dvdu(t), "CuspidalEdge")
-           for p, lam, t in zip(points, lams, tang)]
-    prev_idx = None
-    for i in range(points.shape[0]):
-        if abs(hh[i]) <= zero_tol:
-            continue
-        if prev_idx is not None and (hh[i] > 0) != (hh[prev_idx] > 0):
-            s = hh[prev_idx] / (hh[prev_idx] - hh[i])
-            loc = points[prev_idx] + s * (points[i] - points[prev_idx])
-            t = tang[prev_idx] + s * (tang[i] - tang[prev_idx])
-            lam = lambda_along_curve(pair, loc).value
-            out.append(SmoothSingularPoint(float(loc[0]), float(loc[1]),
-                                           float(lam), dvdu(t),
-                                           "SwallowtailCandidate"))
-        prev_idx = i
+    out = []
+    for kind, pts, lam, t in (("CuspidalEdge", points, lams, tang),
+                              ("SwallowtailCandidate", loc, loc_lams,
+                               loc_tang)):
+        # dv/du, +-inf where the tangent has du == 0
+        dvdu = np.divide(t[:, 1], t[:, 0], where=t[:, 0] != 0.0,
+                         out=np.where(t[:, 1] > 0, math.inf, -math.inf))
+        out += [SmoothSingularPoint(u, v, l, d, kind) for (u, v), l, d
+                in zip(pts.tolist(), lam.tolist(), dvdu.tolist())]
     out.sort(key=lambda p: (p.u, p.v))
     return out
 
@@ -441,13 +489,10 @@ def curvature_gap(pair, point):
     """[Pa', Pa''] - lambda^3 [Pb', Pb'']; zero exactly at tangency
     (swallowtail) points of the singular curve."""
     u, v = float(point[0]), float(point[1])
-    pair.require(u, v)
-    n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
-    n = n / np.linalg.norm(n)
-    lam = lambda_along_curve(pair, point).value
-    a_term = _projected_cross(n, pair.d_alpha(u), pair.dd_alpha(u))
-    b_term = _projected_cross(n, pair.d_beta(v), pair.dd_beta(v))
-    return a_term - lam ** 3 * b_term
+    lam, _, n, da, db = _kernel_ratio(pair, np.array([[u, v]]))
+    a_term = _projected_cross(n[0], da[0], pair.dd_alpha(u))
+    b_term = _projected_cross(n[0], db[0], pair.dd_beta(v))
+    return a_term - float(lam[0]) ** 3 * b_term
 
 
 def sample_pair(pair, du, dv):

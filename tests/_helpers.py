@@ -8,8 +8,9 @@ import numpy as np
 
 from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
                    patch_for_quad)
-from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          InadmissibleVertex, NonGenericCell, ValidationError)
+from diams.errors import (DegenerateDirection, DegenerateMetric,
+                          DegenerateOrientation, InadmissibleVertex,
+                          NonGenericCell, NonGenericChain, ValidationError)
 from diams.io_cli import _RawJson, example_curve_pair
 from diams.net_core import (_PLANE_LABELS, validate_generic_position,
                             walk_chains)
@@ -18,7 +19,8 @@ from diams.singularity import (Configuration, EdgeIndex, SingularEdge,
                                _orient_strict, _vertex_frame,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
-from diams.smooth_oracle import _link_chains, omega_smooth
+from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothSingularPoint,
+                                 _chain_tangents, _link_chains, omega_smooth)
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -421,6 +423,69 @@ def reference_trace(pair, grid_n, tol):
     return _link_chains(segments, crossings)
 
 
+def reference_lambda(pair, point):
+    """Per-point form of `lambda_along_curve`: np.dot and np.linalg.norm
+    on one point's vectors.  Kept as the reference that the batched
+    kernel ratio must reproduce bit for bit, errors included."""
+    u, v = float(point[0]), float(point[1])
+    pair.require(u, v)
+    n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
+    n = n / np.linalg.norm(n)
+    da = np.asarray(pair.d_alpha(u))
+    db = np.asarray(pair.d_beta(v))
+    pa = da - n * float(np.dot(n, da))
+    pb = db - n * float(np.dot(n, db))
+    pb_norm = float(np.linalg.norm(pb))
+    if pb_norm <= 1e-12 * max(1.0, float(np.linalg.norm(db))):
+        raise DegenerateDirection(
+            f"projected beta' vanishes at (u, v) = ({u:.6g}, {v:.6g})")
+    lam = -float(np.dot(pa, pb)) / (pb_norm * pb_norm)
+    residual = float(np.linalg.norm(pa + lam * pb))
+    return LambdaFit(lam, residual)
+
+
+def reference_find_swallowtails(pair, chain):
+    """Per-point form of `find_swallowtails`: one `reference_lambda` per
+    chain point and per candidate, brackets found by walking H point by
+    point."""
+    points = np.asarray(chain.points if isinstance(chain, SmoothChain)
+                        else chain, dtype=float)
+    if points.shape[0] < 3:
+        raise ValidationError("chain needs at least 3 points")
+    lams = np.array([reference_lambda(pair, p).value for p in points])
+    tang = _chain_tangents(points)
+    hh = lams * tang[:, 0] - tang[:, 1]
+    hscale = float(np.max(np.abs(lams * tang[:, 0]) + np.abs(tang[:, 1])))
+    zero_tol = 1e-9 * max(hscale, 1e-300)
+    if np.all(np.abs(hh) <= zero_tol):
+        raise NonGenericChain(
+            "lambda matches the chain slope along the whole chain")
+
+    def dvdu(t):
+        if t[0] == 0.0:
+            return float("inf") if t[1] > 0 else float("-inf")
+        return t[1] / t[0]
+
+    out = [SmoothSingularPoint(float(p[0]), float(p[1]), float(lam),
+                               dvdu(t), "CuspidalEdge")
+           for p, lam, t in zip(points, lams, tang)]
+    prev_idx = None
+    for i in range(points.shape[0]):
+        if abs(hh[i]) <= zero_tol:
+            continue
+        if prev_idx is not None and (hh[i] > 0) != (hh[prev_idx] > 0):
+            s = hh[prev_idx] / (hh[prev_idx] - hh[i])
+            loc = points[prev_idx] + s * (points[i] - points[prev_idx])
+            t = tang[prev_idx] + s * (tang[i] - tang[prev_idx])
+            lam = reference_lambda(pair, loc).value
+            out.append(SmoothSingularPoint(float(loc[0]), float(loc[1]),
+                                           float(lam), dvdu(t),
+                                           "SwallowtailCandidate"))
+        prev_idx = i
+    out.sort(key=lambda p: (p.u, p.v))
+    return out
+
+
 def reference_dump(obj):
     """Per-value form of `io_cli._dump`: one isinstance chain per value,
     kept as the reference that the report writer must reproduce byte for
@@ -447,6 +512,11 @@ def reference_dump(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _parse_int(text):
+    # %.17g writes -0.0 as "-0", which would parse as the integer 0
+    return -0.0 if text == "-0" else int(text)
+
+
 def reference_report_bytes(report, metric):
     """`write_report` bytes of `report` with its Omega section rebuilt as
     one {"quad", "value"} dict per quad, its other pre-serialized sections
@@ -455,7 +525,8 @@ def reference_report_bytes(report, metric):
     in %.17g digits here, not in the encoder's repr digits."""
     omega = [{"quad": [2 * u + 1, 2 * v + 1], "value": w}
              for (u, v), w in metric.items()] if metric is not None else []
-    report = {key: json.loads(value) if isinstance(value, _RawJson) else value
+    report = {key: json.loads(value, parse_int=_parse_int)
+              if isinstance(value, _RawJson) else value
               for key, value in report.items()}
     return (reference_dump({**report, "omega": omega}) + "\n").encode("ascii")
 

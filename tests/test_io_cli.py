@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import warnings
@@ -12,7 +13,8 @@ from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
                           parse_curves, report_from_analysis,
                           report_from_oracle, run_cli, write_curves,
                           write_report)
-from diams.smooth_oracle import (builtin_pair, find_swallowtails,
+from diams.smooth_oracle import (SmoothChain, SmoothSingularPoint,
+                                 builtin_pair, find_swallowtails,
                                  trace_singular_curve)
 
 from diams.net_core import integrate_net
@@ -270,6 +272,49 @@ def test_oracle_report_bytes_match_reference(name):
     report = report_from_oracle(name, 101, 1e-10, chains, points)
     assert bool(points) == (name == "parabolic")
     assert write_report(report) == reference_report_bytes(report, None)
+
+
+def test_oracle_report_edge_cases_match_reference():
+    # hand-built points with non-finite and signed-zero values, a closed
+    # chain and one holding nan, and the flat pair's empty report
+    inf, nan = float("inf"), float("nan")
+    points = [SmoothSingularPoint(0.5, -0.25, -1.0, inf, "CuspidalEdge"),
+              SmoothSingularPoint(0.5, 0.25, 2.0, -inf, "CuspidalEdge"),
+              SmoothSingularPoint(-0.0, 0.0, -0.0, nan,
+                                  "SwallowtailCandidate"),
+              SmoothSingularPoint(1e-300, nan, inf, -0.0, "CuspidalEdge"),
+              SmoothSingularPoint(0.1, 1 / 3, np.float64(0.7), np.float64(3),
+                                  "CuspidalEdge")]
+    t = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
+    loop = SmoothChain(np.stack([0.5 * np.cos(t), 0.5 * np.sin(t)], 1), True)
+    arc = SmoothChain(np.array([[0.0, 1.0], [nan, 0.5], [inf, -0.0]]), False)
+    cases = [([loop], points), ([loop, arc], points[:1]), ([], [])]
+    for chains, pts in cases:
+        report = report_from_oracle("custom", 33, 1e-10, chains, pts)
+        text = write_report(report)
+        assert text == reference_report_bytes(report, None)
+    doc = json.loads(text)
+    assert doc["vertices"] == doc["polylines"] == []
+    doc = json.loads(write_report(
+        report_from_oracle("custom", 33, 1e-10, [loop, arc], points)))
+    assert [v["dvdu"] for v in doc["vertices"]] == [None, None, None, 0, 3]
+    assert doc["vertices"][3]["vertex"] == [1e-300, None]
+    assert [p["closed"] for p in doc["polylines"]] == [True, False]
+    assert doc["polylines"][1]["vertices"][1:] == [[None, 0.5], [None, 0]]
+    assert b'"dvdu":-0,' in write_report(
+        report_from_oracle("custom", 33, 1e-10, [], points[3:4]))
+
+
+@pytest.mark.parametrize("grid, digest", [
+    (41, "c6eb6dc22a5a82cc33b99248ecf6f8bbae4d7fe65dfe904e40fc453ad50f7ec8"),
+    (401, "bcfd0a331037b0bf5b36e724fad93bc0215a16eb1e57ade13784c6ae7f3b10de"),
+], ids=["41", "401"])
+def test_cli_oracle_parabolic_report_digest(grid, digest, tmp_path):
+    # drift in the kernel ratio, the trace or the writer changes the bytes
+    report = tmp_path / "o.json"
+    assert _run(["oracle", "--pair", "parabolic", "--grid", grid,
+                 "--report", report]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def _run(args):

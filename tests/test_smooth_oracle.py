@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,9 +11,10 @@ from diams import (builtin_pair, check_regularity, curvature_gap,
 from diams.errors import (DegenerateDirection, DiamsError, NonGenericCell,
                           NonGenericChain, OutOfRange, ValidationError)
 from diams.io_cli import report_from_oracle, run_cli, write_report
-from diams.smooth_oracle import SmoothCurvePair
+from diams.smooth_oracle import SmoothCurvePair, _kernel_ratio, _row_dot
 
-from _helpers import densify, one_sided_hausdorff, reference_trace
+from _helpers import (densify, one_sided_hausdorff, reference_find_swallowtails,
+                      reference_lambda, reference_trace)
 
 
 def line_pair(**kw):
@@ -466,3 +468,204 @@ def test_trace_nan_samples_match_reference():
     got = _trace_outcome(trace_singular_curve, pair, 33)
     assert got[0] is OutOfRange and "(nan, nan)" in got[1]
     assert got == _trace_outcome(reference_trace, pair, 33)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def opposite_pair():
+    return SmoothCurvePair(
+        alpha=lambda u: np.array([u, 0.0, 1.0]),
+        beta=lambda v: np.array([-v, 0.0, 0.0]),
+        d_alpha=lambda u: np.array([1.0, 0.0, 0.0]),
+        d_beta=lambda v: np.array([-1.0, 0.0, 0.0]),
+        dd_alpha=lambda u: np.zeros(3),
+        dd_beta=lambda v: np.zeros(3),
+        u_range=(-1, 1), v_range=(-1, 1))
+
+
+def degenerate_pair():
+    """P beta' vanishes on the line u = 1, where alpha - beta is parallel
+    to beta'."""
+    return SmoothCurvePair(
+        alpha=lambda u: np.array([u, 1.0, 0.0]),
+        beta=lambda v: np.array([1.0, 1.0, v]),
+        d_alpha=lambda u: np.array([1.0, 0.0, 0.0]),
+        d_beta=lambda v: np.array([0.0, 0.0, 1.0]),
+        dd_alpha=lambda u: np.zeros(3),
+        dd_beta=lambda v: np.zeros(3),
+        u_range=(-1, 1), v_range=(0.5, 1.5))
+
+
+def _random_points(rng, pair, k):
+    return np.stack([rng.uniform(*pair.u_range, size=k),
+                     rng.uniform(*pair.v_range, size=k)], axis=1)
+
+
+def _lambda_outcome(f, pair, points):
+    try:
+        return f(pair, points)
+    except DiamsError as e:
+        return type(e), str(e)
+
+
+def _reference_lambdas(pair, points):
+    """(2, k) array of the reference's lambda and residual values."""
+    return np.array([reference_lambda(pair, p) for p in points]).T
+
+
+def _assert_lambdas_match(pair, points):
+    """The batch, lambda_along_curve point by point, and the per-point
+    reference agree bit for bit; returns how many points were checked."""
+    ref = _lambda_outcome(_reference_lambdas, pair, points)
+    got = _lambda_outcome(lambda p, x: np.array(_kernel_ratio(p, x)[:2]),
+                          pair, points)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return 0
+    assert np.array_equal(_bits(got[0]), _bits(ref[0]))
+    assert np.array_equal(_bits(got[1]), _bits(ref[1]))
+    for p, lam, res in zip(points, *ref):
+        fit = lambda_along_curve(pair, p)
+        assert type(fit.value) is float and type(fit.residual) is float
+        assert _bits(fit.value) == _bits(lam)
+        assert _bits(fit.residual) == _bits(res)
+    return len(points)
+
+
+@pytest.mark.parametrize("n", [41, 101, 401])
+def test_lambda_matches_per_point_reference_on_parabolic_chains(n):
+    pair = builtin_pair("parabolic")
+    chains = trace_singular_curve(pair, n, 1e-10)
+    assert _assert_lambdas_match(pair, chains[0].points) > 0
+
+
+def test_lambda_matches_per_point_reference(rng):
+    checked = 0
+    for pair in _pairs(rng) + [opposite_pair(), degenerate_pair()]:
+        for n in (16, 33):
+            outcome = _trace_outcome(trace_singular_curve, pair, n)
+            if isinstance(outcome, list):
+                for chain in outcome:
+                    checked += _assert_lambdas_match(pair, chain.points)
+        checked += _assert_lambdas_match(pair, _random_points(rng, pair, 50))
+    assert checked > 1000
+
+
+DEGENERATE, OUTSIDE, NAN = (1.0, 1.0), (2.0, 1.0), (np.nan, 1.0)
+
+
+@pytest.mark.parametrize("bad", [(DEGENERATE, OUTSIDE), (OUTSIDE, DEGENERATE),
+                                 (NAN, DEGENERATE), (DEGENERATE, NAN)])
+def test_lambda_errors_match_per_point_reference(bad):
+    # the first failing point in row order decides the error
+    pair = degenerate_pair()
+    points = np.array([(0.2, 0.7), bad[0], (-0.5, 1.2), bad[1], (0.0, 1.0)])
+    ref = _lambda_outcome(_reference_lambdas, pair, points)
+    got = _lambda_outcome(_kernel_ratio, pair, points)
+    assert got == ref
+    assert got[0] is (DegenerateDirection if bad[0] == DEGENERATE
+                      else OutOfRange)
+    first = points[[1]]
+    assert _lambda_outcome(lambda_along_curve, pair, first[0]) == ref
+    chain = np.concatenate([points[:1], points])
+    assert (_lambda_outcome(find_swallowtails, pair, chain)
+            == _lambda_outcome(reference_find_swallowtails, pair, chain)
+            == ref)
+
+
+def test_row_dot_is_np_dot_bitwise(rng):
+    p = rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, size=(2000, 1))
+    q = rng.normal(size=(2000, 3))
+    ref = np.array([np.dot(a, b) for a, b in zip(p, q)])
+    assert np.array_equal(_bits(_row_dot(p, q)), _bits(ref))
+    norms = np.array([np.linalg.norm(a) for a in p])
+    assert np.array_equal(_bits(np.sqrt(_row_dot(p, p))), _bits(norms))
+    # rows where a plain sum of products rounds differently are covered
+    assert (_bits((p * q).sum(axis=1)) != _bits(ref)).any()
+
+
+def _assert_same_points(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.kind == b.kind
+        fields = (a.u, a.v, a.lam, a.dvdu), (b.u, b.v, b.lam, b.dvdu)
+        assert all(type(x) is float for x in fields[0])
+        assert np.array_equal(_bits(fields[0]), _bits(fields[1]))
+
+
+def test_find_swallowtails_matches_per_point_reference(rng):
+    kinds = Counter()
+    for pair in _pairs(rng):
+        for n in (33, 101):
+            chains = _trace_outcome(trace_singular_curve, pair, n)
+            if not isinstance(chains, list):
+                continue
+            for chain in chains:
+                got = _lambda_outcome(find_swallowtails, pair, chain)
+                ref = _lambda_outcome(reference_find_swallowtails, pair,
+                                      chain)
+                if isinstance(ref, tuple):
+                    assert got == ref
+                    kinds["error"] += 1
+                    continue
+                _assert_same_points(got, ref)
+                kinds.update(p.kind for p in got)
+    assert kinds["SwallowtailCandidate"] > 0 and kinds["error"] > 0
+
+
+def test_find_swallowtails_infinite_slopes_match_reference():
+    # a vertical chain: every tangent has du == 0, and dv/du is +inf
+    # walking up and -inf walking down; a repeated point gives a zero
+    # tangent, whose dv/du is -inf
+    pair = builtin_pair("parabolic")
+    v = np.linspace(-0.5, 0.5, 7)
+    for sign in (1.0, -1.0):
+        chain = np.stack([np.full_like(v, 0.25), sign * v], axis=1)
+        got = find_swallowtails(pair, chain)
+        _assert_same_points(got, reference_find_swallowtails(pair, chain))
+        assert {p.dvdu for p in got} == {sign * np.inf}
+    chain = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, 0.1], [0.4, 0.4]])
+    got = find_swallowtails(pair, chain)
+    _assert_same_points(got, reference_find_swallowtails(pair, chain))
+    assert got[0].dvdu == -np.inf
+
+
+def test_curvature_gap_evaluates_each_curve_once():
+    pair, calls = counting_pair("parabolic")
+    curvature_gap(pair, (0.1, 0.2))
+    assert dict(calls) == {"alpha": 1, "d_alpha": 1, "beta": 1, "d_beta": 1}
+
+
+def test_curvature_gap_matches_per_point_reference(rng):
+    def reference_gap(pair, point):
+        u, v = float(point[0]), float(point[1])
+        pair.require(u, v)
+        n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
+        n = n / np.linalg.norm(n)
+        lam = reference_lambda(pair, point).value
+        a_term = float(np.dot(n, np.cross(pair.d_alpha(u), pair.dd_alpha(u))))
+        b_term = float(np.dot(n, np.cross(pair.d_beta(v), pair.dd_beta(v))))
+        return a_term - lam ** 3 * b_term
+
+    for pair in _pairs(rng) + [degenerate_pair()]:
+        points = _random_points(rng, pair, 20).tolist() + [DEGENERATE,
+                                                           OUTSIDE]
+        for p in points:
+            got = _lambda_outcome(curvature_gap, pair, p)
+            assert got == _lambda_outcome(reference_gap, pair, p)
+
+
+def test_omega_smooth_grid_samples_in_blocks():
+    # no whole-grid temporaries: the peak of the sampling stays below
+    # twice the grid it fills
+    pair = builtin_pair("parabolic")
+    us, vs = _grid(pair, 401)
+    tracemalloc.start()
+    try:
+        w = omega_smooth_grid(pair, us, vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * w.nbytes
