@@ -59,7 +59,8 @@ def _dump_seq(obj):
     return "[" + ",".join(map(_dump, obj)) + "]"
 
 
-# serializers keyed by exact type: one lookup instead of an isinstance chain
+# serializers keyed by exact type: one lookup instead of an isinstance
+# chain; any other type (numpy values, subclasses) raises TypeError
 _DUMP_EXACT = {
     float: _dump_float,
     str: encode_basestring_ascii,       # what json.dumps does for a str
@@ -75,22 +76,9 @@ _DUMP_EXACT = {
 
 def _dump(obj):
     dump = _DUMP_EXACT.get(type(obj))
-    if dump is not None:
-        return dump(obj)
-    # numpy scalars and arrays, and subclasses of the built-in types
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _dump_float(float(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        return _dump_dict(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return _dump_seq(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if dump is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return dump(obj)
 
 
 def write_report(report):

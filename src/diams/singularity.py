@@ -30,11 +30,13 @@ Tolerances must be >= 0: a negative one leaves no dead zone.
 A two-edge vertex's configuration, kind and sign diagnostics depend only
 on these six signs, so they are read from a 64-entry table
 (``_SIGN_TABLE``) that the scalar branch logic (``_sign_outcome``) fills
-at import.  ``analyze_net`` gathers the six signs of all two-edge
-vertices from the two grids and classifies them in one batched pass;
-``classify_vertex`` computes them for one vertex and reads the same
-table.  Star sidedness is evaluated on its own, from the star edges that
-the Lelieuvre equations give, so no positions are integrated:
+at import.  One row rule, ``_decide_row``, classifies a vertex from its
+six signs and four star-sidedness signs.  ``analyze_net`` gathers the
+signs of all two-edge vertices from the two grids in one batched pass
+that hands every row with an undecided sign to the rule;
+``classify_vertex`` reads one vertex's signs from the same grids.  Star
+sidedness is evaluated on its own, from the star edges that the
+Lelieuvre equations give, so no positions are integrated:
 ``NetAnalysis.f`` integrates on first read.
 """
 
@@ -525,23 +527,24 @@ def _vertex_frame(net, u0, v0):
             (b0[0] - bm[0], b0[1] - bm[1], b0[2] - bm[2]))
 
 
-def _cross_signs(net, u0, v0, tol):
-    """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),
-    b in (beta'+, beta'-), in the order ++, +-, -+, --, and the four
-    Omega they are read from, at an interior vertex and tol >= 0.
+def _vertex_terms(net, u0, v0):
+    """(det, mag) lists of the six signs at an interior vertex: alpha'+
+    against alpha'- and beta'+ against beta'- (net.frame_terms), then the
+    cross signs orient(nu0, a, b), a in (alpha'+, alpha'-), b in
+    (beta'+, beta'-), in the order ++, +-, -+, --.
 
-    By column reduction each cross sign is the sign of Omega on the quad
-    on the sides of a and b: (u0, v0), (u0, v0-1), (u0-1, v0),
-    (u0-1, v0-1).  Omega and its dead zone are read from net.omega_terms,
-    so the signs are the ones singular_edges compared.  Zeros are kept;
-    every other orientation among the four directions (swapped or negated
-    arguments) is one of these values up to an exact sign flip."""
+    By column reduction each cross det is Omega on the quad on the sides
+    of a and b: (u0, v0), (u0, v0-1), (u0-1, v0), (u0-1, v0-1), read from
+    net.omega_terms, so the signs are the ones singular_edges compared.
+    Every other orientation among the four directions is one of these up
+    to an exact sign flip."""
     i = u0 - net.domain.u_min
     j = v0 - net.domain.v_min
+    (aa, aa_mag), (bb, bb_mag) = net.frame_terms[:, :, i - 1, j - 1].tolist()
     # the 2x2 block of quads around the vertex, read backwards: ++ first
     w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
         2, 4)[:, ::-1].tolist()
-    return tuple([_decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
+    return [aa, bb, *w], [aa_mag, bb_mag, *w_mag]
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -599,7 +602,8 @@ def admissibility_check(net, vertex, tol=1e-9):
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
-    cross, _ = _cross_signs(net, u0, v0, tol)
+    d, mag = _vertex_terms(net, u0, v0)
+    cross = [_decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
     axes = {e.axis for e in vertex.incident_singular_edges}
     return _admissible_signatures(cross, axes, vertex.vertex) is not None
 
@@ -719,12 +723,12 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     against that normal.  True characterizes the swallowtail star shape.
     """
     u0, v0 = vertex.vertex
+    edges = vertex.incident_singular_edges
     if not f.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
-    if len(vertex.incident_singular_edges) != 2:
+    if len(edges) != 2:
         raise InadmissibleVertex(
-            f"vertex ({u0}, {v0}) has "
-            f"{len(vertex.incident_singular_edges)} singular edges")
+            f"vertex ({u0}, {v0}) has {len(edges)} singular edges")
     i = u0 - f.domain.u_min
     j = v0 - f.domain.v_min
     (_, pum, _), (pvm, p, pvp), (_, pup, _) = \
@@ -732,23 +736,21 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     stars = [[q[0] - p[0], q[1] - p[1], q[2] - p[2]]
              for q in (pup, pum, pvp, pvm)]
     return _star_sides_agree(_t3(net.conormal(u0, v0)), stars,
-                             _edge_pattern(vertex), tol, (u0, v0))
+                             _edge_pattern((u0, v0), edges), tol, (u0, v0))
 
 
 # ---------------------------------------------------------------------------
 # vertex classification
 # ---------------------------------------------------------------------------
 
-def _edge_pattern(vertex):
-    u0, v0 = vertex.vertex
-    return "".join(sorted(e.direction_at((u0, v0))
-                          for e in vertex.incident_singular_edges))
+def _edge_pattern(vert, edges):
+    return "".join(sorted(e.direction_at(vert) for e in edges))
 
 
 def _base_edge(pattern, u0, v0, omegas):
     """Key of the base edge: the singular v-edge (the v- one when both
     are), otherwise the u-edge of larger metric contrast |Omega
-    difference| across it, from the four quad metrics of _cross_signs; a
+    difference| across it, from the four quad metrics of _vertex_terms; a
     tie picks u+, the larger key.  The A/B/C outcome does not depend on
     this choice (property-tested)."""
     if "v-" in pattern:
@@ -862,6 +864,22 @@ def _classified(vertex, edges, outcome, sided, base):
                            "star_sidedness": sided})
 
 
+def _decide_row(vert, edges, d, mag, n0, stars, tol):
+    """Classify the two-edge interior vertex `vert` with singular edges
+    `edges` from its six (det, mag) pairs in _vertex_terms order, its
+    co-normal n0 and its star edges u+, u-, v+, v-.  A zero sign, or edges
+    other than the ones the cross signs make singular, runs _sign_outcome
+    on the vertex itself instead of reading the sign table."""
+    signs = tuple([_decided_sign(x, m, tol) for x, m in zip(d, mag)])
+    pattern = _edge_pattern(vert, edges)
+    outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
+    if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
+        outcome = _sign_outcome(signs, pattern, vert)
+    sided = _star_sides_agree(n0, stars, pattern, tol, vert)
+    return _classified(vert, edges, outcome, sided,
+                       _base_edge(pattern, *vert, d[2:]))
+
+
 def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     """Fill configuration (A, B, C) and kind for one singular vertex.
 
@@ -874,13 +892,11 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
 
     All of this depends only on six signs: alpha'+ against alpha'- and
     beta'+ against beta'-, in the vertex frame, and the four cross signs,
-    Omega's signs on the four quads around the vertex (_cross_signs).
-    The outcome is read from a 64-entry table that _sign_outcome fills at
-    import; a zero sign, or an edge set other than the one the cross signs
-    make singular, runs _sign_outcome on the vertex itself.  The
-    star_sidedness diagnostic is evaluated on its own, on the star edges
-    nu0 x (alpha'+, -alpha'-, beta'+, -beta'-) of the integrated net, so
-    no positions are read: f and singular_edge_set are ignored.
+    Omega's signs on the four quads around the vertex, read from the net's
+    grids and turned into the outcome by _decide_row, as in analyze_net's
+    batched pass.  Star sidedness is evaluated on its own, on the star
+    edges nu0 x (alpha'+, -alpha'-, beta'+, -beta'-) of the integrated
+    net, so no positions are read: f and singular_edge_set are ignored.
     """
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
@@ -891,28 +907,20 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} incident singular edges")
     n0, ap, am, bp, bm = _vertex_frame(net, u0, v0)
-    cross, omegas = _cross_signs(net, u0, v0, tol)
-    signs = (_float_orient(n0, ap, am, tol), _float_orient(n0, bp, bm, tol),
-             *cross)
-    pattern = _edge_pattern(vertex)
-    outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
-    if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
-        outcome = _sign_outcome(signs, pattern, vertex.vertex)
     # the star edges u+, u-, v+, v- by the Lelieuvre equations
     stars = [_cross3(n0, x) for x in (ap, [-c for c in am],
                                       bp, [-c for c in bm])]
-    sided = _star_sides_agree(n0, stars, pattern, tol, vertex.vertex)
-    return _classified(vertex.vertex, vertex.incident_singular_edges,
-                       outcome, sided, _base_edge(pattern, u0, v0, omegas))
+    return _decide_row(vertex.vertex, vertex.incident_singular_edges,
+                       *_vertex_terms(net, u0, v0), n0, stars, tol)
 
 
 def _classify_rows(net, flat, verts, incident, tol):
     """classify_vertex for two-edge interior vertices in one batched pass:
     flat holds their flat ids (SingularSet), verts and incident their keys
-    and edge sets.  The six signs come from the net's grids, the outcome
-    from the sign table, and star sidedness from one orient_terms call.  A
-    row with a sign in orient's dead zone comes back None, for
-    classify_vertex to decide."""
+    and edge sets.  The six signs come from the net's grids and star
+    sidedness from one orient_terms call; a row whose ten signs are all
+    decided reads its outcome from the sign table, every other row goes
+    to _decide_row with its own slices of the same arrays."""
     if not verts:
         return []
     nv = net.domain.nv
@@ -921,7 +929,7 @@ def _classify_rows(net, flat, verts, incident, tol):
     i, j = np.divmod(flat, nv)
     quad = flat - i
     frame = quad[None] - i - (nv - 1)
-    # quads ++, +-, -+, -- around each vertex, as _cross_signs reads them
+    # quads ++, +-, -+, -- around each vertex, as _vertex_terms reads them
     quads = quad - np.array([[0], [1], [nv - 1], [nv]])
     w, w_mag = net.omega_terms
     (aa, aa_mag), (bb, bb_mag) = net.frame_terms
@@ -950,13 +958,18 @@ def _classify_rows(net, flat, verts, incident, tol):
     up = sd > 0
     sided = (up[0] == up[1]) & (up[2] == up[3])
     out = []
-    for vert, edges, k, ok, side, quad_w in zip(
+    for r, (vert, edges, k, ok, side, quad_w) in enumerate(zip(
             verts, incident, key.tolist(), decided.tolist(), sided.tolist(),
-            omegas.T.tolist()):
+            omegas.T.tolist())):
         outcome = _SIGN_TABLE[k]
-        out.append(None if not ok or outcome is None else _classified(
-            vert, edges, outcome, side, _base_edge(
+        if ok and outcome is not None:
+            out.append(_classified(vert, edges, outcome, side, _base_edge(
                 outcome.diagnostics["edge_pattern"], *vert, quad_w)))
+        else:
+            out.append(_decide_row(
+                vert, edges, d[:, r].tolist(), mag[:, r].tolist(),
+                n0[:, 0, r].tolist(), stars[:, r::len(verts)].T.tolist(),
+                tol))
     return out
 
 
@@ -1069,9 +1082,7 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
     for vert, inc, two, flagged in zip(sset.vertices, incident, picked,
                                        sset.flagged.tolist()):
         if two:
-            # None: a sign in the dead zone, decided (or raised) one by one
-            classified.append(next(rows) or classify_vertex(
-                net, None, SingularVertex(vert, inc), tol))
+            classified.append(next(rows))
         elif flagged:
             classified.append(SingularVertex(vert, inc,
                                              Configuration.INADMISSIBLE))

@@ -2,6 +2,7 @@
 
 import json
 from collections import defaultdict
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -12,13 +13,16 @@ from diams.errors import (DegenerateDirection, DegenerateMetric,
                           DegenerateOrientation, InadmissibleVertex,
                           NonGenericCell, NonGenericChain, ValidationError)
 from diams.io_cli import _RawJson, example_curve_pair
-from diams.net_core import (_PLANE_LABELS, validate_generic_position,
-                            walk_chains)
-from diams.singularity import (Configuration, EdgeIndex, SingularEdge,
-                               SingularPolyline, SingularVertex,
-                               _orient_strict, _vertex_frame,
-                               admissibility_check, metric_field, orient,
-                               singular_edges, singular_vertices)
+from diams.net_core import (_PLANE_LABELS, _cross3,
+                            validate_generic_position, walk_chains)
+from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
+                               SingularEdge, SingularPolyline, SingularVertex,
+                               _base_edge, _classified, _decided_sign,
+                               _float_orient, _orient_strict, _sign_key,
+                               _sign_outcome, _star_sides_agree,
+                               _vertex_frame, admissibility_check,
+                               metric_field, orient, singular_edges,
+                               singular_vertices)
 from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothSingularPoint,
                                  _chain_tangents, _link_chains, omega_smooth)
 
@@ -611,3 +615,50 @@ def reference_extract_polylines(vertices, edges, domain):
               for verts, chain, closed in walk_chains(links)]
     chains.sort(key=lambda c: c.vertices)
     return chains
+
+
+# ---------------------------------------------------------------------------
+# per-vertex reference of the classification
+# ---------------------------------------------------------------------------
+
+def _reference_cross_signs(net, u0, v0, tol):
+    """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),
+    b in (beta'+, beta'-), in the order ++, +-, -+, --, and the four
+    Omega they are read from: Omega's signs on the quads (u0, v0),
+    (u0, v0-1), (u0-1, v0), (u0-1, v0-1), read from net.omega_terms."""
+    i = u0 - net.domain.u_min
+    j = v0 - net.domain.v_min
+    w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
+        2, 4)[:, ::-1].tolist()
+    return tuple([_decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
+
+
+def reference_classify_vertex(net, f, vertex, tol=1e-9):
+    """Per-vertex form of `classify_vertex`: the cross signs from the
+    Omega grid, alpha'+ against alpha'- and beta'+ against beta'- by the
+    scalar predicate on the vertex frame, the outcome from the sign table
+    or, on a zero sign or an unexpected edge pattern, from the scalar
+    branch logic.  Kept as the reference that the one row rule must
+    reproduce, exceptions and messages included."""
+    u0, v0 = vertex.vertex
+    if not net.domain.is_interior_vertex(u0, v0):
+        return replace(vertex, configuration=Configuration.BOUNDARY,
+                       kind=Kind.UNCLASSIFIED)
+    if len(vertex.incident_singular_edges) != 2:
+        raise InadmissibleVertex(
+            f"vertex ({u0}, {v0}) has "
+            f"{len(vertex.incident_singular_edges)} incident singular edges")
+    n0, ap, am, bp, bm = _vertex_frame(net, u0, v0)
+    cross, omegas = _reference_cross_signs(net, u0, v0, tol)
+    signs = (_float_orient(n0, ap, am, tol), _float_orient(n0, bp, bm, tol),
+             *cross)
+    pattern = "".join(sorted(e.direction_at((u0, v0))
+                             for e in vertex.incident_singular_edges))
+    outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
+    if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
+        outcome = _sign_outcome(signs, pattern, vertex.vertex)
+    stars = [_cross3(n0, x) for x in (ap, [-c for c in am],
+                                      bp, [-c for c in bm])]
+    sided = _star_sides_agree(n0, stars, pattern, tol, vertex.vertex)
+    return _classified(vertex.vertex, vertex.incident_singular_edges,
+                       outcome, sided, _base_edge(pattern, u0, v0, omegas))

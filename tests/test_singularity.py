@@ -23,9 +23,10 @@ from _helpers import (example_net, four_edge_net, generate_admissible,
                       island_net, parabolic_net, parabolic_points,
                       quadrant_signature, random_admissible_net,
                       random_net_candidate, random_unimodular,
-                      reference_extract_polylines, reference_incident_edges,
-                      reference_singular_edges, reference_singular_vertices,
-                      round_off_net, transformed_net)
+                      reference_classify_vertex, reference_extract_polylines,
+                      reference_incident_edges, reference_singular_edges,
+                      reference_singular_vertices, round_off_net,
+                      transformed_net)
 
 EXPECTED_EDGES = {
     -0.5: {EdgeIndex("v", 0, 0), EdgeIndex("v", 0, -1)},
@@ -686,6 +687,37 @@ def test_u_relabel_flips_metric_and_keeps_kinds(rng):
             assert sv.kind == kinds[sv.vertex]
 
 
+def _reversed(curve):
+    return PolyCurve(curve.points[::-1].copy(), offset=-curve.index_max)
+
+
+def test_relabellings_keep_configuration_and_kind():
+    # swapping the curves ((u, v) -> (v, u)), reversing alpha (u -> -u) and
+    # reversing beta (v -> -v) move every vertex record without changing
+    # its configuration or kind
+    rng = np.random.default_rng(7)
+    nets = [generate_admissible(rng)[0] for _ in range(30)]
+    nets.append(parabolic_net(0.05)[0])
+    relabellings = [
+        (lambda net: ConormalNet(net.beta, net.alpha), lambda u, v: (v, u)),
+        (lambda net: ConormalNet(_reversed(net.alpha), net.beta),
+         lambda u, v: (-u, v)),
+        (lambda net: ConormalNet(net.alpha, _reversed(net.beta)),
+         lambda u, v: (u, -v)),
+    ]
+    records = 0
+    for net in nets:
+        base = analyze_net(net).vertices
+        for relabel, move in relabellings:
+            want = {move(*sv.vertex): (sv.configuration, sv.kind)
+                    for sv in base}
+            got = {sv.vertex: (sv.configuration, sv.kind)
+                   for sv in analyze_net(relabel(net)).vertices}
+            assert got == want
+            records += len(got)
+    assert records == 3 * 2208
+
+
 def test_classification_projection_independent(rng):
     # recompute every classify decision with a literal 2D projection on a
     # random transversal plane; booleans must match the orient-based path
@@ -964,6 +996,49 @@ def test_classify_raises_where_scalar_predicates_raise():
     assert raised > 0 and passed > 0
 
 
+def _outcome_of(classify, net, sv, tol):
+    """The classified record, or the DiamsError's type and message."""
+    try:
+        return classify(net, None, sv, tol)
+    except DiamsError as exc:
+        return type(exc), str(exc)
+
+
+def test_classify_vertex_equals_reference(rng):
+    # the one row rule against the per-vertex reference: the same record,
+    # or the same exception and message, at every singular vertex of
+    # admissible nets, and with every pair of star edges at some interior
+    # vertices, so zero signs and unexpected edge patterns are met too
+    cases = [(generate_admissible(rng)[0], 1e-9, 1e-9) for _ in range(200)]
+    cases += [(round_off_net(), tol, tol) for tol in (0.0, 1e-9)]
+    cases += [(net, 1e-9, 1e-9) for net in _zero_sign_frames()]
+    seen = {}
+    for net, tol, eps in cases:
+        dom = net.domain
+        try:
+            vertices = singular_vertices(
+                singular_edges(metric_field(net, eps)), dom)
+        except DegenerateMetric:
+            vertices = []
+        interior = [(u, v) for u in range(dom.u_min + 1, dom.u_max)
+                    for v in range(dom.v_min + 1, dom.v_max)]
+        for k in rng.choice(len(interior), min(3, len(interior)),
+                            replace=False).tolist():
+            u0, v0 = interior[k]
+            star = [EdgeIndex("u", u0, v0), EdgeIndex("u", u0 - 1, v0),
+                    EdgeIndex("v", u0, v0), EdgeIndex("v", u0, v0 - 1)]
+            vertices += [SingularVertex((u0, v0), frozenset(pair))
+                         for pair in itertools.combinations(star, 2)]
+        for sv in vertices:
+            want = _outcome_of(reference_classify_vertex, net, sv, tol)
+            assert _outcome_of(classify_vertex, net, sv, tol) == want
+            label = want[0] if isinstance(want, tuple) else want.configuration
+            seen[label] = seen.get(label, 0) + 1
+    assert seen.keys() >= {Configuration.A, Configuration.B,
+                           Configuration.C, Configuration.BOUNDARY,
+                           InadmissibleVertex, DegenerateOrientation}
+
+
 # ---------------------------------------------------------------------------
 # the sign table and the batched pass
 # ---------------------------------------------------------------------------
@@ -1098,12 +1173,18 @@ def _batched_vertices(net, tol, eps):
 def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
     # every field and diagnostic of every vertex, and the first exception
     # with its message, on random nets, at zero dead zones and on frames
-    # with a zero sign, where the batched pass hands rows to classify_vertex
+    # with a zero sign, where the batched pass hands rows to _decide_row;
+    # analyze_net never calls classify_vertex
+    decide_row = singularity._decide_row
     scalar = singularity.classify_vertex
-    handed = []
+    handed, called = [], []
+
+    def counted_row(vert, *args):
+        handed.append(vert)
+        return decide_row(vert, *args)
 
     def counted(net, f, vertex, tol=1e-9, singular_edge_set=None):
-        handed.append(vertex.vertex)
+        called.append(vertex.vertex)
         return scalar(net, f, vertex, tol)
 
     cases = [(random_admissible_net(rng, n=13), 1e-9, 1e-9)
@@ -1119,9 +1200,10 @@ def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
     cases += [(net, 1e-9, 1e-9) for net in _zero_sign_frames()]
     compared = raised = sidedness = 0
     for net, tol, eps in cases:
-        monkeypatch.setattr(singularity, "classify_vertex", counted)
-        got = _batched_vertices(net, tol, eps)
-        monkeypatch.setattr(singularity, "classify_vertex", scalar)
+        with monkeypatch.context() as spy:
+            spy.setattr(singularity, "_decide_row", counted_row)
+            spy.setattr(singularity, "classify_vertex", counted)
+            got = _batched_vertices(net, tol, eps)
         want = _per_vertex_vertices(net, tol, eps)
         assert got == want
         if isinstance(got, tuple):
@@ -1132,7 +1214,8 @@ def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
                                                  Configuration.B,
                                                  Configuration.C)
                             for sv in got)
-    assert compared > 3000 and raised > sidedness >= 3 and handed
+    assert compared > 3000 and raised > sidedness >= 3
+    assert handed and not called
 
 
 def test_analysis_integrates_on_first_read(monkeypatch):
