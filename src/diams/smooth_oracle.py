@@ -16,8 +16,11 @@ only the curve whose parameter moves along the edge.  Tangency points are
 bracketed along the traced chain and refined by interpolation.  lambda is
 computed in batches, one row per point, by `_kernel_ratio`, whose row dot
 products equal np.dot's bit for bit; `lambda_along_curve` is its one-point
-case.  Curve evaluators stay scalar: numpy's array power rounds
-differently from the scalar pow of a Python float.
+case.  Curve evaluators take a float and return a length-3 sequence of
+floats, stacked into rows by `_rows`; they stay scalar, because numpy's
+array power rounds differently from the scalar pow of a Python float.
+The builtins return tuples: a call's cost is building its result, and
+an array costs far more than the scalar math.
 """
 
 import math
@@ -38,9 +41,10 @@ from .net_core import PolyCurve, float_grid_allocation, walk_chains
 class SmoothCurvePair:
     """Two non-intersecting smooth space curves with derivative evaluators.
 
-    Evaluators map a float parameter to a length-3 array.  First and
-    second derivatives are cross-checked against central differences of
-    the position evaluators at construction.
+    Evaluators map a float parameter to a length-3 sequence of floats
+    (a tuple, list or array).  At construction each must return 3
+    coordinates, and first and second derivatives are cross-checked
+    against central differences of the position evaluators.
     """
 
     alpha: object
@@ -62,6 +66,13 @@ class SmoothCurvePair:
                 raise ValidationError(f"{tag}: empty parameter range {rng}")
             h = 1e-5 * (hi - lo)
             for t in np.linspace(lo + h, hi - h, 5):
+                for f, name in ((curve, tag), (d1, "d_" + tag),
+                                (d2, "dd_" + tag)):
+                    shape = np.shape(f(t))
+                    if shape != (3,):
+                        raise ValidationError(
+                            f"{name}: evaluator returned shape {shape}, "
+                            "expected 3 coordinates")
                 fd1 = (np.asarray(curve(t + h)) - np.asarray(curve(t - h))) / (2 * h)
                 fd2 = (np.asarray(d1(t + h)) - np.asarray(d1(t - h))) / (2 * h)
                 for got, ref, which in ((np.asarray(d1(t)), fd1, "first"),
@@ -74,8 +85,7 @@ class SmoothCurvePair:
                             f"(error {err:.3e})")
         us = np.linspace(*self.u_range, 33)
         vs = np.linspace(*self.v_range, 33)
-        av = np.array([self.alpha(u) for u in us])
-        bv = np.array([self.beta(v) for v in vs])
+        av, bv = _rows(self.alpha, us), _rows(self.beta, vs)
         gap = np.linalg.norm(av[:, None, :] - bv[None, :, :], axis=2)
         if gap.min() <= 1e-9 * max(1.0, np.abs(av).max(), np.abs(bv).max()):
             raise ValidationError("curves intersect on the sampled ranges")
@@ -98,38 +108,46 @@ def builtin_pair(name):
     """
     if name == "flat":
         return SmoothCurvePair(
-            alpha=lambda u: np.array([u, 0.0, 1.0]),
-            beta=lambda v: np.array([0.0, v, 0.0]),
-            d_alpha=lambda u: np.array([1.0, 0.0, 0.0]),
-            d_beta=lambda v: np.array([0.0, 1.0, 0.0]),
-            dd_alpha=lambda u: np.zeros(3),
-            dd_beta=lambda v: np.zeros(3),
+            alpha=lambda u: (u, 0.0, 1.0),
+            beta=lambda v: (0.0, v, 0.0),
+            d_alpha=lambda u: (1.0, 0.0, 0.0),
+            d_beta=lambda v: (0.0, 1.0, 0.0),
+            dd_alpha=lambda u: (0.0, 0.0, 0.0),
+            dd_beta=lambda v: (0.0, 0.0, 0.0),
             u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="flat")
     if name == "parabolic":
         return SmoothCurvePair(
-            alpha=lambda u: np.array([u, u * u, 1.0]),
-            beta=lambda v: np.array([v, -v * v + v ** 3, 0.0]),
-            d_alpha=lambda u: np.array([1.0, 2.0 * u, 0.0]),
-            d_beta=lambda v: np.array([1.0, -2.0 * v + 3.0 * v * v, 0.0]),
-            dd_alpha=lambda u: np.array([0.0, 2.0, 0.0]),
-            dd_beta=lambda v: np.array([0.0, -2.0 + 6.0 * v, 0.0]),
+            alpha=lambda u: (u, u * u, 1.0),
+            beta=lambda v: (v, -v * v + v ** 3, 0.0),
+            d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
+            d_beta=lambda v: (1.0, -2.0 * v + 3.0 * v * v, 0.0),
+            dd_alpha=lambda u: (0.0, 2.0, 0.0),
+            dd_beta=lambda v: (0.0, -2.0 + 6.0 * v, 0.0),
             u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="parabolic")
     if name == "symmetric":
         # the v range is offset so the zero line u + v = 0 misses the
         # corners of uniform trace grids
         return SmoothCurvePair(
-            alpha=lambda u: np.array([u, u * u, 1.0]),
-            beta=lambda v: np.array([v, -v * v, 0.0]),
-            d_alpha=lambda u: np.array([1.0, 2.0 * u, 0.0]),
-            d_beta=lambda v: np.array([1.0, -2.0 * v, 0.0]),
-            dd_alpha=lambda u: np.array([0.0, 2.0, 0.0]),
-            dd_beta=lambda v: np.array([0.0, -2.0, 0.0]),
+            alpha=lambda u: (u, u * u, 1.0),
+            beta=lambda v: (v, -v * v, 0.0),
+            d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
+            d_beta=lambda v: (1.0, -2.0 * v, 0.0),
+            dd_alpha=lambda u: (0.0, 2.0, 0.0),
+            dd_beta=lambda v: (0.0, -2.0, 0.0),
             u_range=(-1.0, 1.0), v_range=(-0.97, 1.03), name="symmetric")
     raise KeyError(f"unknown builtin pair {name!r}; "
                    "choose from flat, parabolic, symmetric")
 
 
 BUILTIN_PAIRS = ("flat", "parabolic", "symmetric")
+
+
+def _rows(curve, ts):
+    """curve at every entry of the 1-d array ts, as (len(ts), 3) float
+    rows.  The evaluator gets Python floats, so a builtin's tuple of
+    scalar results costs one small object per call, not an array."""
+    rows = [curve(t) for t in ts.tolist()]
+    return np.array(rows, dtype=float).reshape(len(ts), 3)
 
 
 # u-rows of Omega per det3 call: enough rows to amortise the call, few
@@ -160,10 +178,8 @@ def _sample_grid(pair, us, vs, w):
         pair.require(us[0], v)
     for u in us:
         pair.require(u, vs[0])
-    a = np.array([pair.alpha(u) for u in us])
-    x = np.array([pair.d_alpha(u) for u in us])
-    b = np.array([pair.beta(v) for v in vs])
-    y = np.array([pair.d_beta(v) for v in vs])
+    a, x = _rows(pair.alpha, us), _rows(pair.d_alpha, us)
+    b, y = _rows(pair.beta, vs), _rows(pair.d_beta, vs)
     at, xt = a.T[:, :, None], x.T[:, :, None]
     bt, yt = b.T[:, None, :], y.T[:, None, :]
     for i in range(0, len(us), _SAMPLE_ROWS):
@@ -193,10 +209,10 @@ def _omega_moving(pair, moving_u, t, fixed, fixed_d):
     rows.  Only the moving curve's two evaluators run, once per point;
     det3 works entry by entry, so each value equals omega_smooth's."""
     if moving_u:
-        n = np.array([pair.alpha(u) for u in t]) - fixed
-        return det3(n.T, np.array([pair.d_alpha(u) for u in t]).T, fixed_d.T)
-    n = fixed - np.array([pair.beta(v) for v in t])
-    return det3(n.T, fixed_d.T, np.array([pair.d_beta(v) for v in t]).T)
+        n = _rows(pair.alpha, t) - fixed
+        return det3(n.T, _rows(pair.d_alpha, t).T, fixed_d.T)
+    n = fixed - _rows(pair.beta, t)
+    return det3(n.T, fixed_d.T, _rows(pair.d_beta, t).T)
 
 
 def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol,
@@ -366,8 +382,8 @@ def _kernel_ratio(pair, points):
     """
     inside = _in_range(pair, points)
     k = len(points) if inside.all() else int(np.argmin(inside))
-    us, vs = points[:k, 0].tolist(), points[:k, 1].tolist()
-    a, b, da, db = (np.array([curve(t) for t in ts], dtype=float).reshape(k, 3)
+    us, vs = points[:k, 0], points[:k, 1]
+    a, b, da, db = (_rows(curve, ts)
                     for curve, ts in ((pair.alpha, us), (pair.beta, vs),
                                       (pair.d_alpha, us), (pair.d_beta, vs)))
     n = a - b
@@ -504,6 +520,5 @@ def sample_pair(pair, du, dv):
     """
     us = np.arange(pair.u_range[0], pair.u_range[1] + du / 2, du)
     vs = np.arange(pair.v_range[0], pair.v_range[1] + dv / 2, dv)
-    a = np.array([pair.alpha(u) for u in us])
-    b = np.array([pair.beta(v) for v in vs])
+    a, b = _rows(pair.alpha, us), _rows(pair.beta, vs)
     return PolyCurve(a, offset=0), PolyCurve(b, offset=0), us, vs

@@ -23,8 +23,9 @@ from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
                                _vertex_frame, admissibility_check,
                                metric_field, orient, singular_edges,
                                singular_vertices)
-from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothSingularPoint,
-                                 _chain_tangents, _link_chains, omega_smooth)
+from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothCurvePair,
+                                 SmoothSingularPoint, _chain_tangents,
+                                 _link_chains, omega_smooth)
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -329,6 +330,43 @@ def reference_obj_text(mesh):
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
         lines.append("l " + " ".join(str(i + 1) for i in idx))
     return "\n".join(lines) + "\n"
+
+
+def reference_builtin_pair(name):
+    """Array-returning form of `builtin_pair`: every evaluator builds a
+    length-3 np.array from the same scalar arithmetic.  Kept as the
+    reference that the tuple-returning builtins must reproduce bit for
+    bit, value by value and through the trace."""
+    if name == "flat":
+        return SmoothCurvePair(
+            alpha=lambda u: np.array([u, 0.0, 1.0]),
+            beta=lambda v: np.array([0.0, v, 0.0]),
+            d_alpha=lambda u: np.array([1.0, 0.0, 0.0]),
+            d_beta=lambda v: np.array([0.0, 1.0, 0.0]),
+            dd_alpha=lambda u: np.zeros(3),
+            dd_beta=lambda v: np.zeros(3),
+            u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="flat")
+    if name == "parabolic":
+        return SmoothCurvePair(
+            alpha=lambda u: np.array([u, u * u, 1.0]),
+            beta=lambda v: np.array([v, -v * v + v ** 3, 0.0]),
+            d_alpha=lambda u: np.array([1.0, 2.0 * u, 0.0]),
+            d_beta=lambda v: np.array([1.0, -2.0 * v + 3.0 * v * v, 0.0]),
+            dd_alpha=lambda u: np.array([0.0, 2.0, 0.0]),
+            dd_beta=lambda v: np.array([0.0, -2.0 + 6.0 * v, 0.0]),
+            u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="parabolic")
+    if name == "symmetric":
+        # the v range is offset so the zero line u + v = 0 misses the
+        # corners of uniform trace grids
+        return SmoothCurvePair(
+            alpha=lambda u: np.array([u, u * u, 1.0]),
+            beta=lambda v: np.array([v, -v * v, 0.0]),
+            d_alpha=lambda u: np.array([1.0, 2.0 * u, 0.0]),
+            d_beta=lambda v: np.array([1.0, -2.0 * v, 0.0]),
+            dd_alpha=lambda u: np.array([0.0, 2.0, 0.0]),
+            dd_beta=lambda v: np.array([0.0, -2.0, 0.0]),
+            u_range=(-1.0, 1.0), v_range=(-0.97, 1.03), name="symmetric")
+    raise KeyError(name)
 
 
 def _bisect_edge(pair, p_lo, p_hi, w_lo, tol, maxiter=200):

@@ -311,16 +311,32 @@ def test_oracle_report_edge_cases_match_reference():
         report_from_oracle("custom", 33, 1e-10, [], points[3:4]))
 
 
-@pytest.mark.parametrize("grid, digest", [
-    (41, "c6eb6dc22a5a82cc33b99248ecf6f8bbae4d7fe65dfe904e40fc453ad50f7ec8"),
-    (401, "bcfd0a331037b0bf5b36e724fad93bc0215a16eb1e57ade13784c6ae7f3b10de"),
-], ids=["41", "401"])
-def test_cli_oracle_parabolic_report_digest(grid, digest, tmp_path):
-    # drift in the kernel ratio, the trace or the writer changes the bytes
+@pytest.mark.parametrize("args, digest", [
+    (["--grid", 41],
+     "c6eb6dc22a5a82cc33b99248ecf6f8bbae4d7fe65dfe904e40fc453ad50f7ec8"),
+    (["--grid", 401],
+     "bcfd0a331037b0bf5b36e724fad93bc0215a16eb1e57ade13784c6ae7f3b10de"),
+    (["--grid", 33],
+     "22187d2b043923478a9b213c4d07d171ee019670eb003cf4f3b80b46f3cd8fa5"),
+    # every bisection runs to an exact zero or the 200-round cap
+    (["--grid", 101, "--tol", 0],
+     "49dd2a2c132a62ee4fecc4f5c0001ecc47abff0a33c15f77f457dec912386597"),
+], ids=["41", "401", "33", "101-tol0"])
+def test_cli_oracle_parabolic_report_digest(args, digest, tmp_path):
+    # drift in the evaluators, the kernel ratio, the trace or the writer
+    # changes the bytes
     report = tmp_path / "o.json"
-    assert _run(["oracle", "--pair", "parabolic", "--grid", grid,
+    assert _run(["oracle", "--pair", "parabolic", *args,
                  "--report", report]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_cli_oracle_flat_report_digest(tmp_path):
+    report = tmp_path / "o.json"
+    assert _run(["oracle", "--pair", "flat", "--grid", 101,
+                 "--report", report]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "d3922008ea21c2b28690f7cd8fdb6a779ed7b6d14dbe8e162d0e05472b9a7a8f")
 
 
 def _run(args):

@@ -11,10 +11,12 @@ from diams import (builtin_pair, check_regularity, curvature_gap,
 from diams.errors import (DegenerateDirection, DiamsError, NonGenericCell,
                           NonGenericChain, OutOfRange, ValidationError)
 from diams.io_cli import report_from_oracle, run_cli, write_report
-from diams.smooth_oracle import SmoothCurvePair, _kernel_ratio, _row_dot
+from diams.smooth_oracle import (BUILTIN_PAIRS, SmoothCurvePair, _kernel_ratio,
+                                 _row_dot)
 
-from _helpers import (densify, one_sided_hausdorff, reference_find_swallowtails,
-                      reference_lambda, reference_trace)
+from _helpers import (densify, one_sided_hausdorff, reference_builtin_pair,
+                      reference_find_swallowtails, reference_lambda,
+                      reference_trace)
 
 
 def line_pair(**kw):
@@ -61,6 +63,48 @@ def test_intersecting_curves_rejected():
             dd_alpha=lambda u: np.zeros(3),
             dd_beta=lambda v: np.zeros(3),
             u_range=(-1, 1), v_range=(-1, 1))
+
+
+EVALUATORS = ("alpha", "d_alpha", "dd_alpha", "beta", "d_beta", "dd_beta")
+
+
+@pytest.mark.parametrize("tag", EVALUATORS)
+def test_evaluator_shape_is_validated(tag):
+    # caught at construction, not later inside det3
+    with pytest.raises(ValidationError, match=rf"^{tag}: evaluator returned "
+                       r"shape \(2,\), expected 3 coordinates$"):
+        dataclasses.replace(builtin_pair("parabolic"),
+                            **{tag: lambda t: (t, 0.0)})
+
+
+def int_list_pair():
+    """The parabolic pair with evaluators returning lists whose constant
+    and coefficient entries are ints; each value equals the builtin's."""
+    return SmoothCurvePair(
+        alpha=lambda u: [u, u * u, 1],
+        beta=lambda v: [v, -v * v + v ** 3, 0],
+        d_alpha=lambda u: [1, 2 * u, 0],
+        d_beta=lambda v: [1, -2 * v + 3 * v * v, 0],
+        dd_alpha=lambda u: [0, 2, 0],
+        dd_beta=lambda v: [0, -2 + 6 * v, 0],
+        u_range=(-1, 1), v_range=(-1, 1))
+
+
+@pytest.mark.parametrize("n", [33, 101])
+def test_int_list_evaluators_trace_like_floats(n):
+    pair, ref = int_list_pair(), builtin_pair("parabolic")
+    us, vs = _grid(ref, n)
+    assert np.array_equal(_bits(omega_smooth_grid(pair, us, vs)),
+                          _bits(omega_smooth_grid(ref, us, vs)))
+    chains = trace_singular_curve(pair, n, 1e-10)
+    ref_chains = trace_singular_curve(ref, n, 1e-10)
+    _assert_same_chains(chains, ref_chains)
+    for chain, ref_chain in zip(chains, ref_chains):
+        _assert_same_points(find_swallowtails(pair, chain),
+                            find_swallowtails(ref, ref_chain))
+    for p in ref_chains[0].points[::7]:
+        assert curvature_gap(pair, p) == curvature_gap(ref, p)
+        assert check_regularity(pair, p, 1e-8) == check_regularity(ref, p, 1e-8)
 
 
 def test_trace_flat_pair_has_no_chains():
@@ -669,3 +713,34 @@ def test_omega_smooth_grid_samples_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2 * w.nbytes
+
+
+@pytest.mark.parametrize("name", BUILTIN_PAIRS)
+def test_builtin_evaluators_match_array_reference(name):
+    # the tuple-returning evaluators keep the array builtins' scalar
+    # arithmetic (v ** 3 included), for np.float64 and Python float input
+    ts = np.linspace(-1.0, 1.0, 200402)
+    pair, ref = builtin_pair(name), reference_builtin_pair(name)
+    for tag in EVALUATORS:
+        new, old = getattr(pair, tag), getattr(ref, tag)
+        for points in (ts, ts.tolist()):
+            got = np.array(list(map(new, points)), dtype=float).tobytes()
+            want = b"".join([x.tobytes() for x in map(old, points)])
+            assert got == want, (tag, type(points[0]))
+
+
+@pytest.mark.parametrize("name", BUILTIN_PAIRS)
+@pytest.mark.parametrize("n", [33, 101])
+def test_builtin_pairs_trace_like_array_reference(name, n):
+    pair, ref = builtin_pair(name), reference_builtin_pair(name)
+    chains = trace_singular_curve(pair, n, 1e-10)
+    ref_chains = trace_singular_curve(ref, n, 1e-10)
+    _assert_same_chains(chains, ref_chains)
+    for chain, ref_chain in zip(chains, ref_chains):
+        got = _lambda_outcome(find_swallowtails, pair, chain)
+        want = _lambda_outcome(find_swallowtails, ref, ref_chain)
+        if name == "symmetric":
+            # (NonGenericChain, message) on both sides
+            assert got == want and got[0] is NonGenericChain
+        else:
+            _assert_same_points(got, want)
