@@ -109,7 +109,7 @@ class MeshPolyline(NamedTuple):
 class TriangleMesh:
     vertices: np.ndarray        # (N, 3)
     triangles: np.ndarray       # (M, 3) int, indices into vertices
-    quad_tags: tuple            # per-triangle (u, v) quad key
+    quad_tags: np.ndarray       # (M, 2) int64, per-triangle (u, v) quad key
     polylines: tuple            # MeshPolyline records
 
 
@@ -163,9 +163,10 @@ def tessellate(f, subdiv, singular=()):
     area = 0.5 * np.sqrt(np.einsum("ij,ij->i", normal, normal))
     keep = ~(area <= area_floor)
     triangles = triangles[keep]
-    quad = np.repeat(np.arange(nq_u * nq_v), 2 * subdiv * subdiv)[keep]
-    tags = tuple(zip((quad // nq_v + dom.u_min).tolist(),
-                     (quad % nq_v + dom.v_min).tolist()))
+    quad = np.repeat(np.arange(nq_u * nq_v, dtype=np.int64),
+                     2 * subdiv * subdiv)[keep]
+    tags = np.stack([quad // nq_v + dom.u_min, quad % nq_v + dom.v_min],
+                    axis=1)
 
     polylines = []
     for chain in singular:
@@ -189,19 +190,30 @@ def export_obj(mesh, path):
     Vertices first, then one "g quad_u_v" group per quad with its faces,
     then one "l" record per singular chain (closed chains repeat their
     first index).  Output is byte-deterministic for a fixed mesh.
+
+    A group opens wherever a triangle's tag differs from the one before
+    it.  The vertex and the face block are each one `%` format of a
+    template over a flat value tuple, so no list or tuple is built per
+    vertex or per face.
     """
-    lines = ["v %.17g %.17g %.17g" % (x, y, z)
-             for x, y, z in mesh.vertices.tolist()]
-    current_tag = object()
-    for (a, b, c), tag in zip(mesh.triangles.tolist(), mesh.quad_tags):
-        if tag != current_tag:
-            lines.append(f"g quad_{tag[0]}_{tag[1]}")
-            current_tag = tag
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    parts = [("v %.17g %.17g %.17g\n" * len(mesh.vertices))
+             % tuple(mesh.vertices.ravel().tolist())]
+    tags = np.asarray(mesh.quad_tags, dtype=np.int64).reshape(-1, 2)
+    start = np.ones(len(tags), dtype=bool)
+    start[1:] = (tags[1:] != tags[:-1]).any(axis=1)
+    # rows (u, v, a, b, c), with (u, v) kept only where a group opens
+    keep = np.ones((len(tags), 5), dtype=bool)
+    keep[:, :2] = start[:, None]
+    values = np.concatenate([tags, mesh.triangles + 1], axis=1)[keep]
+    sizes = np.diff(np.append(np.flatnonzero(start), len(tags))).tolist()
+    templates = {k: "g quad_%d_%d\n" + "f %d %d %d\n" * k for k in set(sizes)}
+    parts.append("".join([templates[k] for k in sizes])
+                 % tuple(values.tolist()))
     for pl in mesh.polylines:
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
-        lines.append("l " + " ".join(str(i + 1) for i in idx))
-    text = "\n".join(lines) + "\n"
+        parts.append("l " + " ".join(str(i + 1) for i in idx) + "\n")
+    # the text ends with a newline, that of an empty mesh included
+    text = "".join(parts) or "\n"
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -321,7 +321,8 @@ def reference_obj_text(mesh):
     for p in mesh.vertices:
         lines.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
     current_tag = object()
-    for tri, tag in zip(mesh.triangles, mesh.quad_tags):
+    tags = map(tuple, mesh.quad_tags.tolist())
+    for tri, tag in zip(mesh.triangles, tags):
         if tag != current_tag:
             lines.append(f"g quad_{tag[0]}_{tag[1]}")
             current_tag = tag

@@ -343,13 +343,13 @@ def test_criterion_7_determinism_and_roundtrips(rng, tmp_path):
     cpf2 = CurvePairFile(rnd.alpha, rnd.beta)
     assert np.array_equal(parse_curves(write_curves(cpf2)).alpha.points,
                           rnd.alpha.points)
-    # OBJ round-trip reproduces coordinates to 1e-12
+    # OBJ round-trip reproduces every coordinate exactly (%.17g)
     analysis = analyze_net(example_net(1.0))
     mesh = tessellate(analysis.f, 3, analysis.polylines)
     path = tmp_path / "m.obj"
     export_obj(mesh, path)
     vertices, _, _, lines = parse_obj(path)
-    assert np.abs(vertices - mesh.vertices).max() <= 1e-12
+    assert vertices.tobytes() == mesh.vertices.tobytes()
     assert lines and len(lines[0]) == 3
     # CLI end to end determinism
     curves = tmp_path / "c.json"
@@ -362,5 +362,5 @@ def test_criterion_7_determinism_and_roundtrips(rng, tmp_path):
     assert rep1.read_bytes() == rep2.read_bytes()
     doc = json.loads(rep1.read_bytes())
     assert doc["vertices"][0]["configuration"] in ("A", "B", "C", "Boundary")
-    _line(7, True, "reports byte-identical; curve and OBJ round-trips exact "
-                   "to 1e-12")
+    _line(7, True, "reports byte-identical; curve and OBJ round-trips "
+                   "bit-exact")

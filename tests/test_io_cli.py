@@ -485,6 +485,25 @@ def test_cli_mesh(tmp_path):
     assert _run(["mesh", "--curves", curves, "--out", obj, "--subdiv", 0]) == 2
 
 
+@pytest.mark.parametrize("h, args, size, digest", [
+    (0.2, ["--subdiv", 3, "--singular", "auto"], 83588,
+     "0637c8da3e799f6a8b7d9147f3641104d2e600b79dba240fdf6530d77ce5746b"),
+    (0.2, ["--subdiv", 2, "--singular", "none"], 37308,
+     "693c116db05d43388329793be6bf526c65fe0c201b549a06af8bf370cbc50344"),
+    (0.025, ["--subdiv", 2, "--singular", "auto"], 2612023,
+     "8dce134dbbe4d7d8d71688f0b88aedb897a315602a9f2050ba01c5ce3ec7a13c"),
+], ids=["0.2-3-auto", "0.2-2-none", "0.025-2-auto"])
+def test_cli_mesh_parabolic_obj_digest(h, args, size, digest, tmp_path):
+    # the OBJ bytes themselves: a reordered, regrouped or reformatted line
+    # changes the digest even where the geometry stays the same
+    curves = _curves_file(parabolic_net(h)[0], tmp_path)
+    obj = tmp_path / "m.obj"
+    assert _run(["mesh", "--curves", curves, "--out", obj, *args]) == 0
+    data = obj.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_cli_integrates_positions_only_for_the_mesh(tmp_path, monkeypatch):
     calls = []
     kernel = _kernels.integrate_positions

@@ -1,12 +1,14 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from diams import (BilinearPatch, analyze_net, bilinear_point,
+from diams import (BilinearPatch, TriangleMesh, analyze_net, bilinear_point,
                    compatibility_residual, export_obj, integrate_net,
                    patch_for_quad, tessellate)
 from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch)
+from diams.surface_mesh import MeshPolyline
 
 from _helpers import (example_net, parabolic_net, parse_obj,
                       random_net_candidate, reference_obj_text,
@@ -111,7 +113,7 @@ def test_tessellate_welded_counts_and_subdiv_type():
     mesh = tessellate(f, 8)
     assert len(mesh.vertices) == 17 * 17
     assert len(mesh.triangles) == 4 * 128
-    assert len(set(mesh.quad_tags)) == 4
+    assert len(set(map(tuple, mesh.quad_tags.tolist()))) == 4
     for subdiv in (np.int64(8), np.int32(8)):
         other = tessellate(f, subdiv)
         assert np.array_equal(other.vertices, mesh.vertices)
@@ -132,7 +134,8 @@ def test_tessellate_single_quad_minimal():
     mesh = tessellate(small, 1)
     assert len(mesh.vertices) == 4
     assert len(mesh.triangles) == 2
-    assert mesh.quad_tags == ((0, 0), (0, 0))
+    assert mesh.quad_tags.dtype == np.int64
+    assert mesh.quad_tags.tolist() == [[0, 0], [0, 0]]
 
 
 def test_tessellation_is_a_welded_disc(rng):
@@ -192,7 +195,8 @@ def test_export_obj_counts_and_roundtrip(tmp_path):
     assert len(faces) == len(mesh.triangles)
     assert groups == ["quad_-1_-1", "quad_-1_0", "quad_0_-1", "quad_0_0"]
     assert len(lines) == 1 and len(lines[0]) == 3
-    assert np.abs(vertices - mesh.vertices).max() <= 1e-12
+    # %.17g round-trips every double exactly
+    assert vertices.tobytes() == mesh.vertices.tobytes()
     # byte determinism
     path2 = tmp_path / "net2.obj"
     export_obj(mesh, path2)
@@ -236,13 +240,73 @@ def test_export_obj_io_failure():
         export_obj(mesh, "/nonexistent-dir/foo.obj")
 
 
+def _hand_mesh(triangles, tags, polylines=()):
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.1, -2.5e-300],
+                         [0.3, 1e300, 1.0], [-0.5, 0.25, 1 / 3]])
+    return TriangleMesh(vertices=vertices,
+                        triangles=np.array(triangles, dtype=np.int64)
+                        .reshape(-1, 3),
+                        quad_tags=np.array(tags, dtype=np.int64)
+                        .reshape(-1, 2),
+                        polylines=tuple(polylines))
+
+
+def _export_text(mesh, tmp_path):
+    path = tmp_path / "hand.obj"
+    export_obj(mesh, path)
+    data = path.read_bytes()
+    assert data == reference_obj_text(mesh).encode("ascii")
+    return data.decode("ascii")
+
+
+def test_export_obj_reopens_a_group_for_a_non_contiguous_tag(tmp_path):
+    # tags A, A, B, A, with B differing from A in v only: the third run is
+    # a new group, not a return to A
+    mesh = _hand_mesh([[0, 1, 2], [1, 3, 2], [0, 3, 1], [2, 3, 0]],
+                      [[-1, 2], [-1, 2], [-1, 3], [-1, 2]])
+    text = _export_text(mesh, tmp_path)
+    groups = [l for l in text.splitlines() if l.startswith("g ")]
+    assert groups == ["g quad_-1_2", "g quad_-1_3", "g quad_-1_2"]
+    assert text.endswith("g quad_-1_2\nf 3 4 1\n")
+
+
+def test_export_obj_zero_triangles_and_closed_polyline(tmp_path):
+    open_chain = MeshPolyline((0, 2, 3), False)
+    closed_chain = MeshPolyline((1, 3, 2), True)
+    mesh = _hand_mesh([], [], [open_chain, closed_chain])
+    text = _export_text(mesh, tmp_path)
+    lines = text.splitlines()
+    assert [l.split()[0] for l in lines] == ["v"] * 4 + ["l", "l"]
+    # a closed chain repeats its first index
+    assert lines[-2:] == ["l 1 3 4", "l 2 4 3 2"]
+    empty = TriangleMesh(vertices=np.zeros((0, 3)),
+                         triangles=np.zeros((0, 3), dtype=np.int64),
+                         quad_tags=np.zeros((0, 2), dtype=np.int64),
+                         polylines=())
+    assert _export_text(empty, tmp_path) == "\n"
+
+
+def test_export_obj_accepts_tuple_tags(tmp_path):
+    # a hand-built mesh whose tags are a tuple of pairs writes the same
+    # bytes as its array form
+    triangles = [[0, 1, 2], [1, 3, 2], [0, 3, 1]]
+    tags = ((3, -4), (3, -4), (3, -3))
+    mesh = _hand_mesh(triangles, tags, [MeshPolyline((3, 0), True)])
+    want = _export_text(mesh, tmp_path)
+    path = tmp_path / "tuple.obj"
+    export_obj(dataclasses.replace(mesh, quad_tags=tags), path)
+    assert path.read_text() == want
+    assert want.count("g ") == 2
+
+
 def _assert_mesh_matches_reference(f, subdiv, tmp_path, singular=()):
     mesh = tessellate(f, subdiv, singular)
     corners, tags = reference_tessellate(f, subdiv)
     assert mesh.triangles.dtype == np.int64
     assert mesh.vertices[mesh.triangles].tobytes() == corners.tobytes()
-    assert mesh.quad_tags == tags
-    assert all(type(i) is int for tag in mesh.quad_tags for i in tag)
+    assert mesh.quad_tags.dtype == np.int64
+    assert mesh.quad_tags.shape == (len(tags), 2)
+    assert tuple(map(tuple, mesh.quad_tags.tolist())) == tags
     assert len(mesh.polylines) == len(singular)
     for pl, chain in zip(mesh.polylines, singular):
         verts = chain.vertices[:-1] if chain.closed else chain.vertices
@@ -294,7 +358,7 @@ def test_tessellate_matches_reference_on_collapsed_corners(rng, tmp_path):
                                              * 2.0 ** -rng.integers(30, 45))
             mesh = _assert_mesh_matches_reference(
                 replace(f, positions=pos), subdiv, tmp_path)
-            per_quad = Counter(mesh.quad_tags).values()
+            per_quad = Counter(map(tuple, mesh.quad_tags.tolist())).values()
             assert any(0 < n < 2 * subdiv * subdiv for n in per_quad)
 
 
@@ -311,5 +375,5 @@ def test_tessellate_is_scale_free(k):
     mesh = tessellate(integrate_net(scaled), 2)
     assert len(base.triangles) == 800
     assert np.array_equal(mesh.triangles, base.triangles)
-    assert mesh.quad_tags == base.quad_tags
+    assert np.array_equal(mesh.quad_tags, base.quad_tags)
     assert np.array_equal(mesh.vertices, base.vertices * 2.0 ** (2 * k))
