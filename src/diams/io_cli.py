@@ -343,7 +343,7 @@ def _cmd_analyze(args):
         analysis = analyze_net(net, tol=args.tol, eps_degenerate=args.metric_eps)
     except DegenerateMetric as e:
         quad = getattr(e, "quad", None)
-        empty = NetAnalysis(net=net, f=None, metric=None, edges=[],
+        empty = NetAnalysis(net=net, metric=None, edges=[],
                             vertices=[], polylines=[], generic_violations=[],
                             admissibility_violations=[])
         _write(args.report, write_report(report_from_analysis(
@@ -392,17 +392,14 @@ def _cmd_mesh(args):
         return 2
     cpf = parse_curves(_read(args.curves))
     net = cpf.to_net()
+    chains = []
     if args.singular == "auto":
         analysis = analyze_net(net, tol=args.tol,
                                eps_degenerate=args.metric_eps)
         if _print_violations(analysis):
             return 1
-        f = analysis.f
         chains = analysis.polylines
-    else:
-        f = integrate_net(net)
-        chains = []
-    mesh = tessellate(f, args.subdiv, chains)
+    mesh = tessellate(integrate_net(net), args.subdiv, chains)
     export_obj(mesh, args.out)
     return 0
 

@@ -184,11 +184,6 @@ class GridDomain:
         if not self.contains_quad(u, v):
             raise IndexOutOfDomain(f"quad ({u}, {v}) outside domain")
 
-    def vertices(self):
-        for u in range(self.u_min, self.u_max + 1):
-            for v in range(self.v_min, self.v_max + 1):
-                yield (u, v)
-
     def quads(self):
         for u in range(self.u_min, self.u_max):
             for v in range(self.v_min, self.v_max):

@@ -36,8 +36,8 @@ signs of all two-edge vertices from the two grids in one batched pass
 that hands every row with an undecided sign to the rule;
 ``classify_vertex`` reads one vertex's signs from the same grids.  Star
 sidedness is evaluated on its own, from the star edges that the
-Lelieuvre equations give, so no positions are integrated:
-``NetAnalysis.f`` integrates on first read.
+Lelieuvre equations give, so no positions are integrated: only the
+mesh needs them (``integrate_net``).
 """
 
 import functools
@@ -51,8 +51,7 @@ import numpy as np
 from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import (_cross3, integrate_net, require_finite,
-                       validate_generic_position)
+from .net_core import _cross3, require_finite, validate_generic_position
 
 
 class Configuration(str, Enum):
@@ -213,17 +212,12 @@ def m_from_positions(f, quad):
 # singular edges
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularEdge:
+class SingularEdge(NamedTuple):
+    """A singular edge and the Omega values (a, b) of its two adjacent
+    quads, which have opposite signs."""
+
     edge: EdgeIndex
     omega_pair: tuple
-
-    def __post_init__(self):
-        a, b = self.omega_pair
-        if not (a < 0.0 < b or b < 0.0 < a):
-            raise ValueError(
-                f"edge {self.edge}: adjacent quad metrics {self.omega_pair} "
-                "do not have opposite signs")
 
 
 def singular_edges(metric):
@@ -1022,49 +1016,30 @@ def extract_polylines(vertices, edges, domain):
 # whole-net orchestration
 # ---------------------------------------------------------------------------
 
-class _LazyPositions:
-    """NetAnalysis.f: the AsymptoticNet passed in, else
-    integrate_net(net, base_vertex) on first read, kept for later reads.
-    A data descriptor, so the dataclass field keeps its keyword."""
-
-    def __get__(self, analysis, owner=None):
-        if analysis is None:
-            return None                 # the field's default
-        if analysis.__dict__.get("_f") is None:
-            analysis.__dict__["_f"] = integrate_net(
-                analysis.net, base_vertex=analysis.base_vertex)
-        return analysis.__dict__["_f"]
-
-    def __set__(self, analysis, f):
-        analysis.__dict__["_f"] = f
-
-
 @dataclass(kw_only=True)
 class NetAnalysis:
-    """What analyze_net found on one net.  f, the integrated net, is
-    computed from base_vertex on first read unless it is passed in."""
+    """What analyze_net found on one net.  f, an integrated net, is left
+    None by analyze_net: the classification never reads positions."""
 
     net: object
-    f: object = _LazyPositions()
+    f: object = None
     metric: MetricField
     edges: list
     vertices: list
     polylines: list
     generic_violations: list
     admissibility_violations: list
-    base_vertex: tuple = None
 
     @property
     def clean(self):
         return not (self.generic_violations or self.admissibility_violations)
 
 
-def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
+def analyze_net(net, tol=1e-9, eps_degenerate=1e-9):
     """Run the full singularity pipeline on one co-normal net.
 
     Every two-edge interior vertex is classified in one batched pass
-    (_classify_rows).  Positions are not integrated here: the result's f
-    integrates from base_vertex on first read.
+    (_classify_rows).  Positions are not integrated.
     """
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
@@ -1094,5 +1069,4 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9, base_vertex=None):
                        edges=sset.singular_edges(metric.values),
                        vertices=classified, polylines=polylines,
                        generic_violations=generic,
-                       admissibility_violations=admissibility,
-                       base_vertex=base_vertex)
+                       admissibility_violations=admissibility)

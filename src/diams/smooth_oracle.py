@@ -154,6 +154,9 @@ def _rows(curve, ts):
 # enough that the block temporaries stay far below the grid itself
 _SAMPLE_ROWS = 32
 
+# bisection rounds per crossing before _refine takes the bracket midpoint
+_REFINE_ROUNDS = 200
+
 
 def omega_smooth(pair, u, v):
     """[alpha(u) - beta(v), alpha'(u), beta'(v)]."""
@@ -215,15 +218,14 @@ def _omega_moving(pair, moving_u, t, fixed, fixed_d):
     return det3(n.T, fixed_d.T, _rows(pair.d_beta, t).T)
 
 
-def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol,
-            maxiter=200):
+def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol):
     """Crossing points on grid edges along the moving parameter, one
     (m, 2) row each: the linear guess where |Omega| <= tol there, else
     bisection of the edge from lo to hi (w_lo is Omega at lo).  All edges
     bisect in lockstep with the per-edge rules: stop at |Omega| <= tol,
-    keep the half whose ends differ in sign, and after maxiter rounds
-    take the midpoint of the bracket.  Midpoints of in-range ends stay in
-    range, so they need no range check."""
+    keep the half whose ends differ in sign, and after _REFINE_ROUNDS
+    rounds take the midpoint of the bracket.  Midpoints of in-range ends
+    stay in range, so they need no range check."""
     if not len(guess):
         return guess
     k = 0 if moving_u else 1
@@ -231,7 +233,7 @@ def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol,
     w = _omega_moving(pair, moving_u, guess[:, k], fixed, fixed_d)
     todo = np.flatnonzero(~(np.abs(w) <= tol))
     lo, hi, w_lo = lo[todo], hi[todo], w_lo[todo]
-    for _ in range(maxiter):
+    for _ in range(_REFINE_ROUNDS):
         if not todo.size:
             break
         mid = 0.5 * (lo + hi)

@@ -38,10 +38,10 @@ def _line(num, ok, detail):
     return ok
 
 
-def _centered_analysis(net):
+def _centered_positions(net):
     dom = net.domain
     centre = (dom.u_min + dom.nu // 2, dom.v_min + dom.nv // 2)
-    return analyze_net(net, base_vertex=centre)
+    return integrate_net(net, base_vertex=centre)
 
 
 def test_criterion_1_worked_example_reproduction():
@@ -188,7 +188,7 @@ def test_criterion_4_convergence_to_smooth_oracle():
     for h in (0.2, 0.1, 0.05, 0.025):
         a, b, t = parabolic_points(h)
         net = ConormalNet(PolyCurve(a), PolyCurve(b))
-        analysis = _centered_analysis(net)
+        analysis = analyze_net(net)
         chains = [np.array([[t[i], t[j]] for (i, j) in pl.vertices])
                   for pl in analysis.polylines]
         assert chains, f"no singular polyline at h={h}"
@@ -237,8 +237,7 @@ def test_criterion_5_structural_residuals(rng):
         assert moutard <= 1e-14 * net.scale
 
         s3 = net.scale ** 3
-        analysis = _centered_analysis(net)
-        f = analysis.f
+        f = _centered_positions(net)
         closure = max(np.linalg.norm(quad_closure_residual(net, q))
                       for q in net.domain.quads())
         worst["closure"] = max(worst["closure"], closure / s3)
@@ -256,7 +255,8 @@ def test_criterion_5_structural_residuals(rng):
         m = (A[..., 0] * (B[..., 1] * C[..., 2] - B[..., 2] * C[..., 1])
              - A[..., 1] * (B[..., 0] * C[..., 2] - B[..., 2] * C[..., 0])
              + A[..., 2] * (B[..., 0] * C[..., 1] - B[..., 1] * C[..., 0]))
-        rel = np.abs(m - analysis.metric.values ** 2) / analysis.metric.values ** 2
+        omega = analyze_net(net).metric.values
+        rel = np.abs(m - omega ** 2) / omega ** 2
         worst["m"] = max(worst["m"], rel.max())
         assert rel.max() <= 1e-10
     # patch compatibility on the example nets and the two coarse parabolic
@@ -344,8 +344,8 @@ def test_criterion_7_determinism_and_roundtrips(rng, tmp_path):
     assert np.array_equal(parse_curves(write_curves(cpf2)).alpha.points,
                           rnd.alpha.points)
     # OBJ round-trip reproduces every coordinate exactly (%.17g)
-    analysis = analyze_net(example_net(1.0))
-    mesh = tessellate(analysis.f, 3, analysis.polylines)
+    net = example_net(1.0)
+    mesh = tessellate(integrate_net(net), 3, analyze_net(net).polylines)
     path = tmp_path / "m.obj"
     export_obj(mesh, path)
     vertices, _, _, lines = parse_obj(path)

@@ -518,9 +518,11 @@ def test_cli_integrates_positions_only_for_the_mesh(tmp_path, monkeypatch):
     assert _run(["analyze", "--curves", curves,
                  "--report", tmp_path / "r.json"]) == 0
     assert calls == []
-    assert _run(["mesh", "--curves", curves, "--out", tmp_path / "m.obj",
-                 "--subdiv", 2, "--singular", "auto"]) == 0
-    assert len(calls) == 1
+    for singular in ("auto", "none"):
+        calls.clear()
+        assert _run(["mesh", "--curves", curves, "--out", tmp_path / "m.obj",
+                     "--subdiv", 2, "--singular", singular]) == 0
+        assert len(calls) == 1
 
 
 def test_cli_mesh_overflowing_net_exits_1(tmp_path, capsys):

@@ -556,6 +556,10 @@ def test_singular_set_matches_per_edge_reference(rng):
         ref_edges = reference_singular_edges(metric)
         ref_sorted = sorted(ref_edges, key=lambda se: tuple(se.edge))
         assert singular_edges(metric) == ref_sorted
+        analysis = analyze_net(net)
+        assert analysis.edges == ref_sorted
+        assert all(a < 0.0 < b or b < 0.0 < a
+                   for _, (a, b) in analysis.edges)
         ref_incident = reference_incident_edges(ref_edges, dom)
         sset = SingularSet.from_omega(metric)
         assert list(zip(sset.vertices, sset.incident())) == ref_incident
@@ -1216,22 +1220,3 @@ def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
                             for sv in got)
     assert compared > 3000 and raised > sidedness >= 3
     assert handed and not called
-
-
-def test_analysis_integrates_on_first_read(monkeypatch):
-    calls = []
-    kernel = _kernels.integrate_positions
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(_kernels, "integrate_positions", counted)
-    net = parabolic_net(0.2)[0]
-    analysis = analyze_net(net, base_vertex=(2, 3))
-    assert calls == []
-    f = analysis.f
-    assert analysis.f is f and len(calls) == 1
-    want = integrate_net(net, base_vertex=(2, 3))
-    assert f.base_vertex == want.base_vertex == (2, 3)
-    assert f.positions.tobytes() == want.positions.tobytes()

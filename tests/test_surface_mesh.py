@@ -174,20 +174,22 @@ def test_tessellate_refuses_polyline_vertex_outside_domain():
 
 
 def test_tessellate_carries_polylines():
-    analysis = analyze_net(example_net(1.0))
-    mesh = tessellate(analysis.f, 2, analysis.polylines)
+    net = example_net(1.0)
+    analysis = analyze_net(net)
+    f = integrate_net(net)
+    mesh = tessellate(f, 2, analysis.polylines)
     assert len(mesh.polylines) == 1
     pl = mesh.polylines[0]
     assert not pl.closed
     assert len(pl.indices) == 3
     chain = analysis.polylines[0].vertices
     for idx, (u, v) in zip(pl.indices, chain):
-        assert np.allclose(mesh.vertices[idx], analysis.f.position(u, v))
+        assert np.allclose(mesh.vertices[idx], f.position(u, v))
 
 
 def test_export_obj_counts_and_roundtrip(tmp_path):
-    analysis = analyze_net(example_net(1.0))
-    mesh = tessellate(analysis.f, 1, analysis.polylines)
+    net = example_net(1.0)
+    mesh = tessellate(integrate_net(net), 1, analyze_net(net).polylines)
     path = tmp_path / "net.obj"
     export_obj(mesh, path)
     vertices, faces, groups, lines = parse_obj(path)
@@ -334,11 +336,11 @@ def test_tessellate_matches_per_triangle_reference(rng, tmp_path):
     # analysed nets with singular polylines, whose "l" records the OBJ
     # text must carry
     for net in (example_net(1.0), parabolic_net(0.2)[0]):
-        analysis = analyze_net(net)
-        assert analysis.polylines
+        polylines = analyze_net(net).polylines
+        assert polylines
+        f = integrate_net(net)
         for subdiv in (1, 2, 3):
-            _assert_mesh_matches_reference(
-                analysis.f, subdiv, tmp_path, analysis.polylines)
+            _assert_mesh_matches_reference(f, subdiv, tmp_path, polylines)
 
 
 def test_tessellate_matches_reference_on_collapsed_corners(rng, tmp_path):
