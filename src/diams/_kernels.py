@@ -8,10 +8,20 @@ orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
 sidedness signs.  ``ConormalNet`` computes the two grids once per net
 (``omega_terms``, ``frame_terms``); generic position and classification
 read all six signs of every vertex from them.
+
+``g17_field`` writes the "%.17g" text of a whole float array as one
+NUL-padded uint8 matrix: the digits come from a double-double product
+with a table of powers of ten, and Python's own "%.17g" writes only the
+values that product cannot decide (zero, non-finite, extreme magnitudes,
+near ties).  The report's Omega section and the OBJ vertex block use it
+from ``G17_MIN_VALUES`` values on, ``G17_BLOCK_VALUES`` at a time.
+
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
 """
+
+import functools
 
 import numpy as np
 
@@ -146,3 +156,165 @@ def bilinear_sample(positions, subdiv):
     out = out + positions[qi + 1, qj] * (w * (1.0 - t))
     out = out + positions[qi, qj + 1] * ((1.0 - w) * t)
     return out + positions[qi + 1, qj + 1] * (w * t)
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" text of whole arrays
+# ---------------------------------------------------------------------------
+
+# Below this many values one `%` format of a "%.17g" template is faster
+# than g17_field: on a 2-core x86-64 host the Omega report section breaks
+# even at about 400 values and the OBJ vertex block at about 1,000.
+# Writers choose between the two from the array size alone.
+G17_MIN_VALUES = 1000
+# Writers format larger arrays in blocks of this many values (the Omega
+# section in whole u-rows), so the byte matrices around g17_field's rows
+# and g17_field's own arrays stay near 1 MB, below the 4 MiB from which
+# numpy asks for huge pages, however large the array.
+G17_BLOCK_VALUES = 1 << 14
+
+_SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's splitting constant
+_P10_MIN = -300                     # the power of ten in row 0 of the table
+
+
+@functools.cache
+def _g17_tables():
+    """The read-only tables of g17_field: 10**k for k in [-300, 300] as
+    double-doubles (hi the nearest double, lo the remainder rounded to
+    the nearest double), and the four ASCII digits of each n < 10**4 as
+    one uint32, at index n as written and at index n + 10**4 with its
+    trailing zeros as NULs."""
+    hi, lo = [], []
+    for k in range(_P10_MIN, 1 - _P10_MIN):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den                       # int division rounds correctly
+        m, e = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * e - m * den) / (den * e))
+    n = np.arange(10 ** 4)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], 1)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, 1)[:, ::-1]
+    ascii4 = np.concatenate([digits + 48, (digits + 48) * ~trailing])
+    tables = (np.array(hi), np.array(lo),
+              ascii4.astype(np.uint8).view(np.uint32).ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _two_prod(a, b):
+    """(p, e) with p + e == a * b exactly (Dekker 1971), unless a
+    Veltkamp split overflows (|a| or |b| above about 1e300)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled(ax, k):
+    """ax * 10**k as a normalized double-double (qh, ql), |ql| at most
+    half an ulp of qh; its error is below 1e-30 * ax * 10**k."""
+    hi, lo = _g17_tables()[:2]
+    p, e = _two_prod(ax, hi[k - _P10_MIN])
+    low = e + ax * lo[k - _P10_MIN]
+    qh = p + low
+    return qh, low - (qh - p)
+
+
+def _decimal17(x):
+    """|x| rounded to 17 significant digits, as D * 10**(X - 16) with D
+    in [1e16, 1e17): (D, X, decided).  decided is False where the double-
+    double product cannot decide the rounding: x zero, not finite or
+    outside [1e-280, 1e280], or the rounded-off fraction within 1e-9 of
+    one half (exact ties included); D and X mean nothing there."""
+    ax = np.abs(x)
+    decided = (ax >= 1e-280) & (ax <= 1e280)       # false for nan
+    ax = np.where(decided, ax, 1.0)
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    qh, ql = _scaled(ax, 16 - X)
+    # log10 may be one off near a power of ten: one step of X puts the
+    # product in [1e16, 1e17), judged on both words; a product that
+    # rounds up to 1e17 carries into X below
+    step = (((qh > 1e17) | ((qh == 1e17) & (ql >= 0))).astype(np.int64)
+            - ((qh < 1e16) | ((qh == 1e16) & (ql < 0))))
+    redo = np.flatnonzero(step)
+    if redo.size:
+        X[redo] += step[redo]
+        qh[redo], ql[redo] = _scaled(ax[redo], 16 - X[redo])
+    # qh >= 2**53 is an integer, so the fraction is that of ql
+    whole = np.floor(ql)
+    frac = ql - whole
+    decided &= np.abs(frac - 0.5) >= 1e-9
+    D = qh.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    return D, X, decided
+
+
+def g17_field(values):
+    """An (N, 24) uint8 matrix whose row i, once its NUL bytes are
+    dropped, is the ASCII of "%.17g" % values[i] (values flattened).
+
+    The 17 digits come from _decimal17.  Trailing zeros after the point
+    are NULs, and so is the point when no fraction is left.  Rows are
+    sorted by exponent, and each exponent's block is laid out as printf
+    lays it out: fixed for exponents -4..16, d.ddde+XX otherwise.
+    Python's own "%.17g" writes the values _decimal17 cannot decide."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not len(x):
+        return np.zeros((0, 24), dtype=np.uint8)
+    D, X, decided = _decimal17(x)
+    X = X.astype(np.int16)
+    order = np.argsort(X, kind="stable")
+    D, X = D[order], X[order]
+    ascii4 = _g17_tables()[2]
+    # the leading digit, then the other 16 in four groups of four
+    high, low = np.divmod(D, 10 ** 8)
+    lead, high = np.divmod(high.astype(np.uint32), 10 ** 8)
+    quads = np.empty((len(x), 4), dtype=np.uint32)
+    quads[:, 0], quads[:, 1] = np.divmod(high, 10 ** 4)
+    quads[:, 2], quads[:, 3] = np.divmod(low.astype(np.uint32), 10 ** 4)
+    # a group all of whose successors are zero loses its trailing zeros
+    strip = np.empty((len(x), 4), dtype=bool)
+    strip[:, 0] = (low == 0) & (quads[:, 1] == 0)
+    strip[:, 1] = low == 0
+    strip[:, 2] = quads[:, 3] == 0
+    strip[:, 3] = True
+    stripped = ascii4[quads + strip * np.uint32(10 ** 4)].view(np.uint8)
+    rows = np.zeros((len(x), 24), dtype=np.uint8)
+    rows[:, 0] = np.signbit(x[order]) * np.uint8(ord("-"))
+    lead = (lead + ord("0")).astype(np.uint8)
+    ends = (np.flatnonzero(np.diff(X)) + 1).tolist() + [len(x)]
+    for start, end in zip([0] + ends, ends):
+        e = int(X[start])
+        block, d, s = rows[start:end], lead[start:end], stripped[start:end]
+        if e < -4 or e > 16:                # d.ddde-XX, d.ddde+XXX
+            block[:, 1] = d
+            block[:, 2] = (s[:, 0] != 0) * np.uint8(ord("."))
+            block[:, 3:19] = s
+            tail = b"e%+03d" % e
+            block[:, 19:19 + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        elif e < 0:                         # 0.000ddd
+            block[:, 1:2 - e] = ord("0")
+            block[:, 2] = ord(".")
+            block[:, 2 - e] = d
+            block[:, 3 - e:19 - e] = s
+        else:                               # ddd.ddd
+            block[:, 1] = d
+            if e > 0:
+                full = ascii4[quads[start:end]].view(np.uint8)
+                block[:, 2:e + 2] = full[:, :e]
+            if e < 16:
+                block[:, e + 2] = (s[:, e] != 0) * np.uint8(ord("."))
+                block[:, e + 3:19] = s[:, e:]
+    out = np.empty_like(rows)
+    out.view("V24")[order] = rows.view("V24")
+    for i in np.flatnonzero(~decided).tolist():
+        text = b"%.17g" % x[i]
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out

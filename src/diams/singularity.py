@@ -184,7 +184,10 @@ def metric_field(net, eps_degenerate=1e-9):
     (net.omega_terms); abort when any quad's Omega falls in orient's dead
     zone at eps_degenerate >= 0, where its sign means nothing."""
     values, mag = net.omega_terms
-    bad = ~(np.abs(values) > eps_degenerate * mag)
+    # a dead zone eps * mag that overflows to inf holds every Omega
+    with np.errstate(over="ignore"):
+        floor = eps_degenerate * mag
+    bad = ~(np.abs(values) > floor)
     if bad.any():
         # an Omega or a magnitude overflowing to inf or nan reads undecided;
         # the magnitude overflows whenever Omega does
@@ -193,7 +196,7 @@ def metric_field(net, eps_degenerate=1e-9):
         quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
         err = DegenerateMetric(
             f"|Omega| = {abs(values[i, j]):.3e} <= "
-            f"{eps_degenerate * mag[i, j]:.3e} at quad {quad}")
+            f"{floor[i, j]:.3e} at quad {quad}")
         err.quad = quad
         err.value = float(values[i, j])
         raise err

@@ -230,6 +230,16 @@ def test_report_bytes_match_reference(rng, monkeypatch, tmp_path):
     analyses += [analyze_net(_strip_net(3, 17)), analyze_net(_strip_net(13, 3))]
     analyses += [analyze_net(random_admissible_net(rng)) for _ in range(20)]
     analyses += [analyze_net(four_edge_net())]
+    # the h = 0.05 net's 1,600 values take g17_field's path: put every
+    # kind of value it leaves to %.17g or to null into it
+    big = analyses[4]
+    assert big.metric.values.size >= _kernels.G17_MIN_VALUES
+    values = big.metric.values.copy()
+    values[0, :3] = (np.nan, np.inf, -np.inf)
+    values[1, :4] = (0.0, -0.0, 5e-324, -1e300)
+    values[2, :3] = (1000000000000000.25, 1e23, -9.999999999999999e-260)
+    values[3, :] = np.nan
+    analyses.append(_with_values(big, values))
     special = analyses[3]
     values = special.metric.values.copy()
     values[0, 0] = np.nan
@@ -268,6 +278,23 @@ def test_report_bytes_match_reference(rng, monkeypatch, tmp_path):
     assert report.read_bytes() == reference_report_bytes(degenerate, None)
     # four encoded sections in each of the reports written above
     assert len(encoded) == 4 * (2 * len(analyses) + 3)
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000, 10 ** 6])
+def test_report_omega_section_is_the_same_in_any_block_size(block,
+                                                            monkeypatch):
+    # the h = 0.05 net has 40 values per u-row: blocks of one u-row (a
+    # block of 1 value is less than a row), of two, of 25 and of the whole
+    # grid, with non-finite values, a signed zero and a null last entry
+    analysis = analyze_net(parabolic_net(0.05)[0])
+    values = analysis.metric.values.copy()
+    values[0, :3] = (np.nan, np.inf, -0.0)
+    values[-1, -1] = np.nan
+    analysis = _with_values(analysis, values)
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    report = report_from_analysis(analysis, 1e-9, 1e-9)
+    assert write_report(report) == reference_report_bytes(report,
+                                                          analysis.metric)
 
 
 @pytest.mark.parametrize("name", ["flat", "parabolic"])
@@ -341,6 +368,19 @@ def test_cli_oracle_flat_report_digest(tmp_path):
 
 def _run(args):
     return run_cli([str(a) for a in args])
+
+
+def test_cli_analyze_parabolic_report_digest(tmp_path):
+    # h = 0.01: 40,000 Omega values, above g17_field's size cutoff, so the
+    # report's Omega section comes from the array formatter; the digest
+    # was recorded with the per-row %.17g templates
+    curves = _curves_file(parabolic_net(0.01)[0], tmp_path)
+    report = tmp_path / "r.json"
+    assert _run(["analyze", "--curves", curves, "--report", report]) == 0
+    data = report.read_bytes()
+    assert len(data) == 2089226
+    assert hashlib.sha256(data).hexdigest() == (
+        "a6e0a82e10a74484a6a236bd9bbc172a91b71639deefc4423cbed77ea3123627")
 
 
 def test_cli_example_analyze_swallowtail(tmp_path, capsys):
@@ -684,6 +724,25 @@ def test_cli_negative_tolerances_are_usage_errors(command, option, value,
         "be >= 0" in err
     assert not out.exists()
     assert _run([command] + args + [f"{option}=0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_cli_overflowing_metric_floor_exits_3_without_warnings(
+        command, tmp_path, capsys):
+    # --metric-eps 1e308 times Omega's magnitude overflows to inf: every
+    # Omega lies in the dead zone, and no numpy warning escapes (warnings
+    # are raised as errors here)
+    curves = tmp_path / "c.json"
+    assert _run(["example", "--y", 1, "--du", 10, "--dv", 10,
+                 "--out", curves]) == 0
+    args = {"analyze": ["--report", tmp_path / "r.json"],
+            "validate": []}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([command, "--curves", curves, "--metric-eps", 1e308]
+                    + args) == 3
+    assert capsys.readouterr().err == (
+        "error: |Omega| = 2.000e+02 <= inf at quad (-1, -1)\n")
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):

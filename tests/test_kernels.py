@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diams import _kernels
 
@@ -90,3 +92,71 @@ def test_bilinear_sample_matches_every_owning_quad_bitwise(rng):
             assert seams == ((nu - 2) * (subdiv * (nv - 1) + 1)
                              + (nv - 2) * (subdiv * (nu - 1) + 1)
                              - (nu - 2) * (nv - 2))
+
+
+def _assert_g17(values):
+    # every row of g17_field, NULs dropped, against Python's own %.17g
+    values = np.asarray(values, dtype=np.float64).ravel()
+    field = _kernels.g17_field(values)
+    assert field.shape == (len(values), 24) and field.dtype == np.uint8
+    got = [row[row != 0].tobytes().decode("ascii") for row in field]
+    wrong = [(x, g, "%.17g" % x) for x, g in zip(values.tolist(), got)
+             if g != "%.17g" % x]
+    assert wrong == []
+
+
+def _ulps_around(x, k):
+    """The doubles within k ulps of each positive double in x (clipped at
+    +0.0)."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)[:, None]
+    return np.maximum(bits + np.arange(-k, k + 1), 0).view(np.float64)
+
+
+def test_g17_field_matches_percent_g_on_random_bit_patterns(rng):
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    # subnormals: a zero exponent field under random mantissas and signs
+    bits[:2000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+               -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    _assert_g17(np.concatenate([bits.view(np.float64), special]))
+
+
+def test_g17_field_matches_percent_g_around_powers_of_ten():
+    # both ends of the exponent correction: 1e23 and 9.999999999999999e-260
+    # each need the low word to tell which side of the power they lie on
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = _ulps_around(powers, 3)
+    _assert_g17(np.concatenate([values.ravel(), -values.ravel()]))
+    _assert_g17([1e23, 9.999999999999999e-260, 1e22, 1e16, 1e17, 1e-5, 1e-4])
+
+
+def test_g17_field_matches_percent_g_on_integers_and_exact_ties(rng):
+    # integers near 2^53, 1e16 and 1e17, where the 17th digit and the
+    # double's spacing meet, and exact ties m/4 (m odd), which round to
+    # even and so are left to Python's %.17g
+    near = _ulps_around([2.0 ** 53, 1e16, 1e17], 40).ravel()
+    ties = (2 * rng.integers(2 * 10 ** 15, 2 ** 52, size=20_000) + 1) / 4
+    _assert_g17(np.concatenate([near, np.arange(-1000.0, 1000.0), ties]))
+    row = _kernels.g17_field([1000000000000000.25])[0]
+    assert row[row != 0].tobytes() == b"1000000000000000.2"
+    assert _kernels.g17_field([]).shape == (0, 24)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          database=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_field_matches_percent_g_on_any_floats(values):
+    _assert_g17(values)
+
+
+def test_g17_fast_path_decides_every_nonzero_workload_value():
+    # if the double-double path silently fell back, the bytes would stay
+    # right and the speed would be lost: the 401^2 parabolic net's Omega
+    # and its positions must all be decided, save exact zeros
+    from diams.net_core import integrate_net
+    from _helpers import parabolic_net
+    net = parabolic_net(0.005)[0]
+    for values in (net.omega_terms[0], integrate_net(net).positions):
+        decided = _kernels._decimal17(values.ravel())[2]
+        assert decided.sum() == np.count_nonzero(values)

@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diams import (BilinearPatch, TriangleMesh, analyze_net, bilinear_point,
-                   compatibility_residual, export_obj, integrate_net,
-                   patch_for_quad, tessellate)
+from diams import (BilinearPatch, TriangleMesh, _kernels, analyze_net,
+                   bilinear_point, compatibility_residual, export_obj,
+                   integrate_net, patch_for_quad, tessellate)
 from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch)
 from diams.surface_mesh import MeshPolyline
 
@@ -299,6 +299,27 @@ def test_export_obj_accepts_tuple_tags(tmp_path):
     export_obj(dataclasses.replace(mesh, quad_tags=tags), path)
     assert path.read_text() == want
     assert want.count("g ") == 2
+
+
+@pytest.mark.parametrize("block", [3, 300, _kernels.G17_BLOCK_VALUES])
+def test_export_obj_vertex_block_matches_reference_at_any_size(
+        block, rng, tmp_path, monkeypatch):
+    # vertex counts on both sides of g17_field's size cutoff, written in
+    # blocks of one vertex, of 100 and of the default size, at magnitudes
+    # from 1e-300 to 1e300, with the values g17_field leaves to Python's
+    # %.17g (zeros, exact ties, subnormals)
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    cut = _kernels.G17_MIN_VALUES // 3
+    path = tmp_path / "v.obj"
+    for n in (cut - 1, cut + 1, 4000):
+        vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(
+            -300, 301, size=(n, 1))
+        vertices[:3] = [[0.0, -0.0, 5e-324], [1e16, 1e17, -1e-5],
+                        [1000000000000000.25, 0.1, -1.0]]
+        mesh = TriangleMesh(vertices, np.zeros((0, 3), dtype=np.int64),
+                            np.zeros((0, 2), dtype=np.int64), ())
+        export_obj(mesh, path)
+        assert path.read_bytes() == reference_obj_text(mesh).encode("ascii")
 
 
 def _assert_mesh_matches_reference(f, subdiv, tmp_path, singular=()):
