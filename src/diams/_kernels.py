@@ -13,8 +13,10 @@ read all six signs of every vertex from them.
 NUL-padded uint8 matrix: the digits come from a double-double product
 with a table of powers of ten, and Python's own "%.17g" writes only the
 values that product cannot decide (zero, non-finite, extreme magnitudes,
-near ties).  The report's Omega section and the OBJ vertex block use it
-from ``G17_MIN_VALUES`` values on, ``G17_BLOCK_VALUES`` at a time.
+near ties).  ``g17_text`` lays a 2-D array's rows out between fixed byte
+pieces, ``G17_BLOCK_VALUES`` values at a time, and drops the NULs; the
+report's Omega section and the OBJ vertex block are written through it
+at every size.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
@@ -162,15 +164,10 @@ def bilinear_sample(positions, subdiv):
 # "%.17g" text of whole arrays
 # ---------------------------------------------------------------------------
 
-# Below this many values one `%` format of a "%.17g" template is faster
-# than g17_field: on a 2-core x86-64 host the Omega report section breaks
-# even at about 400 values and the OBJ vertex block at about 1,000.
-# Writers choose between the two from the array size alone.
-G17_MIN_VALUES = 1000
-# Writers format larger arrays in blocks of this many values (the Omega
-# section in whole u-rows), so the byte matrices around g17_field's rows
-# and g17_field's own arrays stay near 1 MB, below the 4 MiB from which
-# numpy asks for huge pages, however large the array.
+# g17_text formats blocks of whole rows holding at most this many values
+# (one row if a row holds more), so the byte matrices around g17_field's
+# rows and g17_field's own arrays stay near 1 MB, below the 4 MiB from
+# which numpy asks for huge pages, however large the array.
 G17_BLOCK_VALUES = 1 << 14
 
 _SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's splitting constant
@@ -191,12 +188,15 @@ def _g17_tables():
         m, e = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * e - m * den) / (den * e))
-    n = np.arange(10 ** 4)
-    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], 1)
+    # uint8 digits keep every temporary below glibc's 128 KiB mmap
+    # threshold; freeing a larger one would raise that threshold for the
+    # rest of the process and so change the speed of unrelated code
+    n = np.arange(10 ** 4, dtype=np.uint16)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10],
+                      1).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, 1)[:, ::-1]
     ascii4 = np.concatenate([digits + 48, (digits + 48) * ~trailing])
-    tables = (np.array(hi), np.array(lo),
-              ascii4.astype(np.uint8).view(np.uint32).ravel())
+    tables = (np.array(hi), np.array(lo), ascii4.view(np.uint32).ravel())
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -318,3 +318,42 @@ def g17_field(values):
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
+
+
+def nul_padded(texts):
+    """Byte strings as the rows of a uint8 matrix, NUL-padded to the
+    longest."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+
+
+def g17_text(values, before, after, nonfinite=None):
+    """The text of a 2-D float array as a list of ASCII byte blocks.
+
+    Value (r, c) is written as "%.17g" (as nonfinite, if given, where it
+    is not finite) after every piece in before and before every piece in
+    after, in row-major order.  A piece is a NUL-padded uint8 array: one
+    of three dimensions is (rows, 1 or columns, width) and varies by
+    row; any other broadcasts to (columns, width).  NULs are dropped.
+    Each block holds whole rows and at most G17_BLOCK_VALUES values,
+    unless one row holds more."""
+    values = np.asarray(values, dtype=np.float64)
+    width = 24 + sum(p.shape[-1] for p in (*before, *after))
+    if nonfinite is not None:
+        nonfinite = np.frombuffer(nonfinite.ljust(24, b"\0"), dtype=np.uint8)
+    step = max(1, G17_BLOCK_VALUES // max(1, values.shape[1]))
+    blocks = []
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        field = g17_field(block).reshape(*block.shape, 24)
+        if nonfinite is not None:
+            field[~np.isfinite(block)] = nonfinite
+        parts = [p[lo:lo + step] if p.ndim == 3 else p
+                 for p in (*before, *after)]
+        parts.insert(len(before), field)
+        rows = np.empty((*block.shape, width), dtype=np.uint8)
+        at = 0
+        for part in parts:
+            rows[:, :, at:at + part.shape[-1]] = part
+            at += part.shape[-1]
+        blocks.append(rows[rows != 0].tobytes())
+    return blocks

@@ -9,10 +9,8 @@ and reports are JSON with sorted keys and %.17g floats, so identical
 inputs produce byte-identical output.  Quads are keyed by doubled integers
 [2u+1, 2v+1] so vertices [2u, 2v], edges and quads share one integer key
 space.  The Omega section lists quads row-major (u, then v) and is
-formatted straight from the metric grid: from `_kernels.G17_MIN_VALUES`
-values on as byte matrices around `_kernels.g17_field`'s digits, one per
-block of u-rows, below that one `%` template per u-row.  Both give the
-same bytes.
+formatted straight from the metric grid by `_kernels.g17_text`, as byte
+matrices around `_kernels.g17_field`'s digits, one per block of u-rows.
 """
 
 import argparse
@@ -210,60 +208,25 @@ def _fill(template, values, finite):
         x if isinstance(x, str) else _dump_float(x) for x in values)
 
 
-def _nul_padded(texts):
-    """Byte strings as the rows of a uint8 matrix, NUL-padded to the
-    longest."""
-    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
-
-
-_NULL_FIELD = np.frombuffer(b"null".ljust(24, b"\0"), dtype=np.uint8)
+_QUAD_END = np.frombuffer(b"},", dtype=np.uint8)
 
 
 def _omega_json(metric):
     """The report's "omega" list, {"quad": [2u+1, 2v+1], "value": w} per
     quad in row-major order (u, then v) like `GridDomain.quads()`, as
-    JSON text.
-
-    From `_kernels.G17_MIN_VALUES` values on, each block of u-rows
-    holding at most `_kernels.G17_BLOCK_VALUES` values is one uint8
-    matrix, a row per quad: its u-row's head, its v-column's tail, the
-    value's `_kernels.g17_field` row ("null" if not finite) and "},",
-    all NUL-padded; one mask drops the NULs.  Below that, each u-row is
-    one `%` format of a template with the quad keys baked in."""
-    if metric is None:
+    JSON text, written by `_kernels.g17_text`: each value ("null" if not
+    finite) between its u-row's head, its v-column's tail and "},"."""
+    if metric is None or metric.values.size == 0:
         return _RawJson("[]")
     dom = metric.domain
-    values = np.asarray(metric.values, dtype=np.float64)
-    if values.size >= _kernels.G17_MIN_VALUES:
-        heads = _nul_padded([b'{"quad":[%d,' % (2 * u + 1)
-                             for u in range(dom.u_min, dom.u_max)])
-        tails = _nul_padded([b'%d],"value":' % (2 * v + 1)
-                             for v in range(dom.v_min, dom.v_max)])
-        h, t = heads.shape[1], tails.shape[1]
-        step = max(1, _kernels.G17_BLOCK_VALUES // values.shape[1])
-        text = [b"["]
-        for lo in range(0, len(values), step):
-            block = values[lo:lo + step]
-            field = _kernels.g17_field(block)
-            field[~np.isfinite(block).ravel()] = _NULL_FIELD
-            rows = np.empty((*block.shape, h + t + 26), dtype=np.uint8)
-            rows[:, :, :h] = heads[lo:lo + step, None]
-            rows[:, :, h:h + t] = tails
-            rows[:, :, h + t:-2] = field.reshape(*block.shape, 24)
-            rows[:, :, -2:] = (ord("}"), ord(","))
-            text.append(rows[rows != 0].tobytes())
-        text[-1] = text[-1][:-1] + b"]"
-        return _RawJson(b"".join(text), "ascii")
-    tails = [f'{2 * v + 1}],"value":%.17g}}'
-             for v in range(dom.v_min, dom.v_max)]
-    finite = np.isfinite(values).all(axis=1).tolist()
-    rows = []
-    for u, row, row_finite in zip(range(dom.u_min, dom.u_max),
-                                  values.tolist(), finite):
-        head = '{"quad":[%d,' % (2 * u + 1)
-        rows.append(_fill(head + ("," + head).join(tails), tuple(row),
-                          row_finite))
-    return _RawJson("[" + ",".join(rows) + "]")
+    heads = _kernels.nul_padded([b'{"quad":[%d,' % (2 * u + 1)
+                                 for u in range(dom.u_min, dom.u_max)])
+    tails = _kernels.nul_padded([b'%d],"value":' % (2 * v + 1)
+                                 for v in range(dom.v_min, dom.v_max)])
+    text = _kernels.g17_text(metric.values, (heads[:, None], tails),
+                             (_QUAD_END,), nonfinite=b"null")
+    text[-1] = text[-1][:-1] + b"]"
+    return _RawJson(b"".join([b"[", *text]), "ascii")
 
 
 _ORACLE_POINT = ('{"configuration":null,"dvdu":%.17g,"kind":%s,'

@@ -184,6 +184,10 @@ def tessellate(f, subdiv, singular=()):
                         polylines=tuple(polylines))
 
 
+_VERTEX_BEFORE = _kernels.nul_padded([b"v ", b" ", b" "])
+_VERTEX_AFTER = _kernels.nul_padded([b"", b"", b"\n"])
+
+
 def export_obj(mesh, path):
     """Write the mesh as Wavefront OBJ text.
 
@@ -192,30 +196,14 @@ def export_obj(mesh, path):
     first index).  Output is byte-deterministic for a fixed mesh.
 
     A group opens wherever a triangle's tag differs from the one before
-    it.  No list or tuple is built per vertex or per face.  The face
-    block is one `%` format of a template over a flat value tuple.  So is
-    the vertex block below `_kernels.G17_MIN_VALUES` coordinates; from
-    there on each `_kernels.G17_BLOCK_VALUES` coordinates are one
-    NUL-padded byte matrix, a row per vertex of "v", the coordinates'
-    `_kernels.g17_field` rows and separators, whose NULs one mask drops.
+    it.  No list or tuple is built per vertex or per face: the vertex
+    block is written by `_kernels.g17_text`, each coordinate after "v "
+    or " " and the last before a newline, and the face block is one `%`
+    format of a template over a flat value tuple.
     """
-    vertices = mesh.vertices
-    if vertices.size >= _kernels.G17_MIN_VALUES:
-        text = []
-        step = _kernels.G17_BLOCK_VALUES // 3
-        for lo in range(0, len(vertices), step):
-            field = _kernels.g17_field(vertices[lo:lo + step])
-            field = field.reshape(-1, 3, 24)
-            rows = np.empty((len(field), 77), dtype=np.uint8)
-            rows[:, 0], rows[:, 76] = ord("v"), ord("\n")
-            for k in range(3):
-                rows[:, 1 + 25 * k] = ord(" ")
-                rows[:, 2 + 25 * k:26 + 25 * k] = field[:, k]
-            text.append(rows[rows != 0].tobytes())
-        parts = [b"".join(text).decode("ascii")]
-    else:
-        parts = [("v %.17g %.17g %.17g\n" * len(vertices))
-                 % tuple(vertices.ravel().tolist())]
+    vertices = np.reshape(mesh.vertices, (-1, 3))
+    text = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
+    parts = [b"".join(text).decode("ascii")]
     tags = np.asarray(mesh.quad_tags, dtype=np.int64).reshape(-1, 2)
     start = np.ones(len(tags), dtype=bool)
     start[1:] = (tags[1:] != tags[:-1]).any(axis=1)

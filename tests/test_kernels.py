@@ -160,3 +160,25 @@ def test_g17_fast_path_decides_every_nonzero_workload_value():
     for values in (net.omega_terms[0], integrate_net(net).positions):
         decided = _kernels._decimal17(values.ravel())[2]
         assert decided.sum() == np.count_nonzero(values)
+
+
+@pytest.mark.parametrize("block", [1, 5, _kernels.G17_BLOCK_VALUES])
+def test_g17_text_lays_values_out_between_pieces(block, monkeypatch):
+    # pieces by row, by column and by both, in blocks of less than one
+    # row, of one row and of the whole array; empty arrays give no text
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    values = np.array([[0.1, -2.0, np.nan], [1e300, 0.0, np.inf]])
+    rows = _kernels.nul_padded([b"<", b"<<"])[:, None]
+    cols = _kernels.nul_padded([b"a", b"", b"ccc"])
+    both = np.array([[[ord(c)] for c in "xyz"], [[0], [ord("w")], [0]]],
+                    dtype=np.uint8)
+    want = ("<a0.10000000000000001x;<-2y;<cccNz;"
+            "<<a1.0000000000000001e+300;<<0w;<<cccN;")
+    text = _kernels.g17_text(values, (rows, cols),
+                             (both, np.frombuffer(b";", dtype=np.uint8)),
+                             nonfinite=b"N")
+    assert b"".join(text).decode("ascii") == want
+    assert len(text) == (2 if block <= 5 else 1)
+    plain = b"".join(_kernels.g17_text(values, (), ()))
+    assert plain.decode() == "".join("%.17g" % x for x in values.ravel())
+    assert _kernels.g17_text(np.zeros((0, 3)), (cols,), ()) == []

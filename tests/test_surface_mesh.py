@@ -304,14 +304,13 @@ def test_export_obj_accepts_tuple_tags(tmp_path):
 @pytest.mark.parametrize("block", [3, 300, _kernels.G17_BLOCK_VALUES])
 def test_export_obj_vertex_block_matches_reference_at_any_size(
         block, rng, tmp_path, monkeypatch):
-    # vertex counts on both sides of g17_field's size cutoff, written in
-    # blocks of one vertex, of 100 and of the default size, at magnitudes
-    # from 1e-300 to 1e300, with the values g17_field leaves to Python's
-    # %.17g (zeros, exact ties, subnormals)
+    # small and large vertex counts, written in blocks of one vertex, of
+    # 100 and of the default size, at magnitudes from 1e-300 to 1e300,
+    # with the values g17_field leaves to Python's %.17g (zeros, exact
+    # ties, subnormals)
     monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
-    cut = _kernels.G17_MIN_VALUES // 3
     path = tmp_path / "v.obj"
-    for n in (cut - 1, cut + 1, 4000):
+    for n in (3, 4, 333, 4000):
         vertices = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(
             -300, 301, size=(n, 1))
         vertices[:3] = [[0.0, -0.0, 5e-324], [1e16, 1e17, -1e-5],
