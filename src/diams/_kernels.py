@@ -4,10 +4,10 @@ Every discrete decision of the pipeline is the sign of one determinant,
 [n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
 writes the same expression, bit for bit, with the six products that set
 orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
-``omega_grid``, the vertex-frame grids ``frame_pair_grids`` and the star
-sidedness signs.  ``ConormalNet`` computes the two grids once per net
-(``omega_terms``, ``frame_terms``); generic position and classification
-read all six signs of every vertex from them.
+``omega_grid`` and the vertex-frame grids ``frame_pair_grids``.
+``ConormalNet`` computes the two grids once per net (``omega_terms``,
+``frame_terms``); generic position and classification read all six signs
+of every vertex from them, star sidedness included.
 
 ``g17_field`` writes the "%.17g" text of a whole float array as one
 NUL-padded uint8 matrix: the digits come from a double-double product

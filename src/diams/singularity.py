@@ -30,14 +30,14 @@ Tolerances must be >= 0: a negative one leaves no dead zone.
 A two-edge vertex's configuration, kind and sign diagnostics depend only
 on these six signs, so they are read from a 64-entry table
 (``_SIGN_TABLE``) that the scalar branch logic (``_sign_outcome``) fills
-at import.  One row rule, ``_decide_row``, classifies a vertex from its
-six signs and four star-sidedness signs.  ``analyze_net`` gathers the
-signs of all two-edge vertices from the two grids in one batched pass
-that hands every row with an undecided sign to the rule;
-``classify_vertex`` reads one vertex's signs from the same grids.  Star
-sidedness is evaluated on its own, from the star edges that the
-Lelieuvre equations give, so no positions are integrated: only the
-mesh needs them (``integrate_net``).
+at import.  Star sidedness is one of them: the Lelieuvre star edges are
+nu x (alpha'+, -alpha'-, beta'+, -beta'-), and [nu, nu x x, nu x y] =
+|nu|^2 [nu, x, y].  One row rule, ``_decide_row``, classifies a vertex
+from its six signs.  ``analyze_net`` gathers the signs of all two-edge
+vertices from the two grids in one batched pass that hands every row
+with an undecided sign to the rule; ``classify_vertex`` reads one
+vertex's signs from the same grids.  No positions are integrated; the
+tests check the diagnostic against ``star_sidedness_test`` on them.
 """
 
 import functools
@@ -51,7 +51,7 @@ import numpy as np
 from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import _cross3, require_finite, validate_generic_position
+from .net_core import require_finite, validate_generic_position
 
 
 class Configuration(str, Enum):
@@ -179,24 +179,30 @@ def omega_quad(net, quad):
                          (b1[0] - b0[0], b1[1] - b0[1], b1[2] - b0[2]))
 
 
+_TINY = np.finfo(float).tiny
+
+
 def metric_field(net, eps_degenerate=1e-9):
     """Omega on all quads, read from the net's one read-only grid
     (net.omega_terms); abort when any quad's Omega falls in orient's dead
-    zone at eps_degenerate >= 0, where its sign means nothing."""
+    zone at eps_degenerate >= 0, where its sign means nothing, or when its
+    magnitude underflows (below the smallest normal float)."""
     values, mag = net.omega_terms
     # a dead zone eps * mag that overflows to inf holds every Omega
     with np.errstate(over="ignore"):
         floor = eps_degenerate * mag
-    bad = ~(np.abs(values) > floor)
+    bad = ~((np.abs(values) > floor) & (mag >= _TINY))
     if bad.any():
         # an Omega or a magnitude overflowing to inf or nan reads undecided;
         # the magnitude overflows whenever Omega does
         require_finite(mag, "Omega")
         i, j = np.argwhere(bad)[0]
         quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
-        err = DegenerateMetric(
-            f"|Omega| = {abs(values[i, j]):.3e} <= "
-            f"{floor[i, j]:.3e} at quad {quad}")
+        if 0.0 < mag[i, j] < _TINY:
+            what = f"Omega underflows: magnitude {mag[i, j]:.3e}"
+        else:
+            what = f"|Omega| = {abs(values[i, j]):.3e} <= {floor[i, j]:.3e}"
+        err = DegenerateMetric(f"{what} at quad {quad}")
         err.quad = quad
         err.value = float(values[i, j])
         raise err
@@ -505,25 +511,6 @@ def singular_vertices(edges, domain):
                                           sset.flagged.tolist())]
 
 
-def _vertex_frame(net, u0, v0):
-    """Co-normal and the four incident curve derivatives as float triples:
-    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
-    alpha, beta = net.alpha, net.beta
-    i = u0 - alpha.offset
-    j = v0 - beta.offset
-    if not (0 < i < alpha.points.shape[0] - 1
-            and 0 < j < beta.points.shape[0] - 1):
-        raise IndexOutOfDomain(
-            f"vertex ({u0}, {v0}) lacks a curve neighbour on some side")
-    am, a0, ap = alpha.points[i - 1:i + 2].tolist()
-    bm, b0, bp = beta.points[j - 1:j + 2].tolist()
-    return ((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
-            (ap[0] - a0[0], ap[1] - a0[1], ap[2] - a0[2]),
-            (a0[0] - am[0], a0[1] - am[1], a0[2] - am[2]),
-            (bp[0] - b0[0], bp[1] - b0[1], bp[2] - b0[2]),
-            (b0[0] - bm[0], b0[1] - bm[1], b0[2] - bm[2]))
-
-
 def _vertex_terms(net, u0, v0):
     """(det, mag) lists of the six signs at an interior vertex: alpha'+
     against alpha'- and beta'+ against beta'- (net.frame_terms), then the
@@ -694,14 +681,18 @@ _STAR_SPLIT = {
     for i in range(4) for j in range(i + 1, 4)}
 
 
-def _star_sides_agree(n0, stars, edge_pattern, tol, where):
-    """Sidedness test on the star edge vectors (u+, u-, v+, v-) at the
-    vertex `where`, all in the plane normal to n0; edge_pattern joins the
+# star edges u+, u-, v+, v- as _sign_outcome's rays (frame direction, sign)
+_STAR_RAYS = ((0, 1), (1, -1), (2, 1), (3, -1))
+
+
+def _star_sides_agree(s, stars, edge_pattern, where):
+    """Sidedness rule over a bound sign predicate s on the star edges
+    stars = (u+, u-, v+, v-) at the vertex `where`; edge_pattern joins the
     sorted direction tags of the two singular star edges."""
     (i0, i1), plain = _STAR_SPLIT[edge_pattern]
     for k in plain:
-        s1 = _float_orient(n0, stars[k], stars[i0], tol)
-        s2 = _float_orient(n0, stars[k], stars[i1], tol)
+        s1 = s(stars[k], stars[i0])
+        s2 = s(stars[k], stars[i1])
         if s1 == 0 or s2 == 0:
             raise DegenerateOrientation(
                 "zero orientation sign for sidedness at "
@@ -730,10 +721,15 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     j = v0 - f.domain.v_min
     (_, pum, _), (pvm, p, pvp), (_, pup, _) = \
         f.positions[i - 1:i + 2, j - 1:j + 2].tolist()
-    stars = [[q[0] - p[0], q[1] - p[1], q[2] - p[2]]
+    stars = [(q[0] - p[0], q[1] - p[1], q[2] - p[2])
              for q in (pup, pum, pvp, pvm)]
-    return _star_sides_agree(_t3(net.conormal(u0, v0)), stars,
-                             _edge_pattern((u0, v0), edges), tol, (u0, v0))
+    n0 = _t3(net.conormal(u0, v0))
+
+    def s(x, y):
+        return _float_orient(n0, x, y, tol)
+
+    return _star_sides_agree(s, stars, _edge_pattern((u0, v0), edges),
+                             (u0, v0))
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +773,9 @@ class _Outcome(NamedTuple):
 def _sign_outcome(signs, pattern, where):
     """Classify a two-edge vertex from its six signs (alpha'+ vs alpha'-,
     beta'+ vs beta'-, then the cross signs ++, +-, -+, --) and its edge
-    pattern.  Raises DegenerateOrientation on the first zero sign a test
-    reads, InadmissibleVertex in the forbidden configuration."""
+    pattern, star sidedness included.  Raises DegenerateOrientation on the
+    first zero sign a test reads, InadmissibleVertex in the forbidden
+    configuration."""
     saa, sbb, cpp, cpm, cmp_, cmm = signs
     cross = signs[2:]
     axes = {pattern[0], pattern[2]}
@@ -809,11 +806,13 @@ def _sign_outcome(signs, pattern, where):
     else:
         config = Configuration.C
     kind = Kind.SWALLOWTAIL if crossing_sw else Kind.CUSPIDAL_EDGE
+    sided = _star_sides_agree(s, _STAR_RAYS, pattern, where)
     return _Outcome(config, kind, {"edge_pattern": pattern,
                                    "sig_out": _sig_str(sig_out),
                                    "sig_in": _sig_str(sig_in),
                                    "crossing_ab": crossing_ab,
-                                   "crossing_swallowtail": crossing_sw})
+                                   "crossing_swallowtail": crossing_sw,
+                                   "star_sidedness": sided})
 
 
 def _cross_pattern(cross):
@@ -843,37 +842,23 @@ _SIGN_TABLE = tuple(_table_entry(key) for key in range(64))
 _KEY_BITS = 1 << np.arange(5, -1, -1)
 
 
-def _side_pairs(entry):
-    """The (plain, singular) star edges of the four sidedness signs of
-    _star_sides_agree, in its order."""
-    if entry is None:
-        return (0, 0, 0, 0), (0, 0, 0, 0)
-    (i0, i1), (k0, k1) = _STAR_SPLIT[entry.diagnostics["edge_pattern"]]
-    return (k0, k0, k1, k1), (i0, i1, i0, i1)
-
-
-_SIDE_PAIRS = np.array([_side_pairs(entry) for entry in _SIGN_TABLE])
-
-
-def _classified(vertex, edges, outcome, sided, base):
+def _classified(vertex, edges, outcome, base):
     return SingularVertex(vertex, edges, outcome.configuration, outcome.kind,
-                          {"base_edge": base, **outcome.diagnostics,
-                           "star_sidedness": sided})
+                          {"base_edge": base, **outcome.diagnostics})
 
 
-def _decide_row(vert, edges, d, mag, n0, stars, tol):
+def _decide_row(vert, edges, d, mag, tol):
     """Classify the two-edge interior vertex `vert` with singular edges
-    `edges` from its six (det, mag) pairs in _vertex_terms order, its
-    co-normal n0 and its star edges u+, u-, v+, v-.  A zero sign, or edges
-    other than the ones the cross signs make singular, runs _sign_outcome
-    on the vertex itself instead of reading the sign table."""
+    `edges` from its six (det, mag) pairs in _vertex_terms order.  A zero
+    sign, or edges other than the ones the cross signs make singular, runs
+    _sign_outcome on the vertex itself instead of reading the sign
+    table."""
     signs = tuple([_decided_sign(x, m, tol) for x, m in zip(d, mag)])
     pattern = _edge_pattern(vert, edges)
     outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
     if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
         outcome = _sign_outcome(signs, pattern, vert)
-    sided = _star_sides_agree(n0, stars, pattern, tol, vert)
-    return _classified(vert, edges, outcome, sided,
+    return _classified(vert, edges, outcome,
                        _base_edge(pattern, *vert, d[2:]))
 
 
@@ -887,13 +872,12 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     Kind: a swallowtail exactly when the projected alpha polyline crosses
     the origin-reflected beta polyline.
 
-    All of this depends only on six signs: alpha'+ against alpha'- and
-    beta'+ against beta'-, in the vertex frame, and the four cross signs,
-    Omega's signs on the four quads around the vertex, read from the net's
-    grids and turned into the outcome by _decide_row, as in analyze_net's
-    batched pass.  Star sidedness is evaluated on its own, on the star
-    edges nu0 x (alpha'+, -alpha'-, beta'+, -beta'-) of the integrated
-    net, so no positions are read: f and singular_edge_set are ignored.
+    All of this, star sidedness included, depends only on six signs:
+    alpha'+ against alpha'- and beta'+ against beta'-, in the vertex
+    frame, and the four cross signs, Omega's signs on the four quads around
+    the vertex, read from the net's grids and turned into the outcome by
+    _decide_row, as in analyze_net's batched pass.  No positions are read:
+    f and singular_edge_set are ignored.
     """
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
@@ -903,27 +887,22 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} incident singular edges")
-    n0, ap, am, bp, bm = _vertex_frame(net, u0, v0)
-    # the star edges u+, u-, v+, v- by the Lelieuvre equations
-    stars = [_cross3(n0, x) for x in (ap, [-c for c in am],
-                                      bp, [-c for c in bm])]
     return _decide_row(vertex.vertex, vertex.incident_singular_edges,
-                       *_vertex_terms(net, u0, v0), n0, stars, tol)
+                       *_vertex_terms(net, u0, v0), tol)
 
 
 def _classify_rows(net, flat, verts, incident, tol):
     """classify_vertex for two-edge interior vertices in one batched pass:
     flat holds their flat ids (SingularSet), verts and incident their keys
-    and edge sets.  The six signs come from the net's grids and star
-    sidedness from one orient_terms call; a row whose ten signs are all
-    decided reads its outcome from the sign table, every other row goes
-    to _decide_row with its own slices of the same arrays."""
+    and edge sets.  The six signs come from the net's grids; a row whose
+    six signs are all decided reads its outcome from the sign table, every
+    other row goes to _decide_row with its own slices of the same arrays."""
     if not verts:
         return []
     nv = net.domain.nv
     # flat indices: vertex (i, j) of the (nu, nv) grid, quad (i, j) of the
     # (nu-1, nv-1) Omega grids, vertex (i-1, j-1) of the frame grids
-    i, j = np.divmod(flat, nv)
+    i = flat // nv
     quad = flat - i
     frame = quad[None] - i - (nv - 1)
     # quads ++, +-, -+, -- around each vertex, as _vertex_terms reads them
@@ -935,38 +914,19 @@ def _classify_rows(net, flat, verts, incident, tol):
     mag = np.concatenate([aa_mag.take(frame), bb_mag.take(frame),
                           w_mag.take(quads)])
     key = _KEY_BITS @ (d > 0)
-    # alpha'+, -alpha'-, beta'+, -beta'- by the vertex frame's subtractions
-    # (x - y == -(y - x) exactly), as [x, y, z] component arrays
-    a, b = net.alpha.points, net.beta.points
-    a0, b0 = a.take(i, axis=0), b.take(j, axis=0)
-    n0 = (a0 - b0).T[:, None, :]
-    step = np.array([[1], [-1]])
-    dirs = np.concatenate([a.take(i + step, axis=0) - a0,
-                           b.take(j + step, axis=0) - b0]).transpose(2, 0, 1)
-    # component c of star edge k (u+, u-, v+, v-) of row r at [c, k * V + r]
-    stars = np.array(_cross3(n0, dirs)).reshape(3, -1)
-    pairs = _SIDE_PAIRS.take(key, axis=0).transpose(1, 2, 0)
-    px, py = pairs * len(verts) + np.arange(len(verts))
     with np.errstate(over="ignore", invalid="ignore"):
-        sd, sd_mag = _kernels.orient_terms(*n0, *stars.take(px, axis=1),
-                                           *stars.take(py, axis=1))
-        decided = ((np.abs(d) > tol * mag).all(axis=0)
-                   & (np.abs(sd) > tol * sd_mag).all(axis=0))
-    up = sd > 0
-    sided = (up[0] == up[1]) & (up[2] == up[3])
+        decided = (np.abs(d) > tol * mag).all(axis=0)
     out = []
-    for r, (vert, edges, k, ok, side, quad_w) in enumerate(zip(
-            verts, incident, key.tolist(), decided.tolist(), sided.tolist(),
+    for r, (vert, edges, k, ok, quad_w) in enumerate(zip(
+            verts, incident, key.tolist(), decided.tolist(),
             omegas.T.tolist())):
         outcome = _SIGN_TABLE[k]
         if ok and outcome is not None:
-            out.append(_classified(vert, edges, outcome, side, _base_edge(
+            out.append(_classified(vert, edges, outcome, _base_edge(
                 outcome.diagnostics["edge_pattern"], *vert, quad_w)))
         else:
-            out.append(_decide_row(
-                vert, edges, d[:, r].tolist(), mag[:, r].tolist(),
-                n0[:, 0, r].tolist(), stars[:, r::len(verts)].T.tolist(),
-                tol))
+            out.append(_decide_row(vert, edges, d[:, r].tolist(),
+                                   mag[:, r].tolist(), tol))
     return out
 
 

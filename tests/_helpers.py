@@ -11,16 +11,16 @@ from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
                    patch_for_quad)
 from diams.errors import (DegenerateDirection, DegenerateMetric,
                           DegenerateOrientation, InadmissibleVertex,
-                          NonGenericCell, NonGenericChain, ValidationError)
+                          IndexOutOfDomain, NonGenericCell, NonGenericChain,
+                          ValidationError)
 from diams.io_cli import _RawJson, example_curve_pair
-from diams.net_core import (_PLANE_LABELS, _cross3,
-                            validate_generic_position, walk_chains)
+from diams.net_core import (_PLANE_LABELS, validate_generic_position,
+                            walk_chains)
 from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
                                SingularEdge, SingularPolyline, SingularVertex,
-                               _base_edge, _classified, _decided_sign,
-                               _float_orient, _orient_strict, _sign_key,
-                               _sign_outcome, _star_sides_agree,
-                               _vertex_frame, admissibility_check,
+                               _base_edge, _decided_sign, _float_orient,
+                               _orient_strict, _sign_key, _sign_outcome,
+                               _star_sides_agree, admissibility_check,
                                metric_field, orient, singular_edges,
                                singular_vertices)
 from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothCurvePair,
@@ -183,6 +183,25 @@ def quadrant_signature(n0, line_a, line_b, w, tol, what):
             _orient_strict(n0, line_b, w, tol, f"{what} vs second line"))
 
 
+def vertex_frame(net, u0, v0):
+    """Co-normal and the four incident curve derivatives as float triples:
+    (nu, alpha'+, alpha'-, beta'+, beta'-) at an interior vertex."""
+    alpha, beta = net.alpha, net.beta
+    i = u0 - alpha.offset
+    j = v0 - beta.offset
+    if not (0 < i < alpha.points.shape[0] - 1
+            and 0 < j < beta.points.shape[0] - 1):
+        raise IndexOutOfDomain(
+            f"vertex ({u0}, {v0}) lacks a curve neighbour on some side")
+    am, a0, ap = alpha.points[i - 1:i + 2].tolist()
+    bm, b0, bp = beta.points[j - 1:j + 2].tolist()
+    return ((a0[0] - b0[0], a0[1] - b0[1], a0[2] - b0[2]),
+            (ap[0] - a0[0], ap[1] - a0[1], ap[2] - a0[2]),
+            (a0[0] - am[0], a0[1] - am[1], a0[2] - am[2]),
+            (bp[0] - b0[0], bp[1] - b0[1], bp[2] - b0[2]),
+            (b0[0] - bm[0], b0[1] - bm[1], b0[2] - bm[2]))
+
+
 def generic_position_frames(net, u, v, cross_on_quads):
     """{(plane, plane): (nu, x, y)} over the six pairs of frame directions
     x, y at the vertex (u, v), as float triples.  Without cross_on_quads
@@ -192,7 +211,7 @@ def generic_position_frames(net, u, v, cross_on_quads):
     With cross_on_quads each cross pair (alpha+-, beta+-) uses the
     co-normal at the lower-left vertex of the quad on the sides of its
     two planes, which is the metric grid's frame for that quad."""
-    n, *dirs = _vertex_frame(net, u, v)
+    n, *dirs = vertex_frame(net, u, v)
     frames = {}
     for i, j in combinations(range(4), 2):
         nu = n
@@ -672,13 +691,37 @@ def _reference_cross_signs(net, u0, v0, tol):
     return tuple([_decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
 
 
+# the frame pairs of the six signs, in sign-key order: (alpha'+, alpha'-),
+# (beta'+, beta'-), then the cross pairs ++, +-, -+, --
+SIGN_PAIRS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
+# the star edges u+, u-, v+, v- as rays (frame direction, sign):
+# nu x (alpha'+, -alpha'-, beta'+, -beta'-)
+STAR_RAYS = ((0, 1), (1, -1), (2, 1), (3, -1))
+
+
+def frame_sign(signs):
+    """The bound sign predicate s(x, y) on rays (frame direction, sign)
+    over alpha'+, alpha'-, beta'+, beta'- (numbered 0..3), wired from the
+    six signs in SIGN_PAIRS order: orient flips under swapping or
+    negating an argument."""
+    m = [[0] * 4 for _ in range(4)]
+    for sign, (x, y) in zip(signs, SIGN_PAIRS):
+        m[x][y], m[y][x] = sign, -sign
+
+    def s(x, y):
+        return x[1] * y[1] * m[x[0]][y[0]]
+
+    return s
+
+
 def reference_classify_vertex(net, f, vertex, tol=1e-9):
     """Per-vertex form of `classify_vertex`: the cross signs from the
     Omega grid, alpha'+ against alpha'- and beta'+ against beta'- by the
     scalar predicate on the vertex frame, the outcome from the sign table
     or, on a zero sign or an unexpected edge pattern, from the scalar
-    branch logic.  Kept as the reference that the one row rule must
-    reproduce, exceptions and messages included."""
+    branch logic, and star sidedness from the six signs wired up here.
+    Kept as the reference that the one row rule must reproduce,
+    exceptions and messages included."""
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         return replace(vertex, configuration=Configuration.BOUNDARY,
@@ -687,7 +730,7 @@ def reference_classify_vertex(net, f, vertex, tol=1e-9):
         raise InadmissibleVertex(
             f"vertex ({u0}, {v0}) has "
             f"{len(vertex.incident_singular_edges)} incident singular edges")
-    n0, ap, am, bp, bm = _vertex_frame(net, u0, v0)
+    n0, ap, am, bp, bm = vertex_frame(net, u0, v0)
     cross, omegas = _reference_cross_signs(net, u0, v0, tol)
     signs = (_float_orient(n0, ap, am, tol), _float_orient(n0, bp, bm, tol),
              *cross)
@@ -696,8 +739,9 @@ def reference_classify_vertex(net, f, vertex, tol=1e-9):
     outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
     if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
         outcome = _sign_outcome(signs, pattern, vertex.vertex)
-    stars = [_cross3(n0, x) for x in (ap, [-c for c in am],
-                                      bp, [-c for c in bm])]
-    sided = _star_sides_agree(n0, stars, pattern, tol, vertex.vertex)
-    return _classified(vertex.vertex, vertex.incident_singular_edges,
-                       outcome, sided, _base_edge(pattern, u0, v0, omegas))
+    sided = _star_sides_agree(frame_sign(signs), STAR_RAYS, pattern,
+                              vertex.vertex)
+    return SingularVertex(vertex.vertex, vertex.incident_singular_edges,
+                          outcome.configuration, outcome.kind,
+                          {"base_edge": _base_edge(pattern, u0, v0, omegas),
+                           **outcome.diagnostics, "star_sidedness": sided})

@@ -587,7 +587,8 @@ def test_cli_huge_coordinates_end_in_a_named_error(command, scale, tmp_path,
                                                    capsys):
     # finite curves whose derived quantities overflow: a named error, no
     # traceback and no numpy warning (warnings are raised as errors here,
-    # so one would escape run_cli)
+    # so one would escape run_cli); at 2^340 every command still fits in
+    # range
     a, b, _ = parabolic_points(0.2)
     curves = tmp_path / "c.json"
     out = tmp_path / "out"
@@ -599,10 +600,19 @@ def test_cli_huge_coordinates_end_in_a_named_error(command, scale, tmp_path,
         warnings.simplefilter("error")
         code = _run([command, "--curves", curves] + args)
     out_text, err = capsys.readouterr()
-    if (command, scale) == ("validate", 2.0 ** 340):
-        # validate forms at most 3rd powers of the coordinates: 2^1020
+    if scale == 2.0 ** 340:
+        # every sign is a 3rd power of the coordinates: 2^1020
         assert code == 0
-        assert out_text.startswith("ok: 11x11 vertices, 17 singular edges")
+        if command == "validate":
+            assert out_text.startswith("ok: 11x11 vertices, "
+                                       "17 singular edges")
+        if command == "analyze":
+            _, report = _analyze_scaled(0.2, 0, tmp_path)
+            base = json.loads(report.read_bytes())
+            doc = json.loads(out.read_bytes())
+            for key in ("singular_edges", "vertices", "polylines",
+                        "validations"):
+                assert doc[key] == base[key], key
         return
     assert code in (1, 3)
     assert err.startswith("error: ")
@@ -632,7 +642,7 @@ def test_cli_analyze_is_invariant_under_power_of_two_scaling(h, tmp_path):
     code, report = _analyze_scaled(h, 0, tmp_path)
     assert code == 0
     base = json.loads(report.read_bytes())
-    for k in (-200, -140, 140, 200):
+    for k in (-300, -200, -140, 140, 200, 250, 340):
         code, report = _analyze_scaled(h, k, tmp_path)
         assert code == 0
         doc = json.loads(report.read_bytes())
@@ -640,13 +650,19 @@ def test_cli_analyze_is_invariant_under_power_of_two_scaling(h, tmp_path):
             assert doc[key] == base[key], (k, key)
 
 
-def test_cli_analyze_overflowing_sidedness_exits_1(tmp_path, capsys):
-    # at 2^250 the net passes every curve-level check, but the sidedness
-    # signs (5th powers of the coordinates) overflow
-    code, _ = _analyze_scaled(0.2, 250, tmp_path)
-    assert code == 1
+def test_cli_analyze_underflowing_omega_exits_3(tmp_path, capsys):
+    # at 2^-340 Omega's magnitudes fall below the smallest normal float, so
+    # its signs have lost their precision: a named error, and a report with
+    # no singular set that names the quad
+    code, report = _analyze_scaled(0.2, -340, tmp_path)
+    assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not finite" in err
+    assert err.startswith("error: Omega underflows: magnitude ")
+    assert err.rstrip().endswith(" at quad (0, 0)")
+    doc = json.loads(report.read_bytes())
+    assert doc["singular_edges"] == doc["vertices"] == []
+    assert doc["validations"]["degenerate_quads"] == [
+        {"detail": err[len("error: "):].strip(), "quad": [1, 1]}]
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate", "mesh"])

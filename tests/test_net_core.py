@@ -12,11 +12,10 @@ from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid)
-from diams.singularity import _vertex_frame
 
 from _helpers import (example_net, generic_position_frames, parabolic_points,
                       random_net_candidate, scalar_generic_violations,
-                      transformed_net)
+                      transformed_net, vertex_frame)
 
 
 def test_polycurve_rejects_short_and_duplicate():
@@ -297,7 +296,7 @@ def _planted_nets(rng, count=120):
         net = random_net_candidate(rng, n=6)
         a, b = net.alpha.points.copy(), net.beta.points.copy()
         i, j = (int(k) for k in rng.integers(1, 5, size=2))
-        n, ap, am, bp, bm = (np.array(x) for x in _vertex_frame(net, i, j))
+        n, ap, am, bp, bm = (np.array(x) for x in vertex_frame(net, i, j))
         moved = int(rng.integers(4))
         y = (ap, am, bp, bm)[int(rng.choice([k for k in range(4)
                                              if k != moved]))]

@@ -19,11 +19,12 @@ from diams.errors import (DegenerateMetric, DegenerateOrientation,
 from diams.singularity import (MetricField, SingularEdge, SingularSet,
                                SingularVertex, halfplane_grid, triple_product)
 
-from _helpers import (example_net, four_edge_net, generate_admissible,
-                      island_net, parabolic_net, parabolic_points,
-                      quadrant_signature, random_admissible_net,
-                      random_net_candidate, random_unimodular,
-                      reference_classify_vertex, reference_extract_polylines,
+from _helpers import (SIGN_PAIRS, STAR_RAYS, example_net, four_edge_net,
+                      frame_sign, generate_admissible, island_net,
+                      parabolic_net, parabolic_points, quadrant_signature,
+                      random_admissible_net, random_net_candidate,
+                      random_unimodular, reference_classify_vertex,
+                      reference_extract_polylines,
                       reference_incident_edges, reference_singular_edges,
                       reference_singular_vertices, round_off_net,
                       transformed_net)
@@ -1050,9 +1051,6 @@ def test_classify_vertex_equals_reference(rng):
 # direction at slot s of eight rays spaced by a quarter of a half-turn
 _SLOT_DIRS = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0),
               (-1, 0, 0), (-1, -1, 0), (0, -1, 0), (1, -1, 0)]
-# the frame pairs of a sign key, in key order: (alpha'+, alpha'-),
-# (beta'+, beta'-), then the cross pairs ++, +-, -+, --
-_KEY_PAIRS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def _realized_keys():
@@ -1069,7 +1067,7 @@ def _realized_keys():
         for flips in itertools.product((0, 4), repeat=3):
             slots = (0, *(s + f for s, f in zip(order, flips)))
             signs = [1 if (slots[y] - slots[x]) % 8 < 4 else -1
-                     for x, y in _KEY_PAIRS]
+                     for x, y in SIGN_PAIRS]
             key = sum(1 << (5 - k) for k, s in enumerate(signs) if s > 0)
             assert keys.setdefault(key, slots) is not None
     return keys
@@ -1080,9 +1078,11 @@ def _key_signs(key):
 
 
 def test_sign_table_matches_scalar_functions_on_all_64_keys():
-    # the table against _axis_signatures, _admissible_signatures and
-    # _rays_cross wired up here, and on realizable keys against the public
-    # predicates on an exact frame
+    # the table against _axis_signatures, _admissible_signatures,
+    # _rays_cross and _star_sides_agree wired up here, and on realizable
+    # keys against the public predicates on an exact frame: star
+    # sidedness also against the sidedness rule on the float star edges
+    # nu x (alpha'+, -alpha'-, beta'+, -beta'-)
     realized = _realized_keys()
     assert len(realized) == 48
     quad_of = {(0, 0): 0, (0, -1): 1, (-1, 0): 2, (-1, -1): 3}
@@ -1109,17 +1109,13 @@ def test_sign_table_matches_scalar_functions_on_all_64_keys():
         sig_out, sig_in = singularity._axis_signatures(cross, base_axis,
                                                        (0, 0))
         assert sigs[base_axis] == (sig_out, sig_in)
-        m = np.zeros((4, 4), dtype=int)
-        for k, (x, y) in enumerate(_KEY_PAIRS):
-            m[x, y], m[y, x] = signs[k], -signs[k]
-
-        def s(x, y):
-            return x[1] * y[1] * int(m[x[0], y[0]])
-
+        s = frame_sign(signs)
         crossing_ab = singularity._rays_cross(s, (1, -1), (0, 1), (3, -1),
                                               (2, 1))
         crossing_sw = singularity._rays_cross(s, (1, -1), (0, 1), (3, 1),
                                               (2, -1))
+        pattern = "".join(singular)
+        sided = singularity._star_sides_agree(s, STAR_RAYS, pattern, (0, 0))
         if sig_in == (-sig_out[0], -sig_out[1]):
             config = Configuration.A
         else:
@@ -1128,21 +1124,25 @@ def test_sign_table_matches_scalar_functions_on_all_64_keys():
         assert entry.kind == (Kind.SWALLOWTAIL if crossing_sw
                               else Kind.CUSPIDAL_EDGE)
         assert entry.diagnostics == {
-            "edge_pattern": "".join(singular), "sig_out": _sig(sig_out),
+            "edge_pattern": pattern, "sig_out": _sig(sig_out),
             "sig_in": _sig(sig_in), "crossing_ab": crossing_ab,
-            "crossing_swallowtail": crossing_sw}
+            "crossing_swallowtail": crossing_sw, "star_sidedness": sided}
         if key not in realized:
             continue
         ap, am, bp, bm = (np.array(_SLOT_DIRS[slot], dtype=float)
                           for slot in realized[key])
         assert tuple(orient(n, *((ap, am, bp, bm)[i] for i in pair))
-                     for pair in _KEY_PAIRS) == signs
+                     for pair in SIGN_PAIRS) == signs
         assert crossing_ab == ray_crossing_test(n, -am, ap, -bm, bp)
         assert crossing_sw == ray_crossing_test(n, -am, ap, bm, -bp)
         lines, w_out, w_in = (((ap, am), bp, -bm) if base_axis == "v"
                               else ((bp, bm), ap, -am))
         assert sig_out == quadrant_signature(n, *lines, w_out, 0.0, "out")
         assert sig_in == quadrant_signature(n, *lines, w_in, 0.0, "in")
+        stars = [np.cross(n, x) for x in (ap, -am, bp, -bm)]
+        assert sided == singularity._star_sides_agree(
+            lambda x, y: orient(n, x, y, 0.0), stars, pattern, (0, 0))
+        assert sided == (config == Configuration.C)
         two_edge.append(entry)
     assert len(two_edge) == 32
     counts = {c: sum(e.configuration == c for e in two_edge)
@@ -1196,8 +1196,7 @@ def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
     # wide sign dead zones over a decided metric put rows in the dead zone
     cases += [(net, tol, eps) for net, _, _ in cases[:10]
               for tol, eps in ((0.0, 0.0), (1e-2, 1e-9), (1e-1, 1e-9))]
-    # a tol that decides every frame sign of these nets but leaves a star
-    # sidedness sign of one vertex in the dead zone
+    # tolerances that decide every frame sign of these nets
     cases += [(cases[k][0], tol, 1e-9)
               for k, tol in ((3, 0.0016), (43, 0.00955), (70, 0.0162))]
     cases.append((round_off_net(), 0.0, 0.0))
@@ -1218,5 +1217,6 @@ def test_batched_classification_equals_classify_vertex(rng, monkeypatch):
                                                  Configuration.B,
                                                  Configuration.C)
                             for sv in got)
-    assert compared > 3000 and raised > sidedness >= 3
+    # sidedness reads only the six signs, so it has no dead zone of its own
+    assert compared > 3000 and raised > 0 and sidedness == 0
     assert handed and not called
