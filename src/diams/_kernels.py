@@ -13,10 +13,11 @@ of every vertex from them, star sidedness included.
 NUL-padded uint8 matrix: the digits come from a double-double product
 with a table of powers of ten, and Python's own "%.17g" writes only the
 values that product cannot decide (zero, non-finite, extreme magnitudes,
-near ties).  ``g17_text`` lays a 2-D array's rows out between fixed byte
-pieces, ``G17_BLOCK_VALUES`` values at a time, and drops the NULs; the
-report's Omega section and the OBJ vertex block are written through it
-at every size.
+near ties).  ``g17_text`` lays a 2-D array's rows out between byte
+pieces, ``G17_BLOCK_VALUES`` values at a time, and drops the NULs.  It is
+the one writer of float arrays: the report's Omega section, the oracle
+report's points and chains and the OBJ vertex block go through it at
+every size.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;

@@ -11,6 +11,9 @@ inputs produce byte-identical output.  Quads are keyed by doubled integers
 space.  The Omega section lists quads row-major (u, then v) and is
 formatted straight from the metric grid by `_kernels.g17_text`, as byte
 matrices around `_kernels.g17_field`'s digits, one per block of u-rows.
+The oracle report's points and chains are float arrays written by
+`_kernels.g17_text` too (`_rows_json`); only scalars go through
+`_dump_float`.
 """
 
 import argparse
@@ -198,14 +201,14 @@ def _edge_dict(edge):
     return {"axis": edge.axis, "base_vertex": edge[1:]}
 
 
-def _fill(template, values, finite):
-    """template % values, where each float is written by a %.17g slot;
-    unless finite, every non-str value goes through _dump_float instead,
-    so nan and +-inf become null."""
-    if finite:
-        return template % values
-    return template.replace("%.17g", "%s") % tuple(
-        x if isinstance(x, str) else _dump_float(x) for x in values)
+def _rows_json(values, before, after):
+    """A JSON list of the rows of a 2-D float array, written by
+    `_kernels.g17_text`: each value ("null" if not finite) between the
+    pieces, the last piece of the last row (a comma) dropped."""
+    blocks = _kernels.g17_text(values, before, after, nonfinite=b"null")
+    if blocks:
+        blocks[-1] = blocks[-1][:-1]
+    return b"".join([b"[", *blocks, b"]"])
 
 
 _QUAD_END = np.frombuffer(b"},", dtype=np.uint8)
@@ -223,40 +226,42 @@ def _omega_json(metric):
                                  for u in range(dom.u_min, dom.u_max)])
     tails = _kernels.nul_padded([b'%d],"value":' % (2 * v + 1)
                                  for v in range(dom.v_min, dom.v_max)])
-    text = _kernels.g17_text(metric.values, (heads[:, None], tails),
-                             (_QUAD_END,), nonfinite=b"null")
-    text[-1] = text[-1][:-1] + b"]"
-    return _RawJson(b"".join([b"[", *text]), "ascii")
+    return _RawJson(_rows_json(metric.values, (heads[:, None], tails),
+                               (_QUAD_END,)), "ascii")
 
 
-_ORACLE_POINT = ('{"configuration":null,"dvdu":%.17g,"kind":%s,'
-                 '"lambda":%.17g,"vertex":[%.17g,%.17g]}')
+# the pieces before and after a chain point's u and v, and an oracle
+# point's dvdu, lambda, u and v; each point's kind goes in a per-row piece
+_CHAIN_BEFORE = _kernels.nul_padded([b"[", b","])
+_CHAIN_AFTER = _kernels.nul_padded([b"", b"],"])
+_POINT_BEFORE = _kernels.nul_padded([b'{"configuration":null,"dvdu":', b"",
+                                     b',"vertex":[', b","])
+_POINT_AFTER = _kernels.nul_padded([b"", b"", b"", b"]},"])
 
 
 def _oracle_points_json(points):
-    """The oracle report's "vertices" list as JSON text, one `%` format
-    of _ORACLE_POINT per point."""
-    rows = []
-    for p in points:
-        floats = (p.dvdu, p.lam, p.u, p.v)
-        rows.append(_fill(_ORACLE_POINT,
-                          (p.dvdu, encode_basestring_ascii(p.kind), p.lam,
-                           p.u, p.v),
-                          all(map(math.isfinite, floats))))
-    return _RawJson("[" + ",".join(rows) + "]")
+    """The oracle report's "vertices" list as JSON text: the (dvdu,
+    lambda, u, v) rows of the points between their pieces."""
+    if not points:
+        return _RawJson("[]")
+    kinds = _kernels.nul_padded([b',"kind":%s,"lambda":'
+                                 % encode_basestring_ascii(p.kind).encode()
+                                 for p in points])
+    before = np.zeros((len(points), 4, kinds.shape[1]), dtype=np.uint8)
+    before[:, 1] = kinds
+    return _RawJson(_rows_json([(p.dvdu, p.lam, p.u, p.v) for p in points],
+                               (_POINT_BEFORE, before), (_POINT_AFTER,)),
+                    "ascii")
 
 
 def _oracle_chains_json(chains):
     """The oracle report's "polylines" list as JSON text; each chain's
-    points are one `%` format of [%.17g,%.17g] rows."""
-    out = []
-    for c in chains:
-        pts = np.asarray(c.points, dtype=np.float64)
-        rows = _fill(",".join(["[%.17g,%.17g]"] * len(pts)),
-                     tuple(pts.ravel().tolist()), np.isfinite(pts).all())
-        out.append('{"closed":%s,"edges":[],"vertices":[%s]}'
-                   % ("true" if c.closed else "false", rows))
-    return _RawJson("[" + ",".join(out) + "]")
+    points are its [u,v] rows."""
+    out = [b'{"closed":%s,"edges":[],"vertices":%s}'
+           % (b"true" if c.closed else b"false",
+              _rows_json(c.points, (_CHAIN_BEFORE,), (_CHAIN_AFTER,)))
+           for c in chains]
+    return _RawJson(b"[" + b",".join(out) + b"]", "ascii")
 
 
 # json's C encoder, for the report sections that hold only ints, strs,

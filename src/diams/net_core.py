@@ -200,29 +200,32 @@ def walk_chains(links):
     over an unused link.  Returns (nodes, link keys, closed) per chain in
     that order; a closed chain repeats its start node at the end.
     """
+    left = {node: len(nbs) for node, nbs in links.items()}  # unused links
     used = set()
 
     def walk(start):
         nodes, keys = [start], []
         current = start
-        while True:
-            step = next(((nb, key) for nb, key in links[current]
-                         if key not in used), None)
-            if step is None:
-                return nodes, keys, False
-            current, key = step
+        while left[current]:
+            for nb, key in links[current]:
+                if key not in used:
+                    break
             used.add(key)
+            left[current] -= 1
+            left[nb] -= 1
+            current = nb
             nodes.append(current)
             keys.append(key)
             if current == start:
                 return nodes, keys, True
+        return nodes, keys, False
 
     chains = []
     for node in sorted(node for node, nbs in links.items() if len(nbs) == 1):
-        if links[node][0][1] not in used:   # else the end of a walked chain
+        if left[node]:                  # else the end of a walked chain
             chains.append(walk(node))
     for node in sorted(links):
-        while any(key not in used for _, key in links[node]):
+        while left[node]:
             chains.append(walk(node))
     return chains
 

@@ -4,9 +4,11 @@ The per-quad metric
 
     Omega(u+1/2, v+1/2) = [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
 
-changes sign across singular edges.  The singular edges, each vertex's
-incident edges and the singular polylines are read from Omega's sign
-flips in one array pass (``SingularSet``).  Every test on projected
+changes sign across singular edges.  The singular edges and each
+vertex's incident edges are read from Omega's sign flips in one array
+pass (``SingularSet``); its polylines are walked by
+``net_core.walk_chains``, which joins the smooth oracle's chains too.
+Every test on projected
 directions (quadrant membership, polyline crossing, star sidedness) is
 implemented through the single predicate
 
@@ -41,6 +43,8 @@ tests check the diagnostic against ``star_sidedness_test`` on them.
 """
 
 import functools
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress
@@ -51,7 +55,8 @@ import numpy as np
 from . import _kernels
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import require_finite, validate_generic_position
+from .net_core import (require_finite, validate_generic_position,
+                       walk_chains)
 
 
 class Configuration(str, Enum):
@@ -312,8 +317,7 @@ class SingularVertex:
 
 
 # a vertex's star bits, one per singular star edge, in the order of the
-# edges' keys, which is the order a chain leaves the vertex by:
-# u- 1, u+ 2, v- 4, v+ 8
+# edges' keys: u- 1, u+ 2, v- 4, v+ 8
 _STAR_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(16)])
 
@@ -438,58 +442,29 @@ class SingularSet:
         return [(self.vertices[k], degree[k])
                 for k in np.flatnonzero(self.flagged).tolist()]
 
-    def _chains(self):
-        """Maximal chains as (flat vertex ids, edge ids, closed).  Open
-        chains start at the degree-1 vertices in vertex order, then each
-        loop at the smallest vertex that still has an unused edge; every
-        step takes the vertex's first unused star edge in bit order."""
-        flat = self.flat.tolist()
-        left = dict(zip(flat, self.star.tolist()))
-        star_edges = dict(zip(flat, self._star_edges.tolist()))
-        nv = self.domain.nv
-        # star bit -> (star slot, step of the flat id, the edge's bit at
-        # the far end)
-        moves = {1: (0, -nv, 2), 2: (1, nv, 1), 4: (2, -1, 8), 8: (3, 1, 4)}
-
-        def walk(start):
-            verts, edges = [start], []
-            current = start
-            while m := left[current]:
-                bit = m & -m
-                slot, step, far = moves[bit]
-                left[current] = m ^ bit
-                edges.append(star_edges[current][slot])
-                current += step
-                left[current] ^= far
-                verts.append(current)
-                if current == start:
-                    return verts, edges, True
-            return verts, edges, False
-
-        chains = [walk(k) for k in compress(flat, (self.degree == 1).tolist())
-                  if left[k]]           # else the end of a walked chain
-        for k in flat:
-            while left[k]:
-                chains.append(walk(k))
-        return chains
-
     def polylines(self):
-        """The edges partitioned into maximal chains, each oriented by
-        _canonical_open or _canonical_loop, sorted by their vertices.
-        Raises InadmissibleVertex at an interior vertex with other than
-        two singular edges."""
+        """The edges partitioned into maximal chains by `walk_chains`, over
+        links in edge-key order (u-, u+, v-, v+ at each vertex), each
+        oriented by _canonical_open or _canonical_loop, sorted by their
+        vertices.  Raises InadmissibleVertex at an interior vertex with
+        other than two singular edges."""
         bad = self.inadmissible()
         if bad:
             vert, degree = bad[0]
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {degree} singular edges")
+        a, i, j = self._edge_keys
+        u = i + self.domain.u_min
+        v = j + self.domain.v_min
+        links = defaultdict(list)
+        for edge, lo, hi in zip(self.edges, zip(u.tolist(), v.tolist()),
+                                zip((u + 1 - a).tolist(), (v + a).tolist())):
+            links[lo].append((hi, edge))
+            links[hi].append((lo, edge))
         chains = sorted(((_canonical_loop if closed else _canonical_open)(
             verts, edges) + (closed,) for verts, edges, closed
-            in self._chains()), key=lambda c: c[0])
-        vertex_at = dict(zip(self.flat.tolist(), self.vertices)).__getitem__
-        edge_at = self.edges.__getitem__
-        return [SingularPolyline(tuple(map(vertex_at, verts)),
-                                 tuple(map(edge_at, edges)), closed)
+            in walk_chains(links)), key=lambda c: c[0])
+        return [SingularPolyline(tuple(verts), tuple(edges), closed)
                 for verts, edges, closed in chains]
 
 
@@ -702,6 +677,15 @@ def _star_sides_agree(s, stars, edge_pattern, where):
     return True
 
 
+def _pow2_scaled(x):
+    """The float triple x times the power of two that brings its largest
+    coordinate into [0.5, 1).  orient's sign and dead zone are homogeneous
+    in each argument, so a sign can move only where a scaled coordinate
+    or product leaves the normal range."""
+    e = -math.frexp(max(map(abs, x)))[1]
+    return (math.ldexp(x[0], e), math.ldexp(x[1], e), math.ldexp(x[2], e))
+
+
 def star_sidedness_test(f, net, vertex, tol=1e-9):
     """Are both singular star edges on the same side of each line spanned
     by the two non-singular star edges?
@@ -709,6 +693,7 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     All four star edge vectors, read here from the integrated positions,
     lie in the plane normal to nu(u0, v0), so sides are orientation signs
     against that normal.  True characterizes the swallowtail star shape.
+    Each vector is _pow2_scaled first, so the signs do not overflow.
     """
     u0, v0 = vertex.vertex
     edges = vertex.incident_singular_edges
@@ -721,9 +706,9 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     j = v0 - f.domain.v_min
     (_, pum, _), (pvm, p, pvp), (_, pup, _) = \
         f.positions[i - 1:i + 2, j - 1:j + 2].tolist()
-    stars = [(q[0] - p[0], q[1] - p[1], q[2] - p[2])
+    stars = [_pow2_scaled((q[0] - p[0], q[1] - p[1], q[2] - p[2]))
              for q in (pup, pum, pvp, pvm)]
-    n0 = _t3(net.conormal(u0, v0))
+    n0 = _pow2_scaled(_t3(net.conormal(u0, v0)))
 
     def s(x, y):
         return _float_orient(n0, x, y, tol)

@@ -11,7 +11,7 @@ from diams._kernels import orient_terms
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
-                            star_planarity_residual_grid)
+                            star_planarity_residual_grid, walk_chains)
 
 from _helpers import (example_net, generic_position_frames, parabolic_points,
                       random_net_candidate, scalar_generic_violations,
@@ -355,3 +355,68 @@ def test_generic_position_moves_only_between_the_frames_dead_zones(rng):
                     assert low <= abs(d) <= high
                 moved += 1
     assert moved > 0
+
+
+# ---------------------------------------------------------------------------
+# chain walker
+# ---------------------------------------------------------------------------
+
+def _paths_and_cycles(rng):
+    """Disjoint paths and cycles on shuffled node labels, as walk_chains'
+    links (each node's links shuffled) and the two ends of every key."""
+    labels = rng.permutation(1000)[:int(rng.integers(1, 60))].tolist()
+    ends = {}
+    at = 0
+    while at < len(labels):
+        part = labels[at:at + int(rng.integers(1, 9))]
+        at += len(part)
+        loop = len(part) >= 3 and rng.random() < 0.5
+        for a, b in zip(part, part[1:] + part[:1] if loop else part[1:]):
+            ends[("key", int(rng.integers(1 << 30)), len(ends))] = (a, b)
+    links = {node: [] for node in labels}
+    for key, (a, b) in ends.items():
+        links[a].append((b, key))
+        links[b].append((a, key))
+    for nbs in links.values():
+        rng.shuffle(nbs)
+    return links, ends
+
+
+def test_walk_chains_on_random_paths_and_cycles(rng):
+    for _ in range(200):
+        links, ends = _paths_and_cycles(rng)
+        chains = walk_chains(links)
+        keys = [key for _, chain_keys, _ in chains for key in chain_keys]
+        assert sorted(keys) == sorted(ends)           # each key once
+        for nodes, chain_keys, closed in chains:
+            assert len(nodes) == len(chain_keys) + 1
+            for a, b, key in zip(nodes, nodes[1:], chain_keys):
+                assert set(ends[key]) == {a, b}
+            assert (nodes[0] == nodes[-1]) == closed
+        opens = [nodes for nodes, _, closed in chains if not closed]
+        loops = [nodes for nodes, _, closed in chains if closed]
+        # open chains first, each from the smallest free degree-1 node
+        assert [c[2] for c in chains] == [False] * len(opens) + [True] * len(
+            loops)
+        free = sorted(node for node, nbs in links.items() if len(nbs) == 1)
+        for nodes in opens:
+            assert nodes[0] == free[0]
+            free.remove(nodes[0])
+            free.remove(nodes[-1])
+        assert not free
+        # then each loop from its smallest node, in that node's order
+        assert all(nodes[0] == min(nodes) for nodes in loops)
+        assert [nodes[0] for nodes in loops] == sorted(
+            nodes[0] for nodes in loops)
+
+
+def test_walk_chains_steps_over_the_first_unused_link():
+    # node 0 has three links: the chain from node 1 leaves it over its
+    # first unused link (to 2), and the one from node 3 ends there
+    links = {0: [(1, "a"), (2, "b"), (3, "c")], 1: [(0, "a")],
+             2: [(0, "b")], 3: [(0, "c")]}
+    assert walk_chains(links) == [([1, 0, 2], ["a", "b"], False),
+                                  ([3, 0], ["c"], False)]
+    links[0] = [(3, "c"), (2, "b"), (1, "a")]
+    assert walk_chains(links) == [([1, 0, 3], ["a", "c"], False),
+                                  ([2, 0], ["b"], False)]

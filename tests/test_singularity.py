@@ -112,19 +112,40 @@ def test_singular_edges_are_scale_free(k):
         assert edges[edge] == (np.ldexp(lo, 3 * k), np.ldexp(hi, 3 * k))
 
 
-def test_star_sidedness_overflow_is_a_named_error():
-    # star edges are products of two coordinates, so sidedness signs are
-    # products of five: at 2^250 they overflow, which must not read as a
-    # zero orientation sign
+def _scaled_parabolic(k):
     a, b, _ = parabolic_points(0.2)
-    s = 2.0 ** 250
+    s = 2.0 ** k
     net = ConormalNet(PolyCurve(a * s), PolyCurve(b * s))
-    f = integrate_net(net)
-    verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
-    sv = next(sv for sv in verts if net.domain.is_interior_vertex(*sv.vertex)
-              and len(sv.incident_singular_edges) == 2)
+    return net, integrate_net(net)
+
+
+def test_orient_overflow_is_a_named_error():
+    # star edges are products of two coordinates, so orient's products on
+    # the raw star edges are of five: at 2^250 they overflow, which must
+    # not read as a zero orientation sign
+    net, f = _scaled_parabolic(250)
+    sv = next(sv for sv in analyze_net(net).vertices
+              if "star_sidedness" in sv.diagnostics)
+    i, j = (x - m for x, m in zip(sv.vertex, (net.domain.u_min,
+                                              net.domain.v_min)))
+    p = f.positions[i, j]
     with pytest.raises(ValidationError, match="orientation test: not finite"):
-        star_sidedness_test(f, net, sv)
+        orient(net.conormal(*sv.vertex), f.positions[i + 1, j] - p,
+               f.positions[i, j + 1] - p)
+
+
+@pytest.mark.parametrize("k", [-338, -300, -200, -150, 0, 150, 250, 300,
+                               341])
+def test_star_sidedness_test_agrees_with_the_table_at_every_scale(k):
+    # the predicate scales its normal and star edges by powers of two, so
+    # it reaches the scales the classification handles
+    net, f = _scaled_parabolic(k)
+    rows = [sv for sv in analyze_net(net).vertices
+            if "star_sidedness" in sv.diagnostics]
+    assert len(rows) == 16
+    for sv in rows:
+        assert (star_sidedness_test(f, net, sv)
+                == sv.diagnostics["star_sidedness"]), sv.vertex
 
 
 def test_halfplane_edge_test_examples():
