@@ -16,8 +16,9 @@ values that product cannot decide (zero, non-finite, extreme magnitudes,
 near ties).  ``g17_text`` lays a 2-D array's rows out between byte
 pieces, ``G17_BLOCK_VALUES`` values at a time, and drops the NULs.  It is
 the one writer of float arrays: the report's Omega section, the oracle
-report's points and chains and the OBJ vertex block go through it at
-every size.
+report's points and chains, the curve file's points and the OBJ vertex
+block go through it at every size.  ``write_blocks`` alone opens output
+files: reports, curve files and OBJ text reach disk as unjoined blocks.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
@@ -27,6 +28,8 @@ The kernels' share of pipeline time shows in the per-layer output of
 import functools
 
 import numpy as np
+
+from .errors import IoFailure
 
 
 def det3(n, x, y):
@@ -358,3 +361,12 @@ def g17_text(values, before, after, nonfinite=None):
             at += part.shape[-1]
         blocks.append(rows[rows != 0].tobytes())
     return blocks
+
+
+def write_blocks(path, blocks):
+    """Write byte blocks to the file at path; IoFailure if that fails."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e

@@ -8,12 +8,13 @@ Curve pairs are JSON objects
 and reports are JSON with sorted keys and %.17g floats, so identical
 inputs produce byte-identical output.  Quads are keyed by doubled integers
 [2u+1, 2v+1] so vertices [2u, 2v], edges and quads share one integer key
-space.  The Omega section lists quads row-major (u, then v) and is
-formatted straight from the metric grid by `_kernels.g17_text`, as byte
-matrices around `_kernels.g17_field`'s digits, one per block of u-rows.
-The oracle report's points and chains are float arrays written by
-`_kernels.g17_text` too (`_rows_json`); only scalars go through
-`_dump_float`.
+space.  A report is a dict from key to a list of ASCII byte blocks, and
+each kind of value has one writer: float arrays `_rows_json` (around
+`_kernels.g17_text`; Omega row-major, u then v, one matrix per block of
+u-rows), float-free values `_encode` and float scalars `_dump_float`.
+`_object_json` joins blocks under sorted keys; `write_report` is the join
+of `report_blocks`, which the command line writes unjoined through
+`_kernels.write_blocks`.
 """
 
 import argparse
@@ -46,48 +47,31 @@ DEFAULT_METRIC_EPS = 1e-9
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-class _RawJson(str):
-    """JSON text serialized ahead of time; `_dump` writes it unchanged."""
-
-
 def _dump_float(x):
-    return "%.17g" % x if math.isfinite(x) else "null"
+    """A float scalar as one block: "%.17g", or null if not finite."""
+    return [b"%.17g" % x if math.isfinite(x) else b"null"]
 
 
-def _dump_dict(obj):
-    return "{" + ",".join(f"{encode_basestring_ascii(k)}:{_dump(v)}"
-                          for k, v in sorted(obj.items())) + "}"
+def _object_json(members):
+    """A JSON object, given as a dict from key to a list of byte blocks,
+    as byte blocks with its keys sorted."""
+    blocks = [b"{"]
+    for i, key in enumerate(sorted(members)):
+        blocks.append(b"%s%s:" % (b"," if i else b"",
+                                  encode_basestring_ascii(key).encode()))
+        blocks += members[key]
+    blocks.append(b"}")
+    return blocks
 
 
-def _dump_seq(obj):
-    return "[" + ",".join(map(_dump, obj)) + "]"
-
-
-# serializers keyed by exact type: one lookup instead of an isinstance
-# chain; any other type (numpy values, subclasses) raises TypeError
-_DUMP_EXACT = {
-    float: _dump_float,
-    str: encode_basestring_ascii,       # what json.dumps does for a str
-    int: str,
-    dict: _dump_dict,
-    list: _dump_seq,
-    tuple: _dump_seq,
-    type(None): lambda obj: "null",
-    bool: lambda obj: "true" if obj else "false",
-    _RawJson: str,
-}
-
-
-def _dump(obj):
-    dump = _DUMP_EXACT.get(type(obj))
-    if dump is None:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-    return dump(obj)
+def report_blocks(report):
+    """A report's JSON text as byte blocks, a newline at the end."""
+    return [*_object_json(report), b"\n"]
 
 
 def write_report(report):
-    """Serialize a report dict to deterministic JSON bytes."""
-    return (_dump(report) + "\n").encode("ascii")
+    """Serialize a report to deterministic JSON bytes."""
+    return b"".join(report_blocks(report))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +148,13 @@ def parse_curves(data):
 
 
 def write_curves(cpf):
-    doc = {
-        "alpha_offset": cpf.alpha.offset,
-        "alpha": [[float(c) for c in p] for p in cpf.alpha.points],
-        "beta_offset": cpf.beta.offset,
-        "beta": [[float(c) for c in p] for p in cpf.beta.points],
-    }
-    return (_dump(doc) + "\n").encode("ascii")
+    """The curve-pair file of cpf as deterministic JSON bytes."""
+    return b"".join(report_blocks({
+        "alpha_offset": _encode(cpf.alpha.offset),
+        "alpha": _points_json(cpf.alpha.points),
+        "beta_offset": _encode(cpf.beta.offset),
+        "beta": _points_json(cpf.beta.points),
+    }))
 
 
 def example_curve_pair(y, du=0.1, dv=0.1):
@@ -202,13 +186,13 @@ def _edge_dict(edge):
 
 
 def _rows_json(values, before, after):
-    """A JSON list of the rows of a 2-D float array, written by
-    `_kernels.g17_text`: each value ("null" if not finite) between the
-    pieces, the last piece of the last row (a comma) dropped."""
+    """The rows of a 2-D float array as the byte blocks of a JSON list,
+    written by `_kernels.g17_text`: each value ("null" if not finite)
+    between the pieces, the last piece of the last row (a comma) dropped."""
     blocks = _kernels.g17_text(values, before, after, nonfinite=b"null")
     if blocks:
         blocks[-1] = blocks[-1][:-1]
-    return b"".join([b"[", *blocks, b"]"])
+    return [b"[", *blocks, b"]"]
 
 
 _QUAD_END = np.frombuffer(b"},", dtype=np.uint8)
@@ -217,60 +201,69 @@ _QUAD_END = np.frombuffer(b"},", dtype=np.uint8)
 def _omega_json(metric):
     """The report's "omega" list, {"quad": [2u+1, 2v+1], "value": w} per
     quad in row-major order (u, then v) like `GridDomain.quads()`, as
-    JSON text, written by `_kernels.g17_text`: each value ("null" if not
+    byte blocks written by `_kernels.g17_text`: each value ("null" if not
     finite) between its u-row's head, its v-column's tail and "},"."""
     if metric is None or metric.values.size == 0:
-        return _RawJson("[]")
+        return [b"[]"]
     dom = metric.domain
     heads = _kernels.nul_padded([b'{"quad":[%d,' % (2 * u + 1)
                                  for u in range(dom.u_min, dom.u_max)])
     tails = _kernels.nul_padded([b'%d],"value":' % (2 * v + 1)
                                  for v in range(dom.v_min, dom.v_max)])
-    return _RawJson(_rows_json(metric.values, (heads[:, None], tails),
-                               (_QUAD_END,)), "ascii")
+    return _rows_json(metric.values, (heads[:, None], tails), (_QUAD_END,))
 
 
-# the pieces before and after a chain point's u and v, and an oracle
-# point's dvdu, lambda, u and v; each point's kind goes in a per-row piece
-_CHAIN_BEFORE = _kernels.nul_padded([b"[", b","])
-_CHAIN_AFTER = _kernels.nul_padded([b"", b"],"])
+def _points_json(points):
+    """A JSON list of the rows of a 2-D float array as [x, y, ...] lists."""
+    k = points.shape[1] - 1
+    return _rows_json(points, (_kernels.nul_padded([b"["] + [b","] * k),),
+                      (_kernels.nul_padded([b""] * k + [b"],"]),))
+
+
+# the pieces before and after an oracle point's dvdu, lambda, u and v;
+# each point's kind goes in a per-row piece
 _POINT_BEFORE = _kernels.nul_padded([b'{"configuration":null,"dvdu":', b"",
                                      b',"vertex":[', b","])
 _POINT_AFTER = _kernels.nul_padded([b"", b"", b"", b"]},"])
 
 
 def _oracle_points_json(points):
-    """The oracle report's "vertices" list as JSON text: the (dvdu,
+    """The oracle report's "vertices" list as byte blocks: the (dvdu,
     lambda, u, v) rows of the points between their pieces."""
     if not points:
-        return _RawJson("[]")
+        return [b"[]"]
     kinds = _kernels.nul_padded([b',"kind":%s,"lambda":'
                                  % encode_basestring_ascii(p.kind).encode()
                                  for p in points])
     before = np.zeros((len(points), 4, kinds.shape[1]), dtype=np.uint8)
     before[:, 1] = kinds
-    return _RawJson(_rows_json([(p.dvdu, p.lam, p.u, p.v) for p in points],
-                               (_POINT_BEFORE, before), (_POINT_AFTER,)),
-                    "ascii")
+    return _rows_json([(p.dvdu, p.lam, p.u, p.v) for p in points],
+                      (_POINT_BEFORE, before), (_POINT_AFTER,))
 
 
 def _oracle_chains_json(chains):
-    """The oracle report's "polylines" list as JSON text; each chain's
+    """The oracle report's "polylines" list as byte blocks; each chain's
     points are its [u,v] rows."""
-    out = [b'{"closed":%s,"edges":[],"vertices":%s}'
-           % (b"true" if c.closed else b"false",
-              _rows_json(c.points, (_CHAIN_BEFORE,), (_CHAIN_AFTER,)))
-           for c in chains]
-    return _RawJson(b"[" + b",".join(out) + b"]", "ascii")
+    out = []
+    for c in chains:
+        out += [b",", *_object_json({
+            "closed": _encode(c.closed), "edges": _encode([]),
+            "vertices": _points_json(c.points)})]
+    return [b"[", *out[1:], b"]"]
 
 
-# json's C encoder, for the report sections that hold only ints, strs,
-# bools and None: it writes those as _dump does and raises on numpy
-# scalars.  Floats never go through it, because it would print them in
-# repr digits where _dump prints %.17g.  The sections are built fresh for
-# each report and hold no cycles, so no cycle check is needed.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode
+# json's C encoder, for the values that hold only ints, strs, bools and
+# None: it raises on numpy scalars.  Floats never go through it, because
+# it would print them in repr digits where reports use %.17g.  The values
+# are built fresh for each report and hold no cycles, so no cycle check
+# is needed.
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         check_circular=False)
+
+
+def _encode(obj):
+    """A float-free value as one block of JSON text."""
+    return [_json.encode(obj).encode("ascii")]
 
 
 def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
@@ -287,15 +280,17 @@ def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
         "edges": list(map(_edge_dict, pl.edges)),
     } for pl in analysis.polylines]
     return {
-        "smooth": False,
-        "tolerances": {"sign_tol": tol, "degenerate_metric_eps": metric_eps,
-                       "scale": analysis.net.scale},
+        "smooth": _encode(False),
+        "tolerances": _object_json({
+            "sign_tol": _dump_float(tol),
+            "degenerate_metric_eps": _dump_float(metric_eps),
+            "scale": _dump_float(analysis.net.scale)}),
         "omega": _omega_json(analysis.metric),
-        "singular_edges": _RawJson(_encode(
-            [_edge_dict(se.edge) for se in analysis.edges])),
-        "vertices": _RawJson(_encode(vertices)),
-        "polylines": _RawJson(_encode(polylines)),
-        "validations": _RawJson(_encode({
+        "singular_edges": _encode(
+            [_edge_dict(se.edge) for se in analysis.edges]),
+        "vertices": _encode(vertices),
+        "polylines": _encode(polylines),
+        "validations": _encode({
             "generic_position": [
                 {"vertex": g.vertex, "planes": [g.plane_a, g.plane_b]}
                 for g in analysis.generic_violations],
@@ -303,22 +298,22 @@ def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
                 {"vertex": v, "reason": reason}
                 for v, reason in analysis.admissibility_violations],
             "degenerate_quads": list(degenerate_quads),
-        })),
+        }),
     }
 
 
 def report_from_oracle(pair_name, grid_n, tol, chains, points):
     return {
-        "smooth": True,
-        "pair": pair_name,
-        "grid_n": grid_n,
-        "tolerances": {"trace_tol": tol},
-        "omega": [],
-        "singular_edges": [],
+        "smooth": _encode(True),
+        "pair": _encode(pair_name),
+        "grid_n": _encode(grid_n),
+        "tolerances": _object_json({"trace_tol": _dump_float(tol)}),
+        "omega": _encode([]),
+        "singular_edges": _encode([]),
         "vertices": _oracle_points_json(points),
         "polylines": _oracle_chains_json(chains),
-        "validations": {"generic_position": [], "admissibility": [],
-                        "degenerate_quads": []},
+        "validations": _encode({"generic_position": [], "admissibility": [],
+                                "degenerate_quads": []}),
     }
 
 
@@ -334,14 +329,6 @@ def _read(path):
         raise IoFailure(f"cannot read {path}: {e}") from e
 
 
-def _write(path, data):
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
-
-
 def _cmd_analyze(args):
     cpf = parse_curves(_read(args.curves))
     net = cpf.to_net()
@@ -352,12 +339,12 @@ def _cmd_analyze(args):
         empty = NetAnalysis(net=net, metric=None, edges=[],
                             vertices=[], polylines=[], generic_violations=[],
                             admissibility_violations=[])
-        _write(args.report, write_report(report_from_analysis(
+        _kernels.write_blocks(args.report, report_blocks(report_from_analysis(
             empty, args.tol, args.metric_eps, degenerate_quads=[{
                 "quad": _quad_key(quad) if quad else None,
                 "detail": str(e)}])))
         raise
-    _write(args.report, write_report(
+    _kernels.write_blocks(args.report, report_blocks(
         report_from_analysis(analysis, args.tol, args.metric_eps)))
     return _print_violations(analysis)
 
@@ -412,7 +399,7 @@ def _cmd_mesh(args):
 
 def _cmd_example(args):
     cpf = example_curve_pair(args.y, args.du, args.dv)
-    _write(args.out, write_curves(cpf))
+    _kernels.write_blocks(args.out, [write_curves(cpf)])
     return 0
 
 
@@ -429,7 +416,7 @@ def _cmd_oracle(args):
     points = []
     for chain in chains:
         points.extend(find_swallowtails(pair, chain))
-    _write(args.report, write_report(
+    _kernels.write_blocks(args.report, report_blocks(
         report_from_oracle(args.pair, args.grid, tol, chains, points)))
     return 0
 

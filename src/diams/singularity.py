@@ -273,7 +273,8 @@ def halfplane_grid(net, tol=1e-9):
     v_result[i, j] is the test for the v-edge with base vertex
     (u_min+1+i, v_min+j) and u_result[i, j] for the u-edge with base
     (u_min+i, v_min+1+j); the zero masks mark edges where a sign fell in
-    the predicate's dead zone.
+    the predicate's dead zone.  An overflowing product raises
+    ValidationError, as in halfplane_edge_test.
     """
     a = net.alpha.points.T
     b = net.beta.points.T
@@ -282,20 +283,24 @@ def halfplane_grid(net, tol=1e-9):
 
     def signs(n, x, y):
         d, mag = _kernels.orient_terms(*n, *x, *y)
-        return np.sign(d), np.abs(d) <= tol * mag
+        undecided = ~(np.abs(d) > tol * mag)
+        if undecided.any():         # so is a mag overflowing to inf or nan
+            require_finite(mag, "orientation test")
+        return np.sign(d), undecided
 
-    # v-edges: bases (u0, v0) with u0 interior, v0 <= v_max-1
-    n0 = a[:, 1:-1, None] - b[:, None, :-1]
-    sp, zp = signs(n0, da[:, 1:, None], db[:, None, :])
-    sm, zm = signs(n0, da[:, :-1, None], db[:, None, :])
-    v_result = sp != sm
-    v_zero = zp | zm
-    # u-edges: bases (u0, v0) with v0 interior, u0 <= u_max-1
-    n0 = a[:, :-1, None] - b[:, None, 1:-1]
-    sp, zp = signs(n0, da[:, :, None], db[:, None, 1:])
-    sm, zm = signs(n0, da[:, :, None], db[:, None, :-1])
-    u_result = sp != sm
-    u_zero = zp | zm
+    with np.errstate(over="ignore", invalid="ignore"):
+        # v-edges: bases (u0, v0) with u0 interior, v0 <= v_max-1
+        n0 = a[:, 1:-1, None] - b[:, None, :-1]
+        sp, zp = signs(n0, da[:, 1:, None], db[:, None, :])
+        sm, zm = signs(n0, da[:, :-1, None], db[:, None, :])
+        v_result = sp != sm
+        v_zero = zp | zm
+        # u-edges: bases (u0, v0) with v0 interior, u0 <= u_max-1
+        n0 = a[:, :-1, None] - b[:, None, 1:-1]
+        sp, zp = signs(n0, da[:, :, None], db[:, None, 1:])
+        sm, zm = signs(n0, da[:, :, None], db[:, None, :-1])
+        u_result = sp != sm
+        u_zero = zp | zm
     return v_result, u_result, v_zero, u_zero
 
 

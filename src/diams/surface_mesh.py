@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch,
-                     ValidationError)
+from .errors import ParameterOutOfRange, SharedEdgeMismatch, ValidationError
 from .net_core import float_grid_allocation
 
 
@@ -196,14 +195,14 @@ def export_obj(mesh, path):
     first index).  Output is byte-deterministic for a fixed mesh.
 
     A group opens wherever a triangle's tag differs from the one before
-    it.  No list or tuple is built per vertex or per face: the vertex
-    block is written by `_kernels.g17_text`, each coordinate after "v "
-    or " " and the last before a newline, and the face block is one `%`
-    format of a template over a flat value tuple.
+    it.  The text is bytes from start to finish, and no list or tuple is
+    built per vertex or per face: the vertex block is `_kernels.g17_text`'s
+    blocks, each coordinate after "v " or " " and the last before a
+    newline, the face block one bytes `%` format of a template over a flat
+    value tuple; `_kernels.write_blocks` writes them unjoined.
     """
     vertices = np.reshape(mesh.vertices, (-1, 3))
-    text = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
-    parts = [b"".join(text).decode("ascii")]
+    blocks = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
     tags = np.asarray(mesh.quad_tags, dtype=np.int64).reshape(-1, 2)
     start = np.ones(len(tags), dtype=bool)
     start[1:] = (tags[1:] != tags[:-1]).any(axis=1)
@@ -212,16 +211,12 @@ def export_obj(mesh, path):
     keep[:, :2] = start[:, None]
     values = np.concatenate([tags, mesh.triangles + 1], axis=1)[keep]
     sizes = np.diff(np.append(np.flatnonzero(start), len(tags))).tolist()
-    templates = {k: "g quad_%d_%d\n" + "f %d %d %d\n" * k for k in set(sizes)}
-    parts.append("".join([templates[k] for k in sizes])
-                 % tuple(values.tolist()))
+    templates = {k: b"g quad_%d_%d\n" + b"f %d %d %d\n" * k
+                 for k in set(sizes)}
+    blocks.append(b"".join([templates[k] for k in sizes])
+                  % tuple(values.tolist()))
     for pl in mesh.polylines:
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
-        parts.append("l " + " ".join(str(i + 1) for i in idx) + "\n")
+        blocks.append(b"l " + b" ".join(b"%d" % (i + 1) for i in idx) + b"\n")
     # the text ends with a newline, that of an empty mesh included
-    text = "".join(parts) or "\n"
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    _kernels.write_blocks(path, blocks if any(blocks) else [b"\n"])

@@ -13,7 +13,7 @@ from diams.errors import (DegenerateDirection, DegenerateMetric,
                           DegenerateOrientation, InadmissibleVertex,
                           IndexOutOfDomain, NonGenericCell, NonGenericChain,
                           ValidationError)
-from diams.io_cli import _RawJson, example_curve_pair
+from diams.io_cli import example_curve_pair
 from diams.net_core import (_PLANE_LABELS, validate_generic_position,
                             walk_chains)
 from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
@@ -549,8 +549,9 @@ def reference_find_swallowtails(pair, chain):
 
 
 def reference_dump(obj):
-    """Per-value form of `io_cli._dump`: one isinstance chain per value,
-    kept as the reference that the report writer must reproduce byte for
+    """Deterministic JSON of a value, one isinstance chain per value
+    (sorted keys, %.17g floats, null for nan and +-inf): the reference
+    that the report and curve-file writers must reproduce byte for
     byte."""
     if obj is None:
         return "null"
@@ -581,15 +582,14 @@ def _parse_int(text):
 
 def reference_report_bytes(report, metric):
     """`write_report` bytes of `report` with its Omega section rebuilt as
-    one {"quad", "value"} dict per quad, its other pre-serialized sections
+    one {"quad", "value"} dict per quad, every other section's blocks
     parsed back into objects, and all of it serialized by
     `reference_dump`.  A float that reached the C encoder would come back
     in %.17g digits here, not in the encoder's repr digits."""
     omega = [{"quad": [2 * u + 1, 2 * v + 1], "value": w}
              for (u, v), w in metric.items()] if metric is not None else []
-    report = {key: json.loads(value, parse_int=_parse_int)
-              if isinstance(value, _RawJson) else value
-              for key, value in report.items()}
+    report = {key: json.loads(b"".join(blocks), parse_int=_parse_int)
+              for key, blocks in report.items() if key != "omega"}
     return (reference_dump({**report, "omega": omega}) + "\n").encode("ascii")
 
 

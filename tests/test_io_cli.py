@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from diams import ConormalNet, PolyCurve, _kernels, analyze_net, io_cli
-from diams.errors import ParseError, ValidationError
-from diams.io_cli import (CurvePairFile, _dump, example_curve_pair,
+from diams.errors import DegenerateMetric, ParseError, ValidationError
+from diams.io_cli import (CurvePairFile, _dump_float, example_curve_pair,
                           parse_curves, report_from_analysis,
                           report_from_oracle, run_cli, write_curves,
                           write_report)
+from diams.singularity import NetAnalysis
 from diams.smooth_oracle import (SmoothChain, SmoothSingularPoint,
                                  builtin_pair, find_swallowtails,
                                  trace_singular_curve)
@@ -150,9 +151,20 @@ def test_report_singular_edges_reference_opposite_sign_omegas():
 
 
 def test_report_non_finite_floats_become_null():
-    from diams.io_cli import _dump
-    assert _dump(float("nan")) == "null"
-    assert _dump({"a": float("inf"), "b": 1.5}) == '{"a":null,"b":1.5}'
+    nan, inf = float("nan"), float("inf")
+    assert ([_dump_float(x) for x in (nan, inf, -inf, -0.0, 1.5, -1e-300)]
+            == [[b"null"], [b"null"], [b"null"], [b"-0"], [b"1.5"],
+                [b"-1e-300"]])
+    analysis = analyze_net(example_net(1.0))
+    text = write_report(report_from_analysis(analysis, nan, -inf))
+    assert json.loads(text)["tolerances"] == {
+        "degenerate_metric_eps": None, "scale": analysis.net.scale,
+        "sign_tol": None}
+    text = write_report(report_from_analysis(analysis, -0.0, inf))
+    assert b'{"degenerate_metric_eps":null,' in text
+    assert b',"sign_tol":-0},' in text
+    text = write_report(report_from_oracle("custom", 33, nan, [], []))
+    assert b'"tolerances":{"trace_tol":null},' in text
 
 
 def test_dump_values():
@@ -164,8 +176,6 @@ def test_dump_values():
         ({"\u00e9": {"b": True, "a": [1.5, None]}, "Z": 1},
          '{"Z":1,"\\u00e9":{"a":[1.5,null],"b":true}}'),
     ]
-    # numpy values: the reference serializes them, the writer takes only
-    # the built-in types that reports are made of
     numpy_cases = [
         (np.int64(-7), "-7"), (np.float64(0.1), "0.10000000000000001"),
         (np.float32(0.5), "0.5"), (np.float64("nan"), "null"),
@@ -174,15 +184,6 @@ def test_dump_values():
     ]
     for value, text in cases + numpy_cases:
         assert reference_dump(value) == text, value
-    for value, text in cases:
-        assert _dump(value) == text, value
-    # a bool is not serialized as the int it subclasses, nor 1 as true
-    assert _dump([True, 1, 1.0]) == "[true,1,1]"
-    for value in [{1, 2}, {"a": [object()]}] + [v for v, _ in numpy_cases]:
-        with pytest.raises(TypeError):
-            _dump(value)
-        with pytest.raises(TypeError):
-            _dump([value])
 
 
 def _offset_net(h, alpha_offset, beta_offset):
@@ -211,7 +212,7 @@ def _float_leaves(obj):
     return [obj] if isinstance(obj, (float, np.floating)) else []
 
 
-def test_report_bytes_match_reference(rng, monkeypatch, tmp_path):
+def test_report_bytes_match_reference(rng, monkeypatch):
     # every section handed to json's C encoder is float-free: the encoder
     # would print a float in repr digits, not %.17g
     encode = io_cli._encode
@@ -265,18 +266,39 @@ def test_report_bytes_match_reference(rng, monkeypatch, tmp_path):
     assert any(a.admissibility_violations for a in analyses)
     # the empty report analyze writes before it exits 3 on a degenerate
     # metric
-    written = []
-    monkeypatch.setattr(io_cli, "write_report",
-                        lambda report: written.append(report)
-                        or write_report(report))
-    curves = tmp_path / "c.json"
-    report = tmp_path / "r.json"
-    assert _run(["example", "--y", -1.0, "--out", curves]) == 0
-    assert _run(["analyze", "--curves", curves, "--report", report]) == 3
-    degenerate, = written
-    assert report.read_bytes() == reference_report_bytes(degenerate, None)
-    # four encoded sections in each of the reports written above
-    assert len(encoded) == 4 * (2 * len(analyses) + 3)
+    degenerate = _degenerate_report(example_net(-1.0), 1e-9, 1e-9)
+    assert write_report(degenerate) == reference_report_bytes(degenerate, None)
+    # five encoded sections in each of the reports built above
+    assert len(encoded) == 5 * (2 * len(analyses) + 3)
+
+
+def _degenerate_report(net, tol, eps):
+    """The report analyze writes before it exits 3 on a degenerate
+    metric."""
+    with pytest.raises(DegenerateMetric) as info:
+        analyze_net(net, tol=tol, eps_degenerate=eps)
+    u, v = info.value.quad
+    empty = NetAnalysis(net=net, metric=None, edges=[], vertices=[],
+                        polylines=[], generic_violations=[],
+                        admissibility_violations=[])
+    return report_from_analysis(empty, tol, eps, degenerate_quads=[{
+        "quad": [2 * u + 1, 2 * v + 1], "detail": str(info.value)}])
+
+
+@pytest.mark.parametrize("block", [3, 1 << 14])
+@pytest.mark.parametrize("offset", [0, 2 ** 52 - 8, 8 - 2 ** 52])
+def test_write_curves_matches_reference(offset, block, monkeypatch):
+    # values g17_field leaves to %.17g, near ties and 2^52, in blocks of
+    # one point and of the whole curve
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    pts = np.array([[-0.0, 5e-324, 1e-300],
+                    [-1e300, 1000000000000000.25, 1e23],
+                    [0.1, 1 / 3, 2.0 ** 52],
+                    [-9.999999999999999e-260, 0.0, 7]])
+    cpf = CurvePairFile(PolyCurve(pts, offset), PolyCurve(pts[::-1], -offset))
+    doc = {"alpha_offset": offset, "alpha": pts,
+           "beta_offset": -offset, "beta": pts[::-1]}
+    assert write_curves(cpf) == (reference_dump(doc) + "\n").encode("ascii")
 
 
 @pytest.mark.parametrize("block", [1, 100, 1000, 10 ** 6])
@@ -431,6 +453,28 @@ def _curves_file(net, tmp_path):
     curves = tmp_path / "c.json"
     curves.write_bytes(write_curves(CurvePairFile(net.alpha, net.beta)))
     return curves
+
+
+def test_cli_files_hold_the_in_memory_bytes(tmp_path):
+    # analyze at exits 0, 1 and 3, oracle and example hand their blocks to
+    # the one file writer unjoined; the files hold the joined bytes
+    out = tmp_path / "out"
+    for net, code in ((parabolic_net(0.2)[0], 0), (four_edge_net(), 1),
+                      (example_net(-1.0), 3)):
+        curves = _curves_file(net, tmp_path)
+        assert _run(["analyze", "--curves", curves, "--report", out]) == code
+        report = (_degenerate_report(net, 1e-9, 1e-9) if code == 3 else
+                  report_from_analysis(analyze_net(net), 1e-9, 1e-9))
+        assert out.read_bytes() == write_report(report)
+    assert _run(["oracle", "--pair", "parabolic", "--grid", 101, "--tol",
+                 1e-10, "--report", out]) == 0
+    pair = builtin_pair("parabolic")
+    chains = trace_singular_curve(pair, 101, 1e-10)
+    points = [p for c in chains for p in find_swallowtails(pair, c)]
+    assert out.read_bytes() == write_report(
+        report_from_oracle("parabolic", 101, 1e-10, chains, points))
+    assert _run(["example", "--y", -2.0, "--du", 0.3, "--out", out]) == 0
+    assert out.read_bytes() == write_curves(example_curve_pair(-2.0, 0.3))
 
 
 def test_cli_analyze_forbidden_configuration_exits_1(tmp_path, capsys):

@@ -233,6 +233,17 @@ def test_halfplane_grid_matches_scalar_orient(rng):
     assert zeros > 50 and signs > 50
 
 
+def test_halfplane_grid_overflow_is_a_named_error():
+    # at 2^345 the six products of every [nu0, x, y] overflow: the grid
+    # ends in the scalar test's named error, not in dead-zone hits
+    a, b, _ = parabolic_points(0.2)
+    net = ConormalNet(PolyCurve(a * 2.0 ** 345), PolyCurve(b * 2.0 ** 345))
+    with pytest.raises(ValidationError, match="orientation test: not finite"):
+        halfplane_edge_test(net, EdgeIndex("v", 1, 0))
+    with pytest.raises(ValidationError, match="orientation test: not finite"):
+        halfplane_grid(net)
+
+
 # ---------------------------------------------------------------------------
 # vertices
 # ---------------------------------------------------------------------------
