@@ -6,8 +6,8 @@ writes the same expression, bit for bit, with the six products that set
 orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
 ``omega_grid`` and the vertex-frame grids ``frame_pair_grids``.
 ``ConormalNet`` computes the two grids once per net (``omega_terms``,
-``frame_terms``); generic position and classification read all six signs
-of every vertex from them, star sidedness included.
+``frame_terms``); generic position and classification read the six
+signs of every vertex from them (``sign_terms``), star sidedness included.
 
 ``g17_field`` writes the "%.17g" text of a whole float array as one
 NUL-padded uint8 matrix: the digits come from a double-double product

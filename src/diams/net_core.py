@@ -286,6 +286,18 @@ class ConormalNet:
         terms.flags.writeable = False
         return terms
 
+    @property
+    def sign_terms(self):
+        """The six (det, mag) grids of the classification signs over the
+        vertices with both neighbours on each curve, from (u_min+1,
+        v_min+1): the two frame_terms grids, then the cross pairs
+        [nu, alpha'+-, beta'+-] in the order ++, +-, -+, --, as views of
+        omega_terms at the quads (u, v), (u, v-1), (u-1, v), (u-1, v-1),
+        the quad on the sides of the two directions."""
+        w = self.omega_terms
+        return (*self.frame_terms, w[:, 1:, 1:], w[:, 1:, :-1],
+                w[:, :-1, 1:], w[:, :-1, :-1])
+
     def nu_grid(self):
         """Full (nu, nv, 3) array of co-normal vectors."""
         return (self.alpha.points[:, None, :]
@@ -440,6 +452,9 @@ def star_planarity_residual_grid(f, net):
 
 
 _PLANE_LABELS = ("alpha+", "alpha-", "beta+", "beta-")
+# the plane pair of each sign_terms grid
+_SIGN_PLANES = [(_PLANE_LABELS[i], _PLANE_LABELS[j])
+                for i, j in ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))]
 
 
 @dataclass(frozen=True)
@@ -463,22 +478,16 @@ def validate_generic_position(net, tol=1e-9):
     nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
     at tol >= 0: |[nu, x, y]| is not above tol times the sum of the absolute
     values of its six products.  Only (alpha+, alpha-) and (beta+, beta-)
-    are evaluated in the vertex frame, read from net.frame_terms; by
-    column reduction each cross pair is Omega on one of the vertex's quads,
-    read from net.omega_terms.  Returns the list of violations, empty when
-    the net is generic.
+    are evaluated in the vertex frame; by column reduction each cross pair
+    is Omega on one of the vertex's quads.  All six are read from
+    net.sign_terms.  Returns the list of violations, empty when the net is
+    generic.
     """
     dom = net.domain
-    (aa, aa_mag), (bb, bb_mag) = net.frame_terms
-    w, w_mag = net.omega_terms
-    tests = [((0, 1), aa, aa_mag), ((2, 3), bb, bb_mag)]
-    # a cross pair is Omega on the quad on the sides of its two planes
-    for i, rows in ((0, np.s_[1:]), (1, np.s_[:-1])):
-        for j, cols in ((2, np.s_[1:]), (3, np.s_[:-1])):
-            tests.append(((i, j), w[rows, cols], w_mag[rows, cols]))
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (i, j), d, mag in tests:
+        for (plane_a, plane_b), (d, mag) in zip(_SIGN_PLANES,
+                                                net.sign_terms):
             undecided = ~(np.abs(d) > tol * mag)
             if not undecided.any():
                 continue
@@ -487,6 +496,6 @@ def validate_generic_position(net, tol=1e-9):
             for ui, vi in np.argwhere(undecided).tolist():
                 out.append(GenericPositionViolation(
                     vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
-                    plane_a=_PLANE_LABELS[i], plane_b=_PLANE_LABELS[j]))
+                    plane_a=plane_a, plane_b=plane_b))
     out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     return out

@@ -4,13 +4,13 @@ The per-quad metric
 
     Omega(u+1/2, v+1/2) = [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
 
-changes sign across singular edges.  The singular edges and each
-vertex's incident edges are read from Omega's sign flips in one array
-pass (``SingularSet``); its polylines are walked by
+changes sign across singular edges.  ``SingularSet`` holds the edges
+that Omega's sign flips make singular as one graph: each vertex's links
+to its neighbours.  An admissible interior vertex has exactly two, so
+the graph's chains are the polylines, walked by
 ``net_core.walk_chains``, which joins the smooth oracle's chains too.
-Every test on projected
-directions (quadrant membership, polyline crossing, star sidedness) is
-implemented through the single predicate
+Every test on projected directions (quadrant membership, polyline
+crossing, star sidedness) is implemented through the single predicate
 
     orient(n, x, y) = sign [n, x, y]
 
@@ -35,19 +35,20 @@ on these six signs, so they are read from a 64-entry table
 at import.  Star sidedness is one of them: the Lelieuvre star edges are
 nu x (alpha'+, -alpha'-, beta'+, -beta'-), and [nu, nu x x, nu x y] =
 |nu|^2 [nu, x, y].  One row rule, ``_decide_row``, classifies a vertex
-from its six signs.  ``analyze_net`` gathers the signs of all two-edge
-vertices from the two grids in one batched pass that hands every row
-with an undecided sign to the rule; ``classify_vertex`` reads one
-vertex's signs from the same grids.  No positions are integrated; the
-tests check the diagnostic against ``star_sidedness_test`` on them.
+from its six signs.  ``ConormalNet.sign_terms`` lays the six (det, mag)
+grids out over the interior vertices.  ``analyze_net`` reads them at all
+two-edge vertices in one batched pass that hands every row with an
+undecided sign to the rule; ``classify_vertex`` reads one vertex's
+signs from the same grids (``_vertex_terms``).  No positions are
+integrated; the tests check the diagnostic against
+``star_sidedness_test`` on them.
 """
 
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import compress
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -321,42 +322,43 @@ class SingularVertex:
     diagnostics: dict = field(default_factory=dict)
 
 
-# a vertex's star bits, one per singular star edge, in the order of the
-# edges' keys: u- 1, u+ 2, v- 4, v+ 8
-_STAR_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
-_POPCOUNT = np.array([bin(m).count("1") for m in range(16)])
+_AXES = ("u", "v")
 
 
 class SingularSet:
-    """The singular edges of a domain and their endpoints, in one pass.
+    """The singular edges of a domain as one graph of degree <= 2 at its
+    admissible interior vertices.
 
     The edges are two boolean grids on the domain's (nu, nv) vertices:
     grids[0][i, j] marks the u-edge from vertex (i, j) to (i+1, j),
-    grids[1][i, j] the v-edge from (i, j) to (i, j+1).  Every vertex gets
-    a 4-bit star mask (_STAR_BITS) by shifted stores of the two grids;
-    its popcount is the vertex's degree.  Vertex (i, j) has the flat id
-    i * nv + j, so flat ids sort like vertex keys, and the edge ids number
-    the edges in key order.  Per singular vertex, in vertex order: flat
-    (ids), star (masks), degree, interior, flagged (interior with other
-    than two edges), vertices (keys).
+    grids[1][i, j] the v-edge from (i, j) to (i, j+1).  edges holds their
+    keys in key order, and links maps each endpoint vertex, in vertex
+    order, to its (neighbour, EdgeIndex) pairs in edge-key order: u-, u+,
+    v-, v+.  Read from the links, per vertex in vertex order: vertices
+    (keys), degree, interior, flagged (interior with other than two
+    edges).
     """
 
     def __init__(self, grids, domain):
         self.grids = grids
         self.domain = domain
-        nu, nv = domain.nu, domain.nv
-        u, v = grids.view(np.uint8)
-        mask = (u << 1) | (v << 3)
-        mask[1:] |= u[:-1]
-        mask[:, 1:] |= v[:, :-1] << 2
-        self.flat = np.flatnonzero(mask)
-        self.star = mask.ravel().take(self.flat)
-        self.degree = _POPCOUNT.take(self.star)
-        i, j = np.divmod(self.flat, nv)
-        self.interior = (i > 0) & (i < nu - 1) & (j > 0) & (j < nv - 1)
-        self.flagged = self.interior & (self.degree != 2)
-        self.vertices = list(zip((i + domain.u_min).tolist(),
-                                 (j + domain.v_min).tolist()))
+        a, i, j = np.nonzero(grids)
+        u = i + domain.u_min
+        v = j + domain.v_min
+        self.edges = list(map(EdgeIndex._make, zip(
+            map(_AXES.__getitem__, a.tolist()), u.tolist(), v.tolist())))
+        links = defaultdict(list)
+        for edge, lo, hi in zip(self.edges, zip(u.tolist(), v.tolist()),
+                                zip((u + 1 - a).tolist(), (v + a).tolist())):
+            links[lo].append((hi, edge))
+            links[hi].append((lo, edge))
+        self.links = {vert: links[vert] for vert in sorted(links)}
+        self.vertices = list(self.links)
+        self.degree = list(map(len, self.links.values()))
+        self.interior = [domain.is_interior_vertex(*vert)
+                         for vert in self.vertices]
+        self.flagged = [inner and degree != 2
+                        for inner, degree in zip(self.interior, self.degree)]
 
     @classmethod
     def from_omega(cls, metric):
@@ -376,99 +378,60 @@ class SingularSet:
 
     @classmethod
     def from_edges(cls, edges, domain):
-        """The set of the SingularEdge records `edges`; each must join two
-        domain vertices."""
-        keys = np.array([(se.edge.axis == "v", se.edge.u - domain.u_min,
-                          se.edge.v - domain.v_min) for se in edges],
-                        dtype=np.int64).reshape(-1, 3)
-        a, i, j = keys.T
-        inside = ((i >= 0) & (j >= 0) & (i < domain.nu - 1 + a)
-                  & (j < domain.nv - a))
-        if not inside.all():
-            bad = next(se.edge for se, ok in zip(edges, inside) if not ok)
-            raise IndexOutOfDomain(f"edge {bad} leaves the domain")
-        grids = np.zeros((2, domain.nu, domain.nv), dtype=bool)
-        grids[a, i, j] = True
+        """The set of the SingularEdge records `edges`.  Each must key a
+        u- or v-edge by integer coordinates and join two domain vertices;
+        IndexOutOfDomain names the first record that does not."""
+        nu, nv = domain.nu, domain.nv
+        grids = np.zeros((2, nu, nv), dtype=bool)
+        for se in edges:
+            axis, u, v = se.edge
+            if not (axis in _AXES and isinstance(u, Integral)
+                    and isinstance(v, Integral)):
+                raise IndexOutOfDomain(f"edge {se.edge} is not a grid edge")
+            a = _AXES.index(axis)
+            i, j = u - domain.u_min, v - domain.v_min
+            if not (0 <= i < nu - 1 + a and 0 <= j < nv - a):
+                raise IndexOutOfDomain(f"edge {se.edge} leaves the domain")
+            grids[a, i, j] = True
         return cls(grids, domain)
 
     @property
     def edge_count(self):
         """The number of singular edges."""
-        return int(np.count_nonzero(self.grids))
-
-    @functools.cached_property
-    def _edge_keys(self):
-        """(axis, i, j) arrays of the edges in key order."""
-        return np.nonzero(self.grids)
-
-    @functools.cached_property
-    def edges(self):
-        """EdgeIndex of every edge, indexed by edge id."""
-        a, i, j = self._edge_keys
-        axes = ("u", "v")
-        return list(map(EdgeIndex._make, zip(
-            map(axes.__getitem__, a.tolist()),
-            (i + self.domain.u_min).tolist(),
-            (j + self.domain.v_min).tolist())))
+        return len(self.edges)
 
     def singular_edges(self, w):
         """SingularEdge per edge in key order, with the Omega grid w's
         values on the quads below and above it: (i, j-1) and (i, j) for a
         u-edge, (i-1, j) and (i, j) for a v-edge."""
-        a, i, j = self._edge_keys
+        a, i, j = np.nonzero(self.grids)
         return list(map(SingularEdge, self.edges, zip(
             w[i - a, j - 1 + a].tolist(), w[i, j].tolist())))
 
-    @functools.cached_property
-    def _star_edges(self):
-        """Edge id of each vertex's u-, u+, v-, v+ star edge, -1 where the
-        star edge is not singular: a (vertices, 4) array."""
-        n = self.grids[0].size
-        ids = np.full(2 * n, -1)
-        ids[self.grids.ravel()] = np.arange(self.edge_count)
-        nv = self.domain.nv
-        out = ids.take(self.flat[:, None] + np.array([-nv, 0, n - 1, n]),
-                       mode="clip")
-        out[(self.star[:, None] & _STAR_BITS) == 0] = -1
-        return out
-
     def incident(self):
         """Frozenset of its singular edges per vertex, in vertex order."""
-        star = self._star_edges
-        # row-major: each vertex's edges, vertex after vertex
-        edges = list(map(self.edges.__getitem__, star[star >= 0].tolist()))
-        ends = np.cumsum(self.degree).tolist()
-        return [frozenset(edges[a:b]) for a, b in zip([0] + ends, ends)]
+        return [frozenset([edge for _, edge in nbs])
+                for nbs in self.links.values()]
 
     def inadmissible(self):
         """(vertex, degree) of the interior vertices with other than two
         singular edges, in vertex order."""
-        degree = self.degree.tolist()
-        return [(self.vertices[k], degree[k])
-                for k in np.flatnonzero(self.flagged).tolist()]
+        return [(vert, degree) for vert, degree, flagged
+                in zip(self.vertices, self.degree, self.flagged) if flagged]
 
     def polylines(self):
-        """The edges partitioned into maximal chains by `walk_chains`, over
-        links in edge-key order (u-, u+, v-, v+ at each vertex), each
-        oriented by _canonical_open or _canonical_loop, sorted by their
-        vertices.  Raises InadmissibleVertex at an interior vertex with
-        other than two singular edges."""
+        """The edges partitioned into maximal chains by `walk_chains` over
+        the links, each oriented by _canonical_open or _canonical_loop,
+        sorted by their vertices.  Raises InadmissibleVertex at an interior
+        vertex with other than two singular edges."""
         bad = self.inadmissible()
         if bad:
             vert, degree = bad[0]
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {degree} singular edges")
-        a, i, j = self._edge_keys
-        u = i + self.domain.u_min
-        v = j + self.domain.v_min
-        links = defaultdict(list)
-        for edge, lo, hi in zip(self.edges, zip(u.tolist(), v.tolist()),
-                                zip((u + 1 - a).tolist(), (v + a).tolist())):
-            links[lo].append((hi, edge))
-            links[hi].append((lo, edge))
         chains = sorted(((_canonical_loop if closed else _canonical_open)(
             verts, edges) + (closed,) for verts, edges, closed
-            in walk_chains(links)), key=lambda c: c[0])
+            in walk_chains(self.links)), key=lambda c: c[0])
         return [SingularPolyline(tuple(verts), tuple(edges), closed)
                 for verts, edges, closed in chains]
 
@@ -488,7 +451,7 @@ def singular_vertices(edges, domain):
     return [SingularVertex(vert, inc, Configuration.INADMISSIBLE
                            if flagged else None)
             for vert, inc, flagged in zip(sset.vertices, sset.incident(),
-                                          sset.flagged.tolist())]
+                                          sset.flagged)]
 
 
 def _vertex_terms(net, u0, v0):
@@ -881,42 +844,38 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
                        *_vertex_terms(net, u0, v0), tol)
 
 
-def _classify_rows(net, flat, verts, incident, tol):
-    """classify_vertex for two-edge interior vertices in one batched pass:
-    flat holds their flat ids (SingularSet), verts and incident their keys
-    and edge sets.  The six signs come from the net's grids; a row whose
+def _vertex_records(net, sset, tol):
+    """The record of every vertex of the singular set sset, in vertex
+    order, in one batched pass: Boundary off the interior, Inadmissible
+    where flagged, and every two-edge interior vertex classified from its
+    six signs, read from net.sign_terms at its grid index.  A row whose
     six signs are all decided reads its outcome from the sign table, every
-    other row goes to _decide_row with its own slices of the same arrays."""
-    if not verts:
-        return []
-    nv = net.domain.nv
-    # flat indices: vertex (i, j) of the (nu, nv) grid, quad (i, j) of the
-    # (nu-1, nv-1) Omega grids, vertex (i-1, j-1) of the frame grids
-    i = flat // nv
-    quad = flat - i
-    frame = quad[None] - i - (nv - 1)
-    # quads ++, +-, -+, -- around each vertex, as _vertex_terms reads them
-    quads = quad - np.array([[0], [1], [nv - 1], [nv]])
-    w, w_mag = net.omega_terms
-    (aa, aa_mag), (bb, bb_mag) = net.frame_terms
-    omegas = w.take(quads)
-    d = np.concatenate([aa.take(frame), bb.take(frame), omegas])
-    mag = np.concatenate([aa_mag.take(frame), bb_mag.take(frame),
-                          w_mag.take(quads)])
+    other row goes to _decide_row."""
+    dom = net.domain
+    two_edge = [vert for vert, inner, flagged
+                in zip(sset.vertices, sset.interior, sset.flagged)
+                if inner and not flagged]
+    i, j = (np.array(two_edge, dtype=np.int64).reshape(-1, 2)
+            - (dom.u_min + 1, dom.v_min + 1)).T
+    d, mag = np.stack([terms[:, i, j] for terms in net.sign_terms], axis=1)
     key = _KEY_BITS @ (d > 0)
     with np.errstate(over="ignore", invalid="ignore"):
         decided = (np.abs(d) > tol * mag).all(axis=0)
+    rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
     out = []
-    for r, (vert, edges, k, ok, quad_w) in enumerate(zip(
-            verts, incident, key.tolist(), decided.tolist(),
-            omegas.T.tolist())):
+    for vert, edges, inner, flagged in zip(sset.vertices, sset.incident(),
+                                           sset.interior, sset.flagged):
+        if flagged or not inner:
+            out.append(SingularVertex(vert, edges, Configuration.INADMISSIBLE
+                                      if flagged else Configuration.BOUNDARY))
+            continue
+        k, ok, vd, vmag = next(rows)
         outcome = _SIGN_TABLE[k]
         if ok and outcome is not None:
             out.append(_classified(vert, edges, outcome, _base_edge(
-                outcome.diagnostics["edge_pattern"], *vert, quad_w)))
+                outcome.diagnostics["edge_pattern"], *vert, vd[2:])))
         else:
-            out.append(_decide_row(vert, edges, d[:, r].tolist(),
-                                   mag[:, r].tolist(), tol))
+            out.append(_decide_row(vert, edges, vd, vmag, tol))
     return out
 
 
@@ -991,35 +950,19 @@ class NetAnalysis:
 def analyze_net(net, tol=1e-9, eps_degenerate=1e-9):
     """Run the full singularity pipeline on one co-normal net.
 
-    Every two-edge interior vertex is classified in one batched pass
-    (_classify_rows).  Positions are not integrated.
+    Every singular vertex gets its record in one batched pass
+    (_vertex_records).  Positions are not integrated.
     """
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
     sset = SingularSet.from_omega(metric)
-    incident = sset.incident()
-    two_edge = sset.interior & ~sset.flagged
-    picked = two_edge.tolist()
-    rows = iter(_classify_rows(net, sset.flat[two_edge],
-                               list(compress(sset.vertices, picked)),
-                               list(compress(incident, picked)), tol))
+    vertices = _vertex_records(net, sset, tol)
     admissibility = [(vert, f"{degree} incident singular edges at an "
                             "interior vertex")
                      for vert, degree in sset.inadmissible()]
-    classified = []
-    for vert, inc, two, flagged in zip(sset.vertices, incident, picked,
-                                       sset.flagged.tolist()):
-        if two:
-            classified.append(next(rows))
-        elif flagged:
-            classified.append(SingularVertex(vert, inc,
-                                             Configuration.INADMISSIBLE))
-        else:
-            classified.append(SingularVertex(vert, inc, Configuration.BOUNDARY,
-                                             Kind.UNCLASSIFIED))
     polylines = [] if admissibility else sset.polylines()
     return NetAnalysis(net=net, metric=metric,
                        edges=sset.singular_edges(metric.values),
-                       vertices=classified, polylines=polylines,
+                       vertices=vertices, polylines=polylines,
                        generic_violations=generic,
                        admissibility_violations=admissibility)

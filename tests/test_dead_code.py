@@ -1,9 +1,11 @@
-"""Every private module-level helper of the package is used by the package.
+"""Every private module-level helper and every import of the package is
+used by the package.
 
 A private function, class or constant that only the tests read belongs in
-tests/_helpers.py, and one that nothing reads is dead.  Uses are name and
-attribute loads in the package's syntax trees, so a name that appears only
-in docstrings or comments does not count.
+tests/_helpers.py, and one that nothing reads is dead.  An import is used
+when its own module reads the name or lists it in __all__.  Uses are name
+and attribute loads in the package's syntax trees, so a name that appears
+only in docstrings or comments does not count.
 """
 
 import ast
@@ -43,19 +45,56 @@ def _loaded(tree):
             yield node.attr
 
 
+def _imported(tree):
+    """Names bound at module level by import statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _exported(tree):
+    """The strings listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            for sub in ast.walk(node.value):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value,
+                                                                str):
+                    yield sub.value
+
+
+def _trees(src):
+    """Syntax tree of each src/*.py, by file name."""
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(Path(src).glob("*.py"))}
+
+
 def unused_private_names(src):
     """(module, name) of each private module-level name in src/*.py that no
     module of src loads."""
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(Path(src).glob("*.py"))}
+    trees = _trees(src)
     loaded = {name for tree in trees.values() for name in _loaded(tree)}
     return [(module, name) for module, tree in trees.items()
             for name in _defined(tree)
             if _private(name) and name not in loaded]
 
 
+def unused_imports(src):
+    """(module, name) of each module-level import in src/*.py that its own
+    module neither loads nor lists in __all__."""
+    return [(module, name) for module, tree in _trees(src).items()
+            for name in _imported(tree)
+            if name not in {*_loaded(tree), *_exported(tree)}]
+
+
 def test_every_private_helper_is_used_in_the_package():
     assert unused_private_names(SRC) == []
+
+
+def test_every_import_is_used_in_its_module():
+    assert unused_imports(SRC) == []
 
 
 def test_unused_private_names_flags_only_unread_helpers(tmp_path):
@@ -72,3 +111,20 @@ def test_unused_private_names_flags_only_unread_helpers(tmp_path):
     (tmp_path / "b.py").write_text("import a\na._called()\n")
     assert unused_private_names(tmp_path) == [("a.py", "_dead_doc"),
                                               ("a.py", "_Unused")]
+
+
+def test_unused_imports_flags_only_unread_imports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""os is named here, and in a comment, but never read."""\n'
+        "# os.path\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import xml.dom\n"
+        "from math import pi, tau\n"
+        "from json import dumps as _dumps, loads\n"
+        "from .b import shown\n"
+        "__all__ = ['shown', 'tau']\n"
+        "def f():\n"
+        "    return np.pi + pi + xml.dom.Node + _dumps(0)\n")
+    (tmp_path / "b.py").write_text("from a import loads\nshown = loads\n")
+    assert unused_imports(tmp_path) == [("a.py", "os"), ("a.py", "loads")]

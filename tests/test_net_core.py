@@ -12,10 +12,12 @@ from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid, walk_chains)
+from diams.singularity import EdgeIndex, _vertex_terms
 
 from _helpers import (example_net, generic_position_frames, parabolic_points,
-                      random_net_candidate, scalar_generic_violations,
-                      transformed_net, vertex_frame)
+                      random_net_candidate, round_off_net,
+                      scalar_generic_violations, transformed_net,
+                      vertex_frame)
 
 
 def test_polycurve_rejects_short_and_duplicate():
@@ -316,6 +318,40 @@ def _planted_nets(rng, count=120):
         except ValidationError:
             continue
         yield net
+
+
+def test_sign_terms_lay_out_the_six_signs_of_vertex_terms(rng):
+    # the batched read (sign_terms) and the scalar read (_vertex_terms) of
+    # the six classification signs agree bit for bit at every interior
+    # vertex; each cross view is Omega on the quad that the two star edges
+    # of its signs share (as _base_edge's comment has it: u+ separates ++
+    # and +-, u- -+ and --)
+    nets = [random_net_candidate(rng, n=9) for _ in range(10)]
+    nets += list(_planted_nets(rng, count=20))
+    nets.append(round_off_net())
+    cross = (("u+", "v+"), ("u+", "v-"), ("u-", "v+"), ("u-", "v-"))
+    checked = 0
+    for net in nets:
+        dom = net.domain
+        terms = net.sign_terms
+        assert [t.shape for t in terms] == [(2, dom.nu - 2, dom.nv - 2)] * 6
+        for u0 in range(dom.u_min + 1, dom.u_max):
+            for v0 in range(dom.v_min + 1, dom.v_max):
+                i, j = u0 - dom.u_min - 1, v0 - dom.v_min - 1
+                batched = np.array([t[:, i, j] for t in terms]).T
+                assert (batched.tobytes()
+                        == np.array(_vertex_terms(net, u0, v0)).tobytes())
+                star = {"u+": EdgeIndex("u", u0, v0),
+                        "u-": EdgeIndex("u", u0 - 1, v0),
+                        "v+": EdgeIndex("v", u0, v0),
+                        "v-": EdgeIndex("v", u0, v0 - 1)}
+                for view, (a, b) in zip(terms[2:], cross):
+                    (qu, qv), = (set(star[a].adjacent_quads())
+                                 & set(star[b].adjacent_quads()))
+                    want = net.omega_terms[:, qu - dom.u_min, qv - dom.v_min]
+                    assert view[:, i, j].tobytes() == want.tobytes()
+                checked += 1
+    assert checked > 500
 
 
 def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -599,6 +600,12 @@ def test_singular_set_matches_per_edge_reference(rng):
         assert sset.inadmissible() == [
             (vert, len(inc)) for vert, inc in ref_incident
             if dom.is_interior_vertex(*vert) and len(inc) != 2]
+        # the record path's set, from the same edges: the same graph,
+        # each vertex's links in the same order
+        rebuilt = SingularSet.from_edges(sset.singular_edges(metric.values),
+                                         dom)
+        for name in ("links", "vertices", "degree", "interior", "flagged"):
+            assert getattr(rebuilt, name) == getattr(sset, name)
         # the record path, from the reference's edge set
         ref_verts = reference_singular_vertices(ref_edges, dom)
         assert singular_vertices(ref_edges, dom) == ref_verts
@@ -675,9 +682,15 @@ def test_singular_set_walks_edge_sets_like_the_reference(rng):
         assert _outcome(extract_polylines, [], edges, dom) == ref
         walked += ref is not InadmissibleVertex
     assert walked > 50
-    with pytest.raises(IndexOutOfDomain):
-        singular_vertices({SingularEdge(EdgeIndex("u", dom.u_max, 0),
-                                        (-1.0, 1.0))}, dom)
+    # a record off the domain, of another axis or with a non-integer
+    # coordinate is named, not read as another edge
+    small = example_net(1.0).domain
+    for edge, where in ((EdgeIndex("u", dom.u_max, 0), dom),
+                        (EdgeIndex("w", 0, 0), small),
+                        (EdgeIndex("v", 0.7, 0), small),
+                        (EdgeIndex("u", -1, 0.9), small)):
+        with pytest.raises(IndexOutOfDomain, match=re.escape(str(edge))):
+            singular_vertices({SingularEdge(edge, (-1.0, 1.0))}, where)
 
 
 # ---------------------------------------------------------------------------
