@@ -8,6 +8,8 @@ orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
 ``ConormalNet`` computes the two grids once per net (``omega_terms``,
 ``frame_terms``); generic position and classification read the six
 signs of every vertex from them (``sign_terms``), star sidedness included.
+``decided_sign`` (one pair) and ``undecided`` (arrays) decide every sign
+by one rule, |d| > tol * mag; an undecided overflow raises ValidationError.
 
 ``g17_field`` writes the "%.17g" text of a whole float array as one
 NUL-padded uint8 matrix: the digits come from a double-double product
@@ -29,7 +31,7 @@ import functools
 
 import numpy as np
 
-from .errors import IoFailure
+from .errors import IoFailure, ValidationError
 
 
 def det3(n, x, y):
@@ -53,6 +55,38 @@ def orient_terms(n0, n1, n2, x0, x1, x2, y0, y1, y2):
     mag = (abs(n0) * (abs(p0) + abs(p1)) + abs(n1) * (abs(p2) + abs(p3))
            + abs(n2) * (abs(p4) + abs(p5)))
     return d, mag
+
+
+def require_finite(values, what):
+    """Raise ValidationError unless every entry of values is finite.  A
+    product of k finite coordinates overflows once their scale passes
+    about 2^(1024/k); stages form such products under np.errstate and end
+    in this named error instead of inf/nan results and numpy warnings."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what}: not finite (the net overflows at "
+                              "this coordinate scale)")
+
+
+def decided_sign(d, mag, tol):
+    """orient's sign of one (det, magnitude) pair from orient_terms: +1 or
+    -1 where |d| > tol * mag, else 0.  An undecided magnitude that is not
+    finite is an overflow and raises ValidationError."""
+    if abs(d) > tol * mag:
+        return 1 if d > 0.0 else -1
+    require_finite(mag, "orientation test")
+    return 0
+
+
+def undecided(d, mag, tol, what):
+    """decided_sign's zeros over arrays: the mask |d| <= tol * mag, nan
+    included; a product tol * mag that overflows leaves the sign undecided.
+    An undecided magnitude that is not finite raises ValidationError
+    naming `what`; every non-finite magnitude is undecided at tol >= 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ~(np.abs(d) > tol * mag)
+    if out.any():
+        require_finite(mag, what)
+    return out
 
 
 def _as_points(arr):

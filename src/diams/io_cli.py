@@ -375,7 +375,7 @@ def _cmd_validate(args):
     if failures:
         return 1
     print(f"ok: {net.domain.nu}x{net.domain.nv} vertices, "
-          f"{sset.edge_count} singular edges")
+          f"{len(sset.edges)} singular edges")
     return 0
 
 

@@ -9,7 +9,8 @@ discrete Lelieuvre equations
 
 gives an asymptotic net whose vertex stars are planar with normal nu.
 Because nu is a difference of one-variable curves, nu_uv = 0 identically,
-which makes the integration path independent.
+which makes the integration path independent.  Signs are decided, and
+overflows named, by ``_kernels``' one rule (``undecided``).
 """
 
 import math
@@ -30,20 +31,6 @@ def _cross3(x, y):
     return [x[1] * y[2] - x[2] * y[1],
             x[2] * y[0] - x[0] * y[2],
             x[0] * y[1] - x[1] * y[0]]
-
-
-def require_finite(values, what):
-    """Raise ValidationError unless every entry of values is finite.
-
-    Finite curves can give overflowing derived quantities: a product of k
-    coordinates overflows once the coordinate scale passes about
-    2^(1024/k).  Stages compute such quantities under np.errstate and
-    check them here, so the net ends in a named error instead of inf/nan
-    results and numpy warnings.
-    """
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{what}: not finite (the net overflows at "
-                              "this coordinate scale)")
 
 
 @contextmanager
@@ -401,7 +388,7 @@ def integrate_net(net, base_vertex=None, base_point=(0.0, 0.0, 0.0)):
             net.alpha.points, net.beta.points,
             bu - dom.u_min, bv - dom.v_min,
             np.asarray(base_point, dtype=np.float64))
-    require_finite(positions, "integrated positions")
+    _kernels.require_finite(positions, "integrated positions")
     return AsymptoticNet(domain=dom, positions=positions,
                          base_vertex=(bu, bv),
                          base_point=np.asarray(base_point, dtype=np.float64))
@@ -476,26 +463,22 @@ def validate_generic_position(net, tol=1e-9):
     The planes through alpha(u +- 1) and beta(v +- 1) are span(nu, x) for
     the frame directions x = alpha'(u +- 1/2), beta'(v +- 1/2), with
     nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
-    at tol >= 0: |[nu, x, y]| is not above tol times the sum of the absolute
-    values of its six products.  Only (alpha+, alpha-) and (beta+, beta-)
-    are evaluated in the vertex frame; by column reduction each cross pair
-    is Omega on one of the vertex's quads.  All six are read from
-    net.sign_terms.  Returns the list of violations, empty when the net is
-    generic.
+    (_kernels.undecided): |[nu, x, y]| is not above tol >= 0 times the sum
+    of the absolute values of its six products.  Only (alpha+, alpha-) and
+    (beta+, beta-) are evaluated in the vertex frame; by column reduction
+    each cross pair is Omega on one of the vertex's quads.  All six are
+    read from net.sign_terms.  Returns the list of violations, empty when
+    the net is generic.
     """
     dom = net.domain
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (plane_a, plane_b), (d, mag) in zip(_SIGN_PLANES,
-                                                net.sign_terms):
-            undecided = ~(np.abs(d) > tol * mag)
-            if not undecided.any():
-                continue
-            # mag (3rd powers) overflowing to inf or nan reads undecided
-            require_finite(mag, "generic-position test")
-            for ui, vi in np.argwhere(undecided).tolist():
-                out.append(GenericPositionViolation(
-                    vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
-                    plane_a=plane_a, plane_b=plane_b))
+    for (plane_a, plane_b), (d, mag) in zip(_SIGN_PLANES, net.sign_terms):
+        undecided = _kernels.undecided(d, mag, tol, "generic-position test")
+        if not undecided.any():     # argwhere is slow even on no entry
+            continue
+        for ui, vi in np.argwhere(undecided).tolist():
+            out.append(GenericPositionViolation(
+                vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
+                plane_a=plane_a, plane_b=plane_b))
     out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     return out

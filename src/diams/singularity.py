@@ -25,9 +25,9 @@ vertex are the ones that made its edges singular.  The two others,
 alpha'+ against alpha'- and beta'+ against beta'-, are evaluated in the
 vertex frame, once per net as well (``ConormalNet.frame_terms``), and
 generic position reads the same grids.
-``_kernels.orient_terms`` holds orient's determinant and dead zone once,
-so Omega is judged by the same relative dead zone as every other sign.
-Tolerances must be >= 0: a negative one leaves no dead zone.
+``_kernels`` holds orient's determinant (``orient_terms``) and its one
+dead-zone rule, ``decided_sign`` for one pair and ``undecided`` for
+arrays, so Omega is judged as every other sign.  Tolerances must be >= 0.
 
 A two-edge vertex's configuration, kind and sign diagnostics depend only
 on these six signs, so they are read from a 64-entry table
@@ -54,10 +54,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import decided_sign
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import (require_finite, validate_generic_position,
-                       walk_chains)
+from .net_core import validate_generic_position, walk_chains
 
 
 class Configuration(str, Enum):
@@ -121,20 +121,8 @@ def orient(n, x, y, tol=1e-9):
     the inputs and the predicate is homogeneous in each argument).  A
     product that overflows raises ValidationError instead of reading as 0.
     """
-    return _float_orient(_t3(n), _t3(x), _t3(y), tol)
-
-
-def _float_orient(n, x, y, tol):
-    """orient on float triples."""
-    return _decided_sign(*_kernels.orient_terms(*n, *x, *y), tol)
-
-
-def _decided_sign(d, mag, tol):
-    """orient's sign of one (det, magnitude) pair from orient_terms."""
-    if abs(d) > tol * mag:
-        return 1 if d > 0.0 else -1
-    require_finite(mag, "orientation test")
-    return 0
+    return decided_sign(*_kernels.orient_terms(*_t3(n), *_t3(x), *_t3(y)),
+                        tol)
 
 
 def _t3(v):
@@ -194,20 +182,17 @@ def metric_field(net, eps_degenerate=1e-9):
     zone at eps_degenerate >= 0, where its sign means nothing, or when its
     magnitude underflows (below the smallest normal float)."""
     values, mag = net.omega_terms
-    # a dead zone eps * mag that overflows to inf holds every Omega
-    with np.errstate(over="ignore"):
-        floor = eps_degenerate * mag
-    bad = ~((np.abs(values) > floor) & (mag >= _TINY))
+    bad = _kernels.undecided(values, mag, eps_degenerate, "Omega") | (
+        mag < _TINY)
     if bad.any():
-        # an Omega or a magnitude overflowing to inf or nan reads undecided;
-        # the magnitude overflows whenever Omega does
-        require_finite(mag, "Omega")
         i, j = np.argwhere(bad)[0]
         quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
         if 0.0 < mag[i, j] < _TINY:
             what = f"Omega underflows: magnitude {mag[i, j]:.3e}"
         else:
-            what = f"|Omega| = {abs(values[i, j]):.3e} <= {floor[i, j]:.3e}"
+            # a Python float product: inf, without a warning, on overflow
+            floor = eps_degenerate * float(mag[i, j])
+            what = f"|Omega| = {abs(values[i, j]):.3e} <= {floor:.3e}"
         err = DegenerateMetric(f"{what} at quad {quad}")
         err.quad = quad
         err.value = float(values[i, j])
@@ -284,10 +269,7 @@ def halfplane_grid(net, tol=1e-9):
 
     def signs(n, x, y):
         d, mag = _kernels.orient_terms(*n, *x, *y)
-        undecided = ~(np.abs(d) > tol * mag)
-        if undecided.any():         # so is a mag overflowing to inf or nan
-            require_finite(mag, "orientation test")
-        return np.sign(d), undecided
+        return np.sign(d), _kernels.undecided(d, mag, tol, "orientation test")
 
     with np.errstate(over="ignore", invalid="ignore"):
         # v-edges: bases (u0, v0) with u0 interior, v0 <= v_max-1
@@ -394,11 +376,6 @@ class SingularSet:
                 raise IndexOutOfDomain(f"edge {se.edge} leaves the domain")
             grids[a, i, j] = True
         return cls(grids, domain)
-
-    @property
-    def edge_count(self):
-        """The number of singular edges."""
-        return len(self.edges)
 
     def singular_edges(self, w):
         """SingularEdge per edge in key order, with the Omega grid w's
@@ -530,7 +507,7 @@ def admissibility_check(net, vertex, tol=1e-9):
     if not net.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
     d, mag = _vertex_terms(net, u0, v0)
-    cross = [_decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
+    cross = [decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
     axes = {e.axis for e in vertex.incident_singular_edges}
     return _admissible_signatures(cross, axes, vertex.vertex) is not None
 
@@ -679,7 +656,7 @@ def star_sidedness_test(f, net, vertex, tol=1e-9):
     n0 = _pow2_scaled(_t3(net.conormal(u0, v0)))
 
     def s(x, y):
-        return _float_orient(n0, x, y, tol)
+        return orient(n0, x, y, tol)
 
     return _star_sides_agree(s, stars, _edge_pattern((u0, v0), edges),
                              (u0, v0))
@@ -806,7 +783,7 @@ def _decide_row(vert, edges, d, mag, tol):
     sign, or edges other than the ones the cross signs make singular, runs
     _sign_outcome on the vertex itself instead of reading the sign
     table."""
-    signs = tuple([_decided_sign(x, m, tol) for x, m in zip(d, mag)])
+    signs = tuple([decided_sign(x, m, tol) for x, m in zip(d, mag)])
     pattern = _edge_pattern(vert, edges)
     outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
     if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
@@ -859,8 +836,7 @@ def _vertex_records(net, sset, tol):
             - (dom.u_min + 1, dom.v_min + 1)).T
     d, mag = np.stack([terms[:, i, j] for terms in net.sign_terms], axis=1)
     key = _KEY_BITS @ (d > 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        decided = (np.abs(d) > tol * mag).all(axis=0)
+    decided = ~_kernels.undecided(d, mag, tol, "orientation test").any(axis=0)
     rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
     out = []
     for vert, edges, inner, flagged in zip(sset.vertices, sset.incident(),

@@ -29,9 +29,6 @@ class BilinearPatch:
             raise ParameterOutOfRange("corners must be a (4, 3) array")
         object.__setattr__(self, "corners", c)
 
-    def point(self, s, t):
-        return bilinear_point(self, s, t)
-
     def tangents(self, s, t):
         """Parameter derivatives (dF/ds, dF/dt) at (s, t)."""
         c00, c10, c01, c11 = self.corners
@@ -132,7 +129,8 @@ def tessellate(f, subdiv, singular=()):
     dom = f.domain
     nu, nv = f.positions.shape[:2]
     shape = (subdiv * (nu - 1) + 1, subdiv * (nv - 1) + 1, 3)
-    with float_grid_allocation(shape, f"subdiv = {subdiv}: a sample grid"):
+    with (float_grid_allocation(shape, f"subdiv = {subdiv}: a sample grid"),
+          np.errstate(over="ignore", invalid="ignore")):
         grid = _kernels.bilinear_sample(f.positions, subdiv)
     n_j = grid.shape[1]
     nq_u, nq_v = (grid.shape[0] - 1) // subdiv, (n_j - 1) // subdiv

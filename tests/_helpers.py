@@ -9,6 +9,7 @@ import numpy as np
 
 from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
                    patch_for_quad)
+from diams._kernels import decided_sign
 from diams.errors import (DegenerateDirection, DegenerateMetric,
                           DegenerateOrientation, InadmissibleVertex,
                           IndexOutOfDomain, NonGenericCell, NonGenericChain,
@@ -18,11 +19,10 @@ from diams.net_core import (_PLANE_LABELS, validate_generic_position,
                             walk_chains)
 from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
                                SingularEdge, SingularPolyline, SingularVertex,
-                               _base_edge, _decided_sign, _float_orient,
-                               _orient_strict, _sign_key, _sign_outcome,
-                               _star_sides_agree, admissibility_check,
-                               metric_field, orient, singular_edges,
-                               singular_vertices)
+                               _base_edge, _orient_strict, _sign_key,
+                               _sign_outcome, _star_sides_agree,
+                               admissibility_check, metric_field, orient,
+                               singular_edges, singular_vertices)
 from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothCurvePair,
                                  SmoothSingularPoint, _chain_tangents,
                                  _link_chains, omega_smooth)
@@ -688,7 +688,7 @@ def _reference_cross_signs(net, u0, v0, tol):
     j = v0 - net.domain.v_min
     w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
         2, 4)[:, ::-1].tolist()
-    return tuple([_decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
+    return tuple([decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
 
 
 # the frame pairs of the six signs, in sign-key order: (alpha'+, alpha'-),
@@ -732,7 +732,7 @@ def reference_classify_vertex(net, f, vertex, tol=1e-9):
             f"{len(vertex.incident_singular_edges)} incident singular edges")
     n0, ap, am, bp, bm = vertex_frame(net, u0, v0)
     cross, omegas = _reference_cross_signs(net, u0, v0, tol)
-    signs = (_float_orient(n0, ap, am, tol), _float_orient(n0, bp, bm, tol),
+    signs = (orient(n0, ap, am, tol), orient(n0, bp, bm, tol),
              *cross)
     pattern = "".join(sorted(e.direction_at((u0, v0))
                              for e in vertex.incident_singular_edges))

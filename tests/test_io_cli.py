@@ -18,7 +18,7 @@ from diams.smooth_oracle import (SmoothChain, SmoothSingularPoint,
                                  builtin_pair, find_swallowtails,
                                  trace_singular_curve)
 
-from diams.net_core import integrate_net
+from diams.net_core import float_grid_allocation, integrate_net
 from diams.surface_mesh import export_obj, tessellate
 
 from _helpers import (example_net, four_edge_net, parabolic_net,
@@ -824,6 +824,15 @@ def test_cli_short_curve_exits_1(tmp_path, capsys):
                  tmp_path / "r.json"]) == 1
 
 
+def test_cli_non_triple_point_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alpha": [[0, 0, 1], [1, 0, 1], [2]],
+                               "beta": [[0, 0, 0], [1, 1, 0], [2, 0, 0]]}))
+    assert _run(["validate", "--curves", bad]) == 1
+    assert ("alpha[2] is not an [x, y, z] triple"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["oracle", "mesh"])
 @pytest.mark.parametrize("size", [10 ** 30, 2 ** 63], ids=["10^30", "2^63"])
 def test_cli_unallocatable_grid_sizes_exit_1(command, size, tmp_path, capsys):
@@ -854,11 +863,20 @@ def test_unallocatable_grid_sizes_raise_validation_error():
         tessellate(f, 2 ** 63)
     with pytest.raises(ValidationError, match="subdiv = 4611686018427387904"):
         tessellate(f, np.int64(2 ** 62))
+    # an allocation that fails inside the guard is named with its size
+    with pytest.raises(ValidationError, match=r"^cannot allocate a grid of "
+                                              r"2 x 3 float64 values "
+                                              r"\(48 bytes\)$"):
+        with float_grid_allocation((2, 3), "a grid"):
+            raise MemoryError
 
 
-def test_cli_usage_error_exits_2(capsys):
+def test_cli_usage_error_exits_2(capsys, tmp_path):
     assert _run(["analyze"]) == 2
     assert _run(["frobnicate"]) == 2
+    capsys.readouterr()
+    assert _run(["example", "--y", "abc", "--out", tmp_path / "c.json"]) == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_cli_oracle_parabolic(tmp_path):

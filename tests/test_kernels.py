@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diams import _kernels
+from diams.errors import ValidationError
 
 
 def test_wrappers_validate_shapes():
@@ -182,3 +185,40 @@ def test_g17_text_lays_values_out_between_pieces(block, monkeypatch):
     plain = b"".join(_kernels.g17_text(values, (), ()))
     assert plain.decode() == "".join("%.17g" % x for x in values.ravel())
     assert _kernels.g17_text(np.zeros((0, 3)), (cols,), ()) == []
+
+
+def test_undecided_is_where_decided_sign_reads_zero(rng):
+    # the one dead-zone rule, batched and scalar: undecided's mask equals
+    # decided_sign == 0 entry by entry, with |d| planted exactly at
+    # tol * mag, d = 0 at tol = 0, and tol * mag overflowing to inf
+    n = 600
+    mag = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    d = mag * rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-13.0, 0.0, n)
+    d[:40] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (0.0, 1e-12, 1e-9, 1e-3, 1.0, 1e308):
+            planted = d.copy()
+            if tol < 1e308:
+                planted[40:80] = tol * mag[40:80] * np.sign(d[40:80])
+            mask = _kernels.undecided(planted, mag, tol, "sign test")
+            scalar = [_kernels.decided_sign(x, m, tol) == 0
+                      for x, m in zip(planted.tolist(), mag.tolist())]
+            assert mask.tolist() == scalar
+            assert mask[:80].all()
+            assert mask.all() == (tol >= 1.0)
+            if tol == 0.0:
+                assert not mask[80:].any()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_both_forms_of_the_rule_raise_on_a_non_finite_magnitude(bad, tol):
+    d = np.array([1.0, -2.0, 0.5])
+    mag = np.array([3.0, bad, 1.0])
+    with pytest.raises(ValidationError,
+                       match=r"^generic-position test: not finite"):
+        _kernels.undecided(d, mag, tol, "generic-position test")
+    with pytest.raises(ValidationError,
+                       match=r"^orientation test: not finite"):
+        _kernels.decided_sign(-2.0, float(bad), tol)

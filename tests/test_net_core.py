@@ -27,6 +27,8 @@ def test_polycurve_rejects_short_and_duplicate():
         PolyCurve(np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 0, 0]]))
     with pytest.raises(ValidationError, match="non-finite"):
         PolyCurve(np.array([[0.0, 0, 0], [1, np.nan, 0], [2, 0, 0]]))
+    with pytest.raises(ValidationError, match=r"an \(n, 3\) array"):
+        PolyCurve(np.zeros((4, 2)))
 
 
 def test_polycurve_indexing_with_offset():

@@ -14,8 +14,9 @@ from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    singular_vertices, star_sidedness_test,
                    validate_generic_position)
 from diams import singularity
-from diams.errors import (DegenerateMetric, DegenerateOrientation,
-                          DiamsError, InadmissibleVertex, IndexOutOfDomain,
+from diams.errors import (BoundaryVertex, DegenerateMetric,
+                          DegenerateOrientation, DiamsError,
+                          InadmissibleVertex, IndexOutOfDomain,
                           ValidationError)
 from diams.singularity import (MetricField, SingularEdge, SingularSet,
                                SingularVertex, halfplane_grid, triple_product)
@@ -62,6 +63,8 @@ def test_metric_field_matches_omega_quad_bitwise():
     metric = metric_field(net)
     for quad, value in metric.items():
         assert value == omega_quad(net, quad)
+    with pytest.raises(IndexOutOfDomain, match=r"quad \(1, 0\) outside"):
+        omega_quad(net, (1, 0))
 
 
 def test_metric_field_aborts_on_degenerate_quad():
@@ -287,6 +290,9 @@ def test_admissibility_on_examples():
         verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
         centre = next(sv for sv in verts if sv.vertex == (0, 0))
         assert admissibility_check(net, centre) is True
+        rim = next(sv for sv in verts if sv.vertex != (0, 0))
+        with pytest.raises(BoundaryVertex, match="is not interior"):
+            admissibility_check(net, rim)
 
 
 def _forbidden_net():
@@ -339,6 +345,54 @@ def test_ray_crossing_straight_lines_and_degeneracies():
         ray_crossing_test(n, _ray(0), _ray(180), _ray(0), _ray(180))
 
 
+def _interleave_reference(p_in, p_out, q_in, q_out):
+    """ray_crossing_test by angles in the xy-plane: the q rays fall in
+    opposite open sectors of the p wedge."""
+    def angle(x):
+        return np.arctan2(x[1], x[0])
+
+    span = (angle(p_out) - angle(p_in)) % (2 * np.pi)
+
+    def inside(x):
+        return 0.0 < (angle(x) - angle(p_in)) % (2 * np.pi) < span
+
+    return inside(q_in) != inside(q_out)
+
+
+@pytest.mark.parametrize("p_in, p_out", [((1, 0, 0), (1, 2, 0)),
+                                         ((1, 2, 0), (1, 0, 0))])
+@pytest.mark.parametrize("q_in", [(-1, 0, 0), (-1, -2, 0)])
+@pytest.mark.parametrize("q_out", [(-1, -1, 0), (2, 1, 0), (0, -1, 0),
+                                   (-1, 1, 0)])
+def test_ray_crossing_with_a_ray_pointing_away_along_a_wedge_ray(
+        p_in, p_out, q_in, q_out):
+    # q_in is -p_in or -p_out exactly: it lies on a wedge ray's line,
+    # pointing away from it, and so in the complementary sector
+    n = (0.0, 0.0, 1.0)
+    rays = [np.array(r, dtype=float) for r in (p_in, p_out, q_in, q_out)]
+    assert ray_crossing_test(n, *rays) == _interleave_reference(*rays)
+
+
+@pytest.mark.parametrize("rays, tol, message", [
+    # q's incoming ray lies in the dead zone of both wedge rays
+    (((10, 9, 0), (9, 10, 0), (10, 10, 0), (-1, 0, 0)), 0.08,
+     "incoming q ray: collinear wedge"),
+    (((2, 0, 0), (-3, 0, 0), (1, 0, 0), (-1, 0, 0)), 1e-9,
+     "all four rays are collinear"),
+    # p doubles back in the dead zone of both q rays
+    (((10, 10, 0), (20, 20, 0), (10, 9, 0), (9, 10, 0)), 0.08,
+     "all four rays are collinear"),
+    (((0, 1, 0), (2, 0, 0), (1, 0, 0), (-1, 0, 0)), 1e-9,
+     "p ray lies on the q line"),
+    (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (3, 0, 0)), 1e-9,
+     "q ray lies on the p line"),
+])
+def test_ray_crossing_degenerate_rays_raise(rays, tol, message):
+    n = (0.0, 0.0, 1.0)
+    with pytest.raises(DegenerateOrientation, match=f"^{message}$"):
+        ray_crossing_test(n, *rays, tol=tol)
+
+
 def test_ray_crossing_brute_force(rng):
     # compare against angle interleaving for random generic ray sets
     n = np.array([0.0, 0.0, 1.0])
@@ -347,13 +401,8 @@ def test_ray_crossing_brute_force(rng):
         if min(abs((deg[:, None] - deg[None, :] + 180) % 360 - 180)[
                 np.triu_indices(4, 1)]) < 1e-3:
             continue
-        p_in, p_out, q_in, q_out = (_ray(d) for d in deg)
-
-        def in_arc(lo, hi, x):
-            return ((x - lo) % 360.0) < ((hi - lo) % 360.0)
-
-        want = in_arc(deg[0], deg[1], deg[2]) != in_arc(deg[0], deg[1], deg[3])
-        assert ray_crossing_test(n, p_in, p_out, q_in, q_out) == want
+        rays = [_ray(d) for d in deg]
+        assert ray_crossing_test(n, *rays) == _interleave_reference(*rays)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +533,17 @@ def test_star_sidedness_examples():
         verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
         centre = next(sv for sv in verts if sv.vertex == (0, 0))
         assert star_sidedness_test(f, net, centre) is expected
+        rim = next(sv for sv in verts if sv.vertex != (0, 0))
+        with pytest.raises(BoundaryVertex, match="is not interior"):
+            star_sidedness_test(f, net, rim)
+        edge = min(centre.incident_singular_edges)
+        with pytest.raises(IndexOutOfDomain, match="is not incident"):
+            edge.direction_at((5, 5))
+    net = four_edge_net()
+    verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
+    centre = next(sv for sv in verts if sv.vertex == (0, 0))
+    with pytest.raises(InadmissibleVertex, match=r"\(0, 0\) has 4 singular"):
+        star_sidedness_test(integrate_net(net), net, centre)
 
 
 def test_classification_diagnostics_contract(rng):

@@ -51,6 +51,12 @@ def test_derivative_evaluators_are_validated():
             dd_alpha=lambda u: np.array([0.0, 2.0, 0.0]),
             dd_beta=lambda v: np.zeros(3),
             u_range=(-1, 1), v_range=(-1, 1))
+    parabolic = builtin_pair("parabolic")
+    with pytest.raises(ValidationError, match=r"^beta: empty parameter "
+                                              r"range \(0.5, 0.5\)$"):
+        dataclasses.replace(parabolic, v_range=(0.5, 0.5))
+    with pytest.raises(KeyError, match="unknown builtin pair 'nope'"):
+        builtin_pair("nope")
 
 
 def test_intersecting_curves_rejected():
@@ -192,6 +198,8 @@ def test_find_swallowtails_parabolic():
     assert cands[0].lam == pytest.approx(-1.0, abs=1e-6)
     others = [p for p in points if p.kind == "CuspidalEdge"]
     assert len(others) == chains[0].points.shape[0]
+    with pytest.raises(ValidationError, match="at least 3 points"):
+        find_swallowtails(pair, chains[0].points[:2])
 
 
 def test_find_swallowtails_symmetric_pair_is_nongeneric():

@@ -7,7 +7,8 @@ import pytest
 from diams import (BilinearPatch, TriangleMesh, _kernels, analyze_net,
                    bilinear_point, compatibility_residual, export_obj,
                    integrate_net, patch_for_quad, tessellate)
-from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch)
+from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch,
+                          ValidationError)
 from diams.surface_mesh import MeshPolyline
 
 from _helpers import (example_net, parabolic_net, parse_obj,
@@ -26,6 +27,8 @@ def test_bilinear_point_examples():
     assert np.array_equal(bilinear_point(p, 0, 0), p.corners[0])
     with pytest.raises(ParameterOutOfRange):
         bilinear_point(p, 1.2, 0.0)
+    with pytest.raises(ParameterOutOfRange, match="a .4, 3. array"):
+        BilinearPatch(np.zeros((3, 3)))
 
 
 def test_bilinear_corner_reproduction_and_edge_affinity(rng):
@@ -79,6 +82,19 @@ def test_compatibility_self_is_zero_and_mismatch_raises():
         compatibility_residual(p, q, ("s1", "s0"))
     with pytest.raises(ParameterOutOfRange):
         compatibility_residual(p, p, ("zz", "s0"))
+    with pytest.raises(ParameterOutOfRange, match="at least 2 edge samples"):
+        compatibility_residual(p, p, ("s0", "s0"), samples=1)
+
+
+def test_tessellate_refuses_non_finite_positions():
+    # the CLI cannot get here (integrate_net checks its positions), but a
+    # net built from positions directly can
+    f = integrate_net(example_net(1.0))
+    positions = f.positions.copy()
+    positions[1, 1, 2] = np.inf
+    with pytest.raises(ValidationError, match="^mesh positions are not "
+                                              "finite"):
+        tessellate(dataclasses.replace(f, positions=positions), 1)
 
 
 def test_compatibility_across_all_interior_edges_random(rng):
