@@ -19,8 +19,11 @@ near ties).  ``g17_text`` lays a 2-D array's rows out between byte
 pieces, ``G17_BLOCK_VALUES`` values at a time, and drops the NULs.  It is
 the one writer of float arrays: the report's Omega section, the oracle
 report's points and chains, the curve file's points and the OBJ vertex
-block go through it at every size.  ``write_blocks`` alone opens output
-files: reports, curve files and OBJ text reach disk as unjoined blocks.
+block go through it at every size.  ``int_field`` writes the "%d" text of
+an int64 array as NUL-led uint8 rows, and ``laid_out`` puts byte pieces
+side by side for both; the OBJ face block is built from the two.
+``write_blocks`` alone opens output files: reports, curve files and OBJ
+text reach disk as unjoined blocks.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
@@ -375,7 +378,6 @@ def g17_text(values, before, after, nonfinite=None):
     Each block holds whole rows and at most G17_BLOCK_VALUES values,
     unless one row holds more."""
     values = np.asarray(values, dtype=np.float64)
-    width = 24 + sum(p.shape[-1] for p in (*before, *after))
     if nonfinite is not None:
         nonfinite = np.frombuffer(nonfinite.ljust(24, b"\0"), dtype=np.uint8)
     step = max(1, G17_BLOCK_VALUES // max(1, values.shape[1]))
@@ -388,13 +390,44 @@ def g17_text(values, before, after, nonfinite=None):
         parts = [p[lo:lo + step] if p.ndim == 3 else p
                  for p in (*before, *after)]
         parts.insert(len(before), field)
-        rows = np.empty((*block.shape, width), dtype=np.uint8)
-        at = 0
-        for part in parts:
-            rows[:, :, at:at + part.shape[-1]] = part
-            at += part.shape[-1]
+        rows = laid_out(block.shape, parts)
         blocks.append(rows[rows != 0].tobytes())
     return blocks
+
+
+def laid_out(shape, parts):
+    """Pieces side by side along a new last axis: a uint8 array of shape
+    (*shape, the sum of their widths), each piece broadcast to (*shape,
+    its own width)."""
+    rows = np.empty((*shape, sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+    at = 0
+    for part in parts:
+        rows[..., at:at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return rows
+
+
+def int_field(values):
+    """The ASCII of "%d" % v for every v of an int64 array, as a uint8
+    array of shape (*values.shape, W): digits right-aligned behind NULs, a
+    minus sign just before the first digit, W the width of the widest.
+    Built one digit column at a time, G17_BLOCK_VALUES values at a time."""
+    values = np.asarray(values, dtype=np.int64)
+    x = values.ravel()
+    width = max(len(b"%d" % v) for v in (x.min(initial=0), x.max(initial=0)))
+    out = np.zeros((len(x), width), dtype=np.uint8)
+    for lo in range(0, len(x), G17_BLOCK_VALUES):
+        block = x[lo:lo + G17_BLOCK_VALUES]
+        rows = out[lo:lo + len(block)]
+        # |-2**63| wraps to itself, which reads as 2**63 unsigned
+        rest = np.abs(block).view(np.uint64)
+        for c in range(width - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            rows[:, c] = (digit + 48) * ((rest | digit) > 0)
+        rows[:, -1] |= 48                   # 0 is written as one digit
+        minus = np.flatnonzero(block < 0)
+        rows[minus, -1 - np.count_nonzero(rows[minus], axis=1)] = ord("-")
+    return out.reshape(*values.shape, width)
 
 
 def write_blocks(path, blocks):

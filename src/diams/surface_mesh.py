@@ -101,6 +101,11 @@ class MeshPolyline(NamedTuple):
     closed: bool
 
 
+# tessellate's area filter reads the sample grid in blocks of whole rows of
+# at most this many samples (or one row), whatever the mesh size
+AREA_BLOCK_SAMPLES = 1 << 14
+
+
 @dataclass(frozen=True)
 class TriangleMesh:
     vertices: np.ndarray        # (N, 3)
@@ -120,6 +125,9 @@ def tessellate(f, subdiv, singular=()):
     vertices: net vertex (u, v) is sample (subdiv*(u-u_min),
     subdiv*(v-v_min)).  A sample grid too large to allocate raises
     ValidationError with its size.
+
+    Triangles of area at most 1e-14 times the squared largest coordinate
+    are dropped; `sub_quad_areas` reads the areas off grid slices.
     """
     if (not isinstance(subdiv, (int, np.integer)) or isinstance(subdiv, bool)
             or subdiv < 1):
@@ -136,34 +144,32 @@ def tessellate(f, subdiv, singular=()):
     nq_u, nq_v = (grid.shape[0] - 1) // subdiv, (n_j - 1) // subdiv
     vertices = grid.reshape(-1, 3)
 
-    rows = subdiv * np.arange(nq_u, dtype=np.int64)[:, None] + np.arange(subdiv)
-    cols = subdiv * np.arange(nq_v, dtype=np.int64)[:, None] + np.arange(subdiv)
-    v00 = (rows[:, None, :, None] * n_j + cols[None, :, None, :]).ravel()
-    v10 = v00 + n_j
-    triangles = np.stack([v00, v10, v00 + 1, v10, v10 + 1, v00 + 1],
-                         axis=1).reshape(-1, 3)
-
     # The area filter runs on the vertices scaled by the power of two that
     # puts the largest coordinate in [0.5, 1).  The scaling is exact, so it
     # changes no decision where the unscaled arithmetic is in range, and
     # the squared cross products no longer under- or overflow at extreme
     # coordinate scales.
-    scale = float(np.abs(vertices).max())
+    scale = float(np.maximum(vertices.max(), -vertices.min()))
     if not np.isfinite(scale):
         raise ValidationError("mesh positions are not finite (the net "
                               "overflows at this coordinate scale)")
     mantissa, exponent = np.frexp(scale)
-    unit = np.ldexp(vertices, -exponent)
     area_floor = 1e-14 * mantissa * mantissa
-    p0 = unit[triangles[:, 0]]
-    normal = np.cross(unit[triangles[:, 1]] - p0, unit[triangles[:, 2]] - p0)
-    area = 0.5 * np.sqrt(np.einsum("ij,ij->i", normal, normal))
-    keep = ~(area <= area_floor)
-    triangles = triangles[keep]
-    quad = np.repeat(np.arange(nq_u * nq_v, dtype=np.int64),
-                     2 * subdiv * subdiv)[keep]
-    tags = np.stack([quad // nq_v + dom.u_min, quad % nq_v + dom.v_min],
-                    axis=1)
+    keep = np.empty((grid.shape[0] - 1, n_j - 1, 2), dtype=bool)
+    step = max(1, AREA_BLOCK_SAMPLES // n_j)
+    for lo in range(0, len(keep), step):
+        area = sub_quad_areas(np.ldexp(grid[lo:lo + step + 1], -exponent))
+        keep[lo:lo + step] = ~(area <= area_floor)
+    # triangle order: quad (qu, qv), sub-quad (si, ti), then k = 0 or 1
+    order = (nq_u, nq_v, subdiv, subdiv, 2)
+    keep = keep.reshape(nq_u, subdiv, nq_v, subdiv, 2).transpose(
+        0, 2, 1, 3, 4).ravel()
+    qu, qv, si, ti, k = np.indices(order, dtype=np.int64, sparse=True)
+    v00 = (subdiv * qu + si) * n_j + subdiv * qv + ti
+    corners = np.array([[0, n_j, 1], [n_j, n_j + 1, 1]])[k]
+    triangles = (v00[..., None] + corners).reshape(-1, 3)[keep]
+    tags = np.stack([np.broadcast_to(q, order).ravel()[keep]
+                     for q in (qu + dom.u_min, qv + dom.v_min)], axis=1)
 
     polylines = []
     for chain in singular:
@@ -181,8 +187,24 @@ def tessellate(f, subdiv, singular=()):
                         polylines=tuple(polylines))
 
 
+def sub_quad_areas(grid):
+    """(I-1, J-1, 2) areas of the triangles (v00, v10, v01), (v10, v11, v01)
+    of each sub-quad of an (I, J, 3) grid: those of the gathered corners,
+    bit for bit, with the corners read from slices of the grid."""
+    v00, v10 = grid[:-1, :-1], grid[1:, :-1]
+    v01, v11 = grid[:-1, 1:], grid[1:, 1:]
+    area = np.empty((*v00.shape[:2], 2))
+    for k, (p0, p1, p2) in enumerate(((v00, v10, v01), (v10, v11, v01))):
+        normal = np.cross(p1 - p0, p2 - p0)
+        area[:, :, k] = 0.5 * np.sqrt(np.einsum("...i,...i->...", normal,
+                                                normal))
+    return area
+
+
 _VERTEX_BEFORE = _kernels.nul_padded([b"v ", b" ", b" "])
 _VERTEX_AFTER = _kernels.nul_padded([b"", b"", b"\n"])
+_SPACE, _NEWLINE, _F, _G, _UNDERSCORE = [
+    np.frombuffer(t, np.uint8) for t in (b" ", b"\n", b"f", b"g quad_", b"_")]
 
 
 def export_obj(mesh, path):
@@ -196,23 +218,36 @@ def export_obj(mesh, path):
     it.  The text is bytes from start to finish, and no list or tuple is
     built per vertex or per face: the vertex block is `_kernels.g17_text`'s
     blocks, each coordinate after "v " or " " and the last before a
-    newline, the face block one bytes `%` format of a template over a flat
-    value tuple; `_kernels.write_blocks` writes them unjoined.
+    newline.  The face block's rows gather each vertex index's
+    `_kernels.int_field` text, written once, by `triangles`, after a
+    "g quad_u_v" head that is empty where no group opens.  A tag count or
+    an index that does not fit raises ParameterOutOfRange.
+    `_kernels.write_blocks` writes the blocks unjoined.
     """
     vertices = np.reshape(mesh.vertices, (-1, 3))
     blocks = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
+    triangles = np.asarray(mesh.triangles).reshape(-1, 3)
     tags = np.asarray(mesh.quad_tags, dtype=np.int64).reshape(-1, 2)
-    start = np.ones(len(tags), dtype=bool)
-    start[1:] = (tags[1:] != tags[:-1]).any(axis=1)
-    # rows (u, v, a, b, c), with (u, v) kept only where a group opens
-    keep = np.ones((len(tags), 5), dtype=bool)
-    keep[:, :2] = start[:, None]
-    values = np.concatenate([tags, mesh.triangles + 1], axis=1)[keep]
-    sizes = np.diff(np.append(np.flatnonzero(start), len(tags))).tolist()
-    templates = {k: b"g quad_%d_%d\n" + b"f %d %d %d\n" * k
-                 for k in set(sizes)}
-    blocks.append(b"".join([templates[k] for k in sizes])
-                  % tuple(values.tolist()))
+    if len(tags) != len(triangles) or len(triangles) and not (
+            0 <= triangles.min() and triangles.max() < len(vertices)):
+        raise ParameterOutOfRange("a mesh needs one quad tag per triangle "
+                                  "and triangles that index its vertices")
+    opens = np.ones(len(tags), dtype=bool)
+    opens[1:] = (tags[1:, 0] != tags[:-1, 0]) | (tags[1:, 1] != tags[:-1, 1])
+    index = _kernels.laid_out((len(vertices),), [
+        _SPACE, _kernels.int_field(np.arange(1, len(vertices) + 1))])
+    step = max(1, _kernels.G17_BLOCK_VALUES // 3)
+    for lo in range(0, len(tags), step):
+        heads = np.flatnonzero(opens[lo:lo + step])
+        uv = _kernels.int_field(tags[lo + heads])
+        head = _kernels.laid_out((len(heads),), [
+            _G, uv[:, 0], _UNDERSCORE, uv[:, 1], _NEWLINE])
+        face = np.take(index, triangles[lo:lo + step], axis=0)
+        rows = _kernels.laid_out((len(face),), [
+            np.zeros(head.shape[1], dtype=np.uint8), _F,
+            face.reshape(len(face), -1), _NEWLINE])
+        rows[heads, :head.shape[1]] = head
+        blocks.append(rows[rows != 0].tobytes())
     for pl in mesh.polylines:
         idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
         blocks.append(b"l " + b" ".join(b"%d" % (i + 1) for i in idx) + b"\n")

@@ -330,6 +330,31 @@ def reference_tessellate(f, subdiv):
     return np.array(corners).reshape(-1, 3, 3), tuple(tags)
 
 
+def reference_triangle_areas(grid, subdiv):
+    """Gathered per-triangle form of `tessellate`'s area filter on an
+    (I, J, 3) sample grid: triangles in `tessellate`'s order (quad by
+    quad, then sub-quads row-major, (v00, v10, v01) before (v10, v11,
+    v01)), each one's corners gathered by index, and half the norm of the
+    cross product of the edges from its first corner.  Kept as the
+    reference that the areas read from grid slices (`sub_quad_areas`)
+    must reproduce bit for bit."""
+    n_i, n_j = grid.shape[:2]
+    triangles = []
+    for qu in range((n_i - 1) // subdiv):
+        for qv in range((n_j - 1) // subdiv):
+            for si in range(subdiv):
+                for ti in range(subdiv):
+                    v00 = (subdiv * qu + si) * n_j + subdiv * qv + ti
+                    v10 = v00 + n_j
+                    triangles += [(v00, v10, v00 + 1), (v10, v10 + 1, v00 + 1)]
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    vertices = grid.reshape(-1, 3)
+    p0 = vertices[triangles[:, 0]]
+    normal = np.cross(vertices[triangles[:, 1]] - p0,
+                      vertices[triangles[:, 2]] - p0)
+    return 0.5 * np.sqrt(np.einsum("ij,ij->i", normal, normal))
+
+
 def _fmt(x):
     return "%.17g" % x
 

@@ -187,6 +187,36 @@ def test_g17_text_lays_values_out_between_pieces(block, monkeypatch):
     assert _kernels.g17_text(np.zeros((0, 3)), (cols,), ()) == []
 
 
+@pytest.mark.parametrize("block", [1, 3, _kernels.G17_BLOCK_VALUES])
+def test_int_field_matches_percent_d(block, rng, monkeypatch):
+    # every digit count up to 16 on both sides of its power of ten, the
+    # largest |tag| a mesh may carry, the int64 extremes and random signed
+    # values of every size, in blocks of one, three and the default
+    # number of values; rows are NUL-led to the widest value's width
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    edges = [0, 1, 9, 10] + [s * 10 ** k for k in range(2, 16)
+                             for s in (1, -1)]
+    edges += [10 ** k - 1 for k in range(2, 16)] + [-(10 ** 15 - 1)]
+    edges += [2 ** 52 - 1, -(2 ** 52 - 1), -2 ** 63, 2 ** 63 - 1]
+    signed = rng.integers(-2 ** 62, 2 ** 62, size=200) >> rng.integers(
+        0, 63, size=200)
+    for values in (edges, signed, signed[signed >= 0], [7], [-7]):
+        values = np.asarray(values, dtype=np.int64)
+        field = _kernels.int_field(values)
+        want = [b"%d" % v for v in values.tolist()]
+        assert field.dtype == np.uint8
+        assert field.shape == (len(values), max(map(len, want)))
+        assert [row[row != 0].tobytes() for row in field] == want
+        lead = np.logical_or.accumulate(field != 0, axis=1)
+        assert (field[lead] != 0).all()
+    # any shape in, that shape out; no values give no text
+    pairs = _kernels.int_field(np.array([[-3, 40], [500, 6]]))
+    assert pairs.shape == (2, 2, 3)
+    assert pairs[1, 0].tobytes() == b"500"
+    assert _kernels.int_field(np.zeros((0, 2), dtype=np.int64)).shape[:2] \
+        == (0, 2)
+
+
 def test_undecided_is_where_decided_sign_reads_zero(rng):
     # the one dead-zone rule, batched and scalar: undecided's mask equals
     # decided_sign == 0 entry by entry, with |d| planted exactly at

@@ -1,19 +1,21 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from diams import (BilinearPatch, TriangleMesh, _kernels, analyze_net,
-                   bilinear_point, compatibility_residual, export_obj,
-                   integrate_net, patch_for_quad, tessellate)
+from diams import (BilinearPatch, GridDomain, TriangleMesh, _kernels,
+                   analyze_net, bilinear_point, compatibility_residual,
+                   export_obj, integrate_net, patch_for_quad, surface_mesh,
+                   tessellate)
 from diams.errors import (IoFailure, ParameterOutOfRange, SharedEdgeMismatch,
                           ValidationError)
 from diams.surface_mesh import MeshPolyline
 
 from _helpers import (example_net, parabolic_net, parse_obj,
                       random_net_candidate, reference_obj_text,
-                      reference_tessellate)
+                      reference_tessellate, reference_triangle_areas)
 
 
 def unit_patch():
@@ -379,13 +381,25 @@ def test_tessellate_matches_per_triangle_reference(rng, tmp_path):
             _assert_mesh_matches_reference(f, subdiv, tmp_path, polylines)
 
 
-def test_tessellate_matches_reference_on_collapsed_corners(rng, tmp_path):
+def _area_rows(monkeypatch, rows, subdiv, nv):
+    # the area filter reads `rows` rows of the (., subdiv*(nv-1)+1) sample
+    # grid at a time (None: the default block)
+    if rows is not None:
+        monkeypatch.setattr(surface_mesh, "AREA_BLOCK_SAMPLES",
+                            rows * (subdiv * (nv - 1) + 1))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_tessellate_matches_reference_on_collapsed_corners(
+        rows, rng, tmp_path, monkeypatch):
     # a corner collapsed onto its u-neighbour turns one edge of a quad
     # into a point: the triangles along it are dropped, the others kept;
     # corners moved to within 2^-44..2^-30 of their neighbour give areas
-    # on both sides of the relative floor
+    # on both sides of the relative floor.  With the area filter read one
+    # or three rows at a time, collapsed corners fall on its block seams.
     from dataclasses import replace
     for subdiv in (1, 2, 3):
+        _area_rows(monkeypatch, rows, subdiv, 7)
         for _ in range(5):
             f = integrate_net(random_net_candidate(rng, n=7))
             pos = f.positions.copy()
@@ -400,11 +414,14 @@ def test_tessellate_matches_reference_on_collapsed_corners(rng, tmp_path):
             assert any(0 < n < 2 * subdiv * subdiv for n in per_quad)
 
 
+@pytest.mark.parametrize("rows", [1, 3, None])
 @pytest.mark.parametrize("k", [-250, -140, 0, 150, 300])
-def test_tessellate_is_scale_free(k):
+def test_tessellate_is_scale_free(k, rows, monkeypatch):
     # scaling both curves by 2^k scales the integrated net by 2^(2k)
-    # exactly; the degenerate-triangle filter must not notice
+    # exactly; the degenerate-triangle filter must not notice, whatever
+    # its row block
     from diams import ConormalNet, PolyCurve
+    _area_rows(monkeypatch, rows, 2, 11)
     net, _ = parabolic_net(0.2)
     base = tessellate(integrate_net(net), 2)
     s = 2.0 ** k
@@ -415,3 +432,99 @@ def test_tessellate_is_scale_free(k):
     assert np.array_equal(mesh.triangles, base.triangles)
     assert np.array_equal(mesh.quad_tags, base.quad_tags)
     assert np.array_equal(mesh.vertices, base.vertices * 2.0 ** (2 * k))
+
+
+@pytest.mark.parametrize("k", [-250, -120, 0, 160, 300])
+def test_sub_quad_areas_equal_the_gathered_formula_bitwise(k, rng):
+    # areas read from slices of the scaled sample grid, whole or in row
+    # blocks of one and three rows, are the gathered per-triangle areas bit
+    # for bit, on random nets at 2^k
+    for subdiv in (1, 2, 3):
+        nu, nv = rng.integers(2, 8, size=2)
+        positions = rng.normal(size=(nu, nv, 3)) * 2.0 ** k
+        grid = _kernels.bilinear_sample(positions, subdiv)
+        exponent = np.frexp(np.abs(grid).max())[1]
+        unit = np.ldexp(grid, -exponent)
+        want = reference_triangle_areas(unit, subdiv)
+        n_i = len(unit) - 1
+        for step in (1, 3, n_i):
+            area = np.concatenate([
+                surface_mesh.sub_quad_areas(unit[lo:lo + step + 1])
+                for lo in range(0, n_i, step)])
+            got = area.reshape(nu - 1, subdiv, nv - 1, subdiv, 2).transpose(
+                0, 2, 1, 3, 4).ravel()
+            assert got.tobytes() == want.tobytes()
+
+
+def _counted_mesh(rng, n, m, opens, tag):
+    # n vertices, m random faces touching the first and the last vertex,
+    # and a group opening at each face in opens with tag(g) for group g
+    triangles = rng.integers(0, n, size=(m, 3))
+    triangles[0] = [0, n - 1, n // 2]
+    group = np.zeros(m, dtype=np.int64)
+    group[sorted(set(opens))[1:]] = 1
+    tags = np.array([tag(g) for g in np.cumsum(group).tolist()],
+                    dtype=np.int64).reshape(-1, 2)
+    return TriangleMesh(rng.standard_normal((n, 3)), triangles, tags, ())
+
+
+@pytest.mark.parametrize("block", [1, 3, _kernels.G17_BLOCK_VALUES])
+def test_export_obj_face_block_matches_reference_at_any_size(
+        block, rng, tmp_path, monkeypatch):
+    # index widths across 9 -> 10, 9,999 -> 10,000 and 99,999 -> 100,000
+    # vertices, tags near +-2^52 next to small ones, and groups that open
+    # on the seams of the face blocks, in blocks where none opens and in
+    # blocks of one face
+    monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
+    step = max(1, block // 3)
+    opens = [0, 1, step - 1, step, 2 * step + 1]
+    big = 2 ** 52 - 1
+    path = tmp_path / "faces.obj"
+    counts = (9, 10, 9999, 10000) + ((99999, 100000) if block > 3 else ())
+    for n in counts:
+        mesh = _counted_mesh(rng, n, 2 * step + 4, opens, lambda g: (
+            (big - g, -big + g) if g % 2 else (g - 1, 3 - g)))
+        export_obj(mesh, path)
+        assert path.read_bytes() == reference_obj_text(mesh).encode("ascii")
+
+
+def test_export_obj_refuses_faces_it_cannot_write(tmp_path):
+    # a face index that is no vertex (negative ones included) and a tag
+    # count that differs from the face count are named errors
+    for triangles, tags in (([[0, 1, 4]], [[0, 0]]), ([[0, -1, 2]], [[0, 0]]),
+                            ([[0, 1, 2]], [[0, 0], [0, 1]])):
+        with pytest.raises(ParameterOutOfRange, match="one quad tag per "
+                                                      "triangle"):
+            export_obj(_hand_mesh(triangles, tags), tmp_path / "bad.obj")
+
+
+def test_writers_hold_no_per_face_objects_or_gathers(rng, tmp_path):
+    # tracemalloc peaks of a 201 x 201 mesh and of one twice its size:
+    # export_obj's peak less the OBJ bytes it holds stays under 2 MB and
+    # grows by less than a tenth of the extra text (a tuple of Python ints
+    # per face took 15 MB and grew by 3.4 times the extra text), and
+    # tessellate's peak less its output stays under 64 bytes per triangle
+    # (gathering the (M, 3) corners took 156)
+    f = _one_quad_net()
+    rest, sizes = [], []
+    for nv in (201, 401):
+        g = dataclasses.replace(f, domain=GridDomain(0, 200, 0, nv - 1),
+                                positions=rng.normal(size=(201, nv, 3)))
+        path = tmp_path / "big.obj"
+        tracemalloc.start()
+        try:
+            mesh = tessellate(g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            export_obj(mesh, path)
+            obj_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        out = sum(a.nbytes for a in (mesh.vertices, mesh.triangles,
+                                     mesh.quad_tags))
+        assert peak - out < 64 * len(mesh.triangles)
+        sizes.append(path.stat().st_size)
+        rest.append(obj_peak - sizes[-1])
+    assert rest[0] < 2e6
+    assert rest[1] - rest[0] < 0.1 * (sizes[1] - sizes[0])
