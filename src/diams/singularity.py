@@ -7,7 +7,7 @@ The per-quad metric
 changes sign across singular edges.  ``SingularSet`` holds the edges
 that Omega's sign flips make singular as one graph: each vertex's links
 to its neighbours.  An admissible interior vertex has exactly two, so
-the graph's chains are the polylines, walked by
+the graph's chains are the polylines, walked and oriented by
 ``net_core.walk_chains``, which joins the smooth oracle's chains too.
 Every test on projected directions (quadrant membership, polyline
 crossing, star sidedness) is implemented through the single predicate
@@ -313,12 +313,18 @@ class SingularSet:
 
     The edges are two boolean grids on the domain's (nu, nv) vertices:
     grids[0][i, j] marks the u-edge from vertex (i, j) to (i+1, j),
-    grids[1][i, j] the v-edge from (i, j) to (i, j+1).  edges holds their
-    keys in key order, and links maps each endpoint vertex, in vertex
-    order, to its (neighbour, EdgeIndex) pairs in edge-key order: u-, u+,
-    v-, v+.  Read from the links, per vertex in vertex order: vertices
-    (keys), degree, interior, flagged (interior with other than two
-    edges).
+    grids[1][i, j] the v-edge from (i, j) to (i, j+1); only interior edges
+    are ever set.  edges holds their keys in key order, and links maps
+    each endpoint vertex, in vertex order, to its (neighbour, EdgeIndex)
+    pairs in reverse edge-key order: v+, v-, u+, u-.  Read from the
+    links, per vertex in vertex order: vertices (keys), degree, interior,
+    flagged (interior with other than two edges).
+
+    That order orients the polylines: `walk_chains` starts each open
+    chain at its smaller end and each loop at its least vertex (u, v),
+    whose neighbours are (u, v+1) and (u+1, v), over its first link, v+.
+    It holds while no vertex has three links: polylines refuses interior
+    vertices with more than two, and boundary vertices have one at most.
     """
 
     def __init__(self, grids, domain):
@@ -334,7 +340,7 @@ class SingularSet:
                                 zip((u + 1 - a).tolist(), (v + a).tolist())):
             links[lo].append((hi, edge))
             links[hi].append((lo, edge))
-        self.links = {vert: links[vert] for vert in sorted(links)}
+        self.links = {vert: links[vert][::-1] for vert in sorted(links)}
         self.vertices = list(self.links)
         self.degree = list(map(len, self.links.values()))
         self.interior = [domain.is_interior_vertex(*vert)
@@ -360,9 +366,9 @@ class SingularSet:
 
     @classmethod
     def from_edges(cls, edges, domain):
-        """The set of the SingularEdge records `edges`.  Each must key a
-        u- or v-edge by integer coordinates and join two domain vertices;
-        IndexOutOfDomain names the first record that does not."""
+        """The set of the SingularEdge records `edges`, each an interior
+        u- or v-edge with integer keys (a boundary edge borders one quad,
+        so it is never singular); IndexOutOfDomain names any other."""
         nu, nv = domain.nu, domain.nv
         grids = np.zeros((2, nu, nv), dtype=bool)
         for se in edges:
@@ -372,8 +378,9 @@ class SingularSet:
                 raise IndexOutOfDomain(f"edge {se.edge} is not a grid edge")
             a = _AXES.index(axis)
             i, j = u - domain.u_min, v - domain.v_min
-            if not (0 <= i < nu - 1 + a and 0 <= j < nv - a):
-                raise IndexOutOfDomain(f"edge {se.edge} leaves the domain")
+            if not (a <= i < nu - 1 and 1 - a <= j < nv - 1):
+                raise IndexOutOfDomain(
+                    f"edge {se.edge} is not an interior edge of the domain")
             grids[a, i, j] = True
         return cls(grids, domain)
 
@@ -398,19 +405,17 @@ class SingularSet:
 
     def polylines(self):
         """The edges partitioned into maximal chains by `walk_chains` over
-        the links, each oriented by _canonical_open or _canonical_loop,
-        sorted by their vertices.  Raises InadmissibleVertex at an interior
+        the links, in the walker's orientation (see the class docstring),
+        sorted by first vertex.  Raises InadmissibleVertex at an interior
         vertex with other than two singular edges."""
         bad = self.inadmissible()
         if bad:
             vert, degree = bad[0]
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {degree} singular edges")
-        chains = sorted(((_canonical_loop if closed else _canonical_open)(
-            verts, edges) + (closed,) for verts, edges, closed
-            in walk_chains(self.links)), key=lambda c: c[0])
-        return [SingularPolyline(tuple(verts), tuple(edges), closed)
-                for verts, edges, closed in chains]
+        return sorted((SingularPolyline(tuple(verts), tuple(edges), closed)
+                       for verts, edges, closed in walk_chains(self.links)),
+                      key=lambda pl: pl.vertices[0])
 
 
 def singular_vertices(edges, domain):
@@ -864,26 +869,6 @@ class SingularPolyline:
     vertices: tuple
     edges: tuple
     closed: bool
-
-
-def _canonical_open(verts, edges):
-    """An open chain's orientation: from its smaller end vertex."""
-    if verts[0] > verts[-1]:
-        return verts[::-1], edges[::-1]
-    return verts, edges
-
-
-def _canonical_loop(verts, edges):
-    """A loop's orientation: verts has the start repeated at the end;
-    rotate so the minimum vertex leads and the smaller neighbour follows."""
-    cyc_v = verts[:-1]
-    k = cyc_v.index(min(cyc_v))
-    cyc_v = cyc_v[k:] + cyc_v[:k]
-    cyc_e = edges[k:] + edges[:k]
-    if len(cyc_v) > 2 and cyc_v[-1] < cyc_v[1]:
-        cyc_v = [cyc_v[0]] + cyc_v[1:][::-1]
-        cyc_e = cyc_e[::-1]
-    return cyc_v + [cyc_v[0]], cyc_e
 
 
 def extract_polylines(vertices, edges, domain):

@@ -23,6 +23,7 @@ The builtins return tuples: a call's cost is building its result, and
 an array costs far more than the scalar math.
 """
 
+import functools
 import math
 import operator
 from collections import defaultdict
@@ -97,49 +98,47 @@ class SmoothCurvePair:
                              f"{self.u_range} x {self.v_range}")
 
 
+_BUILTINS = {   # builtin_pair's closed-form curve pairs
+    "flat": dict(                   # Omega = 1: no singular set
+        alpha=lambda u: (u, 0.0, 1.0),
+        beta=lambda v: (0.0, v, 0.0),
+        d_alpha=lambda u: (1.0, 0.0, 0.0),
+        d_beta=lambda v: (0.0, 1.0, 0.0),
+        dd_alpha=lambda u: (0.0, 0.0, 0.0),
+        dd_beta=lambda v: (0.0, 0.0, 0.0),
+        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0)),
+    # Omega = 3 v^2 - 2 v - 2 u, zero on u = -v + 1.5 v^2: one tangency, at 0
+    "parabolic": dict(
+        alpha=lambda u: (u, u * u, 1.0),
+        beta=lambda v: (v, -v * v + v ** 3, 0.0),
+        d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
+        d_beta=lambda v: (1.0, -2.0 * v + 3.0 * v * v, 0.0),
+        dd_alpha=lambda u: (0.0, 2.0, 0.0),
+        dd_beta=lambda v: (0.0, -2.0 + 6.0 * v, 0.0),
+        u_range=(-1.0, 1.0), v_range=(-1.0, 1.0)),
+    # Omega = -2 (u + v), lambda = dv/du all along the chain; the offset v
+    # range keeps the zero line off the corners of uniform trace grids
+    "symmetric": dict(
+        alpha=lambda u: (u, u * u, 1.0),
+        beta=lambda v: (v, -v * v, 0.0),
+        d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
+        d_beta=lambda v: (1.0, -2.0 * v, 0.0),
+        dd_alpha=lambda u: (0.0, 2.0, 0.0),
+        dd_beta=lambda v: (0.0, -2.0, 0.0),
+        u_range=(-1.0, 1.0), v_range=(-0.97, 1.03)),
+}
+
+BUILTIN_PAIRS = tuple(_BUILTINS)
+
+
+@functools.cache
 def builtin_pair(name):
-    """Catalog of closed-form curve pairs used by tests and the CLI.
-
-    flat       Omega is identically 1 (no singular set).
-    parabolic  Omega = 3 v^2 - 2 v - 2 u; singular curve u = -v + 1.5 v^2
-               with a single tangency point at the origin.
-    symmetric  Omega = -2 (u + v); lambda equals dv/du identically, so the
-               tangency indicator vanishes along the whole chain.
-    """
-    if name == "flat":
-        return SmoothCurvePair(
-            alpha=lambda u: (u, 0.0, 1.0),
-            beta=lambda v: (0.0, v, 0.0),
-            d_alpha=lambda u: (1.0, 0.0, 0.0),
-            d_beta=lambda v: (0.0, 1.0, 0.0),
-            dd_alpha=lambda u: (0.0, 0.0, 0.0),
-            dd_beta=lambda v: (0.0, 0.0, 0.0),
-            u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="flat")
-    if name == "parabolic":
-        return SmoothCurvePair(
-            alpha=lambda u: (u, u * u, 1.0),
-            beta=lambda v: (v, -v * v + v ** 3, 0.0),
-            d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
-            d_beta=lambda v: (1.0, -2.0 * v + 3.0 * v * v, 0.0),
-            dd_alpha=lambda u: (0.0, 2.0, 0.0),
-            dd_beta=lambda v: (0.0, -2.0 + 6.0 * v, 0.0),
-            u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), name="parabolic")
-    if name == "symmetric":
-        # the v range is offset so the zero line u + v = 0 misses the
-        # corners of uniform trace grids
-        return SmoothCurvePair(
-            alpha=lambda u: (u, u * u, 1.0),
-            beta=lambda v: (v, -v * v, 0.0),
-            d_alpha=lambda u: (1.0, 2.0 * u, 0.0),
-            d_beta=lambda v: (1.0, -2.0 * v, 0.0),
-            dd_alpha=lambda u: (0.0, 2.0, 0.0),
-            dd_beta=lambda v: (0.0, -2.0, 0.0),
-            u_range=(-1.0, 1.0), v_range=(-0.97, 1.03), name="symmetric")
-    raise KeyError(f"unknown builtin pair {name!r}; "
-                   "choose from flat, parabolic, symmetric")
-
-
-BUILTIN_PAIRS = ("flat", "parabolic", "symmetric")
+    """The closed-form curve pair `name` for tests and the CLI, built and
+    checked once (the pairs are frozen)."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin pair {name!r}; "
+                       f"choose from {', '.join(BUILTIN_PAIRS)}")
+    return SmoothCurvePair(**_BUILTINS[name], name=name)
 
 
 def _rows(curve, ts):
@@ -202,7 +201,7 @@ def omega_smooth_grid(pair, us, vs):
 
 class SmoothChain(NamedTuple):
     points: np.ndarray     # (k, 2) parameter-domain points
-    closed: bool
+    closed: bool           # if so, the last point repeats the first one
 
 
 def _omega_moving(pair, moving_u, t, fixed, fixed_d):
@@ -425,12 +424,13 @@ class SmoothSingularPoint:
     kind: str               # "CuspidalEdge" or "SwallowtailCandidate"
 
 
-def _chain_tangents(points):
-    """Centered-difference tangents along a chain, one-sided at the ends."""
-    t = np.empty_like(points)
-    t[1:-1] = 0.5 * (points[2:] - points[:-2])
-    t[0] = points[1] - points[0]
-    t[-1] = points[-1] - points[-2]
+def _chain_tangents(points, closed=False):
+    """Centered-difference tangents along a chain: across the seam of a
+    closed one (each point given once), one-sided at an open one's ends."""
+    t = 0.5 * (np.roll(points, -1, 0) - np.roll(points, 1, 0))
+    if not closed:
+        t[0] = points[1] - points[0]
+        t[-1] = points[-1] - points[-2]
     return t
 
 
@@ -444,13 +444,18 @@ def find_swallowtails(pair, chain):
     identically (tangency everywhere) raise NonGenericChain.  lambda is
     computed for all chain points in one batch, then for all
     interpolated candidates in a second.
+
+    A closed SmoothChain is a loop: its seam point is read once, with a
+    centred tangent, and H is compared from the last point to the first
+    as well, so no record depends on where the seam lies.
     """
+    closed = isinstance(chain, SmoothChain) and chain.closed
     points = np.asarray(chain.points if isinstance(chain, SmoothChain)
-                        else chain, dtype=float)
+                        else chain, dtype=float)[:-1 if closed else None]
     if points.shape[0] < 3:
         raise ValidationError("chain needs at least 3 points")
     lams = _kernel_ratio(pair, points)[0]
-    tang = _chain_tangents(points)
+    tang = _chain_tangents(points, closed)
     hh = lams * tang[:, 0] - tang[:, 1]
     hscale = float(np.max(np.abs(lams * tang[:, 0]) + np.abs(tang[:, 1])))
     zero_tol = 1e-9 * max(hscale, 1e-300)
@@ -458,10 +463,13 @@ def find_swallowtails(pair, chain):
         raise NonGenericChain(
             "lambda matches the chain slope along the whole chain")
 
-    # consecutive entries of H outside the zero band that differ in sign
+    # consecutive entries of H outside the zero band that differ in sign,
+    # on a loop the last one and the first as well
     live = np.flatnonzero(~(np.abs(hh) <= zero_tol))
-    flip = (hh[live[1:]] > 0) != (hh[live[:-1]] > 0)
-    i0, i1 = live[:-1][flip], live[1:][flip]
+    after = np.roll(live, -1) if closed else live[1:]
+    before = live[:len(after)]
+    flip = (hh[after] > 0) != (hh[before] > 0)
+    i0, i1 = before[flip], after[flip]
     s = (hh[i0] / (hh[i0] - hh[i1]))[:, None]
     loc = points[i0] + s * (points[i1] - points[i0])
     loc_tang = tang[i0] + s * (tang[i1] - tang[i0])

@@ -220,9 +220,11 @@ def export_obj(mesh, path):
     blocks, each coordinate after "v " or " " and the last before a
     newline.  The face block's rows gather each vertex index's
     `_kernels.int_field` text, written once, by `triangles`, after a
-    "g quad_u_v" head that is empty where no group opens.  A tag count or
-    an index that does not fit raises ParameterOutOfRange.
-    `_kernels.write_blocks` writes the blocks unjoined.
+    "g quad_u_v" head that is empty where no group opens; an "l" record
+    gathers them by its indices.  A tag count or an index that does not
+    fit, or a polyline of fewer than two indices, raises
+    ParameterOutOfRange.  `_kernels.write_blocks` writes the blocks
+    unjoined.
     """
     vertices = np.reshape(mesh.vertices, (-1, 3))
     blocks = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
@@ -249,7 +251,11 @@ def export_obj(mesh, path):
         rows[heads, :head.shape[1]] = head
         blocks.append(rows[rows != 0].tobytes())
     for pl in mesh.polylines:
-        idx = list(pl.indices) + ([pl.indices[0]] if pl.closed else [])
-        blocks.append(b"l " + b" ".join(b"%d" % (i + 1) for i in idx) + b"\n")
+        idx = [int(i) for i in pl.indices]
+        if len(idx) < 2 or not all(0 <= i < len(vertices) for i in idx):
+            raise ParameterOutOfRange(f"polyline {pl.indices} needs two or "
+                                      "more of the mesh's vertex indices")
+        text = index[idx + (idx[:1] if pl.closed else [])].ravel()
+        blocks += [b"l", text[text != 0].tobytes(), b"\n"]
     # the text ends with a newline, that of an empty mesh included
     _kernels.write_blocks(path, blocks if any(blocks) else [b"\n"])

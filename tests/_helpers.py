@@ -534,13 +534,21 @@ def reference_lambda(pair, point):
 def reference_find_swallowtails(pair, chain):
     """Per-point form of `find_swallowtails`: one `reference_lambda` per
     chain point and per candidate, brackets found by walking H point by
-    point."""
+    point.  A closed SmoothChain is a loop: the seam point once, each
+    tangent centred on the point's cyclic neighbours, and the walk goes
+    on from the last point to the first."""
+    closed = isinstance(chain, SmoothChain) and chain.closed
     points = np.asarray(chain.points if isinstance(chain, SmoothChain)
                         else chain, dtype=float)
+    if closed:
+        points = points[:-1]
     if points.shape[0] < 3:
         raise ValidationError("chain needs at least 3 points")
     lams = np.array([reference_lambda(pair, p).value for p in points])
-    tang = _chain_tangents(points)
+    k = len(points)
+    tang = (np.array([0.5 * (points[(i + 1) % k] - points[i - 1])
+                      for i in range(k)]) if closed
+            else _chain_tangents(points))
     hh = lams * tang[:, 0] - tang[:, 1]
     hscale = float(np.max(np.abs(lams * tang[:, 0]) + np.abs(tang[:, 1])))
     zero_tol = 1e-9 * max(hscale, 1e-300)
@@ -556,19 +564,27 @@ def reference_find_swallowtails(pair, chain):
     out = [SmoothSingularPoint(float(p[0]), float(p[1]), float(lam),
                                dvdu(t), "CuspidalEdge")
            for p, lam, t in zip(points, lams, tang)]
-    prev_idx = None
-    for i in range(points.shape[0]):
-        if abs(hh[i]) <= zero_tol:
-            continue
-        if prev_idx is not None and (hh[i] > 0) != (hh[prev_idx] > 0):
-            s = hh[prev_idx] / (hh[prev_idx] - hh[i])
-            loc = points[prev_idx] + s * (points[i] - points[prev_idx])
-            t = tang[prev_idx] + s * (tang[i] - tang[prev_idx])
+    def bracket(i0, i1):
+        if (hh[i1] > 0) != (hh[i0] > 0):
+            s = hh[i0] / (hh[i0] - hh[i1])
+            loc = points[i0] + s * (points[i1] - points[i0])
+            t = tang[i0] + s * (tang[i1] - tang[i0])
             lam = reference_lambda(pair, loc).value
             out.append(SmoothSingularPoint(float(loc[0]), float(loc[1]),
                                            float(lam), dvdu(t),
                                            "SwallowtailCandidate"))
+
+    first = prev_idx = None
+    for i in range(points.shape[0]):
+        if abs(hh[i]) <= zero_tol:
+            continue
+        if prev_idx is None:
+            first = i
+        else:
+            bracket(prev_idx, i)
         prev_idx = i
+    if closed:
+        bracket(prev_idx, first)
     out.sort(key=lambda p: (p.u, p.v))
     return out
 

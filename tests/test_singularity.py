@@ -2,6 +2,7 @@ import itertools
 import re
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from diams.errors import (BoundaryVertex, DegenerateMetric,
                           DegenerateOrientation, DiamsError,
                           InadmissibleVertex, IndexOutOfDomain,
                           ValidationError)
+from diams.net_core import GridDomain
 from diams.singularity import (MetricField, SingularEdge, SingularSet,
                                SingularVertex, halfplane_grid, triple_product)
 
@@ -719,28 +721,38 @@ def test_singular_set_matches_per_edge_reference(rng):
     assert analyze_net(_plain_net()).edges == []
 
 
+def _boundary_edges(dom):
+    """Every boundary edge of dom: the u-edges at v_min and v_max, then
+    the v-edges at u_min and u_max."""
+    edges = [EdgeIndex("u", u, v) for u in range(dom.u_min, dom.u_max)
+             for v in (dom.v_min, dom.v_max)]
+    return edges + [EdgeIndex("v", u, v) for u in (dom.u_min, dom.u_max)
+                    for v in range(dom.v_min, dom.v_max)]
+
+
 def test_singular_set_walks_edge_sets_like_the_reference(rng):
     # edge records the pass does not make from Omega: random sign grids'
-    # flips plus boundary edges, so boundary vertices reach degree 2 and
-    # 3, and random edge subsets
+    # flips and random subsets of them; one boundary edge added to a set
+    # is refused by name
     dom = parabolic_net(0.5)[0].domain
-    boundary = [EdgeIndex("u", u, v) for u in range(dom.u_min, dom.u_max)
-                for v in (dom.v_min, dom.v_max)]
-    boundary += [EdgeIndex("v", u, v) for u in (dom.u_min, dom.u_max)
-                 for v in range(dom.v_min, dom.v_max)]
+    boundary = _boundary_edges(dom)
     walked = 0
     for trial in range(300):
         signs = rng.choice([-1.0, 1.0], size=(dom.nu - 1, dom.nv - 1))
         edges = reference_singular_edges(MetricField(dom, signs))
         if trial % 3 == 0:
             edges = {se for se in edges if rng.random() < 0.5}
-        edges |= {SingularEdge(k, (-1.0, 1.0)) for k in boundary
-                  if rng.random() < 0.3}
         ref_verts = reference_singular_vertices(edges, dom)
         assert singular_vertices(edges, dom) == ref_verts
         ref = _outcome(reference_extract_polylines, [], edges, dom)
         assert _outcome(extract_polylines, [], edges, dom) == ref
         walked += ref is not InadmissibleVertex
+        edge = boundary[int(rng.integers(len(boundary)))]
+        edges |= {SingularEdge(edge, (-1.0, 1.0))}
+        for fn in (singular_vertices, partial(extract_polylines, [])):
+            with pytest.raises(IndexOutOfDomain,
+                               match=re.escape(f"edge {edge} is not an")):
+                fn(edges, dom)
     assert walked > 50
     # a record off the domain, of another axis or with a non-integer
     # coordinate is named, not read as another edge
@@ -751,6 +763,80 @@ def test_singular_set_walks_edge_sets_like_the_reference(rng):
                         (EdgeIndex("u", -1, 0.9), small)):
         with pytest.raises(IndexOutOfDomain, match=re.escape(str(edge))):
             singular_vertices({SingularEdge(edge, (-1.0, 1.0))}, where)
+
+
+def test_from_edges_refuses_boundary_records_by_name():
+    # a u-edge at v_min or v_max and a v-edge at u_min or u_max border one
+    # quad; the interior edges beside them, which end on the boundary, are
+    # read
+    dom = GridDomain(-2, 3, 4, 8)
+    boundary = {"u at v_min": EdgeIndex("u", 0, 4),
+                "u at v_max": EdgeIndex("u", 2, 8),
+                "v at u_min": EdgeIndex("v", -2, 6),
+                "v at u_max": EdgeIndex("v", 3, 7)}
+    assert set(boundary.values()) <= set(_boundary_edges(dom))
+    for edge in boundary.values():
+        records = [SingularEdge(EdgeIndex("u", 0, 5), (-1.0, 1.0)),
+                   SingularEdge(edge, (-1.0, 1.0))]
+        for fn in (SingularSet.from_edges, singular_vertices,
+                   partial(extract_polylines, [])):
+            with pytest.raises(IndexOutOfDomain,
+                               match=re.escape(f"edge {edge} is not an "
+                                               "interior edge")):
+                fn(records, dom)
+    inner = [EdgeIndex("u", -2, 5), EdgeIndex("u", 2, 7),
+             EdgeIndex("v", -1, 4), EdgeIndex("v", 2, 7)]
+    sset = SingularSet.from_edges(
+        [SingularEdge(e, (-1.0, 1.0)) for e in inner], dom)
+    assert sset.edges == sorted(inner)
+    assert [pl.vertices for pl in sset.polylines()] == [
+        ((-2, 5), (-1, 5), (-1, 4)), ((2, 8), (2, 7), (3, 7))]
+
+
+def _smooth_metric(rng):
+    """Omega on a random domain (8 to 70 vertices a side, offset) from a
+    few low plane waves and Gaussian bumps: its sign changes make long
+    open chains and islands, the loops."""
+    nu, nv = rng.integers(8, 71, size=2)
+    u0, v0 = rng.integers(-30, 31, size=2).tolist()
+    dom = GridDomain(u0, u0 + int(nu) - 1, v0, v0 + int(nv) - 1)
+    x = np.arange(nu - 1)[:, None] + 0.5
+    y = np.arange(nv - 1)[None, :] + 0.5
+    w = np.full((nu - 1, nv - 1), rng.normal(0.0, 0.3))
+    for _ in range(4):
+        k = rng.uniform(0.05, 0.4, size=2) * rng.choice([-1.0, 1.0], size=2)
+        w += rng.normal() * np.cos(k[0] * x + k[1] * y + rng.uniform(0, 7))
+    for _ in range(3):
+        cu, cv, r = rng.uniform(0, nu), rng.uniform(0, nv), rng.uniform(2, 8)
+        w += rng.normal(0.0, 3.0) * np.exp(
+            -((x - cu) ** 2 + (y - cv) ** 2) / r ** 2)
+    return MetricField(dom, w)
+
+
+def test_polylines_of_smooth_sign_fields_match_the_reference():
+    # the walker's order is the reference's reoriented one: each open
+    # chain from its smaller end, each loop from its least vertex towards
+    # (u, v+1); the +-1 grids above walk only a few loops
+    rng = np.random.default_rng(11)
+    sets = loops = 0
+    for _ in range(600):
+        metric = _smooth_metric(rng)
+        sset = SingularSet.from_omega(metric)
+        if any(sset.flagged):
+            continue
+        sets += 1
+        edges = sset.singular_edges(metric.values)
+        ref = reference_extract_polylines([], edges, metric.domain)
+        assert sset.polylines() == ref
+        assert extract_polylines([], edges, metric.domain) == ref
+        for pl in ref:
+            if pl.closed:
+                (u, v), second = pl.vertices[:2]
+                assert (u, v) == min(pl.vertices) and second == (u, v + 1)
+            else:
+                assert pl.vertices[0] < pl.vertices[-1]
+        loops += sum(pl.closed for pl in ref)
+    assert sets >= 500 and loops >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from diams import (builtin_pair, check_regularity, curvature_gap,
 from diams.errors import (DegenerateDirection, DiamsError, NonGenericCell,
                           NonGenericChain, OutOfRange, ValidationError)
 from diams.io_cli import report_from_oracle, run_cli, write_report
-from diams.smooth_oracle import (BUILTIN_PAIRS, SmoothCurvePair, _kernel_ratio,
-                                 _row_dot)
+from diams.smooth_oracle import (BUILTIN_PAIRS, SmoothChain, SmoothCurvePair,
+                                 _kernel_ratio, _row_dot)
 
 from _helpers import (densify, one_sided_hausdorff, reference_builtin_pair,
                       reference_find_swallowtails, reference_lambda,
@@ -57,6 +57,18 @@ def test_derivative_evaluators_are_validated():
         dataclasses.replace(parabolic, v_range=(0.5, 0.5))
     with pytest.raises(KeyError, match="unknown builtin pair 'nope'"):
         builtin_pair("nope")
+
+
+def test_builtin_pairs_are_built_once():
+    # one table names the pairs; each is built and checked once, and an
+    # unknown name lists the table's names
+    assert BUILTIN_PAIRS == ("flat", "parabolic", "symmetric")
+    for name in BUILTIN_PAIRS:
+        pair = builtin_pair(name)
+        assert pair.name == name and builtin_pair(name) is pair
+    with pytest.raises(KeyError, match="; choose from flat, parabolic, "
+                                       "symmetric"):
+        builtin_pair("Flat")
 
 
 def test_intersecting_curves_rejected():
@@ -682,6 +694,33 @@ def test_find_swallowtails_infinite_slopes_match_reference():
     got = find_swallowtails(pair, chain)
     _assert_same_points(got, reference_find_swallowtails(pair, chain))
     assert got[0].dvdu == -np.inf
+
+
+def test_find_swallowtails_reads_a_loop_as_a_loop():
+    # the seam point once, its tangent centred across the seam, and H
+    # compared from the last point to the first: moving the seam to any
+    # point leaves the records unchanged, bit for bit
+    pair = circle_pair()
+    for n in (33, 101, 401):
+        chain, = trace_singular_curve(pair, n, 1e-10)
+        loop = chain.points[:-1]
+        assert chain.closed and np.array_equal(chain.points[-1], loop[0])
+        got = find_swallowtails(pair, chain)
+        _assert_same_points(got, reference_find_swallowtails(pair, chain))
+        kinds = Counter(p.kind for p in got)
+        assert kinds == {"CuspidalEdge": len(loop), "SwallowtailCandidate": 6}
+        seam, = [p for p in got if p.kind == "CuspidalEdge"
+                 and (p.u, p.v) == tuple(loop[0])]
+        du, dv = 0.5 * (loop[1] - loop[-1])
+        assert seam.dvdu == dv / du
+        shifts = range(1, len(loop)) if n == 33 else (1, n // 3, len(loop) - 1)
+        for k in shifts:
+            moved = np.roll(loop, -k, axis=0)
+            _assert_same_points(find_swallowtails(pair, SmoothChain(
+                np.vstack([moved, moved[:1]]), True)), got)
+    # an open chain or a bare array of the same points keeps the open path
+    assert len(find_swallowtails(pair, SmoothChain(chain.points, False))) \
+        == len(find_swallowtails(pair, chain.points)) == len(loop) + 1 + 6
 
 
 def test_curvature_gap_evaluates_each_curve_once():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 
@@ -496,6 +497,25 @@ def test_export_obj_refuses_faces_it_cannot_write(tmp_path):
         with pytest.raises(ParameterOutOfRange, match="one quad tag per "
                                                       "triangle"):
             export_obj(_hand_mesh(triangles, tags), tmp_path / "bad.obj")
+    # so is a polyline index that is no vertex or a polyline of fewer than
+    # two indices; nothing is written
+    triangles, tags = [[0, 1, 3]], [[0, 0]]
+    for indices, closed in (((0, 10 ** 9, -5), False), ((0, 4), False),
+                            ((2, -1, 3), True), ((3,), True), ((), False)):
+        path = tmp_path / "bad.obj"
+        mesh = _hand_mesh(triangles, tags, [MeshPolyline((0, 3), False),
+                                            MeshPolyline(indices, closed)])
+        with pytest.raises(ParameterOutOfRange,
+                           match=re.escape(f"polyline {indices} needs")):
+            export_obj(mesh, path)
+        assert not path.exists()
+    # the last vertex and a two-index loop are written as the reference
+    mesh = _hand_mesh(triangles, tags, [MeshPolyline((3, 0), True),
+                                        MeshPolyline((3, 2, 3), False)])
+    export_obj(mesh, tmp_path / "edge.obj")
+    text = (tmp_path / "edge.obj").read_bytes()
+    assert text == reference_obj_text(mesh).encode("ascii")
+    assert text.endswith(b"l 4 1 4\nl 4 3 4\n")
 
 
 def test_writers_hold_no_per_face_objects_or_gathers(rng, tmp_path):
