@@ -1,4 +1,4 @@
-"""Hot numeric kernels, written as whole-array numpy expressions.
+"""Hot numeric kernels, written as numpy array expressions.
 
 Every discrete decision of the pipeline is the sign of one determinant,
 [n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
@@ -25,12 +25,22 @@ side by side for both; the OBJ face block is built from the two.
 ``write_blocks`` alone opens output files: reports, curve files and OBJ
 text reach disk as unjoined blocks.
 
+The grid kernels, and ConormalNet's |nu| check, work ``row_blocks`` at
+a time: no temporary exceeds 64 KiB (``GRID_BLOCK_VALUES`` floats), below
+glibc's 128 KiB mmap threshold, so the heap reuses it instead of
+page-faulting it afresh on every call, and the grids keep their bits.
+``blockwise`` maps a function over blocks on up to ``_WORKERS`` cores
+(numpy releases the GIL inside its loops); ``g17_text`` writes through
+it with the bytes of one loop, and its ``_pool`` is the one place that
+starts threads.
+
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
 ``python3 perfbench/selftest.py`` checks the benchmark itself.
 """
 
 import functools
+import os
 
 import numpy as np
 
@@ -99,10 +109,24 @@ def _as_points(arr):
     return a
 
 
+# The grid kernels work on blocks of whole rows holding at most this many
+# values (or one row), so each float64 temporary takes at most 64 KiB,
+# whatever the grid size.
+GRID_BLOCK_VALUES = 1 << 13
+
+
+def row_blocks(rows, columns):
+    """Slices of whole rows of a (rows, columns) grid, each holding at
+    most GRID_BLOCK_VALUES values, or one row if a row holds more."""
+    step = max(1, GRID_BLOCK_VALUES // max(1, columns))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def omega_grid(alpha, beta):
     """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
     for every quadrangle, indexed by lower-left corner: one array holding
-    the grid of Omega and the grid of its dead-zone magnitudes.
+    the grid of Omega and the grid of its dead-zone magnitudes, filled
+    row_blocks at a time.
 
     Nets keep the result, so it is allocated before the temporaries: a
     long-lived grid placed between them keeps the freed heap from being
@@ -112,8 +136,10 @@ def omega_grid(alpha, beta):
     out = np.empty((2, a.shape[1] - 1, b.shape[1] - 1))
     x = (a[:, 1:] - a[:, :-1])[:, :, None]
     y = (b[:, 1:] - b[:, :-1])[:, None, :]
-    out[0], out[1] = orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
-                                  *x, *y)
+    n = a[:, :-1, None]
+    for r in row_blocks(*out.shape[1:]):
+        out[0, r], out[1, r] = orient_terms(*(n[:, r] - b[:, None, :-1]),
+                                            *x[:, r], *y)
     return out
 
 
@@ -121,18 +147,21 @@ def frame_pair_grids(alpha, beta):
     """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), alpha'(u-1/2)] and
     of [alpha(u)-beta(v), beta'(v+1/2), beta'(v-1/2)] at every vertex with
     both neighbours on each curve, indexed from the vertex (1, 1) of the
-    grid: one array of two (det, mag) pairs, allocated first as in
-    omega_grid."""
+    grid: one array of two (det, mag) pairs, allocated first and filled
+    row_blocks at a time as in omega_grid."""
     a = _as_points(alpha).T
     b = _as_points(beta).T
     a0 = a[:, 1:-1, None]
     b0 = b[:, None, 1:-1]
     out = np.empty((2, 2, a0.shape[1], b0.shape[2]))
-    n = a0 - b0
-    out[0, 0], out[0, 1] = orient_terms(*n, *(a[:, 2:, None] - a0),
-                                        *(a0 - a[:, :-2, None]))
-    out[1, 0], out[1, 1] = orient_terms(*n, *(b[:, None, 2:] - b0),
-                                        *(b0 - b[:, None, :-2]))
+    xa = a[:, 2:, None] - a0
+    ya = a0 - a[:, :-2, None]
+    xb = b[:, None, 2:] - b0
+    yb = b0 - b[:, None, :-2]
+    for r in row_blocks(*out.shape[2:]):
+        n = a0[:, r] - b0
+        out[0, 0, r], out[0, 1, r] = orient_terms(*n, *xa[:, r], *ya[:, r])
+        out[1, 0, r], out[1, 1, r] = orient_terms(*n, *xb, *yb)
     return out
 
 
@@ -210,6 +239,10 @@ def bilinear_sample(positions, subdiv):
 # rows and g17_field's own arrays stay near 1 MB, below the 4 MiB from
 # which numpy asks for huge pages, however large the array.
 G17_BLOCK_VALUES = 1 << 14
+
+# blockwise's stripes: the calling thread and one pool thread for each
+# other core this process may run on, at most 4 in all
+_WORKERS = min(4, len(os.sched_getaffinity(0)))
 
 _SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's splitting constant
 _P10_MIN = -300                     # the power of ten in row 0 of the table
@@ -381,8 +414,8 @@ def g17_text(values, before, after, nonfinite=None):
     if nonfinite is not None:
         nonfinite = np.frombuffer(nonfinite.ljust(24, b"\0"), dtype=np.uint8)
     step = max(1, G17_BLOCK_VALUES // max(1, values.shape[1]))
-    blocks = []
-    for lo in range(0, len(values), step):
+
+    def text(lo):
         block = values[lo:lo + step]
         field = g17_field(block).reshape(*block.shape, 24)
         if nonfinite is not None:
@@ -391,8 +424,46 @@ def g17_text(values, before, after, nonfinite=None):
                  for p in (*before, *after)]
         parts.insert(len(before), field)
         rows = laid_out(block.shape, parts)
-        blocks.append(rows[rows != 0].tobytes())
-    return blocks
+        return rows[rows != 0].tobytes()
+
+    return blockwise(text, range(0, len(values), step))
+
+
+@functools.cache
+def _pool(threads):
+    """The one thread pool of the process for each size; concurrent.futures
+    is imported on first use, so a run that never has two blocks to share
+    starts no thread and imports no thread module."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="diams-blockwise")
+
+
+def blockwise(fn, blocks):
+    """[fn(b) for b in blocks], with the blocks (a sequence) dealt
+    round-robin to min(_WORKERS, len(blocks)) stripes: the calling thread
+    runs the first and one _pool thread each of the others.  fn must be
+    safe to run on several threads at once.  Every stripe ends before
+    blockwise returns or raises; an exception from any stripe reaches the
+    caller."""
+    stripes = min(_WORKERS, len(blocks))
+    if stripes < 2:
+        return [fn(b) for b in blocks]
+
+    def stripe(k):
+        return [fn(b) for b in blocks[k::stripes]]
+
+    pool = _pool(_WORKERS - 1)
+    futures = [pool.submit(stripe, k) for k in range(1, stripes)]
+    try:
+        first = stripe(0)
+    finally:
+        for future in futures:
+            future.exception()          # waits for the stripe to end
+    out = [None] * len(blocks)
+    out[::stripes] = first
+    for k, future in enumerate(futures, 1):
+        out[k::stripes] = future.result()
+    return out
 
 
 def laid_out(shape, parts):

@@ -241,22 +241,33 @@ class ConormalNet:
         object.__setattr__(self, "scale", scale)
         # |nu| is taken of nu scaled by 2^-e, where scale = m * 2^e: the
         # scaling is exact, and the squares neither overflow nor underflow
-        # anywhere near the threshold 1e-12 * m
+        # anywhere near the threshold 1e-12 * m.  The grid is read in row
+        # blocks; the first least |nu| in row-major order is named.
         mantissa, exponent = np.frexp(scale)
-        norms = np.sqrt((np.ldexp(self.nu_grid(), -exponent) ** 2).sum(axis=2))
-        if norms.min() <= 1e-12 * mantissa:
-            i, j = np.unravel_index(int(np.argmin(norms)), norms.shape)
+        a, b = self.alpha.points, self.beta.points
+        least, at = np.inf, None
+        for r in _kernels.row_blocks(dom.nu, 3 * dom.nv):
+            nu = np.ldexp(a[r, None, :] - b[None, :, :], -exponent)
+            norms = np.sqrt((nu ** 2).sum(axis=2))
+            k = int(np.argmin(norms))
+            if norms.flat[k] < least:
+                least = norms.flat[k]
+                at = (r.start + k // dom.nv, k % dom.nv)
+        if least <= 1e-12 * mantissa:
             raise ValidationError(
                 "curves intersect near vertex "
-                f"({i + dom.u_min}, {j + dom.v_min}): "
-                f"|nu| = {np.ldexp(norms[i, j], exponent):.3e}")
+                f"({at[0] + dom.u_min}, {at[1] + dom.v_min}): "
+                f"|nu| = {np.ldexp(least, exponent):.3e}")
 
     @cached_property
     def omega_terms(self):
         """Read-only grids of Omega and its dead-zone magnitudes over the
         quads, from the lower-left one, stacked in one array; computed once
         per net."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        dom = self.domain
+        with (float_grid_allocation((2, dom.nu - 1, dom.nv - 1),
+                                    "the Omega grids"),
+              np.errstate(over="ignore", invalid="ignore")):
             terms = _kernels.omega_grid(self.alpha.points, self.beta.points)
         terms.flags.writeable = False
         return terms
@@ -267,7 +278,10 @@ class ConormalNet:
         [nu, beta'+, beta'-] over the vertices with both neighbours on each
         curve, from (u_min+1, v_min+1), stacked in one array; computed once
         per net."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        dom = self.domain
+        with (float_grid_allocation((2, 2, dom.nu - 2, dom.nv - 2),
+                                    "the vertex-frame grids"),
+              np.errstate(over="ignore", invalid="ignore")):
             terms = _kernels.frame_pair_grids(self.alpha.points,
                                               self.beta.points)
         terms.flags.writeable = False

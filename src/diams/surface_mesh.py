@@ -164,12 +164,16 @@ def tessellate(f, subdiv, singular=()):
     order = (nq_u, nq_v, subdiv, subdiv, 2)
     keep = keep.reshape(nq_u, subdiv, nq_v, subdiv, 2).transpose(
         0, 2, 1, 3, 4).ravel()
+    if keep.all():                      # index without copying
+        keep = slice(None)
     qu, qv, si, ti, k = np.indices(order, dtype=np.int64, sparse=True)
     v00 = (subdiv * qu + si) * n_j + subdiv * qv + ti
     corners = np.array([[0, n_j, 1], [n_j, n_j + 1, 1]])[k]
     triangles = (v00[..., None] + corners).reshape(-1, 3)[keep]
-    tags = np.stack([np.broadcast_to(q, order).ravel()[keep]
-                     for q in (qu + dom.u_min, qv + dom.v_min)], axis=1)
+    tags = np.empty((*order, 2), dtype=np.int64)
+    tags[..., 0] = qu + dom.u_min
+    tags[..., 1] = qv + dom.v_min
+    tags = tags.reshape(-1, 2)[keep]
 
     polylines = []
     for chain in singular:

@@ -43,6 +43,48 @@ def test_omega_grid_matches_scalar_determinant_bitwise(rng):
                     *rows[0], *rows[1], *rows[2])
 
 
+def _whole_grid_terms(alpha, beta):
+    """omega_grid and frame_pair_grids as one orient_terms call each over
+    the whole grid."""
+    a, b = alpha.T, beta.T
+    omega = _kernels.orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
+                                  *(a[:, 1:] - a[:, :-1])[:, :, None],
+                                  *(b[:, 1:] - b[:, :-1])[:, None, :])
+    a0, b0 = a[:, 1:-1, None], b[:, None, 1:-1]
+    frames = (_kernels.orient_terms(*(a0 - b0), *(a[:, 2:, None] - a0),
+                                    *(a0 - a[:, :-2, None])),
+              _kernels.orient_terms(*(a0 - b0), *(b[:, None, 2:] - b0),
+                                    *(b0 - b[:, None, :-2])))
+    return np.array(omega), np.array(frames)
+
+
+@pytest.mark.parametrize("block", [1, 17, _kernels.GRID_BLOCK_VALUES])
+def test_grid_kernels_equal_one_whole_grid_call_bitwise(block, rng,
+                                                        monkeypatch):
+    # blocks of one row, of two or three rows with a shorter last block,
+    # and of the default size, on non-square nets at three scales and on
+    # the 3-point example
+    from _helpers import example_net
+    monkeypatch.setattr(_kernels, "GRID_BLOCK_VALUES", block)
+    net = example_net(1.0)
+    pairs = [(net.alpha.points, net.beta.points)]
+    for scale in (1e-50, 1.0, 1e50):
+        for n, m in ((12, 8), (13, 8), (8, 13), (4, 30)):
+            pairs.append((scale * rng.standard_normal((n, 3)),
+                          scale * (rng.standard_normal((m, 3)) + 0.5)))
+    short_last = False
+    for a, b in pairs:
+        got = (_kernels.omega_grid(a, b), _kernels.frame_pair_grids(a, b))
+        for grid, want in zip(got, _whole_grid_terms(a, b)):
+            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+            rows, columns = grid.shape[-2:]
+            sizes = [len(range(rows)[r])
+                     for r in _kernels.row_blocks(rows, columns)]
+            assert sum(sizes) == rows
+            short_last |= len(sizes) > 1 and sizes[-1] < sizes[0]
+    assert short_last == (block == 17)
+
+
 def test_orient_terms_matches_det3_bitwise(rng):
     # orient's determinant (its six products named for the dead zone) and
     # det3 are two writings of one expression: equal bits for floats and

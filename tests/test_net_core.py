@@ -7,6 +7,7 @@ from diams import (ConormalNet, GridDomain, PolyCurve, conormal,
                    discrete_derivative, integrate_net, metric_field,
                    moutard_residual, star_planarity_residual,
                    validate_generic_position)
+from diams import _kernels
 from diams._kernels import orient_terms
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
@@ -107,6 +108,39 @@ def test_conormal_net_intersection_check_is_scale_free(k):
                     ConormalNet(PolyCurve(a * s), PolyCurve(near * s))
             else:
                 ConormalNet(PolyCurve(a * s), PolyCurve(near * s))
+
+
+def _crossing_pair(meets):
+    """alpha(u) = (u, 0, 1) for u in [-4, 4], beta(v) = (v, 1, 0) for v in
+    [2, 7], so |nu| >= sqrt(2), except that alpha(u) = (d, 1, z) for
+    each (u, d, z) in meets puts it at |nu| = z from beta(d)."""
+    a = np.array([[u, 0.0, 1.0] for u in range(-4, 5)])
+    for u, d, z in meets:
+        a[u + 4] = (d, 1.0, z)
+    b = np.array([[v, 1.0, 0.0] for v in range(2, 8)])
+    return PolyCurve(a, -4), PolyCurve(b, 2)
+
+
+@pytest.mark.parametrize("block", [1, 40, _kernels.GRID_BLOCK_VALUES])
+def test_intersection_check_names_the_first_least_nu(block, monkeypatch):
+    # the check reads |nu| in blocks of one u-row, of two (the last one
+    # alone) and of the whole grid; the threshold is 1e-12 * scale = 7e-12
+    monkeypatch.setattr(_kernels, "GRID_BLOCK_VALUES", block)
+    # the least |nu| in the last row, below another one that also fails
+    with pytest.raises(ValidationError, match=r"^curves intersect near "
+                       r"vertex \(4, 5\): \|nu\| = 3\.000e-12$"):
+        ConormalNet(*_crossing_pair([(4, 5.0, 3e-12), (-2, 3.0, 4e-12)]))
+    # a tie across two blocks, and within one u-row (alpha(-2) meets both
+    # beta(3) and beta(8)): the first vertex in row-major order is named
+    with pytest.raises(ValidationError, match=r"^curves intersect near "
+                       r"vertex \(-2, 3\): \|nu\| = 0\.000e\+00$"):
+        ConormalNet(*_crossing_pair([(-2, 3.0, 0.0), (3, 3.0, 0.0)]))
+    a, b = _crossing_pair([(-2, 3.0, 0.0)])
+    b = PolyCurve(np.concatenate([b.points, [[3.0, 1.0, 0.0]]]), 2)
+    with pytest.raises(ValidationError, match=r"vertex \(-2, 3\)"):
+        ConormalNet(a, b)
+    # above the threshold nothing is named
+    ConormalNet(*_crossing_pair([(4, 5.0, 8e-12)]))
 
 
 def test_moutard_residual_zero_and_constructed_violation(rng):
