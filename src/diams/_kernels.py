@@ -29,10 +29,12 @@ The grid kernels, and ConormalNet's |nu| check, work ``row_blocks`` at
 a time: no temporary exceeds 64 KiB (``GRID_BLOCK_VALUES`` floats), below
 glibc's 128 KiB mmap threshold, so the heap reuses it instead of
 page-faulting it afresh on every call, and the grids keep their bits.
-``blockwise`` maps a function over blocks on up to ``_WORKERS`` cores
-(numpy releases the GIL inside its loops); ``g17_text`` writes through
-it with the bytes of one loop, and its ``_pool`` is the one place that
-starts threads.
+``row_blocks`` is also the block rule of ``g17_text``, ``int_field``, the
+OBJ face block and the mesh's area filter, each with its own limit.
+``blockwise`` maps a function over blocks on up to ``_WORKERS`` (two)
+cores (numpy releases the GIL inside its loops); ``g17_text`` writes
+through it with the bytes of one loop, and its ``_pool`` is the one
+place that starts threads.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
@@ -115,10 +117,10 @@ def _as_points(arr):
 GRID_BLOCK_VALUES = 1 << 13
 
 
-def row_blocks(rows, columns):
+def row_blocks(rows, columns, limit):
     """Slices of whole rows of a (rows, columns) grid, each holding at
-    most GRID_BLOCK_VALUES values, or one row if a row holds more."""
-    step = max(1, GRID_BLOCK_VALUES // max(1, columns))
+    most limit values, or one row if a row holds more."""
+    step = max(1, limit // max(1, columns))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -137,7 +139,7 @@ def omega_grid(alpha, beta):
     x = (a[:, 1:] - a[:, :-1])[:, :, None]
     y = (b[:, 1:] - b[:, :-1])[:, None, :]
     n = a[:, :-1, None]
-    for r in row_blocks(*out.shape[1:]):
+    for r in row_blocks(*out.shape[1:], GRID_BLOCK_VALUES):
         out[0, r], out[1, r] = orient_terms(*(n[:, r] - b[:, None, :-1]),
                                             *x[:, r], *y)
     return out
@@ -158,7 +160,7 @@ def frame_pair_grids(alpha, beta):
     ya = a0 - a[:, :-2, None]
     xb = b[:, None, 2:] - b0
     yb = b0 - b[:, None, :-2]
-    for r in row_blocks(*out.shape[2:]):
+    for r in row_blocks(*out.shape[2:], GRID_BLOCK_VALUES):
         n = a0[:, r] - b0
         out[0, 0, r], out[0, 1, r] = orient_terms(*n, *xa[:, r], *ya[:, r])
         out[1, 0, r], out[1, 1, r] = orient_terms(*n, *xb, *yb)
@@ -240,9 +242,11 @@ def bilinear_sample(positions, subdiv):
 # which numpy asks for huge pages, however large the array.
 G17_BLOCK_VALUES = 1 << 14
 
-# blockwise's stripes: the calling thread and one pool thread for each
-# other core this process may run on, at most 4 in all
-_WORKERS = min(4, len(os.sched_getaffinity(0)))
+# blockwise's stripes: the calling thread and, given a second core, one
+# pool thread.  Two stripes are what was measured; each further thread
+# adds a malloc arena of about 3.4 MB to the peak RSS.
+_WORKERS = min(2, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 _SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's splitting constant
 _P10_MIN = -300                     # the power of ten in row 0 of the table
@@ -413,29 +417,28 @@ def g17_text(values, before, after, nonfinite=None):
     values = np.asarray(values, dtype=np.float64)
     if nonfinite is not None:
         nonfinite = np.frombuffer(nonfinite.ljust(24, b"\0"), dtype=np.uint8)
-    step = max(1, G17_BLOCK_VALUES // max(1, values.shape[1]))
 
-    def text(lo):
-        block = values[lo:lo + step]
+    def text(r):
+        block = values[r]
         field = g17_field(block).reshape(*block.shape, 24)
         if nonfinite is not None:
             field[~np.isfinite(block)] = nonfinite
-        parts = [p[lo:lo + step] if p.ndim == 3 else p
-                 for p in (*before, *after)]
+        parts = [p[r] if p.ndim == 3 else p for p in (*before, *after)]
         parts.insert(len(before), field)
         rows = laid_out(block.shape, parts)
         return rows[rows != 0].tobytes()
 
-    return blockwise(text, range(0, len(values), step))
+    return blockwise(text, row_blocks(*values.shape, G17_BLOCK_VALUES))
 
 
 @functools.cache
-def _pool(threads):
-    """The one thread pool of the process for each size; concurrent.futures
-    is imported on first use, so a run that never has two blocks to share
-    starts no thread and imports no thread module."""
+def _pool():
+    """The one thread pool of the process, with _WORKERS - 1 threads;
+    concurrent.futures is imported on first use, so a run that never has
+    two blocks to share starts no thread and imports no thread module."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(threads, thread_name_prefix="diams-blockwise")
+    return ThreadPoolExecutor(_WORKERS - 1,
+                              thread_name_prefix="diams-blockwise")
 
 
 def blockwise(fn, blocks):
@@ -452,7 +455,7 @@ def blockwise(fn, blocks):
     def stripe(k):
         return [fn(b) for b in blocks[k::stripes]]
 
-    pool = _pool(_WORKERS - 1)
+    pool = _pool()
     futures = [pool.submit(stripe, k) for k in range(1, stripes)]
     try:
         first = stripe(0)
@@ -487,9 +490,8 @@ def int_field(values):
     x = values.ravel()
     width = max(len(b"%d" % v) for v in (x.min(initial=0), x.max(initial=0)))
     out = np.zeros((len(x), width), dtype=np.uint8)
-    for lo in range(0, len(x), G17_BLOCK_VALUES):
-        block = x[lo:lo + G17_BLOCK_VALUES]
-        rows = out[lo:lo + len(block)]
+    for r in row_blocks(len(x), 1, G17_BLOCK_VALUES):
+        block, rows = x[r], out[r]
         # |-2**63| wraps to itself, which reads as 2**63 unsigned
         rest = np.abs(block).view(np.uint64)
         for c in range(width - 1, -1, -1):

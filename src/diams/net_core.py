@@ -14,7 +14,7 @@ overflows named, by ``_kernels``' one rule (``undecided``).
 """
 
 import math
-from contextlib import contextmanager
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,24 +33,31 @@ def _cross3(x, y):
             x[0] * y[1] - x[1] * y[0]]
 
 
-@contextmanager
-def float_grid_allocation(shape, what):
+class float_grid_allocation:
     """Guard the allocation of a float64 array of the given shape.
 
     A shape whose byte count overflows np.intp raises ValidationError
     before anything is allocated, and a MemoryError raised inside the
-    block becomes the same named error; both messages give the size.
+    block becomes the same named error; both messages give the size,
+    which is written only then (nets enter two guards each).
     """
-    shape = tuple(int(n) for n in shape)
-    nbytes = 8 * math.prod(shape)
-    size = (f"{what} of {' x '.join(map(str, shape))} float64 values "
-            f"({nbytes} bytes)")
-    if nbytes > np.iinfo(np.intp).max:
-        raise ValidationError(f"{size} exceeds the largest array size")
-    try:
-        yield
-    except MemoryError:
-        raise ValidationError(f"cannot allocate {size}") from None
+
+    def __init__(self, shape, what):
+        self.shape = tuple(int(n) for n in shape)
+        self.what = what
+        if 8 * math.prod(self.shape) > sys.maxsize:     # np.intp's largest
+            raise ValidationError(f"{self} exceeds the largest array size")
+
+    def __str__(self):
+        return (f"{self.what} of {' x '.join(map(str, self.shape))} float64 "
+                f"values ({8 * math.prod(self.shape)} bytes)")
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, error, traceback):
+        if kind is not None and issubclass(kind, MemoryError):
+            raise ValidationError(f"cannot allocate {self}") from None
 
 
 def half_index(x):
@@ -246,7 +253,8 @@ class ConormalNet:
         mantissa, exponent = np.frexp(scale)
         a, b = self.alpha.points, self.beta.points
         least, at = np.inf, None
-        for r in _kernels.row_blocks(dom.nu, 3 * dom.nv):
+        for r in _kernels.row_blocks(dom.nu, 3 * dom.nv,
+                                     _kernels.GRID_BLOCK_VALUES):
             nu = np.ldexp(a[r, None, :] - b[None, :, :], -exponent)
             norms = np.sqrt((nu ** 2).sum(axis=2))
             k = int(np.argmin(norms))

@@ -156,10 +156,9 @@ def tessellate(f, subdiv, singular=()):
     mantissa, exponent = np.frexp(scale)
     area_floor = 1e-14 * mantissa * mantissa
     keep = np.empty((grid.shape[0] - 1, n_j - 1, 2), dtype=bool)
-    step = max(1, AREA_BLOCK_SAMPLES // n_j)
-    for lo in range(0, len(keep), step):
-        area = sub_quad_areas(np.ldexp(grid[lo:lo + step + 1], -exponent))
-        keep[lo:lo + step] = ~(area <= area_floor)
+    for r in _kernels.row_blocks(len(keep), n_j, AREA_BLOCK_SAMPLES):
+        area = sub_quad_areas(np.ldexp(grid[r.start:r.stop + 1], -exponent))
+        keep[r] = ~(area <= area_floor)
     # triangle order: quad (qu, qv), sub-quad (si, ti), then k = 0 or 1
     order = (nq_u, nq_v, subdiv, subdiv, 2)
     keep = keep.reshape(nq_u, subdiv, nq_v, subdiv, 2).transpose(
@@ -242,13 +241,12 @@ def export_obj(mesh, path):
     opens[1:] = (tags[1:, 0] != tags[:-1, 0]) | (tags[1:, 1] != tags[:-1, 1])
     index = _kernels.laid_out((len(vertices),), [
         _SPACE, _kernels.int_field(np.arange(1, len(vertices) + 1))])
-    step = max(1, _kernels.G17_BLOCK_VALUES // 3)
-    for lo in range(0, len(tags), step):
-        heads = np.flatnonzero(opens[lo:lo + step])
-        uv = _kernels.int_field(tags[lo + heads])
+    for r in _kernels.row_blocks(len(tags), 3, _kernels.G17_BLOCK_VALUES):
+        heads = np.flatnonzero(opens[r])
+        uv = _kernels.int_field(tags[r.start + heads])
         head = _kernels.laid_out((len(heads),), [
             _G, uv[:, 0], _UNDERSCORE, uv[:, 1], _NEWLINE])
-        face = np.take(index, triangles[lo:lo + step], axis=0)
+        face = np.take(index, triangles[r], axis=0)
         rows = _kernels.laid_out((len(face),), [
             np.zeros(head.shape[1], dtype=np.uint8), _F,
             face.reshape(len(face), -1), _NEWLINE])

@@ -1,6 +1,7 @@
-"""`_kernels.blockwise`: the float text written on every core, with the
+"""`_kernels.blockwise`: the float text written on up to two cores, with the
 bytes of one loop."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +85,23 @@ def test_a_small_analyze_starts_no_thread(tmp_path):
         env={"PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120, check=True)
     assert out.stdout.split() == ["0", "1", "False"]
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_at_most_two_stripes_with_or_without_sched_getaffinity(affinity):
+    # two stripes are what was measured; a platform without
+    # os.sched_getaffinity (macOS, Windows) counts os.cpu_count() instead
+    if affinity and not hasattr(os, "sched_getaffinity"):
+        pytest.skip("os.sched_getaffinity is not on this platform")
+    code = ("import os, sys\n"
+            "if sys.argv[1] == 'False':\n"
+            "    del os.sched_getaffinity\n"
+            "from diams import _kernels\n"
+            "print(_kernels._WORKERS)\n")
+    src = str(Path(diams.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, str(affinity)],
+                         env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    cores = (len(os.sched_getaffinity(0)) if affinity
+             else os.cpu_count() or 1)
+    assert int(out.stdout) == min(2, cores)

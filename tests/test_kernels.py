@@ -79,7 +79,7 @@ def test_grid_kernels_equal_one_whole_grid_call_bitwise(block, rng,
             assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
             rows, columns = grid.shape[-2:]
             sizes = [len(range(rows)[r])
-                     for r in _kernels.row_blocks(rows, columns)]
+                     for r in _kernels.row_blocks(rows, columns, block)]
             assert sum(sizes) == rows
             short_last |= len(sizes) > 1 and sizes[-1] < sizes[0]
     assert short_last == (block == 17)

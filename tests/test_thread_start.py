@@ -61,9 +61,9 @@ def test_one_function_imports_the_thread_modules():
 def test_thread_imports_flags_every_form(tmp_path):
     (tmp_path / "_kernels.py").write_text(
         "import functools\n"
-        "def _pool(threads):\n"
+        "def _pool():\n"
         "    from concurrent.futures import ThreadPoolExecutor\n"
-        "    return ThreadPoolExecutor(threads)\n"
+        "    return ThreadPoolExecutor(1)\n"
         "def blockwise(fn, blocks):\n"
         "    import concurrent.futures as cf\n")
     (tmp_path / "io_cli.py").write_text(
