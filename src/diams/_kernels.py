@@ -23,7 +23,9 @@ block go through it at every size.  ``int_field`` writes the "%d" text of
 an int64 array as NUL-led uint8 rows, and ``laid_out`` puts byte pieces
 side by side for both; the OBJ face block is built from the two.
 ``write_blocks`` alone opens output files: reports, curve files and OBJ
-text reach disk as unjoined blocks.
+text are streamed to disk, each block written as soon as it is made and
+freed before the next round of blocks, so the text is never held whole.
+A failure part-way truncates a regular file back to empty.
 
 The grid kernels, and ConormalNet's |nu| check, work ``row_blocks`` at
 a time: no temporary exceeds 64 KiB (``GRID_BLOCK_VALUES`` floats), below
@@ -31,10 +33,11 @@ glibc's 128 KiB mmap threshold, so the heap reuses it instead of
 page-faulting it afresh on every call, and the grids keep their bits.
 ``row_blocks`` is also the block rule of ``g17_text``, ``int_field``, the
 OBJ face block and the mesh's area filter, each with its own limit.
-``blockwise`` maps a function over blocks on up to ``_WORKERS`` (two)
-cores (numpy releases the GIL inside its loops); ``g17_text`` writes
-through it with the bytes of one loop, and its ``_pool`` is the one
-place that starts threads.
+``blockwise`` lazily maps a function over blocks on up to ``_WORKERS``
+(two) cores (numpy releases the GIL inside its loops), in rounds of one
+block per core; ``g17_text`` and the OBJ face block write through it
+with the bytes of one loop, and its ``_pool`` is the one place that
+starts threads.
 
 The kernels' share of pipeline time shows in the per-layer output of
 ``python3 perfbench/run.py --workload <name> --trace 1``;
@@ -43,6 +46,7 @@ The kernels' share of pipeline time shows in the per-layer output of
 
 import functools
 import os
+import stat
 
 import numpy as np
 
@@ -242,9 +246,9 @@ def bilinear_sample(positions, subdiv):
 # which numpy asks for huge pages, however large the array.
 G17_BLOCK_VALUES = 1 << 14
 
-# blockwise's stripes: the calling thread and, given a second core, one
-# pool thread.  Two stripes are what was measured; each further thread
-# adds a malloc arena of about 3.4 MB to the peak RSS.
+# blockwise's round width: the calling thread and, given a second core,
+# one pool thread.  Two are what was measured; each further thread adds
+# a malloc arena of about 3.4 MB to the peak RSS.
 _WORKERS = min(2, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -405,7 +409,8 @@ def nul_padded(texts):
 
 
 def g17_text(values, before, after, nonfinite=None):
-    """The text of a 2-D float array as a list of ASCII byte blocks.
+    """The text of a 2-D float array as a `blockwise` iterator of ASCII
+    byte blocks, each made as the consumer asks for it.
 
     Value (r, c) is written as "%.17g" (as nonfinite, if given, where it
     is not finite) after every piece in before and before every piece in
@@ -441,32 +446,50 @@ def _pool():
                               thread_name_prefix="diams-blockwise")
 
 
+# A forked child inherits the pool but not its threads: the pool would
+# count a worker that no longer exists and never start one, so the child
+# builds its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def blockwise(fn, blocks):
-    """[fn(b) for b in blocks], with the blocks (a sequence) dealt
-    round-robin to min(_WORKERS, len(blocks)) stripes: the calling thread
-    runs the first and one _pool thread each of the others.  fn must be
-    safe to run on several threads at once.  Every stripe ends before
-    blockwise returns or raises; an exception from any stripe reaches the
-    caller."""
-    stripes = min(_WORKERS, len(blocks))
-    if stripes < 2:
-        return [fn(b) for b in blocks]
+    """fn(b) for each b of blocks (a sequence), yielded in block order.
 
-    def stripe(k):
-        return [fn(b) for b in blocks[k::stripes]]
+    The blocks run in rounds of min(_WORKERS, len(blocks)): the calling
+    thread runs the first block of each round and _pool threads the
+    others.  The pool blocks of the next round are submitted as soon as
+    the calling thread has finished its own, so at most two rounds are
+    in flight and the pool does not wait while the consumer writes.  With
+    one block or one core this is a plain loop and starts no thread.  fn
+    must be safe to run on several threads at once.
 
+    An exception reaches the consumer at its block's place; then, or when
+    the consumer stops early, blocks not yet started are cancelled and
+    those running are waited for."""
+    width = min(_WORKERS, len(blocks))
+    if width < 2:
+        yield from map(fn, blocks)
+        return
     pool = _pool()
-    futures = [pool.submit(stripe, k) for k in range(1, stripes)]
+    rounds = [blocks[i:i + width] for i in range(0, len(blocks), width)]
+    current, ahead = [], [pool.submit(fn, b) for b in rounds[0][1:]]
     try:
-        first = stripe(0)
+        for k, batch in enumerate(rounds, 1):
+            current, ahead = ahead, []
+            first = fn(batch[0])
+            if k < len(rounds):
+                ahead = [pool.submit(fn, b) for b in rounds[k][1:]]
+            # keep no reference to a block once it is handed on, so the
+            # consumer's write frees it
+            yield first
+            del first
+            while current:
+                yield current.pop(0).result()
     finally:
-        for future in futures:
-            future.exception()          # waits for the stripe to end
-    out = [None] * len(blocks)
-    out[::stripes] = first
-    for k, future in enumerate(futures, 1):
-        out[k::stripes] = future.result()
-    return out
+        for future in current + ahead:
+            if not future.cancel():
+                future.exception()      # waits for a running block to end
 
 
 def laid_out(shape, parts):
@@ -481,14 +504,16 @@ def laid_out(shape, parts):
     return rows
 
 
-def int_field(values):
+def int_field(values, width=None):
     """The ASCII of "%d" % v for every v of an int64 array, as a uint8
     array of shape (*values.shape, W): digits right-aligned behind NULs, a
-    minus sign just before the first digit, W the width of the widest.
-    Built one digit column at a time, G17_BLOCK_VALUES values at a time."""
+    minus sign just before the first digit, W the width of the widest
+    unless a width that holds them all is given.  Built one digit column
+    at a time, G17_BLOCK_VALUES values at a time."""
     values = np.asarray(values, dtype=np.int64)
     x = values.ravel()
-    width = max(len(b"%d" % v) for v in (x.min(initial=0), x.max(initial=0)))
+    width = width or max(len(b"%d" % v)
+                         for v in (x.min(initial=0), x.max(initial=0)))
     out = np.zeros((len(x), width), dtype=np.uint8)
     for r in row_blocks(len(x), 1, G17_BLOCK_VALUES):
         block, rows = x[r], out[r]
@@ -504,9 +529,25 @@ def int_field(values):
 
 
 def write_blocks(path, blocks):
-    """Write byte blocks to the file at path; IoFailure if that fails."""
+    """Write byte blocks to the file at path, each as it arrives, and
+    close the iterator of blocks on the way out.
+
+    If anything raises once the file is open, a regular file is
+    truncated back to empty, so no partial output is left that could
+    read as a smaller whole, and the exception propagates; an OSError,
+    from opening, writing or truncating, becomes IoFailure."""
+    blocks = iter(blocks)
     try:
         with open(path, "wb") as fh:
-            fh.writelines(blocks)
+            try:
+                fh.writelines(blocks)   # holds no block past its write
+            except BaseException:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.ftruncate(fh.fileno(), 0)
+                fh.raw.close()          # drops what is still buffered
+                raise
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
+    finally:
+        if hasattr(blocks, "close"):
+            blocks.close()

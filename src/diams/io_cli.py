@@ -8,13 +8,16 @@ Curve pairs are JSON objects
 and reports are JSON with sorted keys and %.17g floats, so identical
 inputs produce byte-identical output.  Quads are keyed by doubled integers
 [2u+1, 2v+1] so vertices [2u, 2v], edges and quads share one integer key
-space.  A report is a dict from key to a list of ASCII byte blocks, and
-each kind of value has one writer: float arrays `_rows_json` (around
+space.  A report is a dict from key to an iterable of ASCII byte blocks,
+and each kind of value has one writer: float arrays `_rows_json` (around
 `_kernels.g17_text`; Omega row-major, u then v, one matrix per block of
 u-rows), float-free values `_encode` and float scalars `_dump_float`.
-`_object_json` joins blocks under sorted keys; `write_report` is the join
-of `report_blocks`, which the command line writes unjoined through
-`_kernels.write_blocks`.
+`_object_json` joins blocks under sorted keys.  Sections holding float
+text are `_Blocks`, which make their blocks afresh on every iteration,
+so a report can be written more than once and its text exists only as
+it is written.  `write_report` is the join of `report_blocks`, which the
+command line streams to disk through `_kernels.write_blocks`: each block
+is written as it is made, and a failure part-way leaves an empty file.
 """
 
 import argparse
@@ -47,26 +50,46 @@ DEFAULT_METRIC_EPS = 1e-9
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
+class _Blocks:
+    """Byte blocks that a generator function makes afresh on every
+    iteration."""
+
+    __slots__ = ("make", "args")
+
+    def __init__(self, make, args):
+        self.make, self.args = make, args
+
+    def __iter__(self):
+        return self.make(*self.args)
+
+
+def _reiterable(make):
+    """A generator function of byte blocks whose calls return `_Blocks`."""
+    return functools.wraps(make)(lambda *args: _Blocks(make, args))
+
+
 def _dump_float(x):
     """A float scalar as one block: "%.17g", or null if not finite."""
     return [b"%.17g" % x if math.isfinite(x) else b"null"]
 
 
+@_reiterable
 def _object_json(members):
-    """A JSON object, given as a dict from key to a list of byte blocks,
-    as byte blocks with its keys sorted."""
-    blocks = [b"{"]
+    """A JSON object, given as a dict from key to an iterable of byte
+    blocks, as byte blocks with its keys sorted."""
+    yield b"{"
     for i, key in enumerate(sorted(members)):
-        blocks.append(b"%s%s:" % (b"," if i else b"",
-                                  encode_basestring_ascii(key).encode()))
-        blocks += members[key]
-    blocks.append(b"}")
-    return blocks
+        yield b"%s%s:" % (b"," if i else b"",
+                          encode_basestring_ascii(key).encode())
+        yield from members[key]
+    yield b"}"
 
 
 def report_blocks(report):
-    """A report's JSON text as byte blocks, a newline at the end."""
-    return [*_object_json(report), b"\n"]
+    """A report's JSON text as byte blocks, a newline at the end, made as
+    they are consumed."""
+    yield from _object_json(report)
+    yield b"\n"
 
 
 def write_report(report):
@@ -185,28 +208,32 @@ def _edge_dict(edge):
     return {"axis": edge.axis, "base_vertex": edge[1:]}
 
 
+@_reiterable
 def _rows_json(values, before, after):
     """The rows of a 2-D float array as the byte blocks of a JSON list,
     written by `_kernels.g17_text`: each value ("null" if not finite)
-    between the pieces, the last piece of the last row (a comma) dropped."""
+    between the pieces, the first piece of the first row (a comma)
+    dropped."""
     blocks = _kernels.g17_text(values, before, after, nonfinite=b"null")
-    if blocks:
-        blocks[-1] = blocks[-1][:-1]
-    return [b"[", *blocks, b"]"]
+    yield b"["
+    yield next(blocks, b",")[1:]
+    yield from blocks
+    yield b"]"
 
 
-_QUAD_END = np.frombuffer(b"},", dtype=np.uint8)
+_QUAD_END = np.frombuffer(b"}", dtype=np.uint8)
 
 
 def _omega_json(metric):
     """The report's "omega" list, {"quad": [2u+1, 2v+1], "value": w} per
     quad in row-major order (u, then v) like `GridDomain.quads()`, as
     byte blocks written by `_kernels.g17_text`: each value ("null" if not
-    finite) between its u-row's head, its v-column's tail and "},"."""
+    finite) between its u-row's head (after a comma), its v-column's tail
+    and "}"."""
     if metric is None or metric.values.size == 0:
         return [b"[]"]
     dom = metric.domain
-    heads = _kernels.nul_padded([b'{"quad":[%d,' % (2 * u + 1)
+    heads = _kernels.nul_padded([b',{"quad":[%d,' % (2 * u + 1)
                                  for u in range(dom.u_min, dom.u_max)])
     tails = _kernels.nul_padded([b'%d],"value":' % (2 * v + 1)
                                  for v in range(dom.v_min, dom.v_max)])
@@ -216,15 +243,15 @@ def _omega_json(metric):
 def _points_json(points):
     """A JSON list of the rows of a 2-D float array as [x, y, ...] lists."""
     k = points.shape[1] - 1
-    return _rows_json(points, (_kernels.nul_padded([b"["] + [b","] * k),),
-                      (_kernels.nul_padded([b""] * k + [b"],"]),))
+    return _rows_json(points, (_kernels.nul_padded([b",["] + [b","] * k),),
+                      (_kernels.nul_padded([b""] * k + [b"]"]),))
 
 
 # the pieces before and after an oracle point's dvdu, lambda, u and v;
 # each point's kind goes in a per-row piece
-_POINT_BEFORE = _kernels.nul_padded([b'{"configuration":null,"dvdu":', b"",
+_POINT_BEFORE = _kernels.nul_padded([b',{"configuration":null,"dvdu":', b"",
                                      b',"vertex":[', b","])
-_POINT_AFTER = _kernels.nul_padded([b"", b"", b"", b"]},"])
+_POINT_AFTER = _kernels.nul_padded([b"", b"", b"", b"]}"])
 
 
 def _oracle_points_json(points):
@@ -241,15 +268,18 @@ def _oracle_points_json(points):
                       (_POINT_BEFORE, before), (_POINT_AFTER,))
 
 
+@_reiterable
 def _oracle_chains_json(chains):
     """The oracle report's "polylines" list as byte blocks; each chain's
     points are its [u,v] rows."""
-    out = []
-    for c in chains:
-        out += [b",", *_object_json({
+    yield b"["
+    for i, c in enumerate(chains):
+        if i:
+            yield b","
+        yield from _object_json({
             "closed": _encode(c.closed), "edges": _encode([]),
-            "vertices": _points_json(c.points)})]
-    return [b"[", *out[1:], b"]"]
+            "vertices": _points_json(c.points)})
+    yield b"]"
 
 
 # json's C encoder, for the values that hold only ints, strs, bools and

@@ -206,8 +206,8 @@ def sub_quad_areas(grid):
 
 _VERTEX_BEFORE = _kernels.nul_padded([b"v ", b" ", b" "])
 _VERTEX_AFTER = _kernels.nul_padded([b"", b"", b"\n"])
-_SPACE, _NEWLINE, _F, _G, _UNDERSCORE = [
-    np.frombuffer(t, np.uint8) for t in (b" ", b"\n", b"f", b"g quad_", b"_")]
+_NEWLINE, _F, _G, _UNDERSCORE = [
+    np.frombuffer(t, np.uint8) for t in (b"\n", b"f", b"g quad_", b"_")]
 
 
 def export_obj(mesh, path):
@@ -224,26 +224,53 @@ def export_obj(mesh, path):
     newline.  The face block's rows gather each vertex index's
     `_kernels.int_field` text, written once, by `triangles`, after a
     "g quad_u_v" head that is empty where no group opens; an "l" record
-    gathers them by its indices.  A tag count or an index that does not
-    fit, or a polyline of fewer than two indices, raises
-    ParameterOutOfRange.  `_kernels.write_blocks` writes the blocks
-    unjoined.
+    gathers them by its indices.
+
+    Every check runs before the file is opened: a tag count or an index
+    that does not fit, or a polyline of fewer than two indices, raises
+    ParameterOutOfRange and writes nothing.  The text is then streamed:
+    `_kernels.write_blocks` writes each vertex and face block (both made
+    by `_kernels.blockwise`) and each "l" record as it is made, and a
+    failure part-way leaves an empty file, not a smaller mesh.
     """
     vertices = np.reshape(mesh.vertices, (-1, 3))
-    blocks = _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
     triangles = np.asarray(mesh.triangles).reshape(-1, 3)
     tags = np.asarray(mesh.quad_tags, dtype=np.int64).reshape(-1, 2)
     if len(tags) != len(triangles) or len(triangles) and not (
             0 <= triangles.min() and triangles.max() < len(vertices)):
         raise ParameterOutOfRange("a mesh needs one quad tag per triangle "
                                   "and triangles that index its vertices")
-    opens = np.ones(len(tags), dtype=bool)
-    opens[1:] = (tags[1:, 0] != tags[:-1, 0]) | (tags[1:, 1] != tags[:-1, 1])
-    index = _kernels.laid_out((len(vertices),), [
-        _SPACE, _kernels.int_field(np.arange(1, len(vertices) + 1))])
-    for r in _kernels.row_blocks(len(tags), 3, _kernels.G17_BLOCK_VALUES):
-        heads = np.flatnonzero(opens[r])
-        uv = _kernels.int_field(tags[r.start + heads])
+    records = []
+    for pl in mesh.polylines:
+        idx = [int(i) for i in pl.indices]
+        if len(idx) < 2 or not all(0 <= i < len(vertices) for i in idx):
+            raise ParameterOutOfRange(f"polyline {pl.indices} needs two or "
+                                      "more of the mesh's vertex indices")
+        records.append(idx + (idx[:1] if pl.closed else []))
+    # the text ends with a newline, that of an empty mesh included
+    _kernels.write_blocks(path, _obj_blocks(vertices, triangles, tags, records)
+                          if len(vertices) else [b"\n"])
+
+
+def _obj_blocks(vertices, triangles, tags, records):
+    """The byte blocks of export_obj's text, made as they are consumed."""
+    yield from _kernels.g17_text(vertices, (_VERTEX_BEFORE,), (_VERTEX_AFTER,))
+    # " " and each 1-based vertex index, NUL-led, a block at a time
+    digits = len(b"%d" % len(vertices))
+    index = np.empty((len(vertices), 1 + digits), dtype=np.uint8)
+    index[:, 0] = ord(" ")
+    for r in _kernels.row_blocks(len(index), 1, _kernels.G17_BLOCK_VALUES):
+        index[r, 1:] = _kernels.int_field(
+            np.arange(*r.indices(len(index))) + 1, digits)
+
+    def faces(r):
+        t = tags[r]
+        opens = np.ones(len(t), dtype=bool)
+        opens[1:] = (t[1:, 0] != t[:-1, 0]) | (t[1:, 1] != t[:-1, 1])
+        if r.start:
+            opens[0] = (t[0] != tags[r.start - 1]).any()
+        heads = np.flatnonzero(opens)
+        uv = _kernels.int_field(t[heads])
         head = _kernels.laid_out((len(heads),), [
             _G, uv[:, 0], _UNDERSCORE, uv[:, 1], _NEWLINE])
         face = np.take(index, triangles[r], axis=0)
@@ -251,13 +278,10 @@ def export_obj(mesh, path):
             np.zeros(head.shape[1], dtype=np.uint8), _F,
             face.reshape(len(face), -1), _NEWLINE])
         rows[heads, :head.shape[1]] = head
-        blocks.append(rows[rows != 0].tobytes())
-    for pl in mesh.polylines:
-        idx = [int(i) for i in pl.indices]
-        if len(idx) < 2 or not all(0 <= i < len(vertices) for i in idx):
-            raise ParameterOutOfRange(f"polyline {pl.indices} needs two or "
-                                      "more of the mesh's vertex indices")
-        text = index[idx + (idx[:1] if pl.closed else [])].ravel()
-        blocks += [b"l", text[text != 0].tobytes(), b"\n"]
-    # the text ends with a newline, that of an empty mesh included
-    _kernels.write_blocks(path, blocks if any(blocks) else [b"\n"])
+        return rows[rows != 0].tobytes()
+
+    yield from _kernels.blockwise(faces, _kernels.row_blocks(
+        len(tags), 3, _kernels.G17_BLOCK_VALUES))
+    for idx in records:
+        text = index[idx].ravel()
+        yield b"l" + text[text != 0].tobytes() + b"\n"

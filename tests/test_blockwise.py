@@ -1,9 +1,10 @@
-"""`_kernels.blockwise`: the float text written on up to two cores, with the
-bytes of one loop."""
+"""`_kernels.blockwise`: the float text made lazily on up to two cores, in
+rounds, with the bytes of one loop."""
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,9 @@ from _helpers import parabolic_net, reference_obj_text, reference_report_bytes
 def test_blockwise_returns_the_loop_in_block_order(workers, monkeypatch):
     monkeypatch.setattr(_kernels, "_WORKERS", workers)
     for n in range(10):
-        assert _kernels.blockwise(lambda b: b * b, range(n)) == [
+        assert list(_kernels.blockwise(lambda b: b * b, range(n))) == [
             b * b for b in range(n)]
-        assert _kernels.blockwise(str, list(range(n))) == [
+        assert list(_kernels.blockwise(str, list(range(n)))) == [
             str(b) for b in range(n)]
 
 
@@ -49,22 +50,70 @@ def test_report_and_obj_bytes_are_the_same_on_any_number_of_stripes(
 
 @pytest.mark.parametrize("bad", [0, 4])
 def test_an_exception_in_any_stripe_reaches_the_caller(bad, monkeypatch):
-    # three stripes take blocks 0, 3, 6 / 1, 4, 7 / 2, 5, 8; block 0 fails
-    # on the calling thread, block 4 on a pool thread.  Each stripe has
-    # ended when the error arrives: only the failing one stopped early
+    # rounds of three take blocks 0-2, 3-5 and 6-8; block 0 fails on the
+    # calling thread, block 4 on a pool thread.  The error arrives at the
+    # failing block's place, after the blocks before it, once every block
+    # that started has ended; no later round starts, save the pool blocks
+    # of the next round, which are submitted when the calling thread ends
+    # its own block of the failing round
     monkeypatch.setattr(_kernels, "_WORKERS", 3)
-    done = []
+    lock = threading.Lock()
+    started, running = [], set()
 
     def fn(b):
-        if b == bad:
-            raise KeyError(b)
-        done.append(b)
-        return b
+        with lock:
+            started.append(b)
+            running.add(b)
+        try:
+            if b == bad:
+                raise KeyError(b)
+            return b
+        finally:
+            with lock:
+                running.discard(b)
 
+    got = []
     with pytest.raises(KeyError, match=str(bad)):
-        _kernels.blockwise(fn, range(9))
-    stopped = set(range(bad, 9, 3))
-    assert sorted(done) == [b for b in range(9) if b not in stopped]
+        for b in _kernels.blockwise(fn, range(9)):
+            got.append(b)
+    assert got == list(range(bad))
+    assert not running
+    first = bad - bad % 3
+    assert bad in started and first in started
+    ahead = set(range(first + 4, first + 6)) if bad != first else set()
+    assert set(started) <= set(range(first + 3)) | ahead
+def test_blockwise_under_fast_thread_switching(monkeypatch):
+    # rounds of four on a fresh pool of three threads, the interpreter
+    # switching threads every microsecond: the blocks come in order, and a
+    # consumer that stops early leaves no block running
+    monkeypatch.setattr(_kernels, "_WORKERS", 4)
+    lock = threading.Lock()
+    running = set()
+
+    def fn(b):
+        with lock:
+            running.add(b)
+        try:
+            return sum(range(b % 7 * 100)) + b
+        finally:
+            with lock:
+                running.discard(b)
+
+    want = [fn(b) for b in range(300)]
+    interval = sys.getswitchinterval()
+    _kernels._pool.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert list(_kernels.blockwise(fn, range(300))) == want
+        for stop in (0, 1, 5, 150):
+            blocks = _kernels.blockwise(fn, range(300))
+            got = [next(blocks) for _ in range(stop)]
+            blocks.close()
+            assert got == want[:stop] and not running
+    finally:
+        sys.setswitchinterval(interval)
+        _kernels._pool().shutdown()
+        _kernels._pool.cache_clear()
 
 
 def test_a_small_analyze_starts_no_thread(tmp_path):
@@ -85,6 +134,31 @@ def test_a_small_analyze_starts_no_thread(tmp_path):
         env={"PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120, check=True)
     assert out.stdout.split() == ["0", "1", "False"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="os.fork is not on this platform")
+def test_a_forked_child_writes_text_of_many_blocks():
+    # a child forked after the parent wrote text of ten blocks writes the
+    # same text: the pool it inherits counted a thread the child does not
+    # have, and the child's first pool block waited for it forever
+    code = ("import os, signal\n"
+            "import numpy as np\n"
+            "from diams import _kernels\n"
+            "_kernels._WORKERS = 2\n"
+            "x = np.arange(160000.0).reshape(400, 400) + 0.5\n"
+            "text = b''.join(_kernels.g17_text(x, (), ()))\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)\n"
+            "    same = b''.join(_kernels.g17_text(x, (), ())) == text\n"
+            "    os._exit(0 if same else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    src = str(Path(diams.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("affinity", [True, False])

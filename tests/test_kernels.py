@@ -219,14 +219,14 @@ def test_g17_text_lays_values_out_between_pieces(block, monkeypatch):
                     dtype=np.uint8)
     want = ("<a0.10000000000000001x;<-2y;<cccNz;"
             "<<a1.0000000000000001e+300;<<0w;<<cccN;")
-    text = _kernels.g17_text(values, (rows, cols),
-                             (both, np.frombuffer(b";", dtype=np.uint8)),
-                             nonfinite=b"N")
+    text = list(_kernels.g17_text(values, (rows, cols),
+                                  (both, np.frombuffer(b";", dtype=np.uint8)),
+                                  nonfinite=b"N"))
     assert b"".join(text).decode("ascii") == want
     assert len(text) == (2 if block <= 5 else 1)
     plain = b"".join(_kernels.g17_text(values, (), ()))
     assert plain.decode() == "".join("%.17g" % x for x in values.ravel())
-    assert _kernels.g17_text(np.zeros((0, 3)), (cols,), ()) == []
+    assert list(_kernels.g17_text(np.zeros((0, 3)), (cols,), ())) == []
 
 
 @pytest.mark.parametrize("block", [1, 3, _kernels.G17_BLOCK_VALUES])
