@@ -34,7 +34,8 @@ def test_blockwise_returns_the_loop_in_block_order(workers, monkeypatch):
 def test_report_and_obj_bytes_are_the_same_on_any_number_of_stripes(
         workers, block, monkeypatch, tmp_path):
     # 40 values per u-row of Omega and 3 per vertex: blocks of less than a
-    # row, of one row and of the whole array, on one, two and three stripes
+    # row, of one row and of the whole array, in rounds of one, two and
+    # three blocks
     monkeypatch.setattr(_kernels, "_WORKERS", workers)
     monkeypatch.setattr(_kernels, "G17_BLOCK_VALUES", block)
     net = parabolic_net(0.05)[0]
@@ -163,7 +164,7 @@ def test_a_forked_child_writes_text_of_many_blocks():
 
 @pytest.mark.parametrize("affinity", [True, False])
 def test_at_most_two_stripes_with_or_without_sched_getaffinity(affinity):
-    # two stripes are what was measured; a platform without
+    # two threads are what was measured; a platform without
     # os.sched_getaffinity (macOS, Windows) counts os.cpu_count() instead
     if affinity and not hasattr(os, "sched_getaffinity"):
         pytest.skip("os.sched_getaffinity is not on this platform")
