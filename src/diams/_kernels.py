@@ -1,15 +1,18 @@
 """Hot numeric kernels, written as numpy array expressions.
 
 Every discrete decision of the pipeline is the sign of one determinant,
-[n, x, y].  ``det3`` writes it out for the scalar values; ``orient_terms``
-writes the same expression, bit for bit, with the six products that set
-orient's dead zone, for ``orient``, ``halfplane_grid``, the metric grid
-``omega_grid`` and the vertex-frame grids ``frame_pair_grids``.
-``ConormalNet`` computes the two grids once per net (``omega_terms``,
-``frame_terms``); generic position and classification read the six
-signs of every vertex from them (``sign_terms``), star sidedness included.
-``decided_sign`` (one pair) and ``undecided`` (arrays) decide every sign
-by one rule, |d| > tol * mag; an undecided overflow raises ValidationError.
+[n, x, y].  ``det3`` writes it out for the scalar values and the metric
+grid ``omega_grid``; ``orient_terms`` writes the same expression, bit for
+bit, with the six products that set orient's dead zone, for ``orient``,
+``halfplane_grid`` and the classification's six signs.  ``decided_sign``
+(one pair) and ``undecided`` (arrays) decide every sign by one rule,
+|d| > tol * mag; an undecided overflow raises ValidationError.
+``certified`` is the rule's bound form, low > tol * bound: the checks
+over whole grids (``frame_undecided`` for the vertex frames,
+``omega_undecided`` for Omega's dead zone, with ``omega_bounds``) decide
+every row whose bounds pass it, and run orient_terms and ``undecided``
+only on the others, so no grid of magnitudes is built.
+``require_tolerance`` checks the tolerances those bounds assume.
 
 ``g17_field`` writes the "%.17g" text of a whole float array as one
 NUL-padded uint8 matrix: the digits come from a double-double product
@@ -27,10 +30,11 @@ text are streamed to disk, each block written as soon as it is made and
 freed before the next round of blocks, so the text is never held whole.
 A failure part-way truncates a regular file back to empty.
 
-The grid kernels, and ConormalNet's |nu| check, work ``row_blocks`` at
-a time: no temporary exceeds 64 KiB (``GRID_BLOCK_VALUES`` floats), below
-glibc's 128 KiB mmap threshold, so the heap reuses it instead of
-page-faulting it afresh on every call, and the grids keep their bits.
+The grid kernels, the rows the bounds leave and ConormalNet's |nu| check
+work ``row_blocks`` at a time: no temporary exceeds 64 KiB
+(``GRID_BLOCK_VALUES`` floats), below glibc's 128 KiB mmap threshold, so
+the heap reuses it instead of page-faulting it afresh on every call, and
+the grids keep their bits.
 ``row_blocks`` is also the block rule of ``g17_text``, ``int_field``, the
 OBJ face block and the mesh's area filter, each with its own limit.
 ``blockwise`` lazily maps a function over blocks on up to ``_WORKERS``
@@ -45,6 +49,8 @@ The kernels' share of pipeline time shows in the per-layer output of
 """
 
 import functools
+import math
+import numbers
 import os
 import stat
 
@@ -86,6 +92,16 @@ def require_finite(values, what):
                               "this coordinate scale)")
 
 
+def require_tolerance(value, name):
+    """Raise ValidationError unless value is a finite real number >= 0: a
+    dead zone below 0 is no dead zone, and the certified bounds below
+    assume tol >= 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value >= 0):
+        raise ValidationError(
+            f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def decided_sign(d, mag, tol):
     """orient's sign of one (det, magnitude) pair from orient_terms: +1 or
     -1 where |d| > tol * mag, else 0.  An undecided magnitude that is not
@@ -108,11 +124,29 @@ def undecided(d, mag, tol, what):
     return out
 
 
+def certified(low, bound, tol):
+    """The bound form of the rule: True where low > tol * bound, for
+    floats or arrays (under np.errstate, as the product may overflow).
+    With low at most every |d| and bound at least every mag of a row,
+    fl(tol * bound) >= fl(tol * mag) by monotone rounding (tol >= 0), so
+    a True row holds no sign that undecided would leave undecided.  A nan
+    or an overflow in either bound reads False: the row is not
+    certified."""
+    return low > tol * bound
+
+
 def _as_points(arr):
     a = np.ascontiguousarray(arr, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("expected an (n, 3) array of points")
     return a
+
+
+def _components(arr):
+    """The three coordinate rows of an (n, 3) array of points, each one
+    contiguous: numpy loops over the strided rows of its transpose take
+    about twice as long on small grids."""
+    return np.ascontiguousarray(_as_points(arr).T)
 
 
 # The grid kernels work on blocks of whole rows holding at most this many
@@ -129,46 +163,173 @@ def row_blocks(rows, columns, limit):
 
 
 def omega_grid(alpha, beta):
-    """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
-    for every quadrangle, indexed by lower-left corner: one array holding
-    the grid of Omega and the grid of its dead-zone magnitudes, filled
-    row_blocks at a time.
+    """Omega = [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)] for every
+    quadrangle, indexed by lower-left corner: det3 over row_blocks, so
+    every value has the bits of orient_terms' d.
 
     Nets keep the result, so it is allocated before the temporaries: a
     long-lived grid placed between them keeps the freed heap from being
     reused and raises the peak RSS of repeated runs by several MB."""
-    a = _as_points(alpha).T
-    b = _as_points(beta).T
-    out = np.empty((2, a.shape[1] - 1, b.shape[1] - 1))
+    a = _components(alpha)
+    b = _components(beta)
+    out = np.empty((a.shape[1] - 1, b.shape[1] - 1))
     x = (a[:, 1:] - a[:, :-1])[:, :, None]
     y = (b[:, 1:] - b[:, :-1])[:, None, :]
     n = a[:, :-1, None]
-    for r in row_blocks(*out.shape[1:], GRID_BLOCK_VALUES):
-        out[0, r], out[1, r] = orient_terms(*(n[:, r] - b[:, None, :-1]),
-                                            *x[:, r], *y)
+    for r in row_blocks(*out.shape, GRID_BLOCK_VALUES):
+        out[r] = det3(n[:, r] - b[:, None, :-1], x[:, r], y)
     return out
 
 
-def frame_pair_grids(alpha, beta):
-    """orient_terms of [alpha(u)-beta(v), alpha'(u+1/2), alpha'(u-1/2)] and
-    of [alpha(u)-beta(v), beta'(v+1/2), beta'(v-1/2)] at every vertex with
-    both neighbours on each curve, indexed from the vertex (1, 1) of the
-    grid: one array of two (det, mag) pairs, allocated first and filled
-    row_blocks at a time as in omega_grid."""
-    a = _as_points(alpha).T
-    b = _as_points(beta).T
-    a0 = a[:, 1:-1, None]
-    b0 = b[:, None, 1:-1]
-    out = np.empty((2, 2, a0.shape[1], b0.shape[2]))
-    xa = a[:, 2:, None] - a0
-    ya = a0 - a[:, :-2, None]
-    xb = b[:, None, 2:] - b0
-    yb = b0 - b[:, None, :-2]
-    for r in row_blocks(*out.shape[2:], GRID_BLOCK_VALUES):
-        n = a0[:, r] - b0
-        out[0, 0, r], out[0, 1, r] = orient_terms(*n, *xa[:, r], *ya[:, r])
-        out[1, 0, r], out[1, 1, r] = orient_terms(*n, *xb, *yb)
-    return out
+# Certified bounds.  A sign family is a grid of orient_terms(p(i) - q(j),
+# x, y) in which x and y vary by row i, or (Omega) y by column j.  Per row,
+# an upper bound on mag comes from orient_terms' own mag expression with
+# |p(i) - q(j)| replaced by its largest value over the bounding box of the
+# q(j), and with |y| by its largest (Omega): rounding is monotone, so the
+# computed bound is at least every computed mag of the row.  A row is
+# decided when a lower bound on its |d| passes `certified`; the rows that
+# no bound decides run orient_terms itself, and `undecided` judges them.
+
+_NONE = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+         np.empty(0))
+
+
+def _farthest(p, lo, hi):
+    """Per component, the larger of |p - lo| and |p - hi|: the largest
+    computed |p - q| over q in [lo, hi], as rounding is monotone in q."""
+    return np.maximum(np.abs(p - lo), np.abs(p - hi))
+
+
+def _undecided_entries(left, columns, terms, tol, what, floor=0.0):
+    """Rows, columns and magnitudes of the entries of the rows `left`
+    (ascending) of a sign family with `columns` columns that are undecided
+    at tol or whose magnitude is below floor, in row-major order.
+    terms(k) gives orient_terms' (d, mag) on the rows k, which run
+    row_blocks at a time."""
+    found = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in row_blocks(len(left), columns, GRID_BLOCK_VALUES):
+            k = left[r]
+            d, mag = terms(k)
+            bad = undecided(d, mag, tol, what)
+            if floor:
+                bad |= mag < floor
+            if bad.any():
+                i, j = np.nonzero(bad)
+                found.append((k[i], j, mag[i, j]))
+    if not found:
+        return _NONE
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+def _frame(p):
+    """A curve's interior points and its frame directions there,
+    p'(i+1/2) and p'(i-1/2), as (3, n-2) component arrays."""
+    f = p[:, 1:-1]
+    return f, p[:, 2:] - f, f - p[:, :-2]
+
+
+def _frame_rows(f, x, y, others, tol, what):
+    """Rows i and columns j of the undecided signs [f(i) - others(j),
+    x(i), y(i)], rows that a bound decides left out.
+
+    Per row, d = f(i).c - others(j).c exactly, with c the computed
+    product x(i) x y(i) that orient_terms forms.  Over the bounding box
+    of the others, others.c lies in [h_min, h_max], so |d| is at least
+    the distance of f(i).c from that range.  With S = sum_k (|f_k| +
+    max |others_k|) |c_k|, orient_terms' computed d differs from the
+    exact value by at most 4u S (u = 2^-53: rounding f - others and the
+    dot product), and evaluating f.c, h_min, h_max and their difference
+    adds at most 7u S; subnormal results add at most 20 * 2^-1075.  The
+    lower bound subtracts 2^-48 S + 2^-1070, over twice that, and the
+    rows it certifies run no kernel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = others.min(axis=1, keepdims=True)
+        hi = others.max(axis=1, keepdims=True)
+        c = np.stack([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+                      x[0] * y[1] - x[1] * y[0]])
+        dot = (f * c).sum(axis=0)
+        ends = np.stack([c * lo, c * hi])
+        gap = np.maximum(dot - ends.max(axis=0).sum(axis=0),
+                         ends.min(axis=0).sum(axis=0) - dot)
+        size = ((np.abs(f) + np.maximum(-lo, hi)) * np.abs(c)).sum(axis=0)
+        low = gap - (2.0 ** -48 * size + 2.0 ** -1070)
+        bound = orient_terms(*_farthest(f, lo, hi), *x, *y)[1]
+        left = np.flatnonzero(~certified(low, bound, tol))
+
+    def terms(k):
+        return orient_terms(*(f[:, k, None] - others[:, None, :]),
+                            *x[:, k, None], *y[:, k, None])
+
+    return _undecided_entries(left, others.shape[1], terms, tol, what)[:2]
+
+
+def frame_undecided(alpha, beta, tol, what):
+    """Rows i and columns j, counted from the interior point 1 of each
+    curve, of the undecided vertex-frame signs, [alpha(i) - beta(j),
+    alpha'(i+1/2), alpha'(i-1/2)], then [alpha(i) - beta(j),
+    beta'(j+1/2), beta'(j-1/2)].  Larger grids go by _frame_rows, beta's
+    by columns (swapping the curves negates d and keeps mag).  A grid that
+    fits in one block runs whole: its kernel is one call, and on the 19 x
+    19 frames of corpus nets, where the bounds leave about one row in
+    eight, bounds and leftover rows took 226 us a net against 80 us
+    (2-core x86-64)."""
+    a = _components(alpha)
+    b = _components(beta)
+    fa, xa, ya = _frame(a)
+    fb, xb, yb = _frame(b)
+    if fa.shape[1] * fb.shape[1] > GRID_BLOCK_VALUES:
+        pairs = _frame_rows(fa, xa, ya, fb, tol, what)
+        j, i = _frame_rows(fb, xb, yb, fa, tol, what)
+        return pairs, (i, j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = fa[:, :, None] - fb[:, None]
+        return [np.nonzero(undecided(*orient_terms(*n, *x, *y), tol, what))
+                for x, y in ((xa[:, :, None], ya[:, :, None]),
+                             (xb[:, None], yb[:, None]))]
+
+
+def omega_bounds(alpha, beta, omega):
+    """Per quad row of omega, the grid omega_grid(alpha, beta) returned:
+    its least |Omega| and an upper bound on its dead-zone magnitudes.
+    Neither depends on a tolerance, so a net computes them once."""
+    a = _components(alpha)
+    b = _components(beta)
+    base = b[:, :-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = np.concatenate([np.abs(omega[r]).min(axis=1) for r in
+                              row_blocks(*omega.shape, GRID_BLOCK_VALUES)])
+        n = _farthest(a[:, :-1], base.min(axis=1, keepdims=True),
+                      base.max(axis=1, keepdims=True))
+        bound = orient_terms(*n, *(a[:, 1:] - a[:, :-1]),
+                             *np.abs(b[:, 1:] - b[:, :-1]).max(axis=1))[1]
+    return low, bound
+
+
+def omega_undecided(alpha, beta, bounds, tol, what, floor=0.0):
+    """Rows, columns and magnitudes of the quads where Omega, the grid
+    omega_grid(alpha, beta) returns, is undecided at tol or its magnitude
+    is below floor, in row-major order.  A row is certified when its
+    least |Omega| (bounds, from omega_bounds) is at least floor and
+    passes `certified` against its mag bound: |Omega| <= mag, so no mag
+    of the row is below floor either.  The other rows run orient_terms on
+    the inputs of omega_grid, so their d has Omega's bits."""
+    low, bound = bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.flatnonzero(~(certified(low, bound, tol) & (low >= floor)))
+    if not len(left):
+        return _NONE
+    a = _components(alpha)
+    b = _components(beta)
+    x = a[:, 1:] - a[:, :-1]
+    y = b[:, 1:] - b[:, :-1]
+    base = b[:, :-1]
+
+    def terms(k):
+        return orient_terms(*(a[:, k, None] - base[:, None, :]),
+                            *x[:, k, None], *y[:, None, :])
+
+    return _undecided_entries(left, base.shape[1], terms, tol, what, floor)
 
 
 def integrate_positions(alpha, beta, iu, iv, base_point):

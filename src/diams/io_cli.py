@@ -422,6 +422,10 @@ def _cmd_mesh(args):
         if _print_violations(analysis):
             return 1
         chains = analysis.polylines
+        # meshing reads the polylines alone: the analysis and the net's
+        # cached Omega grid are freed before the positions are integrated
+        del analysis
+        net.release_omega()
     mesh = tessellate(integrate_net(net), args.subdiv, chains)
     export_obj(mesh, args.out)
     return 0

@@ -10,7 +10,10 @@ discrete Lelieuvre equations
 gives an asymptotic net whose vertex stars are planar with normal nu.
 Because nu is a difference of one-variable curves, nu_uv = 0 identically,
 which makes the integration path independent.  Signs are decided, and
-overflows named, by ``_kernels``' one rule (``undecided``).
+overflows named, by ``_kernels``' one rule (``undecided``); a net keeps
+one grid, Omega's values (``ConormalNet.omega``), and the generic-position
+check reads no grid of magnitudes: certified row bounds decide its rows
+(``_kernels.certified``), and the kernel runs on the rows they leave.
 """
 
 import math
@@ -248,64 +251,61 @@ class ConormalNet:
         object.__setattr__(self, "scale", scale)
         # |nu| is taken of nu scaled by 2^-e, where scale = m * 2^e: the
         # scaling is exact, and the squares neither overflow nor underflow
-        # anywhere near the threshold 1e-12 * m.  The grid is read in row
-        # blocks; the first least |nu| in row-major order is named.
+        # anywhere near the threshold 1e-12 * m.  A u-row passes unread
+        # when the gap between alpha(u) and beta's bounding box clears the
+        # threshold in one component, with slack for the rounding of the
+        # norm: rounding is monotone, so every computed |nu_k| of the row
+        # is at least that gap.  The other rows are read in row blocks;
+        # the first least |nu| in row-major order is named.
         mantissa, exponent = np.frexp(scale)
+        floor = 1e-12 * mantissa
         a, b = self.alpha.points, self.beta.points
+        with np.errstate(over="ignore"):
+            gap = np.maximum(a - b.max(axis=0), b.min(axis=0) - a).max(axis=1)
+        rows = np.flatnonzero(
+            ~(np.ldexp(gap, -exponent) > floor * (1.0 + 2.0 ** -40)))
         least, at = np.inf, None
-        for r in _kernels.row_blocks(dom.nu, 3 * dom.nv,
+        for r in _kernels.row_blocks(len(rows), 3 * dom.nv,
                                      _kernels.GRID_BLOCK_VALUES):
-            nu = np.ldexp(a[r, None, :] - b[None, :, :], -exponent)
+            k = rows[r]
+            nu = np.ldexp(a[k, None, :] - b[None, :, :], -exponent)
             norms = np.sqrt((nu ** 2).sum(axis=2))
-            k = int(np.argmin(norms))
-            if norms.flat[k] < least:
-                least = norms.flat[k]
-                at = (r.start + k // dom.nv, k % dom.nv)
-        if least <= 1e-12 * mantissa:
+            m = int(np.argmin(norms))
+            if norms.flat[m] < least:
+                least = norms.flat[m]
+                at = (int(k[m // dom.nv]), m % dom.nv)
+        if least <= floor:
             raise ValidationError(
                 "curves intersect near vertex "
                 f"({at[0] + dom.u_min}, {at[1] + dom.v_min}): "
                 f"|nu| = {np.ldexp(least, exponent):.3e}")
 
     @cached_property
-    def omega_terms(self):
-        """Read-only grids of Omega and its dead-zone magnitudes over the
-        quads, from the lower-left one, stacked in one array; computed once
-        per net."""
+    def omega(self):
+        """Read-only grid of Omega over the quads, from the lower-left one;
+        computed once per net."""
         dom = self.domain
-        with (float_grid_allocation((2, dom.nu - 1, dom.nv - 1),
-                                    "the Omega grids"),
+        with (float_grid_allocation((dom.nu - 1, dom.nv - 1),
+                                    "the Omega grid"),
               np.errstate(over="ignore", invalid="ignore")):
-            terms = _kernels.omega_grid(self.alpha.points, self.beta.points)
-        terms.flags.writeable = False
-        return terms
+            values = _kernels.omega_grid(self.alpha.points, self.beta.points)
+        values.flags.writeable = False
+        return values
 
     @cached_property
-    def frame_terms(self):
-        """Read-only (det, mag) grids of [nu, alpha'+, alpha'-] and
-        [nu, beta'+, beta'-] over the vertices with both neighbours on each
-        curve, from (u_min+1, v_min+1), stacked in one array; computed once
-        per net."""
-        dom = self.domain
-        with (float_grid_allocation((2, 2, dom.nu - 2, dom.nv - 2),
-                                    "the vertex-frame grids"),
-              np.errstate(over="ignore", invalid="ignore")):
-            terms = _kernels.frame_pair_grids(self.alpha.points,
-                                              self.beta.points)
-        terms.flags.writeable = False
-        return terms
+    def omega_bounds(self):
+        """Per quad row, the least |Omega| and an upper bound on its
+        dead-zone magnitudes (_kernels.omega_bounds); computed once per
+        net, as no tolerance enters them."""
+        return _kernels.omega_bounds(self.alpha.points, self.beta.points,
+                                     self.omega)
 
-    @property
-    def sign_terms(self):
-        """The six (det, mag) grids of the classification signs over the
-        vertices with both neighbours on each curve, from (u_min+1,
-        v_min+1): the two frame_terms grids, then the cross pairs
-        [nu, alpha'+-, beta'+-] in the order ++, +-, -+, --, as views of
-        omega_terms at the quads (u, v), (u, v-1), (u-1, v), (u-1, v-1),
-        the quad on the sides of the two directions."""
-        w = self.omega_terms
-        return (*self.frame_terms, w[:, 1:, 1:], w[:, 1:, :-1],
-                w[:, :-1, 1:], w[:, :-1, :-1])
+    def release_omega(self):
+        """Free the cached omega and omega_bounds; both are computed afresh
+        if read again.  For callers that are done with the signs and keep
+        the net, as meshing does."""
+        for name in ("omega", "omega_bounds"):
+            self.__dict__.pop(name, None)
 
     def nu_grid(self):
         """Full (nu, nv, 3) array of co-normal vectors."""
@@ -461,9 +461,10 @@ def star_planarity_residual_grid(f, net):
 
 
 _PLANE_LABELS = ("alpha+", "alpha-", "beta+", "beta-")
-# the plane pair of each sign_terms grid
-_SIGN_PLANES = [(_PLANE_LABELS[i], _PLANE_LABELS[j])
-                for i, j in ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))]
+# the cross pairs (alpha+-, beta+-), each with the offset from the lower-
+# left vertex of its quad to the vertex whose pair it is
+_CROSS_PLANES = [((_PLANE_LABELS[i], _PLANE_LABELS[j]), (i, j - 2))
+                 for i in (0, 1) for j in (2, 3)]
 
 
 @dataclass(frozen=True)
@@ -487,20 +488,28 @@ def validate_generic_position(net, tol=1e-9):
     nu = alpha(u) - beta(v).  Two coincide where orient(nu, x, y) reads 0
     (_kernels.undecided): |[nu, x, y]| is not above tol >= 0 times the sum
     of the absolute values of its six products.  Only (alpha+, alpha-) and
-    (beta+, beta-) are evaluated in the vertex frame; by column reduction
-    each cross pair is Omega on one of the vertex's quads.  All six are
-    read from net.sign_terms.  Returns the list of violations, empty when
-    the net is generic.
+    (beta+, beta-) are evaluated in the vertex frame
+    (_kernels.frame_undecided); by column reduction each cross pair is
+    Omega on one of the vertex's quads (_kernels.omega_undecided).  Rows
+    that a certified bound decides are not evaluated.  Returns the list of
+    violations, empty when the net is generic.
     """
+    _kernels.require_tolerance(tol, "tol")
     dom = net.domain
+    a, b = net.alpha.points, net.beta.points
+    what = "generic-position test"
+    bounds = net.omega_bounds   # first: it builds the guarded Omega grid
     out = []
-    for (plane_a, plane_b), (d, mag) in zip(_SIGN_PLANES, net.sign_terms):
-        undecided = _kernels.undecided(d, mag, tol, "generic-position test")
-        if not undecided.any():     # argwhere is slow even on no entry
-            continue
-        for ui, vi in np.argwhere(undecided).tolist():
-            out.append(GenericPositionViolation(
-                vertex=(ui + dom.u_min + 1, vi + dom.v_min + 1),
-                plane_a=plane_a, plane_b=plane_b))
+    frames = _kernels.frame_undecided(a, b, tol, what)
+    for planes, (i, j) in zip((_PLANE_LABELS[:2], _PLANE_LABELS[2:]), frames):
+        out += [GenericPositionViolation(
+            (u + dom.u_min + 1, v + dom.v_min + 1), *planes)
+            for u, v in zip(i.tolist(), j.tolist())]
+    i, j, _ = _kernels.omega_undecided(a, b, bounds, tol, what)
+    for u, v in zip(i.tolist(), j.tolist()):
+        for planes, (du, dv) in _CROSS_PLANES:
+            if 0 < u + du < dom.nu - 1 and 0 < v + dv < dom.nv - 1:
+                out.append(GenericPositionViolation(
+                    (u + du + dom.u_min, v + dv + dom.v_min), *planes))
     out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
     return out

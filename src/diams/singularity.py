@@ -18,16 +18,20 @@ with n = alpha(u0)-beta(v0): for any plane transversal to n, the
 orientation of the projected pair (Px, Py) equals this sign, so no
 projection plane is ever materialized and results cannot depend on one.
 The four cross signs [n, alpha'+-, beta'+-] at a vertex are Omega's signs
-on its four quads, read from the grid that ``ConormalNet.omega_terms``
-computes once per net.  The metric field and the four cross pairs of the
-generic-position check read that grid too, so the signs that classify a
-vertex are the ones that made its edges singular.  The two others,
-alpha'+ against alpha'- and beta'+ against beta'-, are evaluated in the
-vertex frame, once per net as well (``ConormalNet.frame_terms``), and
-generic position reads the same grids.
+on its four quads, each formed from its quad's lower-left co-normal with
+the bits of the grid that ``ConormalNet.omega`` computes once per net, so
+the signs that classify a vertex are the ones that made its edges
+singular.  The two others, alpha'+ against alpha'- and beta'+ against
+beta'-, are evaluated in the vertex frame.  The metric's dead zone and
+the generic-position check judge the same signs over the whole grid;
+they read no grid of magnitudes, because a certified bound decides
+nearly every row of them, and ``orient_terms`` runs on the rest
+(``_kernels.omega_undecided``, ``_kernels.frame_undecided``).
 ``_kernels`` holds orient's determinant (``orient_terms``) and its one
 dead-zone rule, ``decided_sign`` for one pair and ``undecided`` for
-arrays, so Omega is judged as every other sign.  Tolerances must be >= 0.
+arrays, with its bound form ``certified``, so Omega is judged as every
+other sign.  Tolerances must be finite and >= 0
+(``_kernels.require_tolerance``).
 
 A two-edge vertex's configuration, kind and sign diagnostics depend only
 on these six signs, so they are read from a 64-entry table
@@ -35,11 +39,14 @@ on these six signs, so they are read from a 64-entry table
 at import.  Star sidedness is one of them: the Lelieuvre star edges are
 nu x (alpha'+, -alpha'-, beta'+, -beta'-), and [nu, nu x x, nu x y] =
 |nu|^2 [nu, x, y].  One row rule, ``_decide_row``, classifies a vertex
-from its six signs.  ``ConormalNet.sign_terms`` lays the six (det, mag)
-grids out over the interior vertices.  ``analyze_net`` reads them at all
-two-edge vertices in one batched pass that hands every row with an
-undecided sign to the rule; ``classify_vertex`` reads one vertex's
-signs from the same grids (``_vertex_terms``).  No positions are
+from its six signs.  Their (det, mag) pairs are formed from the curve
+points around the vertex by one layout (``_SIX_SIGNS``), in one
+orient_terms call for any number of vertices (``_six_terms``;
+``_vertex_terms`` reads one vertex, for ``classify_vertex``):
+``analyze_net`` classifies them in one batched pass that hands every row
+with an undecided sign to the rule.  ``admissibility_check`` reads its
+four cross signs off net.omega where ``ConormalNet.omega_bounds``
+certifies both quad rows (``_cross_signs``).  No positions are
 integrated; the tests check the diagnostic against
 ``star_sidedness_test`` on them.
 """
@@ -178,20 +185,24 @@ _TINY = np.finfo(float).tiny
 
 def metric_field(net, eps_degenerate=1e-9):
     """Omega on all quads, read from the net's one read-only grid
-    (net.omega_terms); abort when any quad's Omega falls in orient's dead
-    zone at eps_degenerate >= 0, where its sign means nothing, or when its
-    magnitude underflows (below the smallest normal float)."""
-    values, mag = net.omega_terms
-    bad = _kernels.undecided(values, mag, eps_degenerate, "Omega") | (
-        mag < _TINY)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
-        if 0.0 < mag[i, j] < _TINY:
-            what = f"Omega underflows: magnitude {mag[i, j]:.3e}"
+    (net.omega); abort when any quad's Omega falls in orient's dead zone
+    at eps_degenerate >= 0, where its sign means nothing, or when its
+    magnitude underflows (below the smallest normal float).  A row whose
+    least |Omega| clears a certified bound on its magnitudes is decided
+    without them (_kernels.omega_undecided)."""
+    _kernels.require_tolerance(eps_degenerate, "eps_degenerate")
+    values = net.omega
+    i, j, mag = _kernels.omega_undecided(net.alpha.points, net.beta.points,
+                                         net.omega_bounds, eps_degenerate,
+                                         "Omega", _TINY)
+    if len(i):
+        i, j, mag = int(i[0]), int(j[0]), float(mag[0])
+        quad = (i + net.domain.u_min, j + net.domain.v_min)
+        if 0.0 < mag < _TINY:
+            what = f"Omega underflows: magnitude {mag:.3e}"
         else:
             # a Python float product: inf, without a warning, on overflow
-            floor = eps_degenerate * float(mag[i, j])
+            floor = eps_degenerate * mag
             what = f"|Omega| = {abs(values[i, j]):.3e} <= {floor:.3e}"
         err = DegenerateMetric(f"{what} at quad {quad}")
         err.quad = quad
@@ -436,24 +447,63 @@ def singular_vertices(edges, domain):
                                           sset.flagged)]
 
 
-def _vertex_terms(net, u0, v0):
-    """(det, mag) lists of the six signs at an interior vertex: alpha'+
-    against alpha'- and beta'+ against beta'- (net.frame_terms), then the
-    cross signs orient(nu0, a, b), a in (alpha'+, alpha'-), b in
-    (beta'+, beta'-), in the order ++, +-, -+, --.
+# The six signs at a vertex (u0, v0) as orient(alpha(u0+i) - beta(v0+j),
+# x, y): the offsets (i, j) of the co-normal, then x and y numbered as the
+# frame directions alpha'+, alpha'-, beta'+, beta'- (0..3).  alpha'+
+# against alpha'- and beta'+ against beta'- are taken in the vertex frame;
+# by column reduction each cross sign orient(nu0, a, b), a in (alpha'+,
+# alpha'-), b in (beta'+, beta'-), in the order ++, +-, -+, --, is Omega
+# on the quad on the sides of a and b, (u0, v0), (u0, v0-1), (u0-1, v0),
+# (u0-1, v0-1), taken in that quad's frame, with the bits of net.omega:
+# the signs are the ones singular_edges compared.  Every other orientation
+# among the four directions is one of these up to an exact sign flip.
+_SIX_SIGNS = (((0, 0), 0, 1), ((0, 0), 2, 3), ((0, 0), 0, 2),
+              ((0, -1), 0, 3), ((-1, 0), 1, 2), ((-1, -1), 1, 3))
+# _six_terms' index arrays: the curve points around a vertex are gathered
+# as offsets -1, 0, 1 (rows 0, 1, 2), the directions come as alpha'-,
+# alpha'+, beta'-, beta'+
+_NEIGHBOURS = np.arange(-1, 2)[:, None]
+_SIX_A, _SIX_B = (1 + np.array(c) for c in zip(*[s[0] for s in _SIX_SIGNS]))
+_SIX_X, _SIX_Y = (np.array([1, 0, 3, 2])[list(c)]
+                  for c in zip(*[s[1:] for s in _SIX_SIGNS]))
 
-    By column reduction each cross det is Omega on the quad on the sides
-    of a and b: (u0, v0), (u0, v0-1), (u0-1, v0), (u0-1, v0-1), read from
-    net.omega_terms, so the signs are the ones singular_edges compared.
-    Every other orientation among the four directions is one of these up
-    to an exact sign flip."""
+
+def _vertex_terms(net, u0, v0):
+    """(det, mag) lists of the six signs (_SIX_SIGNS) at an interior
+    vertex: _six_terms at that one vertex."""
+    dom = net.domain
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, mag = _six_terms(net, np.array([u0 - dom.u_min]),
+                            np.array([v0 - dom.v_min]))
+    return d[:, 0].tolist(), mag[:, 0].tolist()
+
+
+def _six_terms(net, i, j):
+    """(det, mag) arrays of shape (6, k) of the six signs (_SIX_SIGNS) at
+    the vertices of grid indices (i, j), in one orient_terms call."""
+    a = net.alpha.points.T[:, i + _NEIGHBOURS]  # alpha(u0-1), alpha(u0), ...
+    b = net.beta.points.T[:, j + _NEIGHBOURS]
+    dirs = np.concatenate([a[:, 1:] - a[:, :-1], b[:, 1:] - b[:, :-1]],
+                          axis=1)
+    n = a[:, _SIX_A] - b[:, _SIX_B]
+    return _kernels.orient_terms(*n, *dirs[:, _SIX_X], *dirs[:, _SIX_Y])
+
+
+def _cross_signs(net, u0, v0, tol):
+    """decided_sign of the four cross pairs at an interior vertex, ++,
+    +-, -+, --: Omega's signs on the quads (u0, v0), (u0, v0-1),
+    (u0-1, v0), (u0-1, v0-1).  Where net.omega_bounds certifies both quad
+    rows at tol, each is the sign of its Omega value and no magnitude is
+    formed; elsewhere _vertex_terms' pairs are judged."""
     i = u0 - net.domain.u_min
     j = v0 - net.domain.v_min
-    (aa, aa_mag), (bb, bb_mag) = net.frame_terms[:, :, i - 1, j - 1].tolist()
-    # the 2x2 block of quads around the vertex, read backwards: ++ first
-    w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
-        2, 4)[:, ::-1].tolist()
-    return [aa, bb, *w], [aa_mag, bb_mag, *w_mag]
+    low, bound = (b[i - 1:i + 1].tolist() for b in net.omega_bounds)
+    if all(map(_kernels.certified, low, bound, (float(tol),) * 2)):
+        # the 2x2 block of quads around the vertex, read backwards
+        w = net.omega[i - 1:i + 1, j - 1:j + 1].ravel()[::-1].tolist()
+        return [1 if x > 0.0 else -1 for x in w]
+    d, mag = _vertex_terms(net, u0, v0)
+    return [decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -511,8 +561,7 @@ def admissibility_check(net, vertex, tol=1e-9):
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
-    d, mag = _vertex_terms(net, u0, v0)
-    cross = [decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
+    cross = _cross_signs(net, u0, v0, tol)
     axes = {e.axis for e in vertex.incident_singular_edges}
     return _admissible_signatures(cross, axes, vertex.vertex) is not None
 
@@ -810,10 +859,11 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     All of this, star sidedness included, depends only on six signs:
     alpha'+ against alpha'- and beta'+ against beta'-, in the vertex
     frame, and the four cross signs, Omega's signs on the four quads around
-    the vertex, read from the net's grids and turned into the outcome by
+    the vertex, formed by _vertex_terms and turned into the outcome by
     _decide_row, as in analyze_net's batched pass.  No positions are read:
-    f and singular_edge_set are ignored.
+    f and singular_edge_set are ignored.  tol must be finite and >= 0.
     """
+    _kernels.require_tolerance(tol, "tol")
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         return replace(vertex, configuration=Configuration.BOUNDARY,
@@ -830,16 +880,17 @@ def _vertex_records(net, sset, tol):
     """The record of every vertex of the singular set sset, in vertex
     order, in one batched pass: Boundary off the interior, Inadmissible
     where flagged, and every two-edge interior vertex classified from its
-    six signs, read from net.sign_terms at its grid index.  A row whose
-    six signs are all decided reads its outcome from the sign table, every
-    other row goes to _decide_row."""
+    six signs, formed by _six_terms from the curve points around all of
+    them at once.  A row whose six signs are all decided reads its
+    outcome from the sign table, every other row goes to _decide_row."""
     dom = net.domain
     two_edge = [vert for vert, inner, flagged
                 in zip(sset.vertices, sset.interior, sset.flagged)
                 if inner and not flagged]
     i, j = (np.array(two_edge, dtype=np.int64).reshape(-1, 2)
-            - (dom.u_min + 1, dom.v_min + 1)).T
-    d, mag = np.stack([terms[:, i, j] for terms in net.sign_terms], axis=1)
+            - (dom.u_min, dom.v_min)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, mag = _six_terms(net, i, j)
     key = _KEY_BITS @ (d > 0)
     decided = ~_kernels.undecided(d, mag, tol, "orientation test").any(axis=0)
     rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
@@ -912,8 +963,11 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9):
     """Run the full singularity pipeline on one co-normal net.
 
     Every singular vertex gets its record in one batched pass
-    (_vertex_records).  Positions are not integrated.
+    (_vertex_records).  Positions are not integrated.  Both tolerances
+    must be finite and >= 0.
     """
+    _kernels.require_tolerance(tol, "tol")
+    _kernels.require_tolerance(eps_degenerate, "eps_degenerate")
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
     sset = SingularSet.from_omega(metric)

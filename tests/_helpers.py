@@ -9,18 +9,21 @@ import numpy as np
 
 from diams import (ConormalNet, PolyCurve, analyze_net, bilinear_point,
                    patch_for_quad)
-from diams._kernels import decided_sign
+from diams._kernels import decided_sign, orient_terms, undecided
 from diams.errors import (DegenerateDirection, DegenerateMetric,
                           DegenerateOrientation, InadmissibleVertex,
                           IndexOutOfDomain, NonGenericCell, NonGenericChain,
                           ValidationError)
 from diams.io_cli import example_curve_pair
-from diams.net_core import (_PLANE_LABELS, validate_generic_position,
+from diams.net_core import (_PLANE_LABELS, GenericPositionViolation,
+                            characteristic_scale, validate_generic_position,
                             walk_chains)
-from diams.singularity import (_SIGN_TABLE, Configuration, EdgeIndex, Kind,
-                               SingularEdge, SingularPolyline, SingularVertex,
-                               _base_edge, _orient_strict, _sign_key,
-                               _sign_outcome, _star_sides_agree,
+from diams.singularity import (_KEY_BITS, _SIGN_TABLE, _TINY, Configuration,
+                               EdgeIndex, Kind, MetricField, SingularEdge,
+                               SingularPolyline, SingularVertex,
+                               _admissible_signatures, _base_edge,
+                               _classified, _decide_row, _orient_strict,
+                               _sign_key, _sign_outcome, _star_sides_agree,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
 from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothCurvePair,
@@ -231,6 +234,36 @@ def scalar_generic_violations(net, tol, cross_on_quads):
             for planes, frame in generic_position_frames(
                 net, u, v, cross_on_quads).items()
             if orient(*frame, tol) == 0}
+
+
+def planted_coincidence_nets(rng, count=120):
+    """Random 6x6 nets with one curve point planted so that its frame
+    direction at a vertex lies in span(nu, y) for another frame direction
+    y, up to a relative offset swept across the dead-zone band."""
+    for _ in range(count):
+        net = random_net_candidate(rng, n=6)
+        a, b = net.alpha.points.copy(), net.beta.points.copy()
+        i, j = (int(k) for k in rng.integers(1, 5, size=2))
+        n, ap, am, bp, bm = (np.array(x) for x in vertex_frame(net, i, j))
+        moved = int(rng.integers(4))
+        y = (ap, am, bp, bm)[int(rng.choice([k for k in range(4)
+                                             if k != moved]))]
+        x = rng.uniform(0.2, 1.0) * n + rng.uniform(0.2, 1.0) * y
+        x += 10.0 ** rng.uniform(-12.0, -6.0) * np.linalg.norm(x) \
+            * rng.standard_normal(3)
+        if moved == 0:
+            a[i + 1] = a[i] + x
+        elif moved == 1:
+            a[i - 1] = a[i] - x
+        elif moved == 2:
+            b[j + 1] = b[j] + x
+        else:
+            b[j - 1] = b[j] - x
+        try:
+            net = ConormalNet(PolyCurve(a), PolyCurve(b))
+        except ValidationError:
+            continue
+        yield net
 
 
 def analyzed(net, **kw):
@@ -724,10 +757,12 @@ def _reference_cross_signs(net, u0, v0, tol):
     """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),
     b in (beta'+, beta'-), in the order ++, +-, -+, --, and the four
     Omega they are read from: Omega's signs on the quads (u0, v0),
-    (u0, v0-1), (u0-1, v0), (u0-1, v0-1), read from net.omega_terms."""
+    (u0, v0-1), (u0-1, v0), (u0-1, v0-1), read from the whole-grid
+    reference_sign_grids."""
     i = u0 - net.domain.u_min
     j = v0 - net.domain.v_min
-    w, w_mag = net.omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
+    w, w_mag = reference_sign_grids(net)[0][:, i - 1:i + 1,
+                                            j - 1:j + 1].reshape(
         2, 4)[:, ::-1].tolist()
     return tuple([decided_sign(d, m, tol) for d, m in zip(w, w_mag)]), w
 
@@ -786,3 +821,219 @@ def reference_classify_vertex(net, f, vertex, tol=1e-9):
                           outcome.configuration, outcome.kind,
                           {"base_edge": _base_edge(pattern, u0, v0, omegas),
                            **outcome.diagnostics, "star_sidedness": sided})
+
+
+# ---------------------------------------------------------------------------
+# whole-grid reference of the sign checks
+# ---------------------------------------------------------------------------
+
+def reference_sign_grids(net):
+    """The (det, mag) grids that the sign checks once read in full, each
+    one orient_terms call over the whole grid: Omega's over the quads,
+    then the six signs over the vertices with both neighbours on each
+    curve, from (u_min+1, v_min+1), in SIGN_PAIRS order.  The two frame
+    grids are formed in the vertex frame; the four cross grids are views
+    of Omega's at the quads (u, v), (u, v-1), (u-1, v), (u-1, v-1)."""
+    a, b = net.alpha.points.T, net.beta.points.T
+    a0, b0 = a[:, 1:-1, None], b[:, None, 1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.array(orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
+                                  *(a[:, 1:] - a[:, :-1])[:, :, None],
+                                  *(b[:, 1:] - b[:, :-1])[:, None, :]))
+        frames = [np.array(orient_terms(*(a0 - b0), *(a[:, 2:, None] - a0),
+                                        *(a0 - a[:, :-2, None]))),
+                  np.array(orient_terms(*(a0 - b0), *(b[:, None, 2:] - b0),
+                                        *(b0 - b[:, None, :-2])))]
+    return w, [*frames, w[:, 1:, 1:], w[:, 1:, :-1], w[:, :-1, 1:],
+               w[:, :-1, :-1]]
+
+
+def reference_intersection(alpha, beta):
+    """The message of ConormalNet's |nu| check on the curves, read from
+    the whole |nu| grid, or None where the curves pass it."""
+    mantissa, exponent = np.frexp(characteristic_scale(alpha.points,
+                                                       beta.points))
+    nu = np.ldexp(alpha.points[:, None, :] - beta.points[None, :, :],
+                  -exponent)
+    norms = np.sqrt((nu ** 2).sum(axis=2))
+    i, j = np.unravel_index(np.argmin(norms), norms.shape)
+    if norms[i, j] > 1e-12 * mantissa:
+        return None
+    return ("curves intersect near vertex "
+            f"({i + alpha.offset}, {j + beta.offset}): "
+            f"|nu| = {np.ldexp(norms[i, j], exponent):.3e}")
+
+
+def reference_generic_violations(net, tol):
+    """validate_generic_position read from the six whole sign grids."""
+    dom = net.domain
+    out = []
+    for (x, y), (d, mag) in zip(SIGN_PAIRS, reference_sign_grids(net)[1]):
+        mask = undecided(d, mag, tol, "generic-position test")
+        for i, j in np.argwhere(mask).tolist():
+            out.append(GenericPositionViolation(
+                (i + dom.u_min + 1, j + dom.v_min + 1), _PLANE_LABELS[x],
+                _PLANE_LABELS[y]))
+    out.sort(key=lambda g: (g.vertex, g.plane_a, g.plane_b))
+    return out
+
+
+def reference_metric_field(net, eps_degenerate):
+    """metric_field read from Omega's whole (det, mag) grid."""
+    values, mag = reference_sign_grids(net)[0]
+    bad = undecided(values, mag, eps_degenerate, "Omega") | (mag < _TINY)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        quad = (int(i) + net.domain.u_min, int(j) + net.domain.v_min)
+        if 0.0 < mag[i, j] < _TINY:
+            what = f"Omega underflows: magnitude {mag[i, j]:.3e}"
+        else:
+            floor = eps_degenerate * float(mag[i, j])
+            what = f"|Omega| = {abs(values[i, j]):.3e} <= {floor:.3e}"
+        err = DegenerateMetric(f"{what} at quad {quad}")
+        err.quad = quad
+        err.value = float(values[i, j])
+        raise err
+    return MetricField(domain=net.domain, values=values)
+
+
+def reference_vertex_records(net, sset, tol):
+    """_vertex_records read from the six whole sign grids at the vertex
+    indices of the two-edge vertices."""
+    dom = net.domain
+    two_edge = [vert for vert, inner, flagged
+                in zip(sset.vertices, sset.interior, sset.flagged)
+                if inner and not flagged]
+    i, j = (np.array(two_edge, dtype=np.int64).reshape(-1, 2)
+            - (dom.u_min + 1, dom.v_min + 1)).T
+    d, mag = np.stack([t[:, i, j] for t in reference_sign_grids(net)[1]],
+                      axis=1)
+    key = _KEY_BITS @ (d > 0)
+    decided = ~undecided(d, mag, tol, "orientation test").any(axis=0)
+    rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
+    out = []
+    for vert, edges, inner, flagged in zip(sset.vertices, sset.incident(),
+                                           sset.interior, sset.flagged):
+        if flagged or not inner:
+            out.append(SingularVertex(vert, edges, Configuration.INADMISSIBLE
+                                      if flagged else Configuration.BOUNDARY))
+            continue
+        k, ok, vd, vmag = next(rows)
+        outcome = _SIGN_TABLE[k]
+        if ok and outcome is not None:
+            out.append(_classified(vert, edges, outcome, _base_edge(
+                outcome.diagnostics["edge_pattern"], *vert, vd[2:])))
+        else:
+            out.append(_decide_row(vert, edges, vd, vmag, tol))
+    return out
+
+
+def planted_boundary_nets(rng, tol, count=30):
+    """Random 9x9 nets with one sign planted at the edge of orient's dead
+    zone at tol > 0.  A curve point is moved along a line; bisection on
+    the move finds two adjacent floats with |d| on either side of
+    tol * mag * (1 + s), s = -2^-40 or 2^-40 in turn, and both nets are
+    yielded.  The sign is in turn an alpha frame, a beta frame (each at
+    an interior vertex) and an Omega; as far as round-off lets d be
+    placed, the pair straddles the rule's threshold."""
+    for k in range(count):
+        net = random_net_candidate(rng, n=9)
+        a, b = net.alpha.points.copy(), net.beta.points.copy()
+        i, j = (int(x) for x in rng.integers(1, 8, size=2))
+        family = k % 3
+        target = 1.0 + (-1) ** (k // 3) * 2.0 ** -40
+
+        def frame():
+            """(points moved, index moved, (n, x, y) of the planted sign);
+            moving the point moves x alone."""
+            if family == 0:
+                return a, i + 1, (a[i] - b[j], a[i + 1] - a[i], a[i] - a[i - 1])
+            if family == 1:
+                return b, j + 1, (a[i] - b[j], b[j + 1] - b[j], b[j] - b[j - 1])
+            return a, i + 1, (a[i] - b[j], a[i + 1] - a[i], b[j + 1] - b[j])
+
+        pts, at, (n, x, y) = frame()
+        normal = np.cross(y, n)         # d = x . (y x n)
+        start = pts[at].copy()
+
+        def ratio(lam):
+            pts[at] = start + lam * normal
+            d, mag = orient_terms(*(c for v in frame()[2] for c in v))
+            return abs(d) / (tol * mag)
+
+        rate = float(np.dot(normal, normal))
+        lo = -float(np.dot(x, normal)) / rate       # d = 0
+        hi = lo + 4.0 * tol * orient_terms(*n, *x, *y)[1] / rate
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if ratio(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        for lam in (lo, hi):
+            ratio(lam)
+            try:
+                yield ConormalNet(PolyCurve(a), PolyCurve(b))
+            except ValidationError:
+                pass
+
+
+def planted_flat_frame_nets(rng, tol, count=12):
+    """9x9 nets of two plane curves, alpha in z = 1 and beta in z = 0,
+    with one vertex frame planted at the edge of orient's dead zone at
+    tol > 0, alpha's and beta's in turn.  In such a frame x x y points
+    along z, so d / mag = |x0 y1 - x1 y0| / (|x0 y1| + |x1 y0|) along the
+    whole row, and the bounding box of the other curve bounds d without
+    slack: where the certified bounds are tightest.  Bisection on the
+    move of one point finds two adjacent floats on either side of
+    |d| = tol * mag * (1 + s), s = -2^-40 or 2^-40 in turn; both nets
+    are yielded."""
+    t = np.linspace(-1.0, 1.0, 9)
+    for k in range(count):
+        a = np.stack([t, _poly_eval(rng.uniform(-1, 1, 4), t),
+                      np.ones(9)], axis=1)
+        b = np.stack([t * rng.uniform(0.8, 1.2),
+                      _poly_eval(rng.uniform(-1, 1, 4), t), np.zeros(9)],
+                     axis=1)
+        pts = (a, b)[k % 2]
+        i = int(rng.integers(1, 8))
+        y = pts[i] - pts[i - 1]
+        perp = np.array([-y[1], y[0], 0.0]) / np.hypot(y[0], y[1])
+        target = 1.0 + (-1) ** (k // 2) * 2.0 ** -40
+
+        def ratio(lam):
+            pts[i + 1] = pts[i] + y + lam * perp
+            d, mag = orient_terms(*(a[i if k % 2 == 0 else 4] - b[
+                i if k % 2 else 4]), *(pts[i + 1] - pts[i]),
+                *(pts[i] - pts[i - 1]))
+            return abs(d) / (tol * mag)
+
+        lo, hi = 0.0, 8.0 * tol * float(np.hypot(y[0], y[1]))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if ratio(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        for lam in (lo, hi):
+            ratio(lam)
+            try:
+                yield ConormalNet(PolyCurve(a), PolyCurve(b))
+            except ValidationError:
+                pass
+
+
+def reference_admissibility(net, vertex, tol, omega_terms):
+    """admissibility_check with its cross signs read from omega_terms,
+    the whole Omega (det, mag) grid of reference_sign_grids."""
+    i, j = (c - m for c, m in zip(vertex.vertex, (net.domain.u_min,
+                                                 net.domain.v_min)))
+    w, w_mag = omega_terms[:, i - 1:i + 1, j - 1:j + 1].reshape(
+        2, 4)[:, ::-1].tolist()
+    cross = [decided_sign(d, m, tol) for d, m in zip(w, w_mag)]
+    axes = {e.axis for e in vertex.incident_singular_edges}
+    return _admissible_signatures(cross, axes, vertex.vertex) is not None

@@ -871,27 +871,22 @@ def test_unallocatable_grid_sizes_raise_validation_error():
             raise MemoryError
 
 
-@pytest.mark.parametrize("kernel, grids", [
-    ("omega_grid", "the Omega grids of 2 x 20 x 20 float64 values "
-                   r"\(6400 bytes\)"),
-    ("frame_pair_grids", "the vertex-frame grids of 2 x 2 x 19 x 19 float64 "
-                         r"values \(11552 bytes\)")])
-def test_unallocatable_net_grids_exit_1(kernel, grids, tmp_path, capsys,
-                                        monkeypatch):
-    # a net whose sign grids cannot be allocated names their size: a
-    # kernel that raises MemoryError stands in for a net too large
+def test_unallocatable_omega_grid_exits_1(tmp_path, capsys, monkeypatch):
+    # a net whose Omega grid cannot be allocated names its size: a kernel
+    # that raises MemoryError stands in for a net too large
     def unallocatable(alpha, beta):
         raise MemoryError
 
+    grid = r"the Omega grid of 20 x 20 float64 values \(3200 bytes\)"
     net = parabolic_net(0.1)[0]
     curves = _curves_file(net, tmp_path)
-    monkeypatch.setattr(_kernels, kernel, unallocatable)
-    with pytest.raises(ValidationError, match=f"^cannot allocate {grids}$"):
+    monkeypatch.setattr(_kernels, "omega_grid", unallocatable)
+    with pytest.raises(ValidationError, match=f"^cannot allocate {grid}$"):
         analyze_net(ConormalNet(net.alpha, net.beta))
     assert _run(["analyze", "--curves", curves,
                  "--report", tmp_path / "r.json"]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(f"error: cannot allocate {grids}\n", err)
+    assert re.fullmatch(f"error: cannot allocate {grid}\n", err)
     assert not (tmp_path / "r.json").exists()
 
 

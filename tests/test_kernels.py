@@ -19,12 +19,11 @@ def test_omega_grid_matches_einsum_reference(rng):
     # numpy formulation
     a = rng.standard_normal((12, 3))
     b = rng.standard_normal((9, 3))
-    got, mag = _kernels.omega_grid(a, b)
+    got = _kernels.omega_grid(a, b)
     n = a[:-1, None, :] - b[None, :-1, :]
     c = np.cross(np.diff(a, axis=0)[:, None, :], np.diff(b, axis=0)[None, :, :])
     want = np.einsum("ijk,ijk->ij", n, c)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
-    assert np.all(np.abs(got) <= mag)
 
 
 def test_omega_grid_matches_scalar_determinant_bitwise(rng):
@@ -33,29 +32,22 @@ def test_omega_grid_matches_scalar_determinant_bitwise(rng):
     for scale in (1e-50, 1.0, 1e50):
         a = scale * rng.standard_normal((7, 3))
         b = scale * rng.standard_normal((6, 3))
-        got, mag = _kernels.omega_grid(a, b)
+        got = _kernels.omega_grid(a, b)
         for i in range(6):
             for j in range(5):
                 rows = ((a[i] - b[j]).tolist(), (a[i + 1] - a[i]).tolist(),
                         (b[j + 1] - b[j]).tolist())
                 assert got[i, j] == _kernels.det3(*rows)
-                assert (got[i, j], mag[i, j]) == _kernels.orient_terms(
-                    *rows[0], *rows[1], *rows[2])
+                assert got[i, j] == _kernels.orient_terms(
+                    *rows[0], *rows[1], *rows[2])[0]
 
 
-def _whole_grid_terms(alpha, beta):
-    """omega_grid and frame_pair_grids as one orient_terms call each over
-    the whole grid."""
+def _whole_grid_omega(alpha, beta):
+    """omega_grid as one orient_terms call over the whole grid."""
     a, b = alpha.T, beta.T
-    omega = _kernels.orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
-                                  *(a[:, 1:] - a[:, :-1])[:, :, None],
-                                  *(b[:, 1:] - b[:, :-1])[:, None, :])
-    a0, b0 = a[:, 1:-1, None], b[:, None, 1:-1]
-    frames = (_kernels.orient_terms(*(a0 - b0), *(a[:, 2:, None] - a0),
-                                    *(a0 - a[:, :-2, None])),
-              _kernels.orient_terms(*(a0 - b0), *(b[:, None, 2:] - b0),
-                                    *(b0 - b[:, None, :-2])))
-    return np.array(omega), np.array(frames)
+    return _kernels.orient_terms(*(a[:, :-1, None] - b[:, None, :-1]),
+                                 *(a[:, 1:] - a[:, :-1])[:, :, None],
+                                 *(b[:, 1:] - b[:, :-1])[:, None, :])[0]
 
 
 @pytest.mark.parametrize("block", [1, 17, _kernels.GRID_BLOCK_VALUES])
@@ -74,14 +66,14 @@ def test_grid_kernels_equal_one_whole_grid_call_bitwise(block, rng,
                           scale * (rng.standard_normal((m, 3)) + 0.5)))
     short_last = False
     for a, b in pairs:
-        got = (_kernels.omega_grid(a, b), _kernels.frame_pair_grids(a, b))
-        for grid, want in zip(got, _whole_grid_terms(a, b)):
-            assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
-            rows, columns = grid.shape[-2:]
-            sizes = [len(range(rows)[r])
-                     for r in _kernels.row_blocks(rows, columns, block)]
-            assert sum(sizes) == rows
-            short_last |= len(sizes) > 1 and sizes[-1] < sizes[0]
+        grid = _kernels.omega_grid(a, b)
+        want = _whole_grid_omega(a, b)
+        assert np.array_equal(grid.view(np.uint64), want.view(np.uint64))
+        rows, columns = grid.shape
+        sizes = [len(range(rows)[r])
+                 for r in _kernels.row_blocks(rows, columns, block)]
+        assert sum(sizes) == rows
+        short_last |= len(sizes) > 1 and sizes[-1] < sizes[0]
     assert short_last == (block == 17)
 
 
@@ -202,7 +194,7 @@ def test_g17_fast_path_decides_every_nonzero_workload_value():
     from diams.net_core import integrate_net
     from _helpers import parabolic_net
     net = parabolic_net(0.005)[0]
-    for values in (net.omega_terms[0], integrate_net(net).positions):
+    for values in (net.omega, integrate_net(net).positions):
         decided = _kernels._decimal17(values.ravel())[2]
         assert decided.sum() == np.count_nonzero(values)
 

@@ -16,9 +16,9 @@ from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
 from diams.singularity import EdgeIndex, _vertex_terms
 
 from _helpers import (example_net, generic_position_frames, parabolic_points,
-                      random_net_candidate, round_off_net,
-                      scalar_generic_violations, transformed_net,
-                      vertex_frame)
+                      planted_coincidence_nets, random_net_candidate,
+                      reference_sign_grids, round_off_net,
+                      scalar_generic_violations, transformed_net)
 
 
 def test_polycurve_rejects_short_and_duplicate():
@@ -326,56 +326,26 @@ def test_generic_position_reports_are_sorted_and_described():
     assert "coincide" in hits[0].describe()
 
 
-def _planted_nets(rng, count=120):
-    """Random 6x6 nets with one curve point planted so that its frame
-    direction at a vertex lies in span(nu, y) for another frame direction
-    y, up to a relative offset swept across the dead-zone band."""
-    for _ in range(count):
-        net = random_net_candidate(rng, n=6)
-        a, b = net.alpha.points.copy(), net.beta.points.copy()
-        i, j = (int(k) for k in rng.integers(1, 5, size=2))
-        n, ap, am, bp, bm = (np.array(x) for x in vertex_frame(net, i, j))
-        moved = int(rng.integers(4))
-        y = (ap, am, bp, bm)[int(rng.choice([k for k in range(4)
-                                             if k != moved]))]
-        x = rng.uniform(0.2, 1.0) * n + rng.uniform(0.2, 1.0) * y
-        x += 10.0 ** rng.uniform(-12.0, -6.0) * np.linalg.norm(x) \
-            * rng.standard_normal(3)
-        if moved == 0:
-            a[i + 1] = a[i] + x
-        elif moved == 1:
-            a[i - 1] = a[i] - x
-        elif moved == 2:
-            b[j + 1] = b[j] + x
-        else:
-            b[j - 1] = b[j] - x
-        try:
-            net = ConormalNet(PolyCurve(a), PolyCurve(b))
-        except ValidationError:
-            continue
-        yield net
-
-
-def test_sign_terms_lay_out_the_six_signs_of_vertex_terms(rng):
-    # the batched read (sign_terms) and the scalar read (_vertex_terms) of
-    # the six classification signs agree bit for bit at every interior
-    # vertex; each cross view is Omega on the quad that the two star edges
+def test_vertex_terms_read_the_six_whole_sign_grids(rng):
+    # the one-vertex read (_vertex_terms) of the six classification signs
+    # equals the whole-grid reference bit for bit at every interior
+    # vertex; each cross pair is Omega on the quad that the two star edges
     # of its signs share (as _base_edge's comment has it: u+ separates ++
     # and +-, u- -+ and --)
     nets = [random_net_candidate(rng, n=9) for _ in range(10)]
-    nets += list(_planted_nets(rng, count=20))
+    nets += list(planted_coincidence_nets(rng, count=20))
     nets.append(round_off_net())
     cross = (("u+", "v+"), ("u+", "v-"), ("u-", "v+"), ("u-", "v-"))
     checked = 0
     for net in nets:
         dom = net.domain
-        terms = net.sign_terms
+        omega, terms = reference_sign_grids(net)
         assert [t.shape for t in terms] == [(2, dom.nu - 2, dom.nv - 2)] * 6
         for u0 in range(dom.u_min + 1, dom.u_max):
             for v0 in range(dom.v_min + 1, dom.v_max):
                 i, j = u0 - dom.u_min - 1, v0 - dom.v_min - 1
-                batched = np.array([t[:, i, j] for t in terms]).T
-                assert (batched.tobytes()
+                whole = np.array([t[:, i, j] for t in terms]).T
+                assert (whole.tobytes()
                         == np.array(_vertex_terms(net, u0, v0)).tobytes())
                 star = {"u+": EdgeIndex("u", u0, v0),
                         "u-": EdgeIndex("u", u0 - 1, v0),
@@ -384,8 +354,10 @@ def test_sign_terms_lay_out_the_six_signs_of_vertex_terms(rng):
                 for view, (a, b) in zip(terms[2:], cross):
                     (qu, qv), = (set(star[a].adjacent_quads())
                                  & set(star[b].adjacent_quads()))
-                    want = net.omega_terms[:, qu - dom.u_min, qv - dom.v_min]
+                    want = omega[:, qu - dom.u_min, qv - dom.v_min]
                     assert view[:, i, j].tobytes() == want.tobytes()
+                    assert want[0] == net.omega[qu - dom.u_min,
+                                                qv - dom.v_min]
                 checked += 1
     assert checked > 500
 
@@ -394,7 +366,7 @@ def test_generic_position_agrees_with_scalar_orient_in_the_dead_zone(rng):
     # the batched check must flag exactly the pairs on which the scalar
     # orient reads 0, each cross pair in its quad's frame
     flagged = decided = 0
-    for net in _planted_nets(rng):
+    for net in planted_coincidence_nets(rng):
         for tol in (1e-9, 1e-8):
             want = scalar_generic_violations(net, tol, cross_on_quads=True)
             got = {(g.vertex, g.plane_a, g.plane_b)
@@ -411,7 +383,7 @@ def test_generic_position_moves_only_between_the_frames_dead_zones(rng):
     # the dead zone, so a verdict may move only where |d| lies between the
     # two frames' thresholds
     moved = 0
-    for net in _planted_nets(rng):
+    for net in planted_coincidence_nets(rng):
         for tol in (1e-9, 1e-8):
             new = {(g.vertex, g.plane_a, g.plane_b)
                    for g in validate_generic_position(net, tol)}
@@ -492,3 +464,17 @@ def test_walk_chains_steps_over_the_first_unused_link():
     links[0] = [(3, "c"), (2, "b"), (1, "a")]
     assert walk_chains(links) == [([1, 0, 3], ["a", "c"], False),
                                   ([2, 0], ["b"], False)]
+
+
+def test_release_omega_frees_the_cached_grid_and_its_bounds(rng):
+    # the cached Omega grid and its row bounds leave the net; reading them
+    # again computes the same bits
+    net = random_net_candidate(rng, n=9)
+    omega, (low, bound) = net.omega, net.omega_bounds
+    net.release_omega()
+    assert "omega" not in vars(net) and "omega_bounds" not in vars(net)
+    net.release_omega()
+    assert net.omega is not omega
+    assert net.omega.tobytes() == omega.tobytes()
+    assert [b.tobytes() for b in net.omega_bounds] == [low.tobytes(),
+                                                       bound.tobytes()]

@@ -506,26 +506,29 @@ def test_omega_grid_runs_once_per_net(monkeypatch):
         metric.values[0, 0] = 1.0
 
 
-def test_frame_grids_run_once_per_net(monkeypatch):
-    # generic position and the batched classification read the one pair
-    # of vertex-frame grids of the net
-    calls = []
-    kernel = _kernels.frame_pair_grids
+def _centre(net):
+    verts = singular_vertices(singular_edges(metric_field(net)), net.domain)
+    return next(sv for sv in verts if sv.vertex == (0, 0))
 
-    def counted(alpha, beta):
-        calls.append(1)
-        return kernel(alpha, beta)
 
-    monkeypatch.setattr(_kernels, "frame_pair_grids", counted)
+@pytest.mark.parametrize("entry, name", [
+    (lambda net, t: analyze_net(net, tol=t), "tol"),
+    (lambda net, t: analyze_net(net, eps_degenerate=t), "eps_degenerate"),
+    (lambda net, t: validate_generic_position(net, t), "tol"),
+    (lambda net, t: metric_field(net, t), "eps_degenerate"),
+    (lambda net, t: classify_vertex(net, None, _centre(net), t), "tol")],
+    ids=["analyze_net-tol", "analyze_net-eps", "validate_generic_position",
+         "metric_field", "classify_vertex"])
+def test_library_rejects_tolerances_below_zero_or_not_finite(entry, name):
+    # the dead-zone rule and its certified bounds assume a tolerance >= 0:
+    # each entry point names a bad one, whatever it would have read
     net = example_net(1.0)
-    assert validate_generic_position(net) == []
-    analysis = analyze_net(net)
-    centre, = [sv for sv in analysis.vertices if sv.vertex == (0, 0)]
-    assert centre.configuration == Configuration.C
-    assert len(calls) == 1
-    for pair in net.frame_terms:
-        for grid in pair:
-            assert not grid.flags.writeable
+    for bad in (-1e-9, -0.0 - 1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match=rf"^{name} must be a "
+                                                  r"finite number >= 0, got"):
+            entry(net, bad)
+    for good in (0.0, 0, np.float64(1e-9)):
+        entry(net, good)
 
 
 def test_star_sidedness_examples():
