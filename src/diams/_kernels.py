@@ -215,7 +215,7 @@ def _undecided_entries(left, columns, terms, tol, what, floor=0.0):
             if floor:
                 bad |= mag < floor
             if bad.any():
-                i, j = np.nonzero(bad)
+                i, j = np.divmod(np.flatnonzero(bad), columns)
                 found.append((k[i], j, mag[i, j]))
     if not found:
         return _NONE
@@ -284,7 +284,8 @@ def frame_undecided(alpha, beta, tol, what):
         return pairs, (i, j)
     with np.errstate(over="ignore", invalid="ignore"):
         n = fa[:, :, None] - fb[:, None]
-        return [np.nonzero(undecided(*orient_terms(*n, *x, *y), tol, what))
+        return [np.divmod(np.flatnonzero(undecided(*orient_terms(*n, *x, *y),
+                                                   tol, what)), fb.shape[1])
                 for x, y in ((xa[:, :, None], ya[:, :, None]),
                              (xb[:, None], yb[:, None]))]
 
@@ -685,7 +686,8 @@ def int_field(values, width=None):
             rows[:, c] = (digit + 48) * ((rest | digit) > 0)
         rows[:, -1] |= 48                   # 0 is written as one digit
         minus = np.flatnonzero(block < 0)
-        rows[minus, -1 - np.count_nonzero(rows[minus], axis=1)] = ord("-")
+        if len(minus):
+            rows[minus, -1 - np.count_nonzero(rows[minus], axis=1)] = ord("-")
     return out.reshape(*values.shape, width)
 
 

@@ -37,7 +37,8 @@ from .errors import (DegenerateDirection, DegenerateMetric,
                      ValidationError)
 from .net_core import (ConormalNet, PolyCurve, integrate_net,
                        validate_generic_position)
-from .singularity import NetAnalysis, SingularSet, analyze_net, metric_field
+from .singularity import (OUTCOMES, NetAnalysis, SingularSet, analyze_net,
+                          metric_field)
 from .smooth_oracle import (BUILTIN_PAIRS, builtin_pair, find_swallowtails,
                             omega_smooth_grid, trace_singular_curve)
 from .surface_mesh import export_obj, tessellate
@@ -204,10 +205,6 @@ def _quad_key(quad):
     return [2 * quad[0] + 1, 2 * quad[1] + 1]
 
 
-def _edge_dict(edge):
-    return {"axis": edge.axis, "base_vertex": edge[1:]}
-
-
 @_reiterable
 def _rows_json(values, before, after):
     """The rows of a 2-D float array as the byte blocks of a JSON list,
@@ -296,19 +293,136 @@ def _encode(obj):
     return [_json.encode(obj).encode("ascii")]
 
 
+# ---------------------------------------------------------------------------
+# the singular set's sections, from its int arrays
+# ---------------------------------------------------------------------------
+
+def _template(record, fields):
+    """_json's text of record cut at the JSON strings of the sentinels
+    `fields`, in text order: len(fields) + 1 byte pieces, an empty one
+    where the record holds no such sentinel."""
+    text = _json.encode(record).encode("ascii")
+    pieces = []
+    for name in fields:
+        head, mark, rest = text.partition(_json.encode(name).encode("ascii"))
+        pieces.append(head if mark else b"")
+        text = rest if mark else text
+    return pieces + [text]
+
+
+def _pieces(template):
+    """A template's pieces as uint8 arrays, a comma before the first."""
+    return [np.frombuffer(piece, dtype=np.uint8)
+            for piece in [b"," + template[0], *template[1:]]]
+
+
+def _laid_out(pieces, fields):
+    """One text row per row of the fields, the pieces with the fields
+    between them, as NUL-padded uint8 rows.  A piece is a uint8 array,
+    one for every row or a matrix with a row per row; a field is such a
+    matrix."""
+    parts = [pieces[0]]
+    for field, piece in zip(fields, pieces[1:]):
+        parts += [field, piece]
+    return _kernels.laid_out((len(fields[0]),), parts)
+
+
+def _joined(rows):
+    """The text of comma-led NUL-padded rows, NULs dropped, and the
+    offset in it at which each row ends, 0 first."""
+    text = rows != 0
+    ends = np.cumsum(text.sum(axis=1)).tolist()
+    return rows[text].tobytes(), [0] + ends
+
+
+def _list_json(rows):
+    """A JSON list of comma-led NUL-padded rows."""
+    return [b"[" + rows[rows != 0].tobytes()[1:] + b"]"]
+
+
+_AXIS_TEXT = _kernels.nul_padded([_json.encode(a).encode() for a in "uv"])
+_EDGE = _pieces(_template({"axis": "#axis", "base_vertex": ["#u", "#v"]},
+                          ("#axis", "#u", "#v")))
+_POINT = _pieces(_template(["#u", "#v"], ("#u", "#v")))
+_POLYLINE = [_template({"closed": closed, "edges": "#e", "vertices": "#v"},
+                       ("#e", "#v")) for closed in (False, True)]
+_VERTEX_FIELDS = ("#axis", "#bu", "#bv", "#u", "#v")
+
+
+def _edge_rows(axis, u, v):
+    """{"axis": ..., "base_vertex": [u, v]} per edge, as _laid_out rows."""
+    return _laid_out(_EDGE, [_AXIS_TEXT[axis],
+                             *_kernels.int_field(np.stack([u, v]))])
+
+
+def _vertex_template(outcome):
+    """The pieces of a vertex record with this outcome around its fields:
+    the base edge's axis, u and v (where it has diagnostics), then the
+    vertex' u and v."""
+    if outcome is None:
+        return [b""] * 6
+    conf = outcome.configuration
+    return _template({
+        "vertex": ["#u", "#v"],
+        "configuration": conf.value if conf is not None else None,
+        "kind": outcome.kind.value,
+        "diagnostics": ({"base_edge": ["#axis", "#bu", "#bv"],
+                         **outcome.diagnostics}
+                        if outcome.diagnostics else {}),
+    }, _VERTEX_FIELDS)
+
+
+def _vertex_pieces(outcomes):
+    """Per piece of the vertex record, a NUL-padded matrix of its text
+    per outcome code, and whether each outcome has a base edge."""
+    templates = [_vertex_template(o) for o in outcomes]
+    pieces = [_kernels.nul_padded(piece) for piece in zip(*[
+        [b"," + t[0], *t[1:]] for t in templates])]
+    based = np.array([bool(t[1]) for t in templates])
+    for table in (*pieces, based):
+        table.flags.writeable = False   # _outcome_pieces shares them
+    return pieces, based
+
+
+_outcome_pieces = functools.cache(lambda: _vertex_pieces(OUTCOMES))
+
+
+def _vertices_json(table):
+    """The report's "vertices" list: per row of the vertex table, its
+    outcome's pieces with its ints between them."""
+    code, axis = table.columns[2:4]
+    pieces, based = (_outcome_pieces() if len(table.outcomes) == len(OUTCOMES)
+                     else _vertex_pieces(table.outcomes))
+    keep = based[code][:, None]
+    digits = _kernels.int_field(table.columns[[4, 5, 0, 1]])
+    return _list_json(_laid_out([p[code] for p in pieces], [
+        _AXIS_TEXT[axis] * keep, digits[0] * keep, digits[1] * keep,
+        *digits[2:]]))
+
+
+def _polylines_json(chains):
+    """The report's "polylines" list: per chain, its closed flag, the
+    rows of its edges and the rows of its vertices."""
+    edges, edge_ends = _joined(_edge_rows(*chains.edges()))
+    verts, vert_ends = _joined(_laid_out(
+        _POINT, _kernels.int_field(np.stack([chains.u, chains.v]))))
+    out = []
+    # chain k has one edge fewer than vertices, as have those before it
+    for k, (lo, hi, closed) in enumerate(zip(chains.bounds, chains.bounds[1:],
+                                             chains.closed)):
+        head, mid, tail = _POLYLINE[closed]
+        out += [b",", head, b"[", edges[edge_ends[lo - k] + 1:
+                                        edge_ends[hi - k - 1]],
+                b"]", mid, b"[", verts[vert_ends[lo] + 1:vert_ends[hi]],
+                b"]", tail]
+    return [b"[" + b"".join(out)[1:] + b"]"]
+
+
 def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
-    vertices = [{
-        "vertex": sv.vertex,
-        "configuration": (sv.configuration.value
-                          if sv.configuration is not None else None),
-        "kind": sv.kind.value,
-        "diagnostics": sv.diagnostics,
-    } for sv in analysis.vertices]
-    polylines = [{
-        "closed": pl.closed,
-        "vertices": pl.vertices,
-        "edges": list(map(_edge_dict, pl.edges)),
-    } for pl in analysis.polylines]
+    """A report of an analysis; its singular set's sections are written
+    from the analysis' arrays, with no record per edge or vertex."""
+    sset = analysis.singular_set
+    dom = sset.domain
     return {
         "smooth": _encode(False),
         "tolerances": _object_json({
@@ -316,10 +430,10 @@ def report_from_analysis(analysis, tol, metric_eps, degenerate_quads=()):
             "degenerate_metric_eps": _dump_float(metric_eps),
             "scale": _dump_float(analysis.net.scale)}),
         "omega": _omega_json(analysis.metric),
-        "singular_edges": _encode(
-            [_edge_dict(se.edge) for se in analysis.edges]),
-        "vertices": _encode(vertices),
-        "polylines": _encode(polylines),
+        "singular_edges": _list_json(_edge_rows(
+            sset.axis, sset.i + dom.u_min, sset.j + dom.v_min)),
+        "vertices": _vertices_json(analysis.table),
+        "polylines": _polylines_json(analysis.chains),
         "validations": _encode({
             "generic_position": [
                 {"vertex": g.vertex, "planes": [g.plane_a, g.plane_b]}
@@ -405,7 +519,7 @@ def _cmd_validate(args):
     if failures:
         return 1
     print(f"ok: {net.domain.nu}x{net.domain.nv} vertices, "
-          f"{len(sset.edges)} singular edges")
+          f"{len(sset.axis)} singular edges")
     return 0
 
 

@@ -98,7 +98,7 @@ class PolyCurve:
             raise ValidationError(
                 "curve offset puts indices outside |i| < 2^52")
         if not np.all(np.isfinite(pts)):
-            bad = int(np.argwhere(~np.isfinite(pts).all(axis=1))[0, 0])
+            bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
             raise ValidationError(
                 f"non-finite coordinate at curve index {bad + self.offset}")
         same = np.all(pts[1:] == pts[:-1], axis=1)

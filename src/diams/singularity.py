@@ -4,11 +4,11 @@ The per-quad metric
 
     Omega(u+1/2, v+1/2) = [alpha(u)-beta(v), alpha'(u+1/2), beta'(v+1/2)]
 
-changes sign across singular edges.  ``SingularSet`` holds the edges
-that Omega's sign flips make singular as one graph: each vertex's links
-to its neighbours.  An admissible interior vertex has exactly two, so
-the graph's chains are the polylines, walked and oriented by
-``net_core.walk_chains``, which joins the smooth oracle's chains too.
+changes sign across singular edges.  ``SingularSet`` holds them as one
+graph of int arrays, each vertex's links to its neighbours; its chains
+(``Chains``), joined by ``net_core.walk_chains``, which joins the smooth
+oracle's chains too, are the polylines.  The classification is int data too
+(``VertexTable``), and ``NetAnalysis`` builds records only when read.
 Every test on projected directions (quadrant membership, polyline
 crossing, star sidedness) is implemented through the single predicate
 
@@ -39,22 +39,18 @@ on these six signs, so they are read from a 64-entry table
 at import.  Star sidedness is one of them: the Lelieuvre star edges are
 nu x (alpha'+, -alpha'-, beta'+, -beta'-), and [nu, nu x x, nu x y] =
 |nu|^2 [nu, x, y].  One row rule, ``_decide_row``, classifies a vertex
-from its six signs.  Their (det, mag) pairs are formed from the curve
-points around the vertex by one layout (``_SIX_SIGNS``), in one
-orient_terms call for any number of vertices (``_six_terms``;
-``_vertex_terms`` reads one vertex, for ``classify_vertex``):
-``analyze_net`` classifies them in one batched pass that hands every row
-with an undecided sign to the rule.  ``admissibility_check`` reads its
-four cross signs off net.omega where ``ConormalNet.omega_bounds``
-certifies both quad rows (``_cross_signs``).  No positions are
-integrated; the tests check the diagnostic against
-``star_sidedness_test`` on them.
+from its six signs, formed by one layout (``_SIX_SIGNS``) for any
+number of vertices (``_six_terms``; ``_six_dets`` where generic position
+says every sign is decided).  ``admissibility_check`` reads its four
+cross signs off net.omega where ``ConormalNet.omega_bounds`` certifies
+both quad rows (``_cross_signs``).  No positions are integrated; the
+tests check the diagnostic against ``star_sidedness_test`` on them.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from numbers import Integral
 from typing import NamedTuple
 
@@ -316,64 +312,62 @@ class SingularVertex:
 
 
 _AXES = ("u", "v")
+# a vertex's links, its neighbours over its v+, v-, u+ and u- edges (the
+# walker's order), as bits of a star mask whose bits 3..0 stand for u+,
+# u-, v+ and v- (_STAR_TAGS' order); _STAR_PATTERNS names each mask
+_STAR_BITS = np.array([2, 1, 8, 4])
+_TAG_BITS = {"u+": 8, "u-": 4, "v+": 2, "v-": 1}
 
 
 class SingularSet:
-    """The singular edges of a domain as one graph of degree <= 2 at its
-    admissible interior vertices.
+    """The singular edges of a domain as int arrays.
 
-    The edges are two boolean grids on the domain's (nu, nv) vertices:
-    grids[0][i, j] marks the u-edge from vertex (i, j) to (i+1, j),
-    grids[1][i, j] the v-edge from (i, j) to (i, j+1); only interior edges
-    are ever set.  edges holds their keys in key order, and links maps
-    each endpoint vertex, in vertex order, to its (neighbour, EdgeIndex)
-    pairs in reverse edge-key order: v+, v-, u+, u-.  Read from the
-    links, per vertex in vertex order: vertices (keys), degree, interior,
-    flagged (interior with other than two edges).
-
-    That order orients the polylines: `walk_chains` starts each open
-    chain at its smaller end and each loop at its least vertex (u, v),
-    whose neighbours are (u, v+1) and (u+1, v), over its first link, v+.
-    It holds while no vertex has three links: polylines refuses interior
-    vertices with more than two, and boundary vertices have one at most.
+    axis, i and j hold the interior edges in key order: axis 0 is the
+    u-edge from grid vertex (i, j) to (i+1, j), axis 1 the v-edge from
+    (i, j) to (i, j+1).  Per endpoint vertex, in vertex order: vertex_i,
+    vertex_j; links, the positions of its neighbours over its v+, v-, u+
+    and u- edges (-1: not singular); degree, interior and flagged
+    (interior with other than two edges).  That order orients `chains`,
+    which `net_core.walk_chains` joins: open chains from their smaller
+    end, loops from their least vertex over its first link.
     """
 
-    def __init__(self, grids, domain):
-        self.grids = grids
-        self.domain = domain
-        a, i, j = np.nonzero(grids)
-        u = i + domain.u_min
-        v = j + domain.v_min
-        self.edges = list(map(EdgeIndex._make, zip(
-            map(_AXES.__getitem__, a.tolist()), u.tolist(), v.tolist())))
-        links = defaultdict(list)
-        for edge, lo, hi in zip(self.edges, zip(u.tolist(), v.tolist()),
-                                zip((u + 1 - a).tolist(), (v + a).tolist())):
-            links[lo].append((hi, edge))
-            links[hi].append((lo, edge))
-        self.links = {vert: links[vert][::-1] for vert in sorted(links)}
-        self.vertices = list(self.links)
-        self.degree = list(map(len, self.links.values()))
-        self.interior = [domain.is_interior_vertex(*vert)
-                         for vert in self.vertices]
-        self.flagged = [inner and degree != 2
-                        for inner, degree in zip(self.interior, self.degree)]
+    def __init__(self, axis, i, j, domain):
+        self.axis, self.i, self.j, self.domain = axis, i, j, domain
+        nv = domain.nv
+        lo = i * nv + j
+        hi = lo + np.where(axis == 0, nv, 1)
+        # the endpoints, sorted and each once (np.unique would import
+        # numpy.ma, about 1.5 MB of memory)
+        ends = np.sort(np.concatenate([lo, hi]))
+        node = ends[np.diff(ends, prepend=-1) > 0]
+        a, b = np.searchsorted(node, lo), np.searchsorted(node, hi)
+        self.links = np.full((len(node), 4), -1)
+        self.links[a, 2 - 2 * axis] = b
+        self.links[b, 3 - 2 * axis] = a
+        self.degree = np.count_nonzero(self.links >= 0, axis=1)
+        self.vertex_i, self.vertex_j = np.divmod(node, nv)
+        self.interior = ((self.vertex_i > 0) & (self.vertex_i < domain.nu - 1)
+                         & (self.vertex_j > 0) & (self.vertex_j < nv - 1))
+        self.flagged = self.interior & (self.degree != 2)
 
     @classmethod
     def from_omega(cls, metric):
         """The interior edges across which the metric's Omega changes
         sign: u-edges at interior v compare the quads across v, v-edges at
-        interior u the quads across u."""
+        interior u the quads across u.  Each flip grid's entries are read
+        with flatnonzero in row-major order, which is key order."""
         w = metric.values
-        dom = metric.domain
         # opposite signs by comparison: the product lo * hi under- and
         # overflows
         neg, pos = w < 0.0, w > 0.0
-        grids = np.zeros((2, dom.nu, dom.nv), dtype=bool)
-        grids[0, :-1, 1:-1] = ((neg[:, :-1] & pos[:, 1:])
-                               | (pos[:, :-1] & neg[:, 1:]))
-        grids[1, 1:-1, :-1] = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
-        return cls(grids, dom)
+        found = [np.divmod(np.flatnonzero(flip), flip.shape[1]) for flip in (
+            (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:]),
+            (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))]
+        (iu, ju), (iv, jv) = found
+        return cls(np.repeat([0, 1], [len(iu), len(iv)]),
+                   np.concatenate([iu, iv + 1]), np.concatenate([ju + 1, jv]),
+                   metric.domain)
 
     @classmethod
     def from_edges(cls, edges, domain):
@@ -381,7 +375,7 @@ class SingularSet:
         u- or v-edge with integer keys (a boundary edge borders one quad,
         so it is never singular); IndexOutOfDomain names any other."""
         nu, nv = domain.nu, domain.nv
-        grids = np.zeros((2, nu, nv), dtype=bool)
+        keys = []
         for se in edges:
             axis, u, v = se.edge
             if not (axis in _AXES and isinstance(u, Integral)
@@ -392,41 +386,79 @@ class SingularSet:
             if not (a <= i < nu - 1 and 1 - a <= j < nv - 1):
                 raise IndexOutOfDomain(
                     f"edge {se.edge} is not an interior edge of the domain")
-            grids[a, i, j] = True
-        return cls(grids, domain)
+            keys.append((a * nu + i) * nv + j)
+        a, ij = np.divmod(np.array(sorted(set(keys)), dtype=np.int64),
+                          nu * nv)
+        return cls(a, *np.divmod(ij, nv), domain)
+
+    @property
+    def edges(self):
+        """EdgeIndex per edge, in key order."""
+        dom = self.domain
+        return list(map(EdgeIndex._make, zip(
+            map(_AXES.__getitem__, self.axis.tolist()),
+            (self.i + dom.u_min).tolist(), (self.j + dom.v_min).tolist())))
+
+    def _vertex_keys(self, k=slice(None)):
+        dom = self.domain
+        return list(zip((self.vertex_i[k] + dom.u_min).tolist(),
+                        (self.vertex_j[k] + dom.v_min).tolist()))
+
+    @property
+    def vertices(self):
+        """(u, v) per vertex, in vertex order."""
+        return self._vertex_keys()
 
     def singular_edges(self, w):
         """SingularEdge per edge in key order, with the Omega grid w's
         values on the quads below and above it: (i, j-1) and (i, j) for a
         u-edge, (i-1, j) and (i, j) for a v-edge."""
-        a, i, j = np.nonzero(self.grids)
+        a, i, j = self.axis, self.i, self.j
         return list(map(SingularEdge, self.edges, zip(
             w[i - a, j - 1 + a].tolist(), w[i, j].tolist())))
 
     def incident(self):
         """Frozenset of its singular edges per vertex, in vertex order."""
-        return [frozenset([edge for _, edge in nbs])
-                for nbs in self.links.values()]
+        return [frozenset([EdgeIndex(*key) for key, nb in zip(
+            (("v", u, v), ("v", u, v - 1), ("u", u, v), ("u", u - 1, v)), row)
+            if nb >= 0]) for (u, v), row in zip(self.vertices,
+                                                self.links.tolist())]
 
     def inadmissible(self):
         """(vertex, degree) of the interior vertices with other than two
         singular edges, in vertex order."""
-        return [(vert, degree) for vert, degree, flagged
-                in zip(self.vertices, self.degree, self.flagged) if flagged]
+        k = np.flatnonzero(self.flagged)
+        return list(zip(self._vertex_keys(k), self.degree[k].tolist()))
 
-    def polylines(self):
-        """The edges partitioned into maximal chains by `walk_chains` over
-        the links, in the walker's orientation (see the class docstring),
-        sorted by first vertex.  Raises InadmissibleVertex at an interior
-        vertex with other than two singular edges."""
+    def chains(self):
+        """The maximal chains of `walk_chains` over the links, sorted by
+        first vertex, as Chains; raises InadmissibleVertex at a flagged
+        vertex.  A link's key is its edge's lower end and axis."""
         bad = self.inadmissible()
         if bad:
             vert, degree = bad[0]
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {degree} singular edges")
-        return sorted((SingularPolyline(tuple(verts), tuple(edges), closed)
-                       for verts, edges, closed in walk_chains(self.links)),
-                      key=lambda pl: pl.vertices[0])
+        present = self.links >= 0
+        keys = (2 * np.minimum(np.arange(len(present))[:, None], self.links)
+                + [1, 1, 0, 0])
+        pairs = list(zip(self.links[present].tolist(),
+                         keys[present].tolist()))
+        ends = np.cumsum(self.degree).tolist()
+        links = dict(enumerate(map(pairs.__getitem__,
+                                   map(slice, [0] + ends[:-1], ends))))
+        walks = sorted((seq for seq, _, _ in walk_chains(links)),
+                       key=lambda seq: seq[0])
+        order = np.array([k for seq in walks for k in seq], dtype=np.intp)
+        dom = self.domain
+        return Chains(self.vertex_i[order] + dom.u_min,
+                      self.vertex_j[order] + dom.v_min,
+                      np.cumsum([0] + list(map(len, walks))).tolist(),
+                      [seq[0] == seq[-1] for seq in walks])
+
+    def polylines(self):
+        """`chains` as SingularPolyline records."""
+        return self.chains().polylines()
 
 
 def singular_vertices(edges, domain):
@@ -444,7 +476,7 @@ def singular_vertices(edges, domain):
     return [SingularVertex(vert, inc, Configuration.INADMISSIBLE
                            if flagged else None)
             for vert, inc, flagged in zip(sset.vertices, sset.incident(),
-                                          sset.flagged)]
+                                          sset.flagged.tolist())]
 
 
 # The six signs at a vertex (u0, v0) as orient(alpha(u0+i) - beta(v0+j),
@@ -468,25 +500,32 @@ _SIX_X, _SIX_Y = (np.array([1, 0, 3, 2])[list(c)]
                   for c in zip(*[s[1:] for s in _SIX_SIGNS]))
 
 
-def _vertex_terms(net, u0, v0):
-    """(det, mag) lists of the six signs (_SIX_SIGNS) at an interior
-    vertex: _six_terms at that one vertex."""
-    dom = net.domain
-    with np.errstate(over="ignore", invalid="ignore"):
-        d, mag = _six_terms(net, np.array([u0 - dom.u_min]),
-                            np.array([v0 - dom.v_min]))
-    return d[:, 0].tolist(), mag[:, 0].tolist()
+def _six_inputs(net, i, j, signs=slice(None)):
+    """(n, x, y) component arrays of the signs `signs` of _SIX_SIGNS at
+    the vertices of grid indices (i, j), of shape (3, signs, k)."""
+    a = net.alpha.points.T[:, i + _NEIGHBOURS]  # alpha(u0-1), alpha(u0), ...
+    b = net.beta.points.T[:, j + _NEIGHBOURS]
+    dirs = np.concatenate([a[:, 1:] - a[:, :-1], b[:, 1:] - b[:, :-1]],
+                          axis=1)
+    return (a[:, _SIX_A[signs]] - b[:, _SIX_B[signs]],
+            dirs[:, _SIX_X[signs]], dirs[:, _SIX_Y[signs]])
 
 
 def _six_terms(net, i, j):
     """(det, mag) arrays of shape (6, k) of the six signs (_SIX_SIGNS) at
     the vertices of grid indices (i, j), in one orient_terms call."""
-    a = net.alpha.points.T[:, i + _NEIGHBOURS]  # alpha(u0-1), alpha(u0), ...
-    b = net.beta.points.T[:, j + _NEIGHBOURS]
-    dirs = np.concatenate([a[:, 1:] - a[:, :-1], b[:, 1:] - b[:, :-1]],
-                          axis=1)
-    n = a[:, _SIX_A] - b[:, _SIX_B]
-    return _kernels.orient_terms(*n, *dirs[:, _SIX_X], *dirs[:, _SIX_Y])
+    n, x, y = _six_inputs(net, i, j)
+    return _kernels.orient_terms(*n, *x, *y)
+
+
+def _six_dets(net, i, j):
+    """orient_terms' d of the six signs at the vertices of grid indices
+    (i, j), for vertices where each sign is known decided: the two frame
+    signs by det3, the four cross signs read off net.omega, Omega on the
+    quads around each vertex, which has their bits."""
+    n, x, y = _six_inputs(net, i, j, slice(0, 2))
+    cross = net.omega[i + _SIX_A[2:, None] - 1, j + _SIX_B[2:, None] - 1]
+    return np.concatenate([_kernels.det3(n, x, y), cross])
 
 
 def _cross_signs(net, u0, v0, tol):
@@ -494,7 +533,7 @@ def _cross_signs(net, u0, v0, tol):
     +-, -+, --: Omega's signs on the quads (u0, v0), (u0, v0-1),
     (u0-1, v0), (u0-1, v0-1).  Where net.omega_bounds certifies both quad
     rows at tol, each is the sign of its Omega value and no magnitude is
-    formed; elsewhere _vertex_terms' pairs are judged."""
+    formed; elsewhere _six_terms' pairs are judged."""
     i = u0 - net.domain.u_min
     j = v0 - net.domain.v_min
     low, bound = (b[i - 1:i + 1].tolist() for b in net.omega_bounds)
@@ -502,8 +541,10 @@ def _cross_signs(net, u0, v0, tol):
         # the 2x2 block of quads around the vertex, read backwards
         w = net.omega[i - 1:i + 1, j - 1:j + 1].ravel()[::-1].tolist()
         return [1 if x > 0.0 else -1 for x in w]
-    d, mag = _vertex_terms(net, u0, v0)
-    return [decided_sign(x, m, tol) for x, m in zip(d[2:], mag[2:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, mag = _six_terms(net, np.array([i]), np.array([j]))
+    return [decided_sign(x, m, tol)
+            for x, m in zip(d[2:, 0].tolist(), mag[2:, 0].tolist())]
 
 
 _SIG_NAMES = {"v": ("beta'+", "-beta'-"), "u": ("alpha'+", "-alpha'-")}
@@ -724,21 +765,18 @@ def _edge_pattern(vert, edges):
     return "".join(sorted(e.direction_at(vert) for e in edges))
 
 
-def _base_edge(pattern, u0, v0, omegas):
-    """Key of the base edge: the singular v-edge (the v- one when both
-    are), otherwise the u-edge of larger metric contrast |Omega
-    difference| across it, from the four quad metrics of _vertex_terms; a
-    tie picks u+, the larger key.  The A/B/C outcome does not depend on
-    this choice (property-tested)."""
-    if "v-" in pattern:
-        return ("v", u0, v0 - 1)
-    if "v+" in pattern:
-        return ("v", u0, v0)
+def _base_edges(star, u, v, cross):
+    """Axis (0 u, 1 v), u and v of the base edge of each two-edge vertex
+    (u, v) with star mask star: its singular v-edge (v- when both are),
+    else the u-edge of larger |Omega difference| across it, from the
+    cross values ++, +-, -+, -- (Omega's bits); a tie picks u+.  The
+    A/B/C outcome does not depend on this choice (property-tested)."""
+    v_minus = (star & 1) > 0
+    axis = (star & 3) > 0
     # the u+ edge separates quads ++ and +-, the u- edge -+ and --
-    w_pp, w_pm, w_mp, w_mm = omegas
-    if abs(w_pp - w_pm) >= abs(w_mp - w_mm):
-        return ("u", u0, v0)
-    return ("u", u0 - 1, v0)
+    u_minus = ~axis & ~(np.abs(cross[0] - cross[1])
+                        >= np.abs(cross[2] - cross[3]))
+    return np.stack([axis.astype(np.int64), u - u_minus, v - v_minus])
 
 
 def _sig_str(sig):
@@ -826,24 +864,103 @@ _SIGN_TABLE = tuple(_table_entry(key) for key in range(64))
 _KEY_BITS = 1 << np.arange(5, -1, -1)
 
 
+_STAR_PATTERNS = tuple("".join(t for k, t in enumerate(_STAR_TAGS)
+                               if mask >> (3 - k) & 1) for mask in range(16))
+# the star mask of each sign key's table entry, -1 where it has none
+_TABLE_STARS = np.array([-1 if o is None else _STAR_PATTERNS.index(
+    o.diagnostics["edge_pattern"]) for o in _SIGN_TABLE])
+# the outcome codes of the vertex table: the sign keys, then these two
+BOUNDARY, INADMISSIBLE = 64, 65
+OUTCOMES = _SIGN_TABLE + (_Outcome(Configuration.BOUNDARY, Kind.UNCLASSIFIED,
+                                   {}),
+                          _Outcome(Configuration.INADMISSIBLE,
+                                   Kind.UNCLASSIFIED, {}))
+
+
 def _classified(vertex, edges, outcome, base):
+    """The SingularVertex of an outcome; base, (axis, u, v) of the base
+    edge, is read only where the outcome has diagnostics."""
     return SingularVertex(vertex, edges, outcome.configuration, outcome.kind,
-                          {"base_edge": base, **outcome.diagnostics})
+                          {"base_edge": (_AXES[base[0]], *base[1:]),
+                           **outcome.diagnostics}
+                          if outcome.diagnostics else {})
 
 
-def _decide_row(vert, edges, d, mag, tol):
-    """Classify the two-edge interior vertex `vert` with singular edges
-    `edges` from its six (det, mag) pairs in _vertex_terms order.  A zero
-    sign, or edges other than the ones the cross signs make singular, runs
-    _sign_outcome on the vertex itself instead of reading the sign
-    table."""
+def _decide_row(vert, pattern, d, mag, tol):
+    """The outcome of the two-edge interior vertex `vert` whose singular
+    star edges make `pattern`, from its six (det, mag) pairs in
+    _SIX_SIGNS order.  A zero sign, or edges other than the ones the
+    cross signs make singular, runs _sign_outcome on the vertex itself
+    instead of reading the sign table."""
     signs = tuple([decided_sign(x, m, tol) for x, m in zip(d, mag)])
-    pattern = _edge_pattern(vert, edges)
     outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
     if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
         outcome = _sign_outcome(signs, pattern, vert)
-    return _classified(vert, edges, outcome,
-                       _base_edge(pattern, *vert, d[2:]))
+    return outcome
+
+
+def _classified_rows(u, v, star, d, mag, decided, tol):
+    """(codes, base edges, outcomes) of the two-edge interior vertices
+    (u, v) with star masks star, from their six (det, mag) columns.  A
+    decided row whose edges are the ones its cross signs make singular
+    reads the sign table; every other goes to _decide_row in row order
+    (the first error is raised) and its outcome is appended to OUTCOMES."""
+    key = _KEY_BITS @ (d > 0)
+    code = np.where(decided & (_TABLE_STARS[key] == star), key, -1)
+    outcomes = list(OUTCOMES)
+    for r in np.flatnonzero(code < 0).tolist():
+        code[r] = len(outcomes)
+        outcomes.append(_decide_row(
+            (int(u[r]), int(v[r])), _STAR_PATTERNS[star[r]],
+            d[:, r].tolist(), mag[:, r].tolist(), tol))
+    return code, _base_edges(star, u, v, d[2:]), tuple(outcomes)
+
+
+def classify_vertices(net, vertices, tol=1e-9):
+    """classify_vertex on each of a list of singular vertices, with one
+    _six_terms call: their records, or the first vertex's error."""
+    _kernels.require_tolerance(tol, "tol")
+    dom = net.domain
+    inner, stars, stop, last = [], [], None, []
+    for k, sv in enumerate(vertices):
+        u0, v0 = sv.vertex
+        if not dom.is_interior_vertex(u0, v0):
+            continue
+        edges = sv.incident_singular_edges
+        if len(edges) != 2:
+            stop = InadmissibleVertex(f"vertex ({u0}, {v0}) has {len(edges)} "
+                                      "incident singular edges")
+            break
+        try:
+            stars.append(sum(_TAG_BITS[e.direction_at(sv.vertex)]
+                             for e in edges))
+        except IndexOutOfDomain as e:
+            stop, last = e, [k]
+            break
+        inner.append(k)
+    u, v = np.array([vertices[k].vertex for k in inner + last],
+                    dtype=np.int64).reshape(-1, 2).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, mag = _six_terms(net, u - dom.u_min, v - dom.v_min)
+        decided = _kernels.certified(np.abs(d), mag, tol).all(axis=0)
+    n = len(inner)
+    code, base, outcomes = _classified_rows(
+        u[:n], v[:n], np.array(stars, dtype=np.int64), d[:, :n], mag[:, :n],
+        decided[:n], tol)
+    if stop is not None:
+        # as in _decide_row, a vertex's signs (and their overflow) come
+        # before its edges are read
+        for x, m in zip(d[:, n:].ravel().tolist(),
+                        mag[:, n:].ravel().tolist()):
+            decided_sign(x, m, tol)
+        raise stop
+    out = [replace(sv, configuration=Configuration.BOUNDARY,
+                   kind=Kind.UNCLASSIFIED) for sv in vertices]
+    for k, c, b in zip(inner, code.tolist(), base.T.tolist()):
+        sv = vertices[k]
+        out[k] = _classified(sv.vertex, sv.incident_singular_edges,
+                             outcomes[c], b)
+    return out
 
 
 def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
@@ -859,56 +976,80 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     All of this, star sidedness included, depends only on six signs:
     alpha'+ against alpha'- and beta'+ against beta'-, in the vertex
     frame, and the four cross signs, Omega's signs on the four quads around
-    the vertex, formed by _vertex_terms and turned into the outcome by
-    _decide_row, as in analyze_net's batched pass.  No positions are read:
-    f and singular_edge_set are ignored.  tol must be finite and >= 0.
+    the vertex, turned into the outcome by the sign table or _decide_row,
+    as in analyze_net's batched pass: classify_vertices' one-vertex case.
+    No positions are read: f and singular_edge_set are ignored.  tol must
+    be finite and >= 0.
     """
-    _kernels.require_tolerance(tol, "tol")
-    u0, v0 = vertex.vertex
-    if not net.domain.is_interior_vertex(u0, v0):
-        return replace(vertex, configuration=Configuration.BOUNDARY,
-                       kind=Kind.UNCLASSIFIED)
-    if len(vertex.incident_singular_edges) != 2:
-        raise InadmissibleVertex(
-            f"vertex ({u0}, {v0}) has "
-            f"{len(vertex.incident_singular_edges)} incident singular edges")
-    return _decide_row(vertex.vertex, vertex.incident_singular_edges,
-                       *_vertex_terms(net, u0, v0), tol)
+    return classify_vertices(net, [vertex], tol)[0]
 
 
-def _vertex_records(net, sset, tol):
-    """The record of every vertex of the singular set sset, in vertex
-    order, in one batched pass: Boundary off the interior, Inadmissible
-    where flagged, and every two-edge interior vertex classified from its
-    six signs, formed by _six_terms from the curve points around all of
-    them at once.  A row whose six signs are all decided reads its
-    outcome from the sign table, every other row goes to _decide_row."""
+class VertexTable(NamedTuple):
+    """A singular set's vertex records as int columns, in vertex order:
+    u, v, an outcome code (an index into outcomes, which begin with
+    OUTCOMES), and the base edge's axis, u and v (0, u, v if none)."""
+
+    columns: np.ndarray
+    outcomes: tuple
+
+    def records(self, incident):
+        """SingularVertex per vertex, given its frozenset of singular
+        edges per vertex."""
+        return [_classified((u, v), edges, self.outcomes[code], base)
+                for (u, v, code, *base), edges
+                in zip(self.columns.T.tolist(), incident)]
+
+    @classmethod
+    def of_records(cls, vertices):
+        """The table of SingularVertex records, outcomes not in OUTCOMES
+        appended in order of appearance."""
+        outcomes = list(OUTCOMES)
+        codes = {_outcome_key(o): k for k, o in enumerate(outcomes) if o}
+        rows = []
+        for sv in vertices:
+            diagnostics = dict(sv.diagnostics)
+            axis, bu, bv = diagnostics.pop("base_edge", ("u", *sv.vertex))
+            outcome = _Outcome(sv.configuration, sv.kind, diagnostics)
+            code = codes.setdefault(_outcome_key(outcome), len(outcomes))
+            if code == len(outcomes):
+                outcomes.append(outcome)
+            rows.append((*sv.vertex, code, _AXES.index(axis), bu, bv))
+        return cls(np.array(rows, dtype=np.int64).reshape(-1, 6).T,
+                   tuple(outcomes))
+
+
+def _outcome_key(outcome):
+    return (outcome.configuration, outcome.kind,
+            tuple(sorted(outcome.diagnostics.items())))
+
+
+def _vertex_records(net, sset, tol, decided=False):
+    """The VertexTable of the singular set sset, in one batched pass:
+    Boundary off the interior, Inadmissible where flagged, the two-edge
+    interior vertices by _classified_rows.  decided says every one of
+    their signs is decided at tol, as where validate_generic_position
+    found no violation: _six_dets then forms them without magnitudes."""
     dom = net.domain
-    two_edge = [vert for vert, inner, flagged
-                in zip(sset.vertices, sset.interior, sset.flagged)
-                if inner and not flagged]
-    i, j = (np.array(two_edge, dtype=np.int64).reshape(-1, 2)
-            - (dom.u_min, dom.v_min)).T
+    rows = np.flatnonzero(sset.interior & ~sset.flagged)
+    i, j = sset.vertex_i[rows], sset.vertex_j[rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        d, mag = _six_terms(net, i, j)
-    key = _KEY_BITS @ (d > 0)
-    decided = ~_kernels.undecided(d, mag, tol, "orientation test").any(axis=0)
-    rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
-    out = []
-    for vert, edges, inner, flagged in zip(sset.vertices, sset.incident(),
-                                           sset.interior, sset.flagged):
-        if flagged or not inner:
-            out.append(SingularVertex(vert, edges, Configuration.INADMISSIBLE
-                                      if flagged else Configuration.BOUNDARY))
-            continue
-        k, ok, vd, vmag = next(rows)
-        outcome = _SIGN_TABLE[k]
-        if ok and outcome is not None:
-            out.append(_classified(vert, edges, outcome, _base_edge(
-                outcome.diagnostics["edge_pattern"], *vert, vd[2:])))
+        if decided:
+            d = _six_dets(net, i, j)
+            mag = np.zeros_like(d)
         else:
-            out.append(_decide_row(vert, edges, vd, vmag, tol))
-    return out
+            d, mag = _six_terms(net, i, j)
+    ok = (np.ones(len(rows), dtype=bool) if decided else
+          ~_kernels.undecided(d, mag, tol, "orientation test").any(axis=0))
+    code, base, outcomes = _classified_rows(
+        i + dom.u_min, j + dom.v_min, (sset.links[rows] >= 0) @ _STAR_BITS,
+        d, mag, ok, tol)
+    columns = np.zeros((6, len(sset.degree)), dtype=np.int64)
+    columns[0] = columns[4] = sset.vertex_i + dom.u_min
+    columns[1] = columns[5] = sset.vertex_j + dom.v_min
+    columns[2] = np.where(sset.flagged, INADMISSIBLE, BOUNDARY)
+    columns[2, rows] = code
+    columns[3:, rows] = base
+    return VertexTable(columns, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +1061,39 @@ class SingularPolyline:
     vertices: tuple
     edges: tuple
     closed: bool
+
+
+class Chains(NamedTuple):
+    """Polylines as int arrays: u and v of their vertices, chain after
+    chain (a loop repeats its first vertex at its end), chain k holding
+    rows bounds[k] to bounds[k+1]; closed per chain."""
+
+    u: np.ndarray
+    v: np.ndarray
+    bounds: list
+    closed: list
+
+    def edges(self):
+        """Axis (0 u, 1 v), u and v of the edge between each two
+        consecutive vertices of a chain, chain after chain."""
+        u, v = self.u, self.v
+        inner = np.ones(max(len(u) - 1, 0), dtype=bool)
+        inner[np.array(self.bounds[1:-1], dtype=np.intp) - 1] = False
+        return ((u[:-1] == u[1:])[inner].astype(np.int64),
+                np.minimum(u[:-1], u[1:])[inner],
+                np.minimum(v[:-1], v[1:])[inner])
+
+    def polylines(self):
+        """SingularPolyline per chain."""
+        verts = list(zip(self.u.tolist(), self.v.tolist()))
+        axis, u, v = self.edges()
+        edges = list(map(EdgeIndex._make, zip(
+            map(_AXES.__getitem__, axis.tolist()), u.tolist(), v.tolist())))
+        # chain k has one edge fewer than vertices, as have those before it
+        return [SingularPolyline(tuple(verts[lo:hi]),
+                                 tuple(edges[lo - k:hi - k - 1]), closed)
+                for k, (lo, hi, closed) in enumerate(zip(
+                    self.bounds, self.bounds[1:], self.closed))]
 
 
 def extract_polylines(vertices, edges, domain):
@@ -940,44 +1114,80 @@ def extract_polylines(vertices, edges, domain):
 # whole-net orchestration
 # ---------------------------------------------------------------------------
 
-@dataclass(kw_only=True)
+@dataclass(init=False, eq=False)
 class NetAnalysis:
-    """What analyze_net found on one net.  f, an integrated net, is left
-    None by analyze_net: the classification never reads positions."""
+    """What analyze_net found on one net, as arrays: the singular set,
+    its vertex table and its chains (none if a vertex is inadmissible).
+    The record lists edges, vertices and polylines are built on first
+    read; an analysis made from such lists keeps them and derives its
+    arrays (its polylines, if any, must be its edges' chains).  f, the
+    integrated net, is left None by analyze_net."""
 
     net: object
-    f: object = None
+    f: object
     metric: MetricField
-    edges: list
-    vertices: list
-    polylines: list
     generic_violations: list
     admissibility_violations: list
+    singular_set: SingularSet
+    table: VertexTable
+    chains: Chains
+
+    def __init__(self, *, net, metric, generic_violations,
+                 admissibility_violations, f=None, singular_set=None,
+                 table=None, chains=None, edges=None, vertices=None,
+                 polylines=None):
+        self.net, self.f, self.metric = net, f, metric
+        self.generic_violations = generic_violations
+        self.admissibility_violations = admissibility_violations
+        if singular_set is None:
+            singular_set = SingularSet.from_edges(edges, net.domain)
+            table = VertexTable.of_records(vertices)
+            chains = singular_set.chains() if polylines else _NO_CHAINS
+            self.__dict__.update(edges=edges, vertices=vertices,
+                                 polylines=polylines)
+        self.singular_set, self.table = singular_set, table
+        self.chains = chains
+
+    @cached_property
+    def edges(self):
+        return self.singular_set.singular_edges(self.metric.values)
+
+    @cached_property
+    def vertices(self):
+        return self.table.records(self.singular_set.incident())
+
+    @cached_property
+    def polylines(self):
+        return self.chains.polylines()
 
     @property
     def clean(self):
         return not (self.generic_violations or self.admissibility_violations)
 
 
+# shared by every analysis without chains, so nothing in it is mutable
+_NO_CHAINS = Chains(*np.empty((2, 0), dtype=np.int64), (0,), ())
+_NO_CHAINS.u.flags.writeable = _NO_CHAINS.v.flags.writeable = False
+
+
 def analyze_net(net, tol=1e-9, eps_degenerate=1e-9):
     """Run the full singularity pipeline on one co-normal net.
 
     Every singular vertex gets its record in one batched pass
-    (_vertex_records).  Positions are not integrated.  Both tolerances
-    must be finite and >= 0.
+    (_vertex_records), which forms its signs without magnitudes when
+    generic position holds at tol.  Positions are not integrated.  Both
+    tolerances must be finite and >= 0.
     """
     _kernels.require_tolerance(tol, "tol")
     _kernels.require_tolerance(eps_degenerate, "eps_degenerate")
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
     sset = SingularSet.from_omega(metric)
-    vertices = _vertex_records(net, sset, tol)
+    table = _vertex_records(net, sset, tol, decided=not generic)
     admissibility = [(vert, f"{degree} incident singular edges at an "
                             "interior vertex")
                      for vert, degree in sset.inadmissible()]
-    polylines = [] if admissibility else sset.polylines()
-    return NetAnalysis(net=net, metric=metric,
-                       edges=sset.singular_edges(metric.values),
-                       vertices=vertices, polylines=polylines,
+    return NetAnalysis(net=net, metric=metric, singular_set=sset, table=table,
+                       chains=_NO_CHAINS if admissibility else sset.chains(),
                        generic_violations=generic,
                        admissibility_violations=admissibility)

@@ -276,20 +276,22 @@ def trace_singular_curve(pair, grid_n, tol):
     corner_eps = 1e-12 * max(1.0, wmax)
     zero_corner = (-corner_eps <= w) & (w <= corner_eps)
     if zero_corner.any():
-        i, j = np.argwhere(zero_corner)[0]
+        i, j = divmod(int(np.flatnonzero(zero_corner)[0]), size)
         raise NonGenericCell(
             f"Omega vanishes at grid corner (u, v) = "
             f"({us[i]:.9g}, {vs[j]:.9g}); perturb the grid")
 
     # sign flips on the u-direction edges ("h", i, j) = (i,j)-(i+1,j) and
     # the v-direction edges ("v", i, j) = (i,j)-(i,j+1); only cells
-    # touching one are visited, in row-major order
+    # touching one are visited, in row-major order.  Entries of a grid are
+    # found as flatnonzero's flat indices, split by divmod
     pos = w > 0
     h_flip = pos[:-1] != pos[1:]
     v_flip = pos[:, :-1] != pos[:, 1:]
     active = h_flip[:, :-1] | h_flip[:, 1:] | v_flip[:-1] | v_flip[1:]
     segments = []
-    for i, j in np.argwhere(active).tolist():
+    for i, j in zip(*(k.tolist() for k in np.divmod(np.flatnonzero(active),
+                                                    size - 1))):
         bottom, top = ("h", i, j), ("h", i, j + 1)
         left, right = ("v", i, j), ("v", i + 1, j)
         sides = [side for side, flip in ((bottom, h_flip[i, j]),
@@ -311,8 +313,8 @@ def trace_singular_curve(pair, grid_n, tol):
 
     # every flipped edge borders an active cell, so the segments name
     # exactly the flipped edges: the u-edges first, then the v-edges
-    ih, jh = np.nonzero(h_flip)
-    iv, jv = np.nonzero(v_flip)
+    ih, jh = np.divmod(np.flatnonzero(h_flip), size)
+    iv, jv = np.divmod(np.flatnonzero(v_flip), size - 1)
     keys = ([("h", i, j) for i, j in zip(ih.tolist(), jh.tolist())]
             + [("v", i, j) for i, j in zip(iv.tolist(), jv.tolist())])
     i0, j0 = np.concatenate([ih, iv]), np.concatenate([jh, jv])

@@ -21,8 +21,7 @@ from diams.net_core import (_PLANE_LABELS, GenericPositionViolation,
 from diams.singularity import (_KEY_BITS, _SIGN_TABLE, _TINY, Configuration,
                                EdgeIndex, Kind, MetricField, SingularEdge,
                                SingularPolyline, SingularVertex,
-                               _admissible_signatures, _base_edge,
-                               _classified, _decide_row, _orient_strict,
+                               _admissible_signatures, _orient_strict,
                                _sign_key, _sign_outcome, _star_sides_agree,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
@@ -54,6 +53,32 @@ def island_net():
     by = np.concatenate([[0.0], np.cumsum([10.0, 3.0, 10.0]) * h])
     return ConormalNet(PolyCurve(np.stack([xs, ay, np.ones(4)], axis=1)),
                        PolyCurve(np.stack([xs, by, np.zeros(4)], axis=1)))
+
+
+def circle_pair():
+    """Omega = 1/4 - u^2 - v^2: a closed chain, whose direction is set by
+    the order in which the cells are visited."""
+    return SmoothCurvePair(
+        alpha=lambda u: np.array([u, 0.0, u * u + 0.25]),
+        beta=lambda v: np.array([0.0, v, -v * v]),
+        d_alpha=lambda u: np.array([1.0, 0.0, 2.0 * u]),
+        d_beta=lambda v: np.array([0.0, 1.0, -2.0 * v]),
+        dd_alpha=lambda u: np.array([0.0, 0.0, 2.0]),
+        dd_beta=lambda v: np.array([0.0, 0.0, -2.0]),
+        u_range=(-1.0, 1.03), v_range=(-0.98, 1.0))
+
+
+def corpus_candidates(seed, count):
+    """The corpus generator's first candidates of a seed (the `corpus`
+    workload's nets are the admissible ones among them)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(random_net_candidate(rng))
+        except ValidationError:
+            pass
+    return out
 
 
 def round_off_net():
@@ -790,6 +815,23 @@ def frame_sign(signs):
     return s
 
 
+def reference_base_edge(pattern, u0, v0, omegas):
+    """Key of the base edge of a two-edge vertex with edge pattern
+    `pattern`, one vertex at a time: the singular v-edge (the v- one when
+    both are), otherwise the u-edge of larger metric contrast |Omega
+    difference| across it, from the four quad metrics ++, +-, -+, --; a
+    tie picks u+, the larger key."""
+    if "v-" in pattern:
+        return ("v", u0, v0 - 1)
+    if "v+" in pattern:
+        return ("v", u0, v0)
+    # the u+ edge separates quads ++ and +-, the u- edge -+ and --
+    w_pp, w_pm, w_mp, w_mm = omegas
+    if abs(w_pp - w_pm) >= abs(w_mp - w_mm):
+        return ("u", u0, v0)
+    return ("u", u0 - 1, v0)
+
+
 def reference_classify_vertex(net, f, vertex, tol=1e-9):
     """Per-vertex form of `classify_vertex`: the cross signs from the
     Omega grid, alpha'+ against alpha'- and beta'+ against beta'- by the
@@ -819,7 +861,8 @@ def reference_classify_vertex(net, f, vertex, tol=1e-9):
                               vertex.vertex)
     return SingularVertex(vertex.vertex, vertex.incident_singular_edges,
                           outcome.configuration, outcome.kind,
-                          {"base_edge": _base_edge(pattern, u0, v0, omegas),
+                          {"base_edge": reference_base_edge(pattern, u0, v0,
+                                                            omegas),
                            **outcome.diagnostics, "star_sidedness": sided})
 
 
@@ -898,34 +941,69 @@ def reference_metric_field(net, eps_degenerate):
 
 
 def reference_vertex_records(net, sset, tol):
-    """_vertex_records read from the six whole sign grids at the vertex
-    indices of the two-edge vertices."""
+    """_vertex_records' records read from the six whole sign grids at the
+    vertex indices of the two-edge vertices: an undecided overflow among
+    them raises first, then each row is decided in vertex order, from the
+    sign table where all six signs are decided and the table's edge
+    pattern is the vertex's, else by the scalar branch logic."""
     dom = net.domain
+    vertices = sset.vertices
     two_edge = [vert for vert, inner, flagged
-                in zip(sset.vertices, sset.interior, sset.flagged)
+                in zip(vertices, sset.interior, sset.flagged)
                 if inner and not flagged]
     i, j = (np.array(two_edge, dtype=np.int64).reshape(-1, 2)
             - (dom.u_min + 1, dom.v_min + 1)).T
     d, mag = np.stack([t[:, i, j] for t in reference_sign_grids(net)[1]],
                       axis=1)
-    key = _KEY_BITS @ (d > 0)
-    decided = ~undecided(d, mag, tol, "orientation test").any(axis=0)
-    rows = zip(key.tolist(), decided.tolist(), d.T.tolist(), mag.T.tolist())
+    undecided(d, mag, tol, "orientation test")
+    rows = zip(d.T.tolist(), mag.T.tolist())
     out = []
-    for vert, edges, inner, flagged in zip(sset.vertices, sset.incident(),
+    for vert, edges, inner, flagged in zip(vertices, sset.incident(),
                                            sset.interior, sset.flagged):
         if flagged or not inner:
             out.append(SingularVertex(vert, edges, Configuration.INADMISSIBLE
                                       if flagged else Configuration.BOUNDARY))
             continue
-        k, ok, vd, vmag = next(rows)
-        outcome = _SIGN_TABLE[k]
-        if ok and outcome is not None:
-            out.append(_classified(vert, edges, outcome, _base_edge(
-                outcome.diagnostics["edge_pattern"], *vert, vd[2:])))
-        else:
-            out.append(_decide_row(vert, edges, vd, vmag, tol))
+        vd, vmag = next(rows)
+        signs = tuple(decided_sign(x, m, tol) for x, m in zip(vd, vmag))
+        pattern = "".join(sorted(e.direction_at(vert) for e in edges))
+        outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
+        if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
+            outcome = _sign_outcome(signs, pattern, vert)
+        out.append(SingularVertex(
+            vert, edges, outcome.configuration, outcome.kind,
+            {"base_edge": reference_base_edge(pattern, *vert, vd[2:]),
+             **outcome.diagnostics}))
     return out
+
+
+def _edge_dict(edge):
+    return {"axis": edge.axis, "base_vertex": edge[1:]}
+
+
+def reference_sections(analysis):
+    """The report's "singular_edges", "vertices" and "polylines" sections
+    encoded from the analysis' records, one dict per edge, vertex and
+    polyline through json: the reference that the array writers must
+    reproduce byte for byte."""
+    vertices = [{
+        "vertex": sv.vertex,
+        "configuration": (sv.configuration.value
+                          if sv.configuration is not None else None),
+        "kind": sv.kind.value,
+        "diagnostics": sv.diagnostics,
+    } for sv in analysis.vertices]
+    polylines = [{
+        "closed": pl.closed,
+        "vertices": pl.vertices,
+        "edges": list(map(_edge_dict, pl.edges)),
+    } for pl in analysis.polylines]
+    sections = {"singular_edges": [_edge_dict(se.edge)
+                                   for se in analysis.edges],
+                "vertices": vertices, "polylines": polylines}
+    return {key: json.dumps(value, sort_keys=True,
+                            separators=(",", ":")).encode("ascii")
+            for key, value in sections.items()}
 
 
 def planted_boundary_nets(rng, tol, count=30):

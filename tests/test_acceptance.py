@@ -102,10 +102,8 @@ def test_criterion_3_proposition_suites_on_random_nets(rng):
         n_vertices += len(interior)
         # Prop: crossing test == star sidedness == configuration C
         if interior:
-            f = integrate_net(net)
-            from diams.singularity import classify_vertex
-            for sv in interior:
-                out = classify_vertex(net, f, sv, singular_edge_set=edges)
+            from diams.singularity import classify_vertices
+            for out in classify_vertices(net, interior):
                 is_c = out.configuration == Configuration.C
                 assert (out.kind == Kind.SWALLOWTAIL) == is_c
                 assert out.diagnostics["crossing_swallowtail"] == is_c

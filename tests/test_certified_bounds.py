@@ -24,10 +24,9 @@ from diams.singularity import (MetricField, SingularSet, SingularVertex,
                                _vertex_records, admissibility_check,
                                metric_field)
 
-from _helpers import (parabolic_net, parabolic_points,
+from _helpers import (corpus_candidates, parabolic_net, parabolic_points,
                       planted_boundary_nets, planted_coincidence_nets,
-                      planted_flat_frame_nets,
-                      random_net_candidate, reference_admissibility,
+                      planted_flat_frame_nets, reference_admissibility,
                       reference_generic_violations, reference_intersection,
                       reference_metric_field, reference_sign_grids,
                       reference_vertex_records, round_off_net)
@@ -47,6 +46,10 @@ def _outcome(fn, *args):
     return "ok", result
 
 
+def _vertex_table_records(net, sset, tol):
+    return _vertex_records(net, sset, tol).records(sset.incident())
+
+
 def assert_same_decisions(net, tol):
     assert (_outcome(validate_generic_position, net, tol)
             == _outcome(reference_generic_violations, net, tol))
@@ -55,8 +58,15 @@ def assert_same_decisions(net, tol):
     # the singular set of Omega's signs whatever the metric's dead zone,
     # so that records and admissibility also meet undecided cross signs
     sset = SingularSet.from_omega(MetricField(net.domain, net.omega))
-    assert (_outcome(_vertex_records, net, sset, tol)
+    assert (_outcome(_vertex_table_records, net, sset, tol)
             == _outcome(reference_vertex_records, net, sset, tol))
+    if _outcome(validate_generic_position, net, tol) == ("ok", []):
+        # every sign is decided at tol: the shortcut that forms them
+        # without magnitudes gives the same table
+        full = _vertex_records(net, sset, tol)
+        short = _vertex_records(net, sset, tol, decided=True)
+        assert np.array_equal(short.columns, full.columns)
+        assert short.outcomes == full.outcomes
     omega_terms = reference_sign_grids(net)[0]
     for vert, edges, inner in zip(sset.vertices, sset.incident(),
                                   sset.interior):
@@ -81,19 +91,6 @@ def assert_same_intersection(alpha, beta):
     return net
 
 
-def _corpus(seed, count):
-    """The corpus generator's first candidates of a seed (the `corpus`
-    workload's nets are the admissible ones among them)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        try:
-            out.append(random_net_candidate(rng))
-        except ValidationError:
-            pass
-    return out
-
-
 @pytest.mark.parametrize("block", BLOCKS)
 def test_bounds_decide_as_the_whole_grids_on_corpus_nets(block,
                                                          monkeypatch):
@@ -102,7 +99,7 @@ def test_bounds_decide_as_the_whole_grids_on_corpus_nets(block,
     monkeypatch.setattr(_kernels, "GRID_BLOCK_VALUES", block)
     seen = set()
     for seed in range(1, 6):
-        for net in _corpus(seed, {1: 20, 64: 150}.get(block, 40)):
+        for net in corpus_candidates(seed, {1: 20, 64: 150}.get(block, 40)):
             assert assert_same_intersection(net.alpha, net.beta)
             for tol in TOLS:
                 seen.add(assert_same_decisions(net, tol))
@@ -153,7 +150,7 @@ def test_intersection_bound_names_what_the_whole_grid_names(block, rng,
     # beta's bounding box is |nu| itself, exactly
     monkeypatch.setattr(_kernels, "GRID_BLOCK_VALUES", block)
     named = 0
-    for n, net in enumerate(_corpus(7, 40)):
+    for n, net in enumerate(corpus_candidates(7, 40)):
         a, b = net.alpha.points.copy(), net.beta.points.copy()
         i, j = (int(x) for x in rng.integers(0, 21, size=2))
         t = (0.5, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40, 2.0)[int(

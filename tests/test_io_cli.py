@@ -268,8 +268,9 @@ def test_report_bytes_match_reference(rng, monkeypatch):
     # metric
     degenerate = _degenerate_report(example_net(-1.0), 1e-9, 1e-9)
     assert write_report(degenerate) == reference_report_bytes(degenerate, None)
-    # five encoded sections in each of the reports built above
-    assert len(encoded) == 5 * (2 * len(analyses) + 3)
+    # two encoded sections, "smooth" and "validations", in each of the
+    # reports built above; the singular set's are written from arrays
+    assert len(encoded) == 2 * (2 * len(analyses) + 3)
 
 
 def _degenerate_report(net, tol, eps):

@@ -13,7 +13,7 @@ from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid, walk_chains)
-from diams.singularity import EdgeIndex, _vertex_terms
+from diams.singularity import EdgeIndex, _six_dets, _six_terms
 
 from _helpers import (example_net, generic_position_frames, parabolic_points,
                       planted_coincidence_nets, random_net_candidate,
@@ -327,11 +327,12 @@ def test_generic_position_reports_are_sorted_and_described():
 
 
 def test_vertex_terms_read_the_six_whole_sign_grids(rng):
-    # the one-vertex read (_vertex_terms) of the six classification signs
+    # the batched read (_six_terms) of the six classification signs
     # equals the whole-grid reference bit for bit at every interior
-    # vertex; each cross pair is Omega on the quad that the two star edges
-    # of its signs share (as _base_edge's comment has it: u+ separates ++
-    # and +-, u- -+ and --)
+    # vertex, and so do _six_dets' determinants without magnitudes; each
+    # cross pair is Omega on the quad that the two star edges of its signs
+    # share (as _base_edges' comment has it: u+ separates ++ and +-, u-
+    # -+ and --)
     nets = [random_net_candidate(rng, n=9) for _ in range(10)]
     nets += list(planted_coincidence_nets(rng, count=20))
     nets.append(round_off_net())
@@ -341,12 +342,16 @@ def test_vertex_terms_read_the_six_whole_sign_grids(rng):
         dom = net.domain
         omega, terms = reference_sign_grids(net)
         assert [t.shape for t in terms] == [(2, dom.nu - 2, dom.nv - 2)] * 6
+        vi, vj = (k.ravel() for k in np.mgrid[1:dom.nu - 1, 1:dom.nv - 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = np.array(_six_terms(net, vi, vj))
+            dets = _six_dets(net, vi, vj)
+        whole = np.stack([t.reshape(2, -1) for t in terms], axis=1)
+        assert batched.tobytes() == whole.tobytes()
+        assert dets.tobytes() == whole[0].tobytes()
         for u0 in range(dom.u_min + 1, dom.u_max):
             for v0 in range(dom.v_min + 1, dom.v_max):
                 i, j = u0 - dom.u_min - 1, v0 - dom.v_min - 1
-                whole = np.array([t[:, i, j] for t in terms]).T
-                assert (whole.tobytes()
-                        == np.array(_vertex_terms(net, u0, v0)).tobytes())
                 star = {"u+": EdgeIndex("u", u0, v0),
                         "u-": EdgeIndex("u", u0 - 1, v0),
                         "v+": EdgeIndex("v", u0, v0),

@@ -21,7 +21,8 @@ from diams.errors import (BoundaryVertex, DegenerateMetric,
                           ValidationError)
 from diams.net_core import GridDomain
 from diams.singularity import (MetricField, SingularEdge, SingularSet,
-                               SingularVertex, halfplane_grid, triple_product)
+                               SingularVertex, classify_vertices,
+                               halfplane_grid, triple_product)
 
 from _helpers import (SIGN_PAIRS, STAR_RAYS, example_net, four_edge_net,
                       frame_sign, generate_admissible, island_net,
@@ -152,6 +153,23 @@ def test_star_sidedness_test_agrees_with_the_table_at_every_scale(k):
     for sv in rows:
         assert (star_sidedness_test(f, net, sv)
                 == sv.diagnostics["star_sidedness"]), sv.vertex
+
+
+@pytest.mark.parametrize("k, error", [(342, IndexOutOfDomain),
+                                      (345, ValidationError)])
+def test_a_vertex_signs_come_before_its_edges(k, error):
+    # a record whose edges do not meet its vertex: its six signs are
+    # formed first, so where their magnitudes overflow (2^345, not yet at
+    # 2^342) the overflow is the error, alone or after other vertices
+    net, _ = _scaled_parabolic(k)
+    u0, v0 = net.domain.u_min + 3, net.domain.v_min + 3
+    far = SingularVertex((u0, v0), frozenset([EdgeIndex("u", u0 + 2, v0),
+                                              EdgeIndex("v", u0 + 2, v0)]))
+    rim = SingularVertex((net.domain.u_min, v0), frozenset())
+    with pytest.raises(error):
+        classify_vertex(net, None, far)
+    with pytest.raises(error):
+        classify_vertices(net, [rim, far, rim])
 
 
 def test_halfplane_edge_test_examples():
@@ -669,8 +687,9 @@ def test_singular_set_matches_per_edge_reference(rng):
         # each vertex's links in the same order
         rebuilt = SingularSet.from_edges(sset.singular_edges(metric.values),
                                          dom)
-        for name in ("links", "vertices", "degree", "interior", "flagged"):
-            assert getattr(rebuilt, name) == getattr(sset, name)
+        for name in ("axis", "i", "j", "vertex_i", "vertex_j", "links",
+                     "degree", "interior", "flagged"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(sset, name))
         # the record path, from the reference's edge set
         ref_verts = reference_singular_vertices(ref_edges, dom)
         assert singular_vertices(ref_edges, dom) == ref_verts
@@ -1228,9 +1247,25 @@ def test_classify_vertex_equals_reference(rng):
                     EdgeIndex("v", u0, v0), EdgeIndex("v", u0, v0 - 1)]
             vertices += [SingularVertex((u0, v0), frozenset(pair))
                          for pair in itertools.combinations(star, 2)]
-        for sv in vertices:
-            want = _outcome_of(reference_classify_vertex, net, sv, tol)
-            assert _outcome_of(classify_vertex, net, sv, tol) == want
+        wants = [_outcome_of(reference_classify_vertex, net, sv, tol)
+                 for sv in vertices]
+        # the list form: its records, or the error of the first vertex
+        # whose reference raises, then the rest of the list after it
+        start = 0
+        while start < len(vertices):
+            try:
+                got = classify_vertices(net, vertices[start:], tol)
+            except DiamsError as exc:
+                k = next(k for k in range(start, len(vertices))
+                         if isinstance(wants[k], tuple))
+                assert (type(exc), str(exc)) == wants[k]
+                assert classify_vertices(net, vertices[start:k],
+                                         tol) == wants[start:k]
+                start = k + 1
+            else:
+                assert got == wants[start:]
+                break
+        for want in wants:
             label = want[0] if isinstance(want, tuple) else want.configuration
             seen[label] = seen.get(label, 0) + 1
     assert seen.keys() >= {Configuration.A, Configuration.B,

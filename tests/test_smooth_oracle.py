@@ -14,9 +14,9 @@ from diams.io_cli import report_from_oracle, run_cli, write_report
 from diams.smooth_oracle import (BUILTIN_PAIRS, SmoothChain, SmoothCurvePair,
                                  _kernel_ratio, _row_dot)
 
-from _helpers import (densify, one_sided_hausdorff, reference_builtin_pair,
-                      reference_find_swallowtails, reference_lambda,
-                      reference_trace)
+from _helpers import (circle_pair, densify, one_sided_hausdorff,
+                      reference_builtin_pair, reference_find_swallowtails,
+                      reference_lambda, reference_trace)
 
 
 def line_pair(**kw):
@@ -312,19 +312,6 @@ def saddle_pair(u_range, v_range, s=100.0):
         dd_alpha=lambda u: np.array([0.0, 2.0 * s, 0.0]),
         dd_beta=lambda v: np.array([2.0 * s, 0.0, 0.0]),
         u_range=u_range, v_range=v_range)
-
-
-def circle_pair():
-    """Omega = 1/4 - u^2 - v^2: a closed chain, whose direction is set by
-    the order in which the cells are visited."""
-    return SmoothCurvePair(
-        alpha=lambda u: np.array([u, 0.0, u * u + 0.25]),
-        beta=lambda v: np.array([0.0, v, -v * v]),
-        d_alpha=lambda u: np.array([1.0, 0.0, 2.0 * u]),
-        d_beta=lambda v: np.array([0.0, 1.0, -2.0 * v]),
-        dd_alpha=lambda u: np.array([0.0, 0.0, 2.0]),
-        dd_beta=lambda v: np.array([0.0, 0.0, -2.0]),
-        u_range=(-1.0, 1.03), v_range=(-0.98, 1.0))
 
 
 # at grids 16 and 33 the centre of the saddle cell has the sign of its
