@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class float_grid_allocation:
             raise ValidationError(f"cannot allocate {self}") from None
 
 
+def is_index(x):
+    """Is x an integer index: an int or a numpy integer, not a bool?"""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def half_index(x):
     """Validate a half-integer index k+1/2 and return the integer k."""
     k2 = 2.0 * float(x)
@@ -77,7 +83,8 @@ class PolyCurve:
 
     Point i is ``points[i - offset]``, a read-only copy (nets cache grids
     computed from the points); indices run over offset, offset+1, ...,
-    offset+len(points)-1, all below 2^52 in absolute value.
+    offset+len(points)-1, all below 2^52 in absolute value.  offset must
+    be an integer index (is_index), and is kept as an int.
     """
 
     points: np.ndarray
@@ -92,6 +99,10 @@ class PolyCurve:
         if pts.shape[0] < 3:
             raise ValidationError(
                 f"curve needs at least 3 points, got {pts.shape[0]}")
+        if not is_index(self.offset):
+            raise ValidationError(
+                f"curve offset must be an integer, got {self.offset!r}")
+        object.__setattr__(self, "offset", int(self.offset))
         # below 2^52 every half index i + 1/2 is an exact float and index
         # arithmetic in int64 cannot overflow
         if not -2 ** 52 < self.offset <= 2 ** 52 - pts.shape[0]:
@@ -153,6 +164,9 @@ class GridDomain:
     v_max: int
 
     def __post_init__(self):
+        bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
+        if not all(map(is_index, bounds)):
+            raise ValidationError(f"domain bounds {bounds} are not integers")
         if self.u_max < self.u_min + 1 or self.v_max < self.v_min + 1:
             raise ValidationError("domain must contain at least one quadrangle")
 
@@ -190,39 +204,37 @@ class GridDomain:
 def walk_chains(links):
     """Maximal chains of a graph whose nodes have at most two links.
 
-    links maps every node to its (neighbour, link key) pairs, each link
-    listed at both ends under one hashable key.  Open chains start at the
-    degree-1 nodes in sorted order, then each loop at the smallest node
-    that still has an unused link; every step takes the first neighbour
-    over an unused link.  Returns (nodes, link keys, closed) per chain in
-    that order; a closed chain repeats its start node at the end.
+    links is an int array with one row per node, the nodes numbered in
+    sorted order: the node's neighbours in link order, -1 for none.  No
+    two nodes share two links.  Open chains start at the degree-1 nodes in
+    order, then each loop at the smallest node that still has a link;
+    every step takes the first link still present and removes it at both
+    ends.  Returns (nodes, closed) per chain in that order; a closed chain
+    repeats its start node at the end.  links itself is left as it is.
     """
-    left = {node: len(nbs) for node, nbs in links.items()}  # unused links
-    used = set()
+    rows = links.tolist()
 
     def walk(start):
-        nodes, keys = [start], []
-        current = start
-        while left[current]:
-            for nb, key in links[current]:
-                if key not in used:
+        nodes, current, row = [start], start, rows[start]
+        while True:
+            for k, nb in enumerate(row):
+                if nb >= 0:
                     break
-            used.add(key)
-            left[current] -= 1
-            left[nb] -= 1
+            else:
+                return nodes, False
+            row[k] = -1
+            row = rows[nb]
+            row[row.index(current)] = -1
             current = nb
-            nodes.append(current)
-            keys.append(key)
-            if current == start:
-                return nodes, keys, True
-        return nodes, keys, False
+            nodes.append(nb)
+            if nb == start:
+                return nodes, True
 
-    chains = []
-    for node in sorted(node for node, nbs in links.items() if len(nbs) == 1):
-        if left[node]:                  # else the end of a walked chain
-            chains.append(walk(node))
-    for node in sorted(links):
-        while left[node]:
+    ends = [node for node, row in enumerate(rows)
+            if len(row) - row.count(-1) == 1]
+    chains = [walk(node) for node in ends if max(rows[node]) >= 0]
+    for node, row in enumerate(rows):
+        while max(row) >= 0:
             chains.append(walk(node))
     return chains
 
@@ -398,12 +410,17 @@ def integrate_net(net, base_vertex=None, base_point=(0.0, 0.0, 0.0)):
 
     The result satisfies f(base_vertex) = base_point and both edge
     equations on every edge; path independence is guaranteed by the
-    vanishing mixed second difference of nu.
+    vanishing mixed second difference of nu.  base_vertex must be a pair
+    of integer indices (is_index), kept as ints.
     """
     dom = net.domain
     if base_vertex is None:
         base_vertex = (dom.u_min, dom.v_min)
     bu, bv = base_vertex
+    if not (is_index(bu) and is_index(bv)):
+        raise IndexOutOfDomain(f"base vertex {base_vertex} is not a grid "
+                               "vertex")
+    bu, bv = int(bu), int(bv)
     dom.require_vertex(bu, bv)
     with np.errstate(over="ignore", invalid="ignore"):
         positions = _kernels.integrate_positions(

@@ -38,10 +38,11 @@ on these six signs, so they are read from a 64-entry table
 (``_SIGN_TABLE``) that the scalar branch logic (``_sign_outcome``) fills
 at import.  Star sidedness is one of them: the Lelieuvre star edges are
 nu x (alpha'+, -alpha'-, beta'+, -beta'-), and [nu, nu x x, nu x y] =
-|nu|^2 [nu, x, y].  One row rule, ``_decide_row``, classifies a vertex
-from its six signs, formed by one layout (``_SIX_SIGNS``) for any
-number of vertices (``_six_terms``; ``_six_dets`` where generic position
-says every sign is decided).  ``admissibility_check`` reads its four
+|nu|^2 [nu, x, y].  One row pass, ``_classified_rows``, classifies
+vertices from their six signs, formed by one layout (``_SIX_SIGNS``) for
+any number of vertices (``_six_terms``) and judged by ``certified``; a
+row the table does not decide goes to ``_sign_outcome`` on its own
+(``_decide_row``).  ``admissibility_check`` reads its four
 cross signs off net.omega where ``ConormalNet.omega_bounds`` certifies
 both quad rows (``_cross_signs``).  No positions are integrated; the
 tests check the diagnostic against ``star_sidedness_test`` on them.
@@ -51,7 +52,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,7 @@ from . import _kernels
 from ._kernels import decided_sign
 from .errors import (BoundaryVertex, DegenerateMetric, DegenerateOrientation,
                      InadmissibleVertex, IndexOutOfDomain)
-from .net_core import validate_generic_position, walk_chains
+from .net_core import is_index, validate_generic_position, walk_chains
 
 
 class Configuration(str, Enum):
@@ -378,8 +378,7 @@ class SingularSet:
         keys = []
         for se in edges:
             axis, u, v = se.edge
-            if not (axis in _AXES and isinstance(u, Integral)
-                    and isinstance(v, Integral)):
+            if not (axis in _AXES and is_index(u) and is_index(v)):
                 raise IndexOutOfDomain(f"edge {se.edge} is not a grid edge")
             a = _AXES.index(axis)
             i, j = u - domain.u_min, v - domain.v_min
@@ -433,21 +432,13 @@ class SingularSet:
     def chains(self):
         """The maximal chains of `walk_chains` over the links, sorted by
         first vertex, as Chains; raises InadmissibleVertex at a flagged
-        vertex.  A link's key is its edge's lower end and axis."""
+        vertex."""
         bad = self.inadmissible()
         if bad:
             vert, degree = bad[0]
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {degree} singular edges")
-        present = self.links >= 0
-        keys = (2 * np.minimum(np.arange(len(present))[:, None], self.links)
-                + [1, 1, 0, 0])
-        pairs = list(zip(self.links[present].tolist(),
-                         keys[present].tolist()))
-        ends = np.cumsum(self.degree).tolist()
-        links = dict(enumerate(map(pairs.__getitem__,
-                                   map(slice, [0] + ends[:-1], ends))))
-        walks = sorted((seq for seq, _, _ in walk_chains(links)),
+        walks = sorted((seq for seq, _ in walk_chains(self.links)),
                        key=lambda seq: seq[0])
         order = np.array([k for seq in walks for k in seq], dtype=np.intp)
         dom = self.domain
@@ -455,10 +446,6 @@ class SingularSet:
                       self.vertex_j[order] + dom.v_min,
                       np.cumsum([0] + list(map(len, walks))).tolist(),
                       [seq[0] == seq[-1] for seq in walks])
-
-    def polylines(self):
-        """`chains` as SingularPolyline records."""
-        return self.chains().polylines()
 
 
 def singular_vertices(edges, domain):
@@ -500,32 +487,15 @@ _SIX_X, _SIX_Y = (np.array([1, 0, 3, 2])[list(c)]
                   for c in zip(*[s[1:] for s in _SIX_SIGNS]))
 
 
-def _six_inputs(net, i, j, signs=slice(None)):
-    """(n, x, y) component arrays of the signs `signs` of _SIX_SIGNS at
-    the vertices of grid indices (i, j), of shape (3, signs, k)."""
+def _six_terms(net, i, j):
+    """(det, mag) arrays of shape (6, k) of the six signs (_SIX_SIGNS) at
+    the vertices of grid indices (i, j), in one orient_terms call."""
     a = net.alpha.points.T[:, i + _NEIGHBOURS]  # alpha(u0-1), alpha(u0), ...
     b = net.beta.points.T[:, j + _NEIGHBOURS]
     dirs = np.concatenate([a[:, 1:] - a[:, :-1], b[:, 1:] - b[:, :-1]],
                           axis=1)
-    return (a[:, _SIX_A[signs]] - b[:, _SIX_B[signs]],
-            dirs[:, _SIX_X[signs]], dirs[:, _SIX_Y[signs]])
-
-
-def _six_terms(net, i, j):
-    """(det, mag) arrays of shape (6, k) of the six signs (_SIX_SIGNS) at
-    the vertices of grid indices (i, j), in one orient_terms call."""
-    n, x, y = _six_inputs(net, i, j)
-    return _kernels.orient_terms(*n, *x, *y)
-
-
-def _six_dets(net, i, j):
-    """orient_terms' d of the six signs at the vertices of grid indices
-    (i, j), for vertices where each sign is known decided: the two frame
-    signs by det3, the four cross signs read off net.omega, Omega on the
-    quads around each vertex, which has their bits."""
-    n, x, y = _six_inputs(net, i, j, slice(0, 2))
-    cross = net.omega[i + _SIX_A[2:, None] - 1, j + _SIX_B[2:, None] - 1]
-    return np.concatenate([_kernels.det3(n, x, y), cross])
+    return _kernels.orient_terms(*(a[:, _SIX_A] - b[:, _SIX_B]),
+                                 *dirs[:, _SIX_X], *dirs[:, _SIX_Y])
 
 
 def _cross_signs(net, u0, v0, tol):
@@ -847,19 +817,15 @@ def _cross_pattern(cross):
     return "".join(tags) if len(tags) == 2 else None
 
 
-def _sign_key(signs):
-    """Table index of six nonzero signs: bit 5 - k is set when sign k is +."""
-    return sum(1 << (5 - k) for k, s in enumerate(signs) if s > 0)
-
-
 def _table_entry(key):
     signs = tuple(1 if key >> (5 - k) & 1 else -1 for k in range(6))
     pattern = _cross_pattern(signs[2:])
     return None if pattern is None else _sign_outcome(signs, pattern, None)
 
 
-# the outcome of every nonzero sign key whose cross signs make exactly two
-# star edges singular, keyed by the pattern they make (None otherwise)
+# the outcome of every key of six nonzero signs (bit 5 - k set when sign k
+# is +) whose cross signs make exactly two star edges singular, keyed by the
+# pattern they make (None otherwise)
 _SIGN_TABLE = tuple(_table_entry(key) for key in range(64))
 _KEY_BITS = 1 << np.arange(5, -1, -1)
 
@@ -887,24 +853,23 @@ def _classified(vertex, edges, outcome, base):
 
 
 def _decide_row(vert, pattern, d, mag, tol):
-    """The outcome of the two-edge interior vertex `vert` whose singular
+    """_sign_outcome of the two-edge interior vertex `vert` whose singular
     star edges make `pattern`, from its six (det, mag) pairs in
-    _SIX_SIGNS order.  A zero sign, or edges other than the ones the
-    cross signs make singular, runs _sign_outcome on the vertex itself
-    instead of reading the sign table."""
-    signs = tuple([decided_sign(x, m, tol) for x, m in zip(d, mag)])
-    outcome = None if 0 in signs else _SIGN_TABLE[_sign_key(signs)]
-    if outcome is None or outcome.diagnostics["edge_pattern"] != pattern:
-        outcome = _sign_outcome(signs, pattern, vert)
-    return outcome
+    _SIX_SIGNS order, each judged by decided_sign."""
+    return _sign_outcome(tuple([decided_sign(x, m, tol)
+                                for x, m in zip(d, mag)]), pattern, vert)
 
 
-def _classified_rows(u, v, star, d, mag, decided, tol):
+def _classified_rows(net, u, v, star, tol):
     """(codes, base edges, outcomes) of the two-edge interior vertices
-    (u, v) with star masks star, from their six (det, mag) columns.  A
-    decided row whose edges are the ones its cross signs make singular
-    reads the sign table; every other goes to _decide_row in row order
-    (the first error is raised) and its outcome is appended to OUTCOMES."""
+    (u, v) with star masks star, from their six signs, formed in one
+    _six_terms call.  A row that _kernels.certified decides and whose
+    edges are the ones its cross signs make singular reads the sign
+    table; every other goes to _decide_row in row order (the first error
+    is raised) and its outcome is appended to OUTCOMES."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, mag = _six_terms(net, u - net.domain.u_min, v - net.domain.v_min)
+        decided = _kernels.certified(np.abs(d), mag, tol).all(axis=0)
     key = _KEY_BITS @ (d > 0)
     code = np.where(decided & (_TABLE_STARS[key] == star), key, -1)
     outcomes = list(OUTCOMES)
@@ -917,8 +882,8 @@ def _classified_rows(u, v, star, d, mag, decided, tol):
 
 
 def classify_vertices(net, vertices, tol=1e-9):
-    """classify_vertex on each of a list of singular vertices, with one
-    _six_terms call: their records, or the first vertex's error."""
+    """classify_vertex on each of a list of singular vertices, in one
+    _classified_rows pass: their records, or the first vertex's error."""
     _kernels.require_tolerance(tol, "tol")
     dom = net.domain
     inner, stars, stop, last = [], [], None, []
@@ -935,23 +900,20 @@ def classify_vertices(net, vertices, tol=1e-9):
             stars.append(sum(_TAG_BITS[e.direction_at(sv.vertex)]
                              for e in edges))
         except IndexOutOfDomain as e:
-            stop, last = e, [k]
+            stop, last = e, [(u0 - dom.u_min, v0 - dom.v_min)]
             break
         inner.append(k)
-    u, v = np.array([vertices[k].vertex for k in inner + last],
+    u, v = np.array([vertices[k].vertex for k in inner],
                     dtype=np.int64).reshape(-1, 2).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        d, mag = _six_terms(net, u - dom.u_min, v - dom.v_min)
-        decided = _kernels.certified(np.abs(d), mag, tol).all(axis=0)
-    n = len(inner)
     code, base, outcomes = _classified_rows(
-        u[:n], v[:n], np.array(stars, dtype=np.int64), d[:, :n], mag[:, :n],
-        decided[:n], tol)
+        net, u, v, np.array(stars, dtype=np.int64), tol)
     if stop is not None:
         # as in _decide_row, a vertex's signs (and their overflow) come
         # before its edges are read
-        for x, m in zip(d[:, n:].ravel().tolist(),
-                        mag[:, n:].ravel().tolist()):
+        i, j = np.array(last, dtype=np.int64).reshape(-1, 2).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, mag = _six_terms(net, i, j)
+        for x, m in zip(d.ravel().tolist(), mag.ravel().tolist()):
             decided_sign(x, m, tol)
         raise stop
     out = [replace(sv, configuration=Configuration.BOUNDARY,
@@ -1023,26 +985,15 @@ def _outcome_key(outcome):
             tuple(sorted(outcome.diagnostics.items())))
 
 
-def _vertex_records(net, sset, tol, decided=False):
+def _vertex_records(net, sset, tol):
     """The VertexTable of the singular set sset, in one batched pass:
     Boundary off the interior, Inadmissible where flagged, the two-edge
-    interior vertices by _classified_rows.  decided says every one of
-    their signs is decided at tol, as where validate_generic_position
-    found no violation: _six_dets then forms them without magnitudes."""
+    interior vertices by _classified_rows."""
     dom = net.domain
     rows = np.flatnonzero(sset.interior & ~sset.flagged)
-    i, j = sset.vertex_i[rows], sset.vertex_j[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if decided:
-            d = _six_dets(net, i, j)
-            mag = np.zeros_like(d)
-        else:
-            d, mag = _six_terms(net, i, j)
-    ok = (np.ones(len(rows), dtype=bool) if decided else
-          ~_kernels.undecided(d, mag, tol, "orientation test").any(axis=0))
     code, base, outcomes = _classified_rows(
-        i + dom.u_min, j + dom.v_min, (sset.links[rows] >= 0) @ _STAR_BITS,
-        d, mag, ok, tol)
+        net, sset.vertex_i[rows] + dom.u_min, sset.vertex_j[rows] + dom.v_min,
+        (sset.links[rows] >= 0) @ _STAR_BITS, tol)
     columns = np.zeros((6, len(sset.degree)), dtype=np.int64)
     columns[0] = columns[4] = sset.vertex_i + dom.u_min
     columns[1] = columns[5] = sset.vertex_j + dom.v_min
@@ -1107,7 +1058,7 @@ def extract_polylines(vertices, edges, domain):
         if sv.configuration == Configuration.INADMISSIBLE:
             raise InadmissibleVertex(
                 f"vertex {sv.vertex} is inadmissible; no polyline structure")
-    return SingularSet.from_edges(edges, domain).polylines()
+    return SingularSet.from_edges(edges, domain).chains().polylines()
 
 
 # ---------------------------------------------------------------------------
@@ -1174,16 +1125,15 @@ def analyze_net(net, tol=1e-9, eps_degenerate=1e-9):
     """Run the full singularity pipeline on one co-normal net.
 
     Every singular vertex gets its record in one batched pass
-    (_vertex_records), which forms its signs without magnitudes when
-    generic position holds at tol.  Positions are not integrated.  Both
-    tolerances must be finite and >= 0.
+    (_vertex_records).  Positions are not integrated.  Both tolerances
+    must be finite and >= 0.
     """
     _kernels.require_tolerance(tol, "tol")
     _kernels.require_tolerance(eps_degenerate, "eps_degenerate")
     generic = validate_generic_position(net, tol)
     metric = metric_field(net, eps_degenerate)
     sset = SingularSet.from_omega(metric)
-    table = _vertex_records(net, sset, tol, decided=not generic)
+    table = _vertex_records(net, sset, tol)
     admissibility = [(vert, f"{degree} incident singular edges at an "
                             "interior vertex")
                      for vert, degree in sset.inadmissible()]

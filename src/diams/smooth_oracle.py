@@ -26,7 +26,6 @@ an array costs far more than the scalar math.
 import functools
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -334,19 +333,23 @@ def trace_singular_curve(pair, grid_n, tol):
                 b[jh], y[jh], tol),
         _refine(pair, False, guess[m:], p0[m:], p1[m:], w0[m:],
                 a[iv], x[iv], tol)])
-    return _link_chains(segments, dict(zip(keys, points)))
+    return _link_chains(segments, keys, points)
 
 
-def _link_chains(segments, crossings):
-    """Join segments between edge-crossing keys into chains: open chains
-    from their sorted end keys first, then closed loops, all sorted by
-    their first point."""
-    links = defaultdict(list)
-    for k, (a, b) in enumerate(segments):
-        links[a].append((b, k))
-        links[b].append((a, k))
-    chains = [SmoothChain(np.array([crossings[key] for key in keys]), closed)
-              for keys, _, closed in walk_chains(links)]
+def _link_chains(segments, keys, points):
+    """Join segments between edge-crossing keys into chains, the crossing
+    keys[k] at points[k] (keys in sorted order): open chains from their
+    first end key first, then closed loops, all sorted by their first
+    point."""
+    node = {key: k for k, key in enumerate(keys)}
+    links = [[-1, -1] for _ in keys]
+    for a, b in segments:
+        a, b = node[a], node[b]
+        # the second slot once the first is taken
+        links[a][links[a][0] >= 0] = b
+        links[b][links[b][0] >= 0] = a
+    chains = [SmoothChain(points[nodes], closed)
+              for nodes, closed in walk_chains(np.array(links))]
     chains.sort(key=lambda c: (c.points[0, 0], c.points[0, 1]))
     return chains
 

@@ -16,18 +16,17 @@ from diams.errors import (DegenerateDirection, DegenerateMetric,
                           ValidationError)
 from diams.io_cli import example_curve_pair
 from diams.net_core import (_PLANE_LABELS, GenericPositionViolation,
-                            characteristic_scale, validate_generic_position,
-                            walk_chains)
+                            characteristic_scale, validate_generic_position)
 from diams.singularity import (_KEY_BITS, _SIGN_TABLE, _TINY, Configuration,
                                EdgeIndex, Kind, MetricField, SingularEdge,
                                SingularPolyline, SingularVertex,
                                _admissible_signatures, _orient_strict,
-                               _sign_key, _sign_outcome, _star_sides_agree,
+                               _sign_outcome, _star_sides_agree,
                                admissibility_check, metric_field, orient,
                                singular_edges, singular_vertices)
 from diams.smooth_oracle import (LambdaFit, SmoothChain, SmoothCurvePair,
                                  SmoothSingularPoint, _chain_tangents,
-                                 _link_chains, omega_smooth)
+                                 omega_smooth)
 
 
 def example_net(y, du=0.1, dv=0.1):
@@ -494,8 +493,8 @@ def reference_trace(pair, grid_n, tol):
     visited, each crossing refined on its own by scalar `omega_smooth`
     calls as its cell first names it, kept as the reference that the
     row-wise sampling, the sign-change cell scan and the batched
-    refinement must reproduce bit for bit.  Chain linking is shared with
-    the traced version."""
+    refinement must reproduce bit for bit.  Chains are linked by
+    `reference_walk_chains` over a key-labelled link dict."""
     if grid_n < 16:
         raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
     us = np.linspace(*pair.u_range, grid_n + 1)
@@ -565,7 +564,14 @@ def reference_trace(pair, grid_n, tol):
             else:
                 raise NonGenericCell(
                     f"cell ({i}, {j}) has {len(sides)} edge crossings")
-    return _link_chains(segments, crossings)
+    links = defaultdict(list)
+    for k, (a, b) in enumerate(segments):
+        links[a].append((b, k))
+        links[b].append((a, k))
+    chains = [SmoothChain(np.array([crossings[key] for key in keys]), closed)
+              for keys, _, closed in reference_walk_chains(links)]
+    chains.sort(key=lambda c: (c.points[0, 0], c.points[0, 1]))
+    return chains
 
 
 def reference_lambda(pair, point):
@@ -752,9 +758,47 @@ def _reference_loop(verts, edges):
                             closed=True)
 
 
+def reference_walk_chains(links):
+    """Dict form of `net_core.walk_chains`, kept as its reference: links
+    maps every node to its (neighbour, link key) pairs, each link listed
+    at both ends under one hashable key.  Open chains start at the
+    degree-1 nodes in sorted order, then each loop at the smallest node
+    that still has an unused link; every step takes the first neighbour
+    over an unused link.  Returns (nodes, link keys, closed) per chain in
+    that order; a closed chain repeats its start node at the end."""
+    left = {node: len(nbs) for node, nbs in links.items()}  # unused links
+    used = set()
+
+    def walk(start):
+        nodes, keys = [start], []
+        current = start
+        while left[current]:
+            for nb, key in links[current]:
+                if key not in used:
+                    break
+            used.add(key)
+            left[current] -= 1
+            left[nb] -= 1
+            current = nb
+            nodes.append(current)
+            keys.append(key)
+            if current == start:
+                return nodes, keys, True
+        return nodes, keys, False
+
+    chains = []
+    for node in sorted(node for node, nbs in links.items() if len(nbs) == 1):
+        if left[node]:                  # else the end of a walked chain
+            chains.append(walk(node))
+    for node in sorted(links):
+        while left[node]:
+            chains.append(walk(node))
+    return chains
+
+
 def reference_extract_polylines(vertices, edges, domain):
     """Per-edge form of `extract_polylines`: a tuple-keyed link dict walked
-    by `net_core.walk_chains`."""
+    by `reference_walk_chains`."""
     for sv in vertices:
         if sv.configuration == Configuration.INADMISSIBLE:
             raise InadmissibleVertex(
@@ -769,7 +813,7 @@ def reference_extract_polylines(vertices, edges, domain):
             raise InadmissibleVertex(
                 f"interior vertex {vert} has {len(inc)} singular edges")
     chains = [(_reference_loop if closed else _reference_open)(verts, chain)
-              for verts, chain, closed in walk_chains(links)]
+              for verts, chain, closed in reference_walk_chains(links)]
     chains.sort(key=lambda c: c.vertices)
     return chains
 
@@ -777,6 +821,12 @@ def reference_extract_polylines(vertices, edges, domain):
 # ---------------------------------------------------------------------------
 # per-vertex reference of the classification
 # ---------------------------------------------------------------------------
+
+def _sign_key(signs):
+    """Sign table index of six nonzero signs: bit 5 - k is set when sign k
+    is +."""
+    return sum(1 << (5 - k) for k, s in enumerate(signs) if s > 0)
+
 
 def _reference_cross_signs(net, u0, v0, tol):
     """The cross signs orient(nu0, a, b) for a in (alpha'+, alpha'-),

@@ -1,11 +1,14 @@
 """Every private module-level helper and every import of the package is
-used by the package.
+used by the package, and every function reads its parameters.
 
 A private function, class or constant that only the tests read belongs in
 tests/_helpers.py, and one that nothing reads is dead.  An import is used
 when its own module reads the name or lists it in __all__.  Uses are name
 and attribute loads in the package's syntax trees, so a name that appears
-only in docstrings or comments does not count.
+only in docstrings or comments does not count.  A parameter is read when
+its function's body, nested functions included, loads its name; a
+method's first parameter (self or cls) is exempt, and so are lambdas, the
+package's curve evaluators, whose parameter is the evaluator protocol's.
 """
 
 import ast
@@ -81,6 +84,43 @@ def unused_private_names(src):
             if _private(name) and name not in loaded]
 
 
+# (module, function, parameter) that may stay unread, each with its reason
+UNREAD_PARAMETERS = {
+    ("net_core.py", "__exit__", "error"): "the context manager protocol",
+    ("net_core.py", "__exit__", "traceback"): "the context manager protocol",
+    ("singularity.py", "classify_vertex", "f"):
+        "perfbench/replica.py still passes the net's positions "
+        "(ROADMAP item 5)",
+    ("singularity.py", "classify_vertex", "singular_edge_set"):
+        "perfbench/replica.py still passes the edge set (ROADMAP item 5)",
+}
+
+
+def _functions(tree):
+    """(function, is a method) for each def in the tree."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, id(node) in methods
+
+
+def unread_parameters(src):
+    """(module, function, parameter) of each parameter of a def in
+    src/*.py that its body never loads, a method's first one aside."""
+    out = []
+    for module, tree in _trees(src).items():
+        for node, method in _functions(tree):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            loaded = {name for stmt in node.body for name in _loaded(stmt)}
+            out += [(module, node.name, p) for p in params[method:]
+                    if p not in loaded]
+    return out
+
+
 def unused_imports(src):
     """(module, name) of each module-level import in src/*.py that its own
     module neither loads nor lists in __all__."""
@@ -95,6 +135,36 @@ def test_every_private_helper_is_used_in_the_package():
 
 def test_every_import_is_used_in_its_module():
     assert unused_imports(SRC) == []
+
+
+def test_every_parameter_is_read_or_allowed_with_a_reason():
+    unread = unread_parameters(SRC)
+    assert [p for p in unread if p not in UNREAD_PARAMETERS] == []
+    # an allowance whose parameter is gone or read again is stale
+    assert sorted(UNREAD_PARAMETERS) == sorted(unread)
+
+
+def test_unread_parameters_flags_only_unread_parameters(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""planted is named here, and in a comment, but never read."""\n'
+        "# planted\n"
+        "def f(used, planted, *args, key=None, **kw):\n"
+        "    def g(x):\n"
+        "        return used + x\n"
+        "    planted = 1\n"
+        "    return g(2) + len(args) + len(kw)\n"
+        "def h(a, /, b, *, c):\n"
+        "    return (lambda unread: a)(b)\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return None\n"
+        "    @classmethod\n"
+        "    def n(cls, y):\n"
+        "        return y\n")
+    assert unread_parameters(tmp_path) == [("a.py", "f", "planted"),
+                                           ("a.py", "f", "key"),
+                                           ("a.py", "h", "c"),
+                                           ("a.py", "m", "x")]
 
 
 def test_unused_private_names_flags_only_unread_helpers(tmp_path):

@@ -7,17 +7,19 @@ from diams import (ConormalNet, GridDomain, PolyCurve, conormal,
                    discrete_derivative, integrate_net, metric_field,
                    moutard_residual, star_planarity_residual,
                    validate_generic_position)
-from diams import _kernels
+from diams import _kernels, smooth_oracle
 from diams._kernels import orient_terms
 from diams.errors import (BoundaryVertex, IndexOutOfDomain, ValidationError)
 from diams.net_core import (lelieuvre_u_edge, lelieuvre_v_edge,
                             moutard_residual_grid, quad_closure_residual,
                             star_planarity_residual_grid, walk_chains)
-from diams.singularity import EdgeIndex, _six_dets, _six_terms
+from diams.singularity import EdgeIndex, SingularEdge, SingularSet, _six_terms
+from diams.smooth_oracle import sample_pair, trace_singular_curve
 
-from _helpers import (example_net, generic_position_frames, parabolic_points,
-                      planted_coincidence_nets, random_net_candidate,
-                      reference_sign_grids, round_off_net,
+from _helpers import (circle_pair, example_net, generic_position_frames,
+                      parabolic_points, planted_coincidence_nets,
+                      random_net_candidate, reference_sign_grids,
+                      reference_walk_chains, round_off_net,
                       scalar_generic_violations, transformed_net)
 
 
@@ -190,6 +192,36 @@ def test_integrate_net_worked_example_edges():
     assert np.allclose(f.position(0, 0), [0, 0, 0])
 
 
+def test_offsets_and_base_vertices_must_be_integers():
+    # a fractional or boolean index, offset or domain bound is refused by
+    # name, not truncated (a 0.5 offset gave vertex 3 edges keyed 3.5, and
+    # a report TypeError); numpy integers are kept as ints
+    a, b, _ = parabolic_points(0.25)
+    for offset in (0.5, 2.0, True, np.bool_(False), np.float64(1.0), "1"):
+        with pytest.raises(ValidationError,
+                           match="^curve offset must be an integer, got "):
+            PolyCurve(a, offset)
+    curve = PolyCurve(a, np.int64(-4))
+    assert curve.offset == -4 and type(curve.offset) is int
+    net = ConormalNet(curve, PolyCurve(b, np.int32(0)))
+    for base in ((-1.5, 0), (-2, 0.0), (True, 0), (-2, np.bool_(True))):
+        with pytest.raises(IndexOutOfDomain,
+                           match=r"^base vertex \(.*\) is not a grid vertex$"):
+            integrate_net(net, base_vertex=base)
+    f = integrate_net(net, base_vertex=(np.int64(-2), np.int16(3)))
+    assert f.base_vertex == (-2, 3)
+    assert all(type(k) is int for k in f.base_vertex)
+    g = integrate_net(net, base_vertex=(-2, 3))
+    assert np.array_equal(f.positions, g.positions)
+    for bounds in ((0, 3.5, 0, 3), (False, 3, 0, 3), (0, 3, 0, np.float64(3))):
+        with pytest.raises(ValidationError, match="are not integers$"):
+            GridDomain(*bounds)
+    for u in (True, 1.0):
+        with pytest.raises(IndexOutOfDomain, match="is not a grid edge"):
+            SingularSet.from_edges([SingularEdge(EdgeIndex("u", u, 2),
+                                                 (-1.0, 1.0))], net.domain)
+
+
 def test_integration_path_independence(rng):
     # u-first vs v-first to the far corner must agree exactly by closure
     for _ in range(10):
@@ -329,10 +361,9 @@ def test_generic_position_reports_are_sorted_and_described():
 def test_vertex_terms_read_the_six_whole_sign_grids(rng):
     # the batched read (_six_terms) of the six classification signs
     # equals the whole-grid reference bit for bit at every interior
-    # vertex, and so do _six_dets' determinants without magnitudes; each
-    # cross pair is Omega on the quad that the two star edges of its signs
-    # share (as _base_edges' comment has it: u+ separates ++ and +-, u-
-    # -+ and --)
+    # vertex; each cross pair is Omega on the quad that the two star
+    # edges of its signs share (as _base_edges' comment has it: u+
+    # separates ++ and +-, u- -+ and --)
     nets = [random_net_candidate(rng, n=9) for _ in range(10)]
     nets += list(planted_coincidence_nets(rng, count=20))
     nets.append(round_off_net())
@@ -345,10 +376,8 @@ def test_vertex_terms_read_the_six_whole_sign_grids(rng):
         vi, vj = (k.ravel() for k in np.mgrid[1:dom.nu - 1, 1:dom.nv - 1])
         with np.errstate(over="ignore", invalid="ignore"):
             batched = np.array(_six_terms(net, vi, vj))
-            dets = _six_dets(net, vi, vj)
         whole = np.stack([t.reshape(2, -1) for t in terms], axis=1)
         assert batched.tobytes() == whole.tobytes()
-        assert dets.tobytes() == whole[0].tobytes()
         for u0 in range(dom.u_min + 1, dom.u_max):
             for v0 in range(dom.v_min + 1, dom.v_max):
                 i, j = u0 - dom.u_min - 1, v0 - dom.v_min - 1
@@ -411,8 +440,9 @@ def test_generic_position_moves_only_between_the_frames_dead_zones(rng):
 # ---------------------------------------------------------------------------
 
 def _paths_and_cycles(rng):
-    """Disjoint paths and cycles on shuffled node labels, as walk_chains'
-    links (each node's links shuffled) and the two ends of every key."""
+    """Disjoint paths and cycles on shuffled node labels, as
+    reference_walk_chains' links (each node's links shuffled) and the two
+    ends of every key."""
     labels = rng.permutation(1000)[:int(rng.integers(1, 60))].tolist()
     ends = {}
     at = 0
@@ -431,21 +461,64 @@ def _paths_and_cycles(rng):
     return links, ends
 
 
-def test_walk_chains_on_random_paths_and_cycles(rng):
-    for _ in range(200):
-        links, ends = _paths_and_cycles(rng)
-        chains = walk_chains(links)
-        keys = [key for _, chain_keys, _ in chains for key in chain_keys]
-        assert sorted(keys) == sorted(ends)           # each key once
-        for nodes, chain_keys, closed in chains:
-            assert len(nodes) == len(chain_keys) + 1
-            for a, b, key in zip(nodes, nodes[1:], chain_keys):
-                assert set(ends[key]) == {a, b}
+def _walked_as_reference(links):
+    """walk_chains on the int array of the dict graph `links` (nodes
+    numbered in sorted order, neighbours in link order), its chains by
+    node label; they equal reference_walk_chains' on the dict, and the
+    array is left as it is."""
+    labels = sorted(links)
+    number = {node: k for k, node in enumerate(labels)}
+    rows = np.full((len(labels), max([1, *map(len, links.values())])), -1)
+    for node, nbs in links.items():
+        rows[number[node], :len(nbs)] = [number[nb] for nb, _ in nbs]
+    before = rows.copy()
+    chains = [([labels[k] for k in nodes], closed)
+              for nodes, closed in walk_chains(rows)]
+    assert np.array_equal(rows, before)
+    assert chains == [(nodes, closed)
+                      for nodes, _, closed in reference_walk_chains(links)]
+    return chains
+
+
+def _circle_pair_graphs(monkeypatch):
+    """The two graphs walk_chains joins, on the circle Omega = 1/4 - u^2 -
+    v^2: the discrete singular set of the sampled pair, and the smooth
+    oracle's crossings, as trace_singular_curve hands them over; each as
+    reference_walk_chains' links, every link keyed by its two ends, and
+    the two ends of every key."""
+    alpha, beta, _, _ = sample_pair(circle_pair(), 0.05, 0.05)
+    graphs = [SingularSet.from_omega(metric_field(ConormalNet(alpha,
+                                                              beta))).links]
+    walk = smooth_oracle.walk_chains
+
+    def spy(links):
+        graphs.append(links)
+        return walk(links)
+
+    monkeypatch.setattr(smooth_oracle, "walk_chains", spy)
+    trace_singular_curve(circle_pair(), 64, 1e-10)
+    assert [g.shape[1] for g in graphs] == [4, 2]
+    for rows in graphs:
+        links = {k: [(nb, (min(k, nb), max(k, nb))) for nb in row if nb >= 0]
+                 for k, row in enumerate(rows.tolist())}
+        yield links, {key: key for nbs in links.values() for _, key in nbs}
+
+
+def test_walk_chains_on_random_paths_and_cycles(rng, monkeypatch):
+    graphs = [_paths_and_cycles(rng) for _ in range(200)]
+    graphs += list(_circle_pair_graphs(monkeypatch))
+    for links, ends in graphs:
+        chains = _walked_as_reference(links)
+        # each link once
+        assert sorted(tuple(sorted(p)) for nodes, _ in chains
+                      for p in zip(nodes, nodes[1:])) == sorted(
+            tuple(sorted(e)) for e in ends.values())
+        for nodes, closed in chains:
             assert (nodes[0] == nodes[-1]) == closed
-        opens = [nodes for nodes, _, closed in chains if not closed]
-        loops = [nodes for nodes, _, closed in chains if closed]
+        opens = [nodes for nodes, closed in chains if not closed]
+        loops = [nodes for nodes, closed in chains if closed]
         # open chains first, each from the smallest free degree-1 node
-        assert [c[2] for c in chains] == [False] * len(opens) + [True] * len(
+        assert [c[1] for c in chains] == [False] * len(opens) + [True] * len(
             loops)
         free = sorted(node for node, nbs in links.items() if len(nbs) == 1)
         for nodes in opens:
@@ -457,18 +530,21 @@ def test_walk_chains_on_random_paths_and_cycles(rng):
         assert all(nodes[0] == min(nodes) for nodes in loops)
         assert [nodes[0] for nodes in loops] == sorted(
             nodes[0] for nodes in loops)
+    # the circle's graphs are one loop each
+    assert [[closed for _, closed in _walked_as_reference(links)]
+            for links, _ in graphs[-2:]] == [[True], [True]]
 
 
 def test_walk_chains_steps_over_the_first_unused_link():
     # node 0 has three links: the chain from node 1 leaves it over its
-    # first unused link (to 2), and the one from node 3 ends there
+    # first link still present (to 2), and the one from node 3 ends there
     links = {0: [(1, "a"), (2, "b"), (3, "c")], 1: [(0, "a")],
              2: [(0, "b")], 3: [(0, "c")]}
-    assert walk_chains(links) == [([1, 0, 2], ["a", "b"], False),
-                                  ([3, 0], ["c"], False)]
+    assert _walked_as_reference(links) == [([1, 0, 2], False),
+                                           ([3, 0], False)]
     links[0] = [(3, "c"), (2, "b"), (1, "a")]
-    assert walk_chains(links) == [([1, 0, 3], ["a", "c"], False),
-                                  ([2, 0], ["b"], False)]
+    assert _walked_as_reference(links) == [([1, 0, 3], False),
+                                           ([2, 0], False)]
 
 
 def test_release_omega_frees_the_cached_grid_and_its_bounds(rng):

@@ -811,7 +811,7 @@ def test_from_edges_refuses_boundary_records_by_name():
     sset = SingularSet.from_edges(
         [SingularEdge(e, (-1.0, 1.0)) for e in inner], dom)
     assert sset.edges == sorted(inner)
-    assert [pl.vertices for pl in sset.polylines()] == [
+    assert [pl.vertices for pl in sset.chains().polylines()] == [
         ((-2, 5), (-1, 5), (-1, 4)), ((2, 8), (2, 7), (3, 7))]
 
 
@@ -849,7 +849,7 @@ def test_polylines_of_smooth_sign_fields_match_the_reference():
         sets += 1
         edges = sset.singular_edges(metric.values)
         ref = reference_extract_polylines([], edges, metric.domain)
-        assert sset.polylines() == ref
+        assert sset.chains().polylines() == ref
         assert extract_polylines([], edges, metric.domain) == ref
         for pl in ref:
             if pl.closed:
