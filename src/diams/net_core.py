@@ -411,7 +411,8 @@ def integrate_net(net, base_vertex=None, base_point=(0.0, 0.0, 0.0)):
     The result satisfies f(base_vertex) = base_point and both edge
     equations on every edge; path independence is guaranteed by the
     vanishing mixed second difference of nu.  base_vertex must be a pair
-    of integer indices (is_index), kept as ints.
+    of integer indices (is_index), kept as ints, and base_point three
+    finite coordinates.
     """
     dom = net.domain
     if base_vertex is None:
@@ -422,15 +423,20 @@ def integrate_net(net, base_vertex=None, base_point=(0.0, 0.0, 0.0)):
                                "vertex")
     bu, bv = int(bu), int(bv)
     dom.require_vertex(bu, bv)
+    try:
+        point = np.array(base_point, dtype=np.float64)
+    except (TypeError, ValueError):     # not numbers, or ragged
+        point = np.empty(0)
+    if point.shape != (3,) or not np.isfinite(point).all():
+        raise ValidationError(f"base point {base_point!r} is not three "
+                              "finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):
         positions = _kernels.integrate_positions(
             net.alpha.points, net.beta.points,
-            bu - dom.u_min, bv - dom.v_min,
-            np.asarray(base_point, dtype=np.float64))
+            bu - dom.u_min, bv - dom.v_min, point)
     _kernels.require_finite(positions, "integrated positions")
     return AsymptoticNet(domain=dom, positions=positions,
-                         base_vertex=(bu, bv),
-                         base_point=np.asarray(base_point, dtype=np.float64))
+                         base_vertex=(bu, bv), base_point=point)
 
 
 def lelieuvre_u_edge(net, u_half, v):

@@ -122,8 +122,10 @@ def orient(n, x, y, tol=1e-9):
     Returns +1, -1, or 0 when |det| <= tol times the sum of the absolute
     values of the determinant's six products (so the dead zone scales with
     the inputs and the predicate is homogeneous in each argument).  A
-    product that overflows raises ValidationError instead of reading as 0.
+    product that overflows raises ValidationError instead of reading as 0,
+    and so does a tol that is not finite and >= 0.
     """
+    _kernels.require_tolerance(tol, "tol")
     return decided_sign(*_kernels.orient_terms(*_t3(n), *_t3(x), *_t3(y)),
                         tol)
 
@@ -267,8 +269,10 @@ def halfplane_grid(net, tol=1e-9):
     (u_min+1+i, v_min+j) and u_result[i, j] for the u-edge with base
     (u_min+i, v_min+1+j); the zero masks mark edges where a sign fell in
     the predicate's dead zone.  An overflowing product raises
-    ValidationError, as in halfplane_edge_test.
+    ValidationError, as in halfplane_edge_test, and so does a tol that is
+    not finite and >= 0.
     """
+    _kernels.require_tolerance(tol, "tol")
     a = net.alpha.points.T
     b = net.beta.points.T
     da = a[:, 1:] - a[:, :-1]
@@ -316,7 +320,6 @@ _AXES = ("u", "v")
 # walker's order), as bits of a star mask whose bits 3..0 stand for u+,
 # u-, v+ and v- (_STAR_TAGS' order); _STAR_PATTERNS names each mask
 _STAR_BITS = np.array([2, 1, 8, 4])
-_TAG_BITS = {"u+": 8, "u-": 4, "v+": 2, "v-": 1}
 
 
 class SingularSet:
@@ -567,8 +570,10 @@ def admissibility_check(net, vertex, tol=1e-9):
     signatures are the signs of Omega on the four quads around the
     vertex, so on the net's own singular edges the test fails only where
     both u-edges (with a v-edge) or both v-edges (with a u-edge) are
-    singular, which singular_vertices already flags.
+    singular, which singular_vertices already flags.  tol must be finite
+    and >= 0.
     """
+    _kernels.require_tolerance(tol, "tol")
     u0, v0 = vertex.vertex
     if not net.domain.is_interior_vertex(u0, v0):
         raise BoundaryVertex(f"vertex ({u0}, {v0}) is not interior")
@@ -881,50 +886,6 @@ def _classified_rows(net, u, v, star, tol):
     return code, _base_edges(star, u, v, d[2:]), tuple(outcomes)
 
 
-def classify_vertices(net, vertices, tol=1e-9):
-    """classify_vertex on each of a list of singular vertices, in one
-    _classified_rows pass: their records, or the first vertex's error."""
-    _kernels.require_tolerance(tol, "tol")
-    dom = net.domain
-    inner, stars, stop, last = [], [], None, []
-    for k, sv in enumerate(vertices):
-        u0, v0 = sv.vertex
-        if not dom.is_interior_vertex(u0, v0):
-            continue
-        edges = sv.incident_singular_edges
-        if len(edges) != 2:
-            stop = InadmissibleVertex(f"vertex ({u0}, {v0}) has {len(edges)} "
-                                      "incident singular edges")
-            break
-        try:
-            stars.append(sum(_TAG_BITS[e.direction_at(sv.vertex)]
-                             for e in edges))
-        except IndexOutOfDomain as e:
-            stop, last = e, [(u0 - dom.u_min, v0 - dom.v_min)]
-            break
-        inner.append(k)
-    u, v = np.array([vertices[k].vertex for k in inner],
-                    dtype=np.int64).reshape(-1, 2).T
-    code, base, outcomes = _classified_rows(
-        net, u, v, np.array(stars, dtype=np.int64), tol)
-    if stop is not None:
-        # as in _decide_row, a vertex's signs (and their overflow) come
-        # before its edges are read
-        i, j = np.array(last, dtype=np.int64).reshape(-1, 2).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            d, mag = _six_terms(net, i, j)
-        for x, m in zip(d.ravel().tolist(), mag.ravel().tolist()):
-            decided_sign(x, m, tol)
-        raise stop
-    out = [replace(sv, configuration=Configuration.BOUNDARY,
-                   kind=Kind.UNCLASSIFIED) for sv in vertices]
-    for k, c, b in zip(inner, code.tolist(), base.T.tolist()):
-        sv = vertices[k]
-        out[k] = _classified(sv.vertex, sv.incident_singular_edges,
-                             outcomes[c], b)
-    return out
-
-
 def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     """Fill configuration (A, B, C) and kind for one singular vertex.
 
@@ -939,11 +900,32 @@ def classify_vertex(net, f, vertex, tol=1e-9, singular_edge_set=None):
     alpha'+ against alpha'- and beta'+ against beta'-, in the vertex
     frame, and the four cross signs, Omega's signs on the four quads around
     the vertex, turned into the outcome by the sign table or _decide_row,
-    as in analyze_net's batched pass: classify_vertices' one-vertex case.
+    as in analyze_net's batched pass, of which this is the one-row case.
     No positions are read: f and singular_edge_set are ignored.  tol must
     be finite and >= 0.
     """
-    return classify_vertices(net, [vertex], tol)[0]
+    _kernels.require_tolerance(tol, "tol")
+    vert, edges = vertex.vertex, vertex.incident_singular_edges
+    u0, v0 = vert
+    if not net.domain.is_interior_vertex(u0, v0):
+        return replace(vertex, configuration=Configuration.BOUNDARY,
+                       kind=Kind.UNCLASSIFIED)
+    if len(edges) != 2:
+        raise InadmissibleVertex(f"vertex ({u0}, {v0}) has {len(edges)} "
+                                 "incident singular edges")
+    u, v = np.array([[u0], [v0]], dtype=np.int64)
+    try:
+        star = _STAR_PATTERNS.index(_edge_pattern(vert, edges))
+    except IndexOutOfDomain:
+        # as in _decide_row, a vertex's signs (and their overflow) come
+        # before its edges are read
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, mag = _six_terms(net, u - net.domain.u_min,
+                                v - net.domain.v_min)
+        _kernels.undecided(d, mag, tol, "orientation test")
+        raise
+    code, base, outcomes = _classified_rows(net, u, v, np.array([star]), tol)
+    return _classified(vert, edges, outcomes[code[0]], base[:, 0].tolist())
 
 
 class VertexTable(NamedTuple):

@@ -25,16 +25,16 @@ an array costs far more than the scalar math.
 
 import functools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import det3
+from ._kernels import det3, require_tolerance
 from .errors import (DegenerateDirection, NonGenericCell, NonGenericChain,
                      OutOfRange, ValidationError)
-from .net_core import PolyCurve, float_grid_allocation, walk_chains
+from .net_core import PolyCurve, float_grid_allocation, is_index, walk_chains
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,14 @@ def trace_singular_curve(pair, grid_n, tol):
     until |Omega| <= tol (or 200 rounds), evaluating only the curve whose
     parameter moves along the edge.  The points equal per-edge scalar
     refinement bit for bit.  Returns a list of SmoothChain polylines in
-    the (u, v) parameter domain.
+    the (u, v) parameter domain.  grid_n must be an integer >= 16
+    (is_index), tol finite and >= 0.
     """
-    if grid_n < 16:
-        raise ValidationError(f"grid_n must be >= 16, got {grid_n}")
-    size = operator.index(grid_n) + 1
+    if not (is_index(grid_n) and grid_n >= 16):
+        raise ValidationError(f"grid_n must be an integer >= 16, got "
+                              f"{grid_n!r}")
+    require_tolerance(tol, "tol")
+    size = int(grid_n) + 1
     with float_grid_allocation((size, size), f"grid_n = {grid_n}: a grid"):
         w = np.empty((size, size))
     us = np.linspace(*pair.u_range, size)
@@ -499,7 +502,9 @@ def _projected_cross(n_unit, x, y):
 
 def check_regularity(pair, point, tol):
     """The singular curve is regular at the point unless all three of
-    Pa' x Pb', Pa'' x Pb', Pa' x Pb'' vanish within tol (relative)."""
+    Pa' x Pb', Pa'' x Pb', Pa' x Pb'' vanish within tol (relative), which
+    must be finite and >= 0."""
+    require_tolerance(tol, "tol")
     u, v = float(point[0]), float(point[1])
     pair.require(u, v)
     n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
@@ -531,8 +536,14 @@ def sample_pair(pair, du, dv):
 
     Index i of alpha corresponds to parameter u_min + i * du (and likewise
     for beta), with offset 0, so parameter = index * step + range start.
-    Returns (alpha_curve, beta_curve, u_params, v_params).
+    Returns (alpha_curve, beta_curve, u_params, v_params).  The steps
+    must be finite and > 0.
     """
+    for name, step in (("du", du), ("dv", dv)):
+        if not (isinstance(step, numbers.Real) and math.isfinite(step)
+                and step > 0):
+            raise ValidationError(
+                f"{name} must be a finite number > 0, got {step!r}")
     us = np.arange(pair.u_range[0], pair.u_range[1] + du / 2, du)
     vs = np.arange(pair.v_range[0], pair.v_range[1] + dv / 2, dv)
     a, b = _rows(pair.alpha, us), _rows(pair.beta, vs)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterOutOfRange, SharedEdgeMismatch, ValidationError
-from .net_core import float_grid_allocation
+from .net_core import float_grid_allocation, is_index
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def tessellate(f, subdiv, singular=()):
     Triangles of area at most 1e-14 times the squared largest coordinate
     are dropped; `sub_quad_areas` reads the areas off grid slices.
     """
-    if (not isinstance(subdiv, (int, np.integer)) or isinstance(subdiv, bool)
-            or subdiv < 1):
+    if not (is_index(subdiv) and subdiv >= 1):
         raise ParameterOutOfRange(
             f"subdiv must be an integer >= 1, got {subdiv!r}")
     subdiv = int(subdiv)

@@ -101,14 +101,16 @@ def test_criterion_3_proposition_suites_on_random_nets(rng):
             assert len(sv.incident_singular_edges) == 2
         n_vertices += len(interior)
         # Prop: crossing test == star sidedness == configuration C
-        if interior:
-            from diams.singularity import classify_vertices
-            for out in classify_vertices(net, interior):
-                is_c = out.configuration == Configuration.C
-                assert (out.kind == Kind.SWALLOWTAIL) == is_c
-                assert out.diagnostics["crossing_swallowtail"] == is_c
-                assert out.diagnostics["star_sidedness"] == is_c
-                n_classified += 1
+        classified = [out for out in analyze_net(net).vertices
+                      if dom.is_interior_vertex(*out.vertex)]
+        assert [out.vertex for out in classified] == [sv.vertex
+                                                      for sv in interior]
+        for out in classified:
+            is_c = out.configuration == Configuration.C
+            assert (out.kind == Kind.SWALLOWTAIL) == is_c
+            assert out.diagnostics["crossing_swallowtail"] == is_c
+            assert out.diagnostics["star_sidedness"] == is_c
+            n_classified += 1
     elapsed = time.perf_counter() - t0
     assert n_edges >= 10_000
     assert n_classified >= 10_000

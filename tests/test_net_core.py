@@ -222,6 +222,22 @@ def test_offsets_and_base_vertices_must_be_integers():
                                                  (-1.0, 1.0))], net.domain)
 
 
+def test_base_point_must_be_three_finite_coordinates():
+    # (0, 0) raised IndexError inside the sweep, (0, 0, 0, 1) was stored as
+    # a 4-vector and (nan, 0, 0) was blamed on an overflowing net
+    net = example_net(1.0)
+    for point in ((0.0, 0.0), (0, 0, 0, 1), (np.nan, 0.0, 0.0),
+                  (0.0, np.inf, 0.0), [[0.0, 0.0, 0.0]], 1.0, "abc",
+                  (0.0, "x", 0.0), [[0.0, 0.0], [0.0]]):
+        with pytest.raises(ValidationError,
+                           match="is not three finite coordinates$"):
+            integrate_net(net, base_point=point)
+    point = np.array([1.0, 2.0, 3.0])
+    f = integrate_net(net, base_vertex=(0, 0), base_point=point)
+    assert np.array_equal(f.position(0, 0), point)
+    assert np.array_equal(f.base_point, point) and f.base_point is not point
+
+
 def test_integration_path_independence(rng):
     # u-first vs v-first to the far corner must agree exactly by closure
     for _ in range(10):

@@ -25,7 +25,7 @@ from diams.io_cli import (CurvePairFile, report_from_analysis, run_cli,
                           write_curves, write_report)
 from diams.singularity import (EdgeIndex, NetAnalysis, SingularEdge,
                                SingularPolyline, SingularVertex,
-                               classify_vertices)
+                               classify_vertex)
 
 from _helpers import (circle_pair, corpus_candidates, example_net,
                       four_edge_net, island_net, parabolic_net,
@@ -116,8 +116,9 @@ def test_records_outside_the_sign_table_keep_their_text():
         vertices = []
         for pair in itertools.combinations(star, 2):
             try:
-                vertices += classify_vertices(
-                    analysis.net, [SingularVertex((0, 0), frozenset(pair))])
+                vertices.append(classify_vertex(
+                    analysis.net, None, SingularVertex((0, 0),
+                                                       frozenset(pair))))
             except DiamsError:
                 pass
         made = NetAnalysis(net=analysis.net, metric=analysis.metric,

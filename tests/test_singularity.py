@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import warnings
@@ -7,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import diams
 from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    _kernels, admissibility_check, analyze_net,
                    classify_vertex, extract_polylines, halfplane_edge_test,
@@ -15,14 +17,16 @@ from diams import (ConormalNet, Configuration, EdgeIndex, Kind, PolyCurve,
                    singular_vertices, star_sidedness_test,
                    validate_generic_position)
 from diams import singularity
+from diams.smooth_oracle import (builtin_pair, check_regularity,
+                                 trace_singular_curve)
 from diams.errors import (BoundaryVertex, DegenerateMetric,
                           DegenerateOrientation, DiamsError,
                           InadmissibleVertex, IndexOutOfDomain,
                           ValidationError)
 from diams.net_core import GridDomain
 from diams.singularity import (MetricField, SingularEdge, SingularSet,
-                               SingularVertex, classify_vertices,
-                               halfplane_grid, triple_product)
+                               SingularVertex, halfplane_grid,
+                               triple_product)
 
 from _helpers import (SIGN_PAIRS, STAR_RAYS, example_net, four_edge_net,
                       frame_sign, generate_admissible, island_net,
@@ -160,16 +164,13 @@ def test_star_sidedness_test_agrees_with_the_table_at_every_scale(k):
 def test_a_vertex_signs_come_before_its_edges(k, error):
     # a record whose edges do not meet its vertex: its six signs are
     # formed first, so where their magnitudes overflow (2^345, not yet at
-    # 2^342) the overflow is the error, alone or after other vertices
+    # 2^342) the overflow is the error
     net, _ = _scaled_parabolic(k)
     u0, v0 = net.domain.u_min + 3, net.domain.v_min + 3
     far = SingularVertex((u0, v0), frozenset([EdgeIndex("u", u0 + 2, v0),
                                               EdgeIndex("v", u0 + 2, v0)]))
-    rim = SingularVertex((net.domain.u_min, v0), frozenset())
     with pytest.raises(error):
         classify_vertex(net, None, far)
-    with pytest.raises(error):
-        classify_vertices(net, [rim, far, rim])
 
 
 def test_halfplane_edge_test_examples():
@@ -529,19 +530,69 @@ def _centre(net):
     return next(sv for sv in verts if sv.vertex == (0, 0))
 
 
-@pytest.mark.parametrize("entry, name", [
-    (lambda net, t: analyze_net(net, tol=t), "tol"),
-    (lambda net, t: analyze_net(net, eps_degenerate=t), "eps_degenerate"),
-    (lambda net, t: validate_generic_position(net, t), "tol"),
-    (lambda net, t: metric_field(net, t), "eps_degenerate"),
-    (lambda net, t: classify_vertex(net, None, _centre(net), t), "tol")],
-    ids=["analyze_net-tol", "analyze_net-eps", "validate_generic_position",
-         "metric_field", "classify_vertex"])
+_PLANE = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+# every public entry that takes a tolerance, as a call with valid other
+# arguments (the worked example's net and its centre where they take one)
+# and the tolerance's parameter name; each id names its function, and the
+# parameter too where the function takes two
+TOLERANCE_ENTRIES = {
+    "analyze_net-tol": (lambda net, t: analyze_net(net, tol=t), "tol"),
+    "analyze_net-eps": (lambda net, t: analyze_net(net, eps_degenerate=t),
+                        "eps_degenerate"),
+    "validate_generic_position": (
+        lambda net, t: validate_generic_position(net, t), "tol"),
+    "metric_field": (lambda net, t: metric_field(net, t), "eps_degenerate"),
+    "classify_vertex": (
+        lambda net, t: classify_vertex(net, None, _centre(net), t), "tol"),
+    "admissibility_check": (
+        lambda net, t: admissibility_check(net, _centre(net), t), "tol"),
+    "star_sidedness_test": (lambda net, t: star_sidedness_test(
+        integrate_net(net), net, _centre(net), t), "tol"),
+    "halfplane_edge_test": (
+        lambda net, t: halfplane_edge_test(net, EdgeIndex("v", 0, 0), t),
+        "tol"),
+    "halfplane_grid": (lambda net, t: halfplane_grid(net, t), "tol"),
+    "orient": (lambda net, t: orient(*_PLANE, t), "tol"),
+    "ray_crossing_test": (lambda net, t: ray_crossing_test(
+        *_PLANE, (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), t), "tol"),
+    "check_regularity": (lambda net, t: check_regularity(
+        builtin_pair("parabolic"), (0.0, 0.0), t), "tol"),
+    "trace_singular_curve": (lambda net, t: trace_singular_curve(
+        builtin_pair("parabolic"), 17, t), "tol"),
+}
+
+
+def test_every_tolerance_entry_is_checked():
+    # each callable of diams.__all__ with a tol or eps_degenerate
+    # parameter, and halfplane_grid, has a row per such parameter above,
+    # and each row refuses -1, nan and inf
+    net = example_net(1.0)
+    for entry, name in TOLERANCE_ENTRIES.values():
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match=rf"^{name} must be"):
+                entry(net, bad)
+    entries = {"halfplane_grid": halfplane_grid}
+    entries.update((name, getattr(diams, name)) for name in diams.__all__)
+    found = set()
+    for name, fn in entries.items():
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):     # the enums
+            continue
+        found.update((name, p) for p in ("tol", "eps_degenerate")
+                     if p in params)
+    assert len({name for name, _ in found}) == 12
+    assert found == {(key.split("-")[0], param)
+                     for key, (_, param) in TOLERANCE_ENTRIES.items()}
+
+
+@pytest.mark.parametrize("entry, name", TOLERANCE_ENTRIES.values(),
+                         ids=TOLERANCE_ENTRIES.keys())
 def test_library_rejects_tolerances_below_zero_or_not_finite(entry, name):
     # the dead-zone rule and its certified bounds assume a tolerance >= 0:
     # each entry point names a bad one, whatever it would have read
     net = example_net(1.0)
-    for bad in (-1e-9, -0.0 - 1e-300, np.nan, np.inf, -np.inf):
+    for bad in (-1.0, -1e-9, -0.0 - 1e-300, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match=rf"^{name} must be a "
                                                   r"finite number >= 0, got"):
             entry(net, bad)
@@ -1249,22 +1300,8 @@ def test_classify_vertex_equals_reference(rng):
                          for pair in itertools.combinations(star, 2)]
         wants = [_outcome_of(reference_classify_vertex, net, sv, tol)
                  for sv in vertices]
-        # the list form: its records, or the error of the first vertex
-        # whose reference raises, then the rest of the list after it
-        start = 0
-        while start < len(vertices):
-            try:
-                got = classify_vertices(net, vertices[start:], tol)
-            except DiamsError as exc:
-                k = next(k for k in range(start, len(vertices))
-                         if isinstance(wants[k], tuple))
-                assert (type(exc), str(exc)) == wants[k]
-                assert classify_vertices(net, vertices[start:k],
-                                         tol) == wants[start:k]
-                start = k + 1
-            else:
-                assert got == wants[start:]
-                break
+        assert [_outcome_of(classify_vertex, net, sv, tol)
+                for sv in vertices] == wants
         for want in wants:
             label = want[0] if isinstance(want, tuple) else want.configuration
             seen[label] = seen.get(label, 0) + 1

@@ -276,6 +276,35 @@ def test_sample_pair_indexing():
     assert np.allclose(alpha.points[4], [0, 0, 1])
 
 
+def test_sample_pair_steps_must_be_finite_and_positive():
+    # a zero step raised ZeroDivisionError, and nan a ValueError from
+    # np.arange; every one is refused by name
+    pair = builtin_pair("parabolic")
+    for du, dv in ((0.0, 0.25), (0.25, 0.0), (-0.25, 0.25), (np.nan, 0.25),
+                   (0.25, np.inf), (0.25, "0.25"), (None, 0.25)):
+        bad = "du" if du != 0.25 else "dv"
+        with pytest.raises(ValidationError,
+                           match=f"^{bad} must be a finite number > 0, got "):
+            sample_pair(pair, du, dv)
+    alpha, _, us, _ = sample_pair(pair, np.float64(0.25), 1)
+    assert alpha.points.shape == (9, 3) and us[-1] == 1.0
+
+
+def test_grid_n_must_be_an_integer():
+    # a float grid size ended in a bare TypeError from operator.index; it
+    # is refused by name, through the predicate that refuses tessellate's
+    # fractional subdiv (net_core.is_index)
+    pair = builtin_pair("parabolic")
+    for grid_n in (20.5, np.float64(20.0), 20.0, True, "20", None, 15,
+                   np.int64(8)):
+        with pytest.raises(ValidationError,
+                           match="^grid_n must be an integer >= 16, got "):
+            trace_singular_curve(pair, grid_n, 1e-10)
+    want, = trace_singular_curve(pair, 33, 1e-10)
+    got, = trace_singular_curve(pair, np.int64(33), 1e-10)
+    assert np.array_equal(got.points, want.points)
+
+
 def _cubic(c):
     """Evaluators of the cubic curve c0 + c1 t + c2 t^2 + c3 t^3 and its
     first two derivatives."""
