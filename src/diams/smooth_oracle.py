@@ -12,20 +12,28 @@ cuspidal edge.  The zero set is traced by marching squares on a grid
 sampled with one evaluation of each curve per grid line, Omega filled in
 blocks of u-rows; the crossing points on all sign-change edges are refined
 together, by linear interpolation and then lockstep bisection, evaluating
-only the curve whose parameter moves along the edge.  Tangency points are
-bracketed along the traced chain and refined by interpolation.  lambda is
-computed in batches, one row per point, by `_kernel_ratio`, whose row dot
-products equal np.dot's bit for bit; `lambda_along_curve` is its one-point
-case.  Curve evaluators take a float and return a length-3 sequence of
-floats, stacked into rows by `_rows`; they stay scalar, because numpy's
-array power rounds differently from the scalar pow of a Python float.
-The builtins return tuples: a call's cost is building its result, and
-an array costs far more than the scalar math.
+only the curve whose parameter moves along the edge.  The crossings are
+numbered by edge, the cells' segments are int arrays (only saddle cells
+are visited one by one), and the chains' links come from a stable sort of
+the segment ends.  Tangency points are bracketed along the traced chain
+and refined by interpolation.  lambda is computed in batches, one row per
+point, by `_kernel_ratio`, whose row dot products equal np.dot's bit for
+bit; `lambda_along_curve` is its one-point case.  Curve evaluators take a
+float and return a length-3 sequence of floats; `_rows` packs each batch
+of calls into one buffer of float rows (`_row` packs one call), and the
+packing refuses, by evaluator and parameter, a result that is not 3
+numbers.  They stay scalar, because numpy's array power rounds differently
+from the scalar pow of a Python float.  The builtins return tuples: a
+call's cost is building its result, and an array costs far more than the
+scalar math.
 """
 
 import functools
+import itertools
 import math
 import numbers
+import struct
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,8 +51,8 @@ class SmoothCurvePair:
 
     Evaluators map a float parameter to a length-3 sequence of floats
     (a tuple, list or array).  At construction each must return 3
-    coordinates, and first and second derivatives are cross-checked
-    against central differences of the position evaluators.
+    floats, and first and second derivatives are cross-checked against
+    central differences of the position evaluators.
     """
 
     alpha: object
@@ -58,25 +66,17 @@ class SmoothCurvePair:
     name: str = "custom"
 
     def __post_init__(self):
-        for curve, d1, d2, rng, tag in (
-                (self.alpha, self.d_alpha, self.dd_alpha, self.u_range, "alpha"),
-                (self.beta, self.d_beta, self.dd_beta, self.v_range, "beta")):
+        for rng, tag in ((self.u_range, "alpha"), (self.v_range, "beta")):
             lo, hi = rng
             if not hi > lo:
                 raise ValidationError(f"{tag}: empty parameter range {rng}")
             h = 1e-5 * (hi - lo)
-            for t in np.linspace(lo + h, hi - h, 5):
-                for f, name in ((curve, tag), (d1, "d_" + tag),
-                                (d2, "dd_" + tag)):
-                    shape = np.shape(f(t))
-                    if shape != (3,):
-                        raise ValidationError(
-                            f"{name}: evaluator returned shape {shape}, "
-                            "expected 3 coordinates")
-                fd1 = (np.asarray(curve(t + h)) - np.asarray(curve(t - h))) / (2 * h)
-                fd2 = (np.asarray(d1(t + h)) - np.asarray(d1(t - h))) / (2 * h)
-                for got, ref, which in ((np.asarray(d1(t)), fd1, "first"),
-                                        (np.asarray(d2(t)), fd2, "second")):
+            names = (tag, "d_" + tag, "dd_" + tag)
+            for t in np.linspace(lo + h, hi - h, 5).tolist():
+                for f, df, which in zip(names, names[1:], ("first", "second")):
+                    ref = np.subtract(_row(self, f, t + h),
+                                      _row(self, f, t - h)) / (2 * h)
+                    got = np.array(_row(self, df, t))
                     err = np.abs(got - ref).max()
                     if err > 1e-6 * max(1.0, float(np.abs(got).max())):
                         raise ValidationError(
@@ -85,7 +85,7 @@ class SmoothCurvePair:
                             f"(error {err:.3e})")
         us = np.linspace(*self.u_range, 33)
         vs = np.linspace(*self.v_range, 33)
-        av, bv = _rows(self.alpha, us), _rows(self.beta, vs)
+        av, bv = _rows(self, "alpha", us), _rows(self, "beta", vs)
         gap = np.linalg.norm(av[:, None, :] - bv[None, :, :], axis=2)
         if gap.min() <= 1e-9 * max(1.0, np.abs(av).max(), np.abs(bv).max()):
             raise ValidationError("curves intersect on the sampled ranges")
@@ -140,12 +140,46 @@ def builtin_pair(name):
     return SmoothCurvePair(**_BUILTINS[name], name=name)
 
 
-def _rows(curve, ts):
-    """curve at every entry of the 1-d array ts, as (len(ts), 3) float
-    rows.  The evaluator gets Python floats, so a builtin's tuple of
-    scalar results costs one small object per call, not an array."""
-    rows = [curve(t) for t in ts.tolist()]
-    return np.array(rows, dtype=float).reshape(len(ts), 3)
+# one evaluator row: its arity check refuses a result that is not 3 numbers
+_ROW = struct.Struct("=3d")
+
+
+def _rows(pair, tag, ts):
+    """The pair's evaluator `tag` at every entry of the 1-d array ts, as
+    (len(ts), 3) float rows.  The evaluator gets Python floats, and each
+    result is packed straight into one buffer, so a builtin's tuple of
+    scalar results costs one small object per call, not an array.  A
+    result that is not 3 floats is refused as _row refuses it."""
+    curve, ts = getattr(pair, tag), ts.tolist()
+    try:
+        data = b"".join(itertools.starmap(_ROW.pack, map(curve, ts)))
+    except (TypeError, struct.error) as exc:
+        for t in ts:
+            _row(pair, tag, t)
+        # every result passed on a second call
+        raise ValidationError(f"{tag}: evaluator returned a row that is "
+                              "not 3 floats") from exc
+    return np.frombuffer(data).reshape(-1, 3)
+
+
+def _row(pair, tag, t):
+    """The pair's evaluator `tag` at t as a tuple of 3 Python floats; a
+    result that is not 3 floats raises ValidationError naming the
+    evaluator and t."""
+    row = getattr(pair, tag)(t)
+    try:
+        return _ROW.unpack(_ROW.pack(*row))
+    except (TypeError, struct.error):
+        pass
+    try:
+        shape = np.shape(row)
+    except ValueError:
+        got = "a ragged sequence"
+    else:
+        got = (repr(row) if shape == () else f"shape {shape}"
+               if shape != (3,) else "3 entries that are not all floats")
+    raise ValidationError(f"{tag}: evaluator returned {got} at "
+                          f"t={float(t)!r}, expected 3 floats")
 
 
 # u-rows of Omega per det3 call: enough rows to amortise the call, few
@@ -159,9 +193,8 @@ _REFINE_ROUNDS = 200
 def omega_smooth(pair, u, v):
     """[alpha(u) - beta(v), alpha'(u), beta'(v)]."""
     pair.require(u, v)
-    n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
-    return float(det3(n, np.asarray(pair.d_alpha(u)),
-                      np.asarray(pair.d_beta(v))))
+    n = [p - q for p, q in zip(_row(pair, "alpha", u), _row(pair, "beta", v))]
+    return float(det3(n, _row(pair, "d_alpha", u), _row(pair, "d_beta", v)))
 
 
 def _sample_grid(pair, us, vs, w):
@@ -175,12 +208,13 @@ def _sample_grid(pair, us, vs, w):
     which meets the first out-of-range point of a row-major scan of the
     product grid.
     """
-    for v in vs:
-        pair.require(us[0], v)
-    for u in us:
-        pair.require(u, vs[0])
-    a, x = _rows(pair.alpha, us), _rows(pair.d_alpha, us)
-    b, y = _rows(pair.beta, vs), _rows(pair.d_beta, vs)
+    edge = np.concatenate([np.stack([np.full(len(vs), us[0]), vs], axis=1),
+                           np.stack([us, np.full(len(us), vs[0])], axis=1)])
+    inside = _in_range(pair, edge)
+    if not inside.all():
+        pair.require(*edge[np.argmin(inside)].tolist())
+    a, x = _rows(pair, "alpha", us), _rows(pair, "d_alpha", us)
+    b, y = _rows(pair, "beta", vs), _rows(pair, "d_beta", vs)
     at, xt = a.T[:, :, None], x.T[:, :, None]
     bt, yt = b.T[:, None, :], y.T[:, None, :]
     for i in range(0, len(us), _SAMPLE_ROWS):
@@ -192,10 +226,23 @@ def _sample_grid(pair, us, vs, w):
 def omega_smooth_grid(pair, us, vs):
     """omega_smooth at every (us[i], vs[j]) as a (len(us), len(vs)) array,
     equal to the scalar values bit for bit; the sampling is shared with
-    trace_singular_curve."""
-    w = np.empty((len(us), len(vs)))
-    _sample_grid(pair, us, vs, w)
+    trace_singular_curve.  us and vs are 1-d sequences of floats; if one
+    is empty, so is the grid, and no evaluator runs."""
+    us, vs = _parameters(us, "us"), _parameters(vs, "vs")
+    w = np.empty((us.size, vs.size))
+    if w.size:
+        _sample_grid(pair, us, vs, w)
     return w
+
+
+def _parameters(ts, name):
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except (TypeError, ValueError):
+        ts = None
+    if ts is None or ts.ndim != 1:
+        raise ValidationError(f"{name} must be a 1-d sequence of floats")
+    return ts
 
 
 class SmoothChain(NamedTuple):
@@ -210,10 +257,10 @@ def _omega_moving(pair, moving_u, t, fixed, fixed_d):
     rows.  Only the moving curve's two evaluators run, once per point;
     det3 works entry by entry, so each value equals omega_smooth's."""
     if moving_u:
-        n = _rows(pair.alpha, t) - fixed
-        return det3(n.T, _rows(pair.d_alpha, t).T, fixed_d.T)
-    n = fixed - _rows(pair.beta, t)
-    return det3(n.T, fixed_d.T, _rows(pair.d_beta, t).T)
+        n = _rows(pair, "alpha", t) - fixed
+        return det3(n.T, _rows(pair, "d_alpha", t).T, fixed_d.T)
+    n = fixed - _rows(pair, "beta", t)
+    return det3(n.T, fixed_d.T, _rows(pair, "d_beta", t).T)
 
 
 def _refine(pair, moving_u, guess, lo, hi, w_lo, fixed, fixed_d, tol):
@@ -283,42 +330,48 @@ def trace_singular_curve(pair, grid_n, tol):
             f"Omega vanishes at grid corner (u, v) = "
             f"({us[i]:.9g}, {vs[j]:.9g}); perturb the grid")
 
-    # sign flips on the u-direction edges ("h", i, j) = (i,j)-(i+1,j) and
-    # the v-direction edges ("v", i, j) = (i,j)-(i,j+1); only cells
-    # touching one are visited, in row-major order.  Entries of a grid are
-    # found as flatnonzero's flat indices, split by divmod
+    # sign flips on the u-direction edges (i,j)-(i+1,j) and the
+    # v-direction edges (i,j)-(i,j+1), numbered in that order, each
+    # row-major: the crossing nodes of the chains
     pos = w > 0
     h_flip = pos[:-1] != pos[1:]
     v_flip = pos[:, :-1] != pos[:, 1:]
+    h_at, v_at = np.flatnonzero(h_flip), np.flatnonzero(v_flip)
+    m = h_at.size
+    # only cells touching a flip are visited, in row-major order.  Cell
+    # (i, j) is flat c = i (size-1) + j; its sides bottom (i, j) and top
+    # (i, j+1) are c + i and c + i + 1 in h_flip, left (i, j) and right
+    # (i+1, j) are c and c + size-1 in v_flip
     active = h_flip[:, :-1] | h_flip[:, 1:] | v_flip[:-1] | v_flip[1:]
-    segments = []
-    for i, j in zip(*(k.tolist() for k in np.divmod(np.flatnonzero(active),
-                                                    size - 1))):
-        bottom, top = ("h", i, j), ("h", i, j + 1)
-        left, right = ("v", i, j), ("v", i + 1, j)
-        sides = [side for side, flip in ((bottom, h_flip[i, j]),
-                                         (top, h_flip[i, j + 1]),
-                                         (left, v_flip[i, j]),
-                                         (right, v_flip[i + 1, j]))
-                 if flip]
-        if len(sides) == 2:
-            segments.append(tuple(sides))
+    cells = np.flatnonzero(active)
+    h_side = (cells + cells // (size - 1))[:, None] + [0, 1]
+    v_side = cells[:, None] + [0, size - 1]
+    flips = np.concatenate([h_flip.ravel()[h_side], v_flip.ravel()[v_side]],
+                           axis=1)
+    nodes = np.concatenate([np.searchsorted(h_at, h_side),
+                            m + np.searchsorted(v_at, v_side)], axis=1)
+    # each cell's segments, at most two: the two flipped sides in side
+    # order, or for a saddle (the flips around a cell are even, so 4
+    # sides) each corner paired with the centre-sign rule
+    segments = np.full((cells.size, 2, 2), -1)
+    two = flips.sum(axis=1) == 2
+    segments[two, 0] = nodes[two][flips[two]].reshape(-1, 2)
+    for k in np.flatnonzero(~two).tolist():
+        i, j = divmod(int(cells[k]), size - 1)
+        bottom, top, left, right = nodes[k].tolist()
+        centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
+                              0.5 * (vs[j] + vs[j + 1]))
+        if (centre > 0) == (w[i, j] > 0):
+            segments[k] = (bottom, right), (top, left)
         else:
-            # saddle (the flips around a cell are even, so 4 sides):
-            # pair each corner with the centre-sign rule
-            centre = omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
-                                  0.5 * (vs[j] + vs[j + 1]))
-            if (centre > 0) == (w[i, j] > 0):
-                segments += [(bottom, right), (top, left)]
-            else:
-                segments += [(bottom, left), (top, right)]
+            segments[k] = (bottom, left), (top, right)
+    segments = segments.reshape(-1, 2)
+    segments = segments[segments[:, 0] >= 0]
 
     # every flipped edge borders an active cell, so the segments name
-    # exactly the flipped edges: the u-edges first, then the v-edges
-    ih, jh = np.divmod(np.flatnonzero(h_flip), size)
-    iv, jv = np.divmod(np.flatnonzero(v_flip), size - 1)
-    keys = ([("h", i, j) for i, j in zip(ih.tolist(), jh.tolist())]
-            + [("v", i, j) for i, j in zip(iv.tolist(), jv.tolist())])
+    # exactly the flipped edges
+    ih, jh = np.divmod(h_at, size)
+    iv, jv = np.divmod(v_at, size - 1)
     i0, j0 = np.concatenate([ih, iv]), np.concatenate([jh, jv])
     i1, j1 = np.concatenate([ih + 1, iv]), np.concatenate([jh, jv + 1])
     p0 = np.stack([us[i0], vs[j0]], axis=1)
@@ -330,29 +383,30 @@ def trace_singular_curve(pair, grid_n, tol):
     if not inside.all():
         # an evaluator's nan at a grid line gives (nan, nan) guesses
         pair.require(*guess[np.argmin(inside)])
-    m = ih.size
     points = np.concatenate([
         _refine(pair, True, guess[:m], p0[:m], p1[:m], w0[:m],
                 b[jh], y[jh], tol),
         _refine(pair, False, guess[m:], p0[m:], p1[m:], w0[m:],
                 a[iv], x[iv], tol)])
-    return _link_chains(segments, keys, points)
+    return _link_chains(segments, points)
 
 
-def _link_chains(segments, keys, points):
-    """Join segments between edge-crossing keys into chains, the crossing
-    keys[k] at points[k] (keys in sorted order): open chains from their
-    first end key first, then closed loops, all sorted by their first
-    point."""
-    node = {key: k for k, key in enumerate(keys)}
-    links = [[-1, -1] for _ in keys]
-    for a, b in segments:
-        a, b = node[a], node[b]
-        # the second slot once the first is taken
-        links[a][links[a][0] >= 0] = b
-        links[b][links[b][0] >= 0] = a
+def _link_chains(segments, points):
+    """Join the (s, 2) segments between crossing nodes into chains, node
+    k at points[k]: open chains from their first end node first, then
+    closed loops, all sorted by their first point.  Each node's first
+    occurrence in segment order takes its first link slot: a stable sort
+    of the segment ends puts it first among the node's (at most two)
+    occurrences."""
+    ends = segments.ravel()
+    order = np.argsort(ends, kind="stable")
+    node = ends[order]
+    slot = np.zeros(node.size, dtype=np.intp)
+    slot[1:] = node[1:] == node[:-1]
+    links = np.full((len(points), 2), -1)
+    links[node, slot] = segments[:, ::-1].ravel()[order]
     chains = [SmoothChain(points[nodes], closed)
-              for nodes, closed in walk_chains(np.array(links))]
+              for nodes, closed in walk_chains(links)]
     chains.sort(key=lambda c: (c.points[0, 0], c.points[0, 1]))
     return chains
 
@@ -392,9 +446,9 @@ def _kernel_ratio(pair, points):
     inside = _in_range(pair, points)
     k = len(points) if inside.all() else int(np.argmin(inside))
     us, vs = points[:k, 0], points[:k, 1]
-    a, b, da, db = (_rows(curve, ts)
-                    for curve, ts in ((pair.alpha, us), (pair.beta, vs),
-                                      (pair.d_alpha, us), (pair.d_beta, vs)))
+    a, b, da, db = (_rows(pair, tag, ts)
+                    for tag, ts in (("alpha", us), ("beta", vs),
+                                    ("d_alpha", us), ("d_beta", vs)))
     n = a - b
     n = n / np.sqrt(_row_dot(n, n))[:, None]
     pa = da - n * _row_dot(n, da)[:, None]
@@ -507,12 +561,10 @@ def check_regularity(pair, point, tol):
     require_tolerance(tol, "tol")
     u, v = float(point[0]), float(point[1])
     pair.require(u, v)
-    n = np.asarray(pair.alpha(u)) - np.asarray(pair.beta(v))
+    n = np.subtract(_row(pair, "alpha", u), _row(pair, "beta", v))
     n = n / np.linalg.norm(n)
-    da = np.asarray(pair.d_alpha(u))
-    db = np.asarray(pair.d_beta(v))
-    dda = np.asarray(pair.dd_alpha(u))
-    ddb = np.asarray(pair.dd_beta(v))
+    da, db = _row(pair, "d_alpha", u), _row(pair, "d_beta", v)
+    dda, ddb = _row(pair, "dd_alpha", u), _row(pair, "dd_beta", v)
     checks = ((da, db), (dda, db), (da, ddb))
     for x, y in checks:
         mag = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
@@ -526,8 +578,8 @@ def curvature_gap(pair, point):
     (swallowtail) points of the singular curve."""
     u, v = float(point[0]), float(point[1])
     lam, _, n, da, db = _kernel_ratio(pair, np.array([[u, v]]))
-    a_term = _projected_cross(n[0], da[0], pair.dd_alpha(u))
-    b_term = _projected_cross(n[0], db[0], pair.dd_beta(v))
+    a_term = _projected_cross(n[0], da[0], _row(pair, "dd_alpha", u))
+    b_term = _projected_cross(n[0], db[0], _row(pair, "dd_beta", v))
     return a_term - float(lam[0]) ** 3 * b_term
 
 
@@ -535,16 +587,28 @@ def sample_pair(pair, du, dv):
     """Sample the smooth pair into polygonal curves.
 
     Index i of alpha corresponds to parameter u_min + i * du (and likewise
-    for beta), with offset 0, so parameter = index * step + range start.
-    Returns (alpha_curve, beta_curve, u_params, v_params).  The steps
-    must be finite and > 0.
+    for beta), with offset 0, so parameter = index * step + range start,
+    up to the last one past the range's end by no more than round-off;
+    a last one within round-off of the end is the end itself, so every
+    parameter lies in the range.  Returns (alpha_curve, beta_curve,
+    u_params, v_params).  The steps must be finite and > 0.
     """
     for name, step in (("du", du), ("dv", dv)):
         if not (isinstance(step, numbers.Real) and math.isfinite(step)
                 and step > 0):
             raise ValidationError(
                 f"{name} must be a finite number > 0, got {step!r}")
-    us = np.arange(pair.u_range[0], pair.u_range[1] + du / 2, du)
-    vs = np.arange(pair.v_range[0], pair.v_range[1] + dv / 2, dv)
-    a, b = _rows(pair.alpha, us), _rows(pair.beta, vs)
+    us, vs = _steps(*pair.u_range, float(du)), _steps(*pair.v_range, float(dv))
+    a, b = _rows(pair, "alpha", us), _rows(pair, "beta", vs)
     return PolyCurve(a, offset=0), PolyCurve(b, offset=0), us, vs
+
+
+def _steps(lo, hi, step):
+    """lo + i * step for i = 0, 1, ... as sample_pair takes them."""
+    # bounds the rounding of lo + i * step for i * step <= hi - lo + step
+    slack = 4 * sys.float_info.epsilon * (abs(lo) + abs(hi) + step)
+    ts = lo + np.arange(int((hi - lo) / step) + 2) * step
+    ts = ts[ts <= hi + slack]
+    if ts.size > 1 and hi - ts[-1] <= slack:
+        ts[-1] = hi
+    return ts

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from diams import (builtin_pair, check_regularity, curvature_gap,
                    find_swallowtails, lambda_along_curve, omega_smooth,
@@ -90,7 +91,7 @@ EVALUATORS = ("alpha", "d_alpha", "dd_alpha", "beta", "d_beta", "dd_beta")
 def test_evaluator_shape_is_validated(tag):
     # caught at construction, not later inside det3
     with pytest.raises(ValidationError, match=rf"^{tag}: evaluator returned "
-                       r"shape \(2,\), expected 3 coordinates$"):
+                       r"shape \(2,\) at t=\S+, expected 3 floats$"):
         dataclasses.replace(builtin_pair("parabolic"),
                             **{tag: lambda t: (t, 0.0)})
 
@@ -290,6 +291,31 @@ def test_sample_pair_steps_must_be_finite_and_positive():
     assert alpha.points.shape == (9, 3) and us[-1] == 1.0
 
 
+def test_sample_pair_stays_in_range():
+    # np.arange sampled past the range's end: u = v = 1.1 at a step of
+    # 0.3, a last sample of 1.0000000000000018 at 0.05, and (1.05, 1.02)
+    # on circle_pair at 0.05
+    pair = builtin_pair("parabolic")
+    for step, count in ((0.25, 9), (0.05, 41)):
+        _, _, us, vs = sample_pair(pair, step, step)
+        assert len(us) == len(vs) == count
+        assert us[-1] == vs[-1] == 1.0
+        assert np.array_equal(us[:-1], -1.0 + np.arange(count - 1) * step)
+    _, _, us, _ = sample_pair(pair, 0.3, 0.3)
+    assert len(us) == 7 and us[-1] == -1.0 + 6 * 0.3 == pytest.approx(0.8)
+    for pair in (pair, circle_pair()):
+        for du, dv in ((0.3, 0.3), (0.05, 0.05), (0.07, 0.011)):
+            alpha, beta, us, vs = sample_pair(pair, du, dv)
+            assert alpha.points.shape == (len(us), 3)
+            assert beta.points.shape == (len(vs), 3)
+            for u in us:
+                pair.require(u, vs[0])
+            for v in vs:
+                pair.require(us[0], v)
+            assert us[-1] + du > pair.u_range[1]
+            assert vs[-1] + dv > pair.v_range[1]
+
+
 def test_grid_n_must_be_an_integer():
     # a float grid size ended in a bare TypeError from operator.index; it
     # is refused by name, through the predicate that refuses tessellate's
@@ -383,6 +409,34 @@ def test_omega_smooth_grid_range_error_matches_scalar():
         assert str(grid_err.value) == str(scalar_err.value)
 
 
+def test_omega_smooth_grid_takes_a_list():
+    pair = builtin_pair("parabolic")
+    us, vs = [-0.5, 0, 0.25], [0.5, -1]
+    w = omega_smooth_grid(pair, us, vs)
+    ref = omega_smooth_grid(pair, np.array(us, dtype=float), np.array(vs))
+    assert w.shape == (3, 2) and np.array_equal(w, ref)
+    assert w[1, 0] == omega_smooth(pair, 0.0, 0.5)
+
+
+def test_omega_smooth_grid_of_an_empty_sequence_is_empty():
+    pair, calls = counting_pair("parabolic")
+    for us, vs, shape in (([], [0.5, 2.0], (0, 2)), ([0.5], [], (1, 0)),
+                          (np.array([]), (), (0, 0))):
+        w = omega_smooth_grid(pair, us, vs)
+        assert w.shape == shape and w.dtype == np.float64
+    assert not calls
+
+
+def test_omega_smooth_grid_refuses_what_is_not_one_dimensional():
+    pair, calls = counting_pair("parabolic")
+    for us, vs in ((np.zeros((2, 2)), [0.0]), ([0.0], [[0.0], [0.5]]),
+                   (0.5, [0.0]), ([0.0], "ab"), ([0.0, [0.5, 0.5]], [0.0])):
+        with pytest.raises(ValidationError,
+                           match="^u?v?s must be a 1-d sequence of floats$"):
+            omega_smooth_grid(pair, us, vs)
+    assert not calls
+
+
 def _trace_outcome(trace, pair, n, rel_tol=1e-7):
     # by default a looser tolerance than the CLI's 1e-10 keeps the
     # bisections short; both traces share it
@@ -395,37 +449,89 @@ def _trace_outcome(trace, pair, n, rel_tol=1e-7):
         return type(e), str(e)
 
 
+def _four_side_cells(pair, n):
+    """Which cells of the grid-n trace have four sign-change sides."""
+    us, vs = _grid(pair, n)
+    pos = omega_smooth_grid(pair, us, vs) > 0
+    h = pos[:-1] != pos[1:]
+    v = pos[:, :-1] != pos[:, 1:]
+    return (h[:, :-1].astype(int) + h[:, 1:] + v[:-1] + v[1:]) == 4
+
+
 def _saddle_centre_signs(pair, n):
     """For each cell with four sign-change sides: whether Omega at its
     centre has the sign of its lower-left corner."""
     us, vs = _grid(pair, n)
-    w = omega_smooth_grid(pair, us, vs)
-    pos = w > 0
-    h = pos[:-1] != pos[1:]
-    v = pos[:, :-1] != pos[:, 1:]
-    four = (h[:, :-1].astype(int) + h[:, 1:] + v[:-1] + v[1:]) == 4
     return [(omega_smooth(pair, 0.5 * (us[i] + us[i + 1]),
-                          0.5 * (vs[j] + vs[j + 1])) > 0) == pos[i, j]
-            for i, j in np.argwhere(four)]
+                          0.5 * (vs[j] + vs[j + 1])) > 0)
+            == (omega_smooth(pair, us[i], vs[j]) > 0)
+            for i, j in np.argwhere(_four_side_cells(pair, n))]
+
+
+def _starts_in_a_saddle(pair, n, chain):
+    """Does the chain's first segment lie in a cell with four
+    sign-change sides?"""
+    us, vs = _grid(pair, n)
+    u, v = 0.5 * (chain.points[0] + chain.points[1])
+    i, j = np.searchsorted(us, u) - 1, np.searchsorted(vs, v) - 1
+    return bool(_four_side_cells(pair, n)[i, j])
+
+
+def jittered_saddle_pairs(rng, count=4):
+    """saddle_pair at s = 100 on (-1, 1)^2 with each range end moved by
+    up to 0.05, so the origin falls anywhere in its cell."""
+    return [saddle_pair(*(tuple(np.add((-1.0, 1.0), rng.uniform(
+        -0.05, 0.05, size=2))) for _ in range(2))) for _ in range(count)]
+
+
+def two_loop_pair():
+    """Omega = (D(v) - (u - R(v))^2) / 2 with D = 0.05625 - 16 v^2
+    (v - 1/2)^2 and R = v^2 + v^3: two loops, around v = 0 and v = 1/2,
+    whose tips nearly meet and lean so that at grid 17 the upper loop
+    starts in a saddle cell that the lower loop crosses as well.
+
+    alpha = (u, 0, u^2 / 2) and beta = (k, v, g) give Omega = Q(v) +
+    u R(v) - u^2 / 2 with Q = v g' - g and R = k - v k', so a term
+    c v^n of Q or R comes from c / (n - 1) v^n of g or -k.
+    """
+    v = Polynomial([0.0, 1.0])
+    r = v ** 2 + v ** 3
+    q = (0.05625 - 16 * v ** 2 * (v - 0.5) ** 2 - r ** 2) / 2
+    g, k = (Polynomial([c / (n - 1) if n != 1 else 0.0
+                        for n, c in enumerate(p.coef)]) for p in (q, -r))
+    g1, g2, k1, k2 = g.deriv(), g.deriv(2), k.deriv(), k.deriv(2)
+    return SmoothCurvePair(
+        alpha=lambda u: (u, 0.0, 0.5 * u * u),
+        beta=lambda t: (k(t), t, g(t)),
+        d_alpha=lambda u: (1.0, 0.0, u),
+        d_beta=lambda t: (k1(t), 1.0, g1(t)),
+        dd_alpha=lambda u: (0.0, 0.0, 1.0),
+        dd_beta=lambda t: (k2(t), 0.0, g2(t)),
+        u_range=(-1.0, 1.0), v_range=(-1.0, 1.5))
 
 
 def test_trace_matches_per_point_reference(rng):
+    # the chain linker numbers the crossings by edge and fills the link
+    # slots from a sort of the segment ends; the reference links by
+    # key-labelled dict in segment order
     outcomes = []
-    for pair in _pairs(rng):
-        for n in (16, 33, 101):
-            got = _trace_outcome(trace_singular_curve, pair, n)
-            ref = _trace_outcome(reference_trace, pair, n)
-            if isinstance(ref, tuple):
-                outcomes.append("error")
-                assert got == ref
-                continue
-            outcomes += ["closed" if c.closed else "open" for c in got]
-            assert len(got) == len(ref)
-            for a, b in zip(got, ref):
-                assert a.closed == b.closed
-                assert a.points.shape == b.points.shape
-                assert np.array_equal(a.points.view(np.int64),
-                                      b.points.view(np.int64))
+    cases = [(pair, n) for pair in _pairs(rng) for n in (16, 33, 101)]
+    saddles = jittered_saddle_pairs(rng) + [circle_pair(), two_loop_pair()]
+    cases += [(pair, n) for pair in saddles for n in (16, 17, 33, 100, 101)]
+    for pair, n in cases:
+        got = _trace_outcome(trace_singular_curve, pair, n)
+        ref = _trace_outcome(reference_trace, pair, n)
+        if isinstance(ref, tuple):
+            outcomes.append("error")
+            assert got == ref
+            continue
+        outcomes += ["closed" if c.closed else "open" for c in got]
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.closed == b.closed
+            assert a.points.shape == b.points.shape
+            assert np.array_equal(a.points.view(np.int64),
+                                  b.points.view(np.int64))
     # open and closed chains occur, and the zero-corner error (parabolic
     # at grid 16)
     assert set(outcomes) == {"open", "closed", "error"}
@@ -433,6 +539,15 @@ def test_trace_matches_per_point_reference(rng):
     signs = [_saddle_centre_signs(saddle_pair(*r), n)
              for r in SADDLE_RANGES for n in (16, 33)]
     assert signs == [[True], [True], [False], [False]]
+    signs = [sign for pair in saddles[:-2] for n in (16, 17, 33, 100, 101)
+             for sign in _saddle_centre_signs(pair, n)]
+    assert True in signs and False in signs
+    # a loop whose walk starts in a saddle cell
+    loops = [c for c in trace_singular_curve(saddles[-1], 17, 1e-9)
+             if c.closed]
+    assert len(loops) == 2
+    assert [_starts_in_a_saddle(saddles[-1], 17, c) for c in loops] == [
+        False, True]
 
 
 def test_trace_zero_corner_error_matches_reference():
@@ -548,6 +663,52 @@ def test_trace_nan_samples_match_reference():
     got = _trace_outcome(trace_singular_curve, pair, 33)
     assert got[0] is OutOfRange and "(nan, nan)" in got[1]
     assert got == _trace_outcome(reference_trace, pair, 33)
+
+
+def banded_pair(tag, bad, band):
+    """The parabolic pair with evaluator `tag` returning `bad` for
+    parameters inside the open interval band, which the construction
+    checks miss."""
+    base = builtin_pair("parabolic")
+    f = getattr(base, tag)
+    return dataclasses.replace(base, **{
+        tag: lambda t: bad if band[0] < t < band[1] else f(t)})
+
+
+@pytest.mark.parametrize("bad", [(0.0, 1.0, 0.0, 2.0), None, (0.0, "1", 0.0),
+                                 np.zeros((3, 1))])
+@pytest.mark.parametrize("tag, band", [("d_beta", (0.6, 0.9)),
+                                       ("beta", (0.6, 0.62))])
+def test_malformed_evaluator_rows_are_named(tag, band, bad):
+    # numpy raised bare errors (ValueError "inhomogeneous shape",
+    # IndexError, TypeError), the string "1" was read as 1.0, and
+    # omega_smooth used the first 3 of 4 coordinates; the first bad row
+    # in call order is refused by name, with its parameter
+    good = builtin_pair("parabolic")
+    pair = banded_pair(tag, bad, band)
+    chain = max(trace_singular_curve(good, 401, 1e-10),
+                key=lambda c: len(c.points))
+    _, _, us, _ = sample_pair(good, 0.01, 0.01)
+    v = 0.5 * (band[0] + band[1])
+    calls = [lambda: trace_singular_curve(pair, 401, 1e-10),
+             lambda: find_swallowtails(pair, chain),
+             lambda: omega_smooth_grid(pair, us, us),
+             lambda: omega_smooth(pair, 0.1, v),
+             lambda: check_regularity(pair, (0.1, v), 1e-9),
+             lambda: curvature_gap(pair, (0.1, v))]
+    if tag == "beta":
+        calls.append(lambda: sample_pair(pair, 0.01, 0.01))
+    else:
+        # sample_pair evaluates the positions only
+        assert np.array_equal(sample_pair(pair, 0.01, 0.01)[1].points,
+                              sample_pair(good, 0.01, 0.01)[1].points)
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match=rf"^{tag}: evaluator returned .+ at "
+                                 r"t=\S+, expected 3 floats$") as err:
+            call()
+        t = float(str(err.value).split("t=")[1].split(",")[0])
+        assert band[0] < t < band[1]
 
 
 def _bits(x):
